@@ -39,10 +39,17 @@ CHART_TOL = 1e-12
 BLUP_F_RTOL = 1e-10
 
 
-def _round(a: np.ndarray) -> np.ndarray:
-    out = np.round(np.asarray(a, dtype=float), ROUND_DECIMALS)
-    out[out == 0.0] = 0.0  # normalize -0.0
-    return out
+def _round(a):
+    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0."""
+    return np.round(np.asarray(a, dtype=float), ROUND_DECIMALS) + 0.0
+
+
+def _leading_is_negative(u) -> bool:
+    """Whether the first component above 10^-ROUND_DECIMALS is negative."""
+    for v in u:
+        if abs(v) > 10.0**-ROUND_DECIMALS:
+            return v < 0
+    return False
 
 
 def canonical_direction(xi) -> np.ndarray:
@@ -52,11 +59,8 @@ def canonical_direction(xi) -> np.ndarray:
     if norm == 0.0:
         raise CenterPoint("zero vector has no direction")
     u = xi / norm
-    for v in u:
-        if abs(v) > 10.0**-ROUND_DECIMALS:
-            if v < 0:
-                u = -u
-            break
+    if _leading_is_negative(u):
+        u = -u
     return _round(u)
 
 
@@ -115,10 +119,6 @@ def canonicalize(y, xi, t, dims: PairDims):
     if float(np.linalg.norm(x_block)) == 0.0:
         raise CenterPoint("orbit meets the center: t != 0 with t*xi = 0")
     return Body(_round(np.concatenate([y, x_block])), dims)
-
-
-def canonicalize_point(point: DncPoint, dims: PairDims):
-    return canonicalize(point.y, point.xi, point.t, dims)
 
 
 def from_ambient(x, dims: PairDims) -> Body:
@@ -201,8 +201,7 @@ def blowup_map(f: MapOfPairs, z, check: bool = True):
         scale = float(np.linalg.norm(dn, ord=2)) * float(np.linalg.norm(z.xi_dir))
         if float(np.linalg.norm(image)) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
-        y2 = f(f.source.join(z.y, np.zeros(f.source.q)))[: f.target.p]
-        return Exceptional(_round(y2), canonical_direction(image), f.target)
+        return Exceptional(_round(f.slice_image(z.y)), canonical_direction(image), f.target)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -245,13 +244,10 @@ def canonical_polar(x, theta, t) -> PolarPoint:
         raise CenterPoint("polar direction must be nonzero")
     theta = theta / norm
     t = float(t) * norm
-    for v in theta:
-        if abs(v) > 10.0**-ROUND_DECIMALS:
-            if v < 0:
-                theta = -theta
-                t = -t
-            break
-    return PolarPoint(_round(x), _round(theta), float(np.round(t, ROUND_DECIMALS)))
+    if _leading_is_negative(theta):
+        theta = -theta
+        t = -t
+    return PolarPoint(_round(x), _round(theta), float(_round(t)))
 
 
 def to_polar(z) -> PolarPoint:
@@ -287,8 +283,7 @@ def polar_map(h: MapOfPairs, z: PolarPoint, check: bool = True) -> PolarPoint:
         norm = float(np.linalg.norm(image))
         if norm == 0.0:
             raise NotImmersive("normal derivative kills the polar direction")
-        y2 = h(h.source.join(z.x, np.zeros(h.source.q)))[: h.target.p]
-        return canonical_polar(y2, image / norm, 0.0)
+        return canonical_polar(h.slice_image(z.x), image / norm, 0.0)
     value = h(h.source.join(z.x, z.t * z.theta))
     y2, h2 = h.target.split(value)
     norm = float(np.linalg.norm(h2))

@@ -33,16 +33,8 @@ from . import verify as vf
 from .errors import ConecutError, ParseError
 from .expr import finite_diff_jacobian, jet_eval
 from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
-from .parse import parse_expr, parse_map
-from .ring import (
-    LaurentElement,
-    MultiPoly,
-    char_xs,
-    char_yxi,
-    expr_to_poly,
-    laurent_mul,
-    vanishing_order,
-)
+from .parse import pair_var_names, parse_expr, parse_laurent, parse_map
+from .ring import LaurentElement, char_xs, char_yxi, expr_to_poly, vanishing_order
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -166,6 +158,7 @@ def extract_suite_tols(argv):
 
 
 def _cmd_verify(args, tol_overrides) -> int:
+    """Run the requested suites; a demo runs its one suite and emits its row."""
     names = args.suite or sorted(vf.SUITES)
     for name in names:
         if name not in vf.SUITES:
@@ -176,24 +169,19 @@ def _cmd_verify(args, tol_overrides) -> int:
         samples = args.samples if args.samples is not None else vf.DEFAULT_SUITE_SAMPLES[name]
         tol = tol_overrides.get(name, args.tol)
         results.append(vf.SUITES[name](samples=samples, seed=args.seed, tol=tol))
-    payload = {
-        "seed": args.seed,
-        "suites": [r.as_dict() for r in results],
-        "all_ok": all(r.ok for r in results),
-    }
+    all_ok = all(r.ok for r in results)
+    if args.command == "verify":
+        payload = {"seed": args.seed, "suites": [r.as_dict() for r in results], "all_ok": all_ok}
+    else:
+        payload = results[0].as_dict()
     _emit(payload, args)
-    return EXIT_OK if payload["all_ok"] else EXIT_FAILED
-
-
-def _poly_from_text(text: str, p: int, q: int, var_names) -> MultiPoly:
-    expr = parse_expr(text, var_names)
-    return expr_to_poly(expr, p, q)
+    return EXIT_OK if all_ok else EXIT_FAILED
 
 
 def _cmd_resolve_curve(args, _tols) -> int:
     from .blowup import strict_transform_curve
 
-    poly = _poly_from_text(args.poly, 0, 2, ["x", "y"])
+    poly = expr_to_poly(parse_expr(args.poly, ["x", "y"]), 0, 2)
     strict, roots = strict_transform_curve(poly, args.chart)
     payload = {
         "input": args.poly,
@@ -217,10 +205,7 @@ def _parse_dims(text: str) -> PairDims:
 def _cmd_check_map(args, _tols) -> int:
     source = _parse_dims(args.source_dims)
     target = _parse_dims(args.target_dims) if args.target_dims else source
-    var_names = [f"y{i + 1}" for i in range(source.p)] + [
-        f"x{i + 1}" for i in range(source.q)
-    ]
-    f = parse_map(args.map, source.n, var_names)
+    f = parse_map(args.map, source.n, pair_var_names(source.p, source.q))
     if f.output_dim != target.n:
         print(
             f"map has {f.output_dim} components, target expects {target.n}",
@@ -259,64 +244,9 @@ def _cmd_check_map(args, _tols) -> int:
     return EXIT_OK if adapted.ok else EXIT_FAILED
 
 
-def _suite_demo(name):
-    def run(args, tols) -> int:
-        samples = args.samples if args.samples is not None else vf.DEFAULT_SUITE_SAMPLES[name]
-        result = vf.SUITES[name](
-            samples=samples, seed=args.seed, tol=tols.get(name, args.tol)
-        )
-        _emit(result.as_dict(), args)
-        return EXIT_OK if result.ok else EXIT_FAILED
-
-    return run
-
-
-def _parse_laurent(text: str, p: int, q: int) -> LaurentElement:
-    """Parse '(poly)*t^k + ... ' into the exact Laurent model.
-
-    Terms are separated by '+' at parenthesis depth zero.  Each term is
-    '(poly)*t^<int>', a bare '(poly)' or poly (no t), or 't^<int>'/'t'.
-    An exponent e on t stores the coefficient at filtration key -e.
-    """
-    var_names = [f"y{i + 1}" for i in range(p)] + [f"x{i + 1}" for i in range(q)]
-    terms = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            terms.append(current)
-            current = ""
-        else:
-            current += ch
-    terms.append(current)
-    total = LaurentElement(p, q, {})
-    for term in terms:
-        term = term.strip()
-        if not term:
-            raise ParseError("empty term in element", 0)
-        poly_text, exponent = term, 0
-        if "t^" in term or term.rstrip().endswith("*t") or term == "t":
-            star = term.rfind("*t")
-            if term == "t":
-                poly_text, exponent = "1", 1
-            elif term.startswith("t^"):
-                poly_text, exponent = "1", int(term[2:])
-            elif star >= 0:
-                poly_text = term[:star]
-                tail = term[star + 2 :]
-                exponent = int(tail[1:]) if tail.startswith("^") else 1
-        poly = _poly_from_text(poly_text, p, q, var_names)
-        total = total + LaurentElement.from_poly(poly, -exponent)
-    return total
-
-
 def _cmd_ring_demo(args, _tols) -> int:
     p, q = args.p, args.q
-    element = _parse_laurent(args.element, p, q)
+    element = parse_laurent(args.element, p, q)
     x_point = [Fraction(1, 2)] * (p + q)
     s_val = Fraction(1, 3)
     y_point = [Fraction(1, 2)] * p
@@ -335,7 +265,7 @@ def _cmd_ring_demo(args, _tols) -> int:
         },
         "char_xs_at_half_third": str(char_xs(element, x_point, s_val)),
         "char_yxi_at_half_twothirds": str(char_yxi(element, y_point, xi_point)),
-        "times_t": str(laurent_mul(element, t)),
+        "times_t": str(element * t),
     }
     _emit(payload, args)
     return EXIT_OK
@@ -381,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(name, help=f"run the {suite} suite and report")
         common(sp)
-        sp.set_defaults(suite_name=suite)
+        sp.set_defaults(suite=[suite])
 
     sp = sub.add_parser("dnc-ring-demo", help="exact Laurent model report")
     sp.add_argument(
         "--element",
         default="(x1*x2)*t^-1 + (y1) + t",
-        help="terms '(poly)*t^<k>' joined by '+'",
+        help="polynomial in y1.., x1.. and t with integer powers of t",
     )
     sp.add_argument("--p", type=int, default=1, help="number of y variables")
     sp.add_argument("--q", type=int, default=2, help="number of x variables")
@@ -399,10 +329,10 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "resolve-curve": _cmd_resolve_curve,
     "check-map": _cmd_check_map,
-    "sphere-demo": _suite_demo("sphere"),
-    "groupoid-demo": _suite_demo("groupoid"),
-    "dnc-demo": _suite_demo("dnc"),
-    "euler-demo": _suite_demo("euler"),
+    "sphere-demo": _cmd_verify,
+    "groupoid-demo": _cmd_verify,
+    "dnc-demo": _cmd_verify,
+    "euler-demo": _cmd_verify,
     "dnc-ring-demo": _cmd_ring_demo,
 }
 

@@ -14,6 +14,7 @@ lambda t), and t itself is a submersion whose fibers are the slices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +111,6 @@ def rx_action(lam: float, z: DncPoint) -> DncPoint:
     return DncPoint(z.y.copy(), z.xi / lam, lam * z.t)
 
 
-def hat_t(z: DncPoint) -> float:
-    """The canonical submersion; its fibers are the fixed-t slices."""
-    return z.t
-
-
 class DncMap:
     """The induced map h~ of an adapted map of pairs h."""
 
@@ -126,17 +122,13 @@ class DncMap:
     def __call__(self, z: DncPoint) -> DncPoint:
         h = self.h
         if z.t == 0.0:
-            point = h.source.join(z.y, np.zeros(h.source.q))
-            value = h.f(point)
-            dn = normal_derivative(h, z.y)
-            return DncPoint(value[: h.target.p], dn @ z.xi, 0.0)
-        value = h.f(z.ambient())
-        y2, x2 = h.target.split(value)
+            return DncPoint(h.slice_image(z.y), normal_derivative(h, z.y) @ z.xi, 0.0)
+        y2, x2 = h.target.split(h.f(z.ambient()))
+        # Once t*xi leaves the normal float range, h2(y, t*xi)/t has lost
+        # its precision; the jet branch is then exact to rounding.
+        if np.any((z.xi != 0.0) & (np.abs(z.t * z.xi) < sys.float_info.min)):
+            return DncPoint(y2, normal_derivative(h, z.y) @ z.xi, z.t)
         return DncPoint(y2, x2 / z.t, z.t)
-
-
-def dnc_map(h: MapOfPairs, check: bool = True, seed: int = 0) -> DncMap:
-    return DncMap(h, check=check, seed=seed)
 
 
 _KINDS = ("hat_f0", "dnc_f1", "hat_t")
@@ -190,7 +182,4 @@ def eval_function_class(
         dims,
         PairDims(dims.p + 1, dims.p),
     )
-    if z.t == 0.0:
-        dn = normal_derivative(pair, z.y)
-        return float(dn[0] @ z.xi)
-    return float(f(z.ambient())[0]) / z.t
+    return float(DncMap(pair, check=False)(z).xi[0])

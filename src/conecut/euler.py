@@ -84,13 +84,32 @@ def is_euler_like(
     )
 
 
+def _rk4(sigma: VectorField, x, grid) -> np.ndarray:
+    """Classical RK4 for xdot = sigma(x)/t along a time grid of one sign.
+
+    eval_map raises DomainViolation if the trajectory leaves the chart."""
+    x = np.asarray(x, dtype=float).copy()
+
+    def rhs(xv, tv):
+        return sigma(xv) / tv
+
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        h = t_next - t
+        k1 = rhs(x, t)
+        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
 def w_sigma_flow(
     sigma: VectorField, x, s: float, tau: float, step: float | None = None
 ):
     """Flow of W = (1/t) sigma + d/dt from (x, s) for time tau by RK4.
 
-    Integrates xdot = sigma(x)/t with t(tau') = s + tau' exact; the sign
-    of t may not change along the way."""
+    Integrates xdot = sigma(x)/t with t(tau') = s + tau' exact on a
+    uniform grid; the sign of t may not change along the way."""
     x = np.asarray(x, dtype=float).copy()
     s = float(s)
     tau = float(tau)
@@ -106,49 +125,19 @@ def w_sigma_flow(
         step = max_step
     step = min(abs(step), max_step)
     nsteps = max(1, math.ceil(abs(tau) / step))
-    h = tau / nsteps
-
-    def rhs(xv, t):
-        if not sigma.components.in_domain(xv):
-            raise DomainViolation("flow trajectory left the chart domain")
-        return sigma(xv) / t
-
-    t = s
-    for _ in range(nsteps):
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return x, s_end
+    return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1)), s_end
 
 
-def _flow_geometric(sigma: VectorField, x, t_start: float, t_end: float, steps_per_decade: int = 120):
-    """RK4 over a geometric time grid from t_start up to t_end (same sign).
+def _geometric_grid(t_start: float, t_end: float) -> list:
+    """Times from t_start up to t_end (same sign), 120 steps per decade.
 
     Near t = 0 the ODE is stiff in wall-clock time but perfectly tame on
-    a grid whose spacing shrinks with t, so the step is kept proportional
-    to the current t."""
-    x = np.asarray(x, dtype=float).copy()
-    t = float(t_start)
-    ratio = 10.0 ** (1.0 / steps_per_decade)
-    while t < t_end:
-        t_next = min(t * ratio, t_end)
-        h = t_next - t
-
-        def rhs(xv, tv):
-            if not sigma.components.in_domain(xv):
-                raise DomainViolation("flow trajectory left the chart domain")
-            return sigma(xv) / tv
-
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_next
-    return x
+    a grid whose spacing shrinks with t."""
+    ratio = 10.0 ** (1.0 / 120)
+    grid = [float(t_start)]
+    while grid[-1] < t_end:
+        grid.append(min(grid[-1] * ratio, t_end))
+    return grid
 
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
@@ -171,7 +160,7 @@ def tubular_from_euler(
     values = []
     for eps in eps_schedule:
         start = dims.join(y, eps * xi)
-        values.append(_flow_geometric(sigma, start, eps, 1.0))
+        values.append(_rk4(sigma, start, _geometric_grid(eps, 1.0)))
     extrapolants = []
     for (e1, v1), (e2, v2) in zip(
         zip(eps_schedule, values), list(zip(eps_schedule, values))[1:]

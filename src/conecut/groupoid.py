@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SamplingFailure
 from .expr import Guard, SmoothMapExpr, Var, eval_map, from_components, jet_eval
 from .pairs import numeric_rank
-from .blowup import Body, Exceptional, PairDims, blowdown, canonical_direction, canonical_polar
+from .blowup import Body, Exceptional, PairDims, _round, blowdown, canonical_direction, canonical_polar
 
 COMPOSABILITY_TOL = 1e-10
 
@@ -114,9 +114,6 @@ class AxiomReport:
             self.inverse_laws,
         )
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_violation() <= tol
-
     def as_dict(self) -> dict:
         return {
             "source_of_product": self.source_of_product,
@@ -185,7 +182,11 @@ def pair_groupoid(base_dim: int = 1) -> GroupoidSpec:
 def action_groupoid_rx() -> GroupoidSpec:
     """The scaling-action groupoid on the line: arrows (lambda, a) with
     lambda != 0, source a, target lambda*a, product (mu, lambda a) .
-    (lambda, a) = (mu lambda, a)."""
+    (lambda, a) = (mu lambda, a).
+
+    This is also the blow-up of the pair groupoid of the plane at the
+    origin: the diffeomorphism sending the class of (lambda, mu, t) to
+    (lambda/mu, mu t) carries its structure maps exactly onto these."""
     lam, a = Var(0), Var(1)
     nz = (Guard(lam, "nonzero"),)
     source = SmoothMapExpr(2, 1, (a,), nz)
@@ -206,16 +207,6 @@ def action_groupoid_rx() -> GroupoidSpec:
     return GroupoidSpec(
         2, 1, source, target, mult, inv, unit, arrow_sampler=sampler, composable_partner=partner
     )
-
-
-def blowup_pair_groupoid() -> GroupoidSpec:
-    """The blow-up of the pair groupoid of the plane at the origin.
-
-    Arrows are coordinatized as (lambda, a) with lambda != 0 via the
-    diffeomorphism sending the class of (lambda, mu, t) to
-    (lambda/mu, mu t); the structure maps become exactly those of the
-    scaling-action groupoid: source a, target lambda*a."""
-    return action_groupoid_rx()
 
 
 def polar_arrow_to_action(theta, t) -> np.ndarray:
@@ -255,14 +246,11 @@ class PolarCheckReport:
     max_structure_violation: float
     samples: int
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.max_structure_violation <= tol
-
 
 def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
     """The conversion to (lambda, a) intertwines all structure maps."""
     rng = np.random.default_rng(seed)
-    spec = blowup_pair_groupoid()
+    spec = action_groupoid_rx()
     worst = 0.0
     done = 0
     while done < samples:
@@ -332,16 +320,13 @@ class ActionReport:
     blowdown_violation: float
     samples: int
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return max(self.identity_violation, self.composition_violation, self.blowdown_violation) <= tol
 
-
-def _rotate(angle: float, z):
+def rotate_blowup_point(angle: float, z):
     """Induced rotation action on the blown-up plane."""
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     if isinstance(z, Body):
-        return Body(np.round(rot @ z.x, 14), z.dims)
+        return Body(_round(rot @ z.x), z.dims)
     if isinstance(z, Exceptional):
         return Exceptional(z.y, canonical_direction(rot @ z.xi_dir), z.dims)
     raise TypeError(f"not a blow-up point: {z!r}")
@@ -376,20 +361,16 @@ def saturated_action_blowup(samples: int = 500, seed: int = 0) -> ActionReport:
             z = Exceptional(np.zeros(0), canonical_direction(np.array([np.cos(ang0), np.sin(ang0)])), dims)
         a1 = float(rng.uniform(0.0, 2 * np.pi))
         a2 = float(rng.uniform(0.0, 2 * np.pi))
-        id_v = max(id_v, dist(_rotate(0.0, z), z))
-        comp_v = max(comp_v, dist(_rotate(a1, _rotate(a2, z)), _rotate(a1 + a2, z)))
+        id_v = max(id_v, dist(rotate_blowup_point(0.0, z), z))
+        twice = rotate_blowup_point(a1, rotate_blowup_point(a2, z))
+        comp_v = max(comp_v, dist(twice, rotate_blowup_point(a1 + a2, z)))
         c, s = np.cos(a1), np.sin(a1)
         rot = np.array([[c, -s], [s, c]])
         bd_direct = rot @ blowdown(z)
-        bd_lifted = blowdown(_rotate(a1, z))
+        bd_lifted = blowdown(rotate_blowup_point(a1, z))
         if isinstance(z, Exceptional):
             # the center is fixed, so both sides are the origin
             bd_v = max(bd_v, float(np.max(np.abs(bd_lifted))), float(np.max(np.abs(bd_direct))))
         else:
             bd_v = max(bd_v, float(np.max(np.abs(bd_direct - bd_lifted))))
     return ActionReport(id_v, comp_v, bd_v, samples)
-
-
-def rotate_blowup_point(angle: float, z):
-    """Public wrapper of the induced rotation (used by demos and tests)."""
-    return _rotate(angle, z)

@@ -5,6 +5,8 @@ exponents, parentheses, function calls sqrt/exp/log/sin/cos/norm
 (norm takes any number of arguments), numeric literals, and named
 variables.  Variables default to `x1..xn`; callers may supply their own
 name list (e.g. `x, y` for plane curves).  Errors carry the position.
+Elements of the exact Laurent model parse the same way, with `t` as one
+more variable.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .expr import (
     Sqrt,
     Var,
 )
+from .ring import LaurentElement, expr_to_laurent
 
 _FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "log": Log, "sin": Sin, "cos": Cos}
 
@@ -202,6 +205,11 @@ def default_var_names(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
+def pair_var_names(p: int, q: int) -> list[str]:
+    """Adapted-coordinate names y1..yp followed by x1..xq."""
+    return [f"y{i + 1}" for i in range(p)] + [f"x{i + 1}" for i in range(q)]
+
+
 def parse_expr(text: str, var_names: list[str]) -> Expr:
     """Parse a single scalar expression."""
     exprs = _Parser(text, var_names).parse_expr_list()
@@ -216,3 +224,10 @@ def parse_map(text: str, input_dim: int, var_names: list[str] | None = None) -> 
         var_names = default_var_names(input_dim)
     exprs = _Parser(text, var_names).parse_expr_list()
     return SmoothMapExpr(input_dim, len(exprs), tuple(exprs))
+
+
+def parse_laurent(text: str, p: int, q: int) -> LaurentElement:
+    """Parse an element of the exact Laurent model: a polynomial in
+    y1..yp, x1..xq and t with integer powers of t."""
+    e = parse_expr(text, pair_var_names(p, q) + ["t"])
+    return LaurentElement(p, q, expr_to_laurent(e, p, q, t_index=p + q))

@@ -273,11 +273,6 @@ class LaurentElement:
     __repr__ = __str__
 
 
-def laurent_mul(a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    """Exact product; the constructor re-asserts the filtration invariant."""
-    return a * b
-
-
 def char_xs(a: LaurentElement, x, s) -> Fraction:
     """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
     s = _frac(s)
@@ -313,34 +308,71 @@ def poly_to_expr(f: MultiPoly) -> SmoothMapExpr:
     return SmoothMapExpr(f.p + f.q, 1, (e,))
 
 
-def expr_to_poly(e: Expr, p: int, q: int) -> MultiPoly:
-    """Convert a polynomial expression tree to exact form.
+def expr_to_laurent(e: Expr, p: int, q: int, t_index: int | None = None) -> dict:
+    """Convert a polynomial expression tree in y, x and t to exact form.
 
-    Division is only allowed by constants; other primitives raise."""
-    if isinstance(e, Const):
-        return MultiPoly.const(p, q, Fraction(e.value))
-    if isinstance(e, Var):
-        return MultiPoly.var(p, q, e.index)
-    if isinstance(e, Add):
-        return expr_to_poly(e.left, p, q) + expr_to_poly(e.right, p, q)
-    if isinstance(e, Sub):
-        return expr_to_poly(e.left, p, q) - expr_to_poly(e.right, p, q)
-    if isinstance(e, Mul):
-        return expr_to_poly(e.left, p, q) * expr_to_poly(e.right, p, q)
-    if isinstance(e, Div):
-        den = expr_to_poly(e.right, p, q)
-        num = expr_to_poly(e.left, p, q)
-        const_key = (0,) * (p + q)
-        if set(den.terms) - {const_key}:
-            raise ArityMismatch("polynomial conversion allows division by constants only")
-        if den.is_zero():
+    Returns the filtration-keyed coefficients {k: f_k} of sum_k f_k t^{-k},
+    where t is Var(t_index).  Division and negative powers are allowed
+    only for a nonzero constant times a power of t; other primitives
+    raise.  The filtration is left to the LaurentElement constructor."""
+
+    def add(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for k, f in b.items():
+            out[k] = out[k] + f if k in out else f
+        return out
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for k1, f1 in a.items():
+            for k2, f2 in b.items():
+                k, prod = k1 + k2, f1 * f2
+                out[k] = out[k] + prod if k in out else prod
+        return out
+
+    def monomial_power(a: dict, exponent: int) -> dict:
+        nonzero = [(k, f) for k, f in a.items() if not f.is_zero()]
+        if not nonzero:
             raise ArityMismatch("division by zero constant")
-        return num * (1 / den.terms[const_key])
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            raise ArityMismatch("negative powers are not polynomial")
-        return expr_to_poly(e.base, p, q) ** e.exponent
-    raise ArityMismatch(f"non-polynomial node {type(e).__name__} in conversion")
+        const_key = (0,) * (p + q)
+        (k, f), *rest = nonzero
+        if rest or set(f.terms) != {const_key}:
+            raise ArityMismatch(
+                "division and negative powers need a constant times a power of t"
+            )
+        return {k * exponent: MultiPoly.const(p, q, f.terms[const_key] ** exponent)}
+
+    def go(e: Expr) -> dict:
+        if isinstance(e, Const):
+            return {0: MultiPoly.const(p, q, Fraction(e.value))}
+        if isinstance(e, Var):
+            if e.index == t_index:
+                return {-1: MultiPoly.const(p, q, 1)}
+            return {0: MultiPoly.var(p, q, e.index)}
+        if isinstance(e, Add):
+            return add(go(e.left), go(e.right))
+        if isinstance(e, Sub):
+            return add(go(e.left), {k: -f for k, f in go(e.right).items()})
+        if isinstance(e, Mul):
+            return mul(go(e.left), go(e.right))
+        if isinstance(e, Div):
+            return mul(go(e.left), monomial_power(go(e.right), -1))
+        if isinstance(e, Pow):
+            base = go(e.base)
+            if e.exponent < 0:
+                return monomial_power(base, e.exponent)
+            out = {0: MultiPoly.const(p, q, 1)}
+            for _ in range(e.exponent):
+                out = mul(out, base)
+            return out
+        raise ArityMismatch(f"non-polynomial node {type(e).__name__} in conversion")
+
+    return go(e)
+
+
+def expr_to_poly(e: Expr, p: int, q: int) -> MultiPoly:
+    """Convert a polynomial expression tree without t to exact form."""
+    return expr_to_laurent(e, p, q).get(0, MultiPoly(p, q))
 
 
 def geometric_consistency(f: MultiPoly, points, tol: float = 1e-12) -> dict:

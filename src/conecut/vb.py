@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, Var, compose, eval_map, from_components, jet_eval
 from .pairs import MapOfPairs, PairDims, numeric_rank
-from .blowup import Body, Exceptional, chart_phi
+from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def vb_chart(model: VbPairModel, r: int, z) -> np.ndarray:
         e_part = fe[model.rank_f :] / xb[k]
         return np.concatenate([base_coords, f_part, e_part])
     if isinstance(z, VbExceptional):
-        if abs(z.xi[k]) <= 1e-12:
+        if abs(z.xi[k]) <= CHART_TOL:
             raise OutsideChart(f"exceptional direction has component {r} ~ 0")
         base_coords = chart_phi(r, Exceptional(z.y, z.xi, dims))
         return np.concatenate([base_coords, z.phi, z.eps / z.xi[k]])
@@ -235,7 +235,7 @@ def tangent_anchor(z: Exceptional, eta, chart_i: int) -> np.ndarray:
         raise OutsideChart(f"chart index {chart_i} out of range 1..{dims.q}")
     k = chart_i - 1
     xi = z.xi_dir
-    if abs(xi[k]) <= 1e-12:
+    if abs(xi[k]) <= CHART_TOL:
         raise OutsideChart(f"exceptional direction has component {chart_i} ~ 0")
     out = eta / xi[k] - xi * (eta[k] / (xi[k] * xi[k]))
     out[k] = 0.0

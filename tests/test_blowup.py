@@ -16,6 +16,7 @@ from conecut.blowup import (
     blowdown,
     blowup_map,
     canonical_direction,
+    canonical_polar,
     canonicalize,
     chart_phi,
     chart_phi_inv,
@@ -38,6 +39,7 @@ from conecut.blowup import (
     transition,
 )
 from conecut.dnc import DncPoint
+from conecut.groupoid import rotate_blowup_point
 from conecut.errors import CenterPoint, OutsideBlupF, OutsideChart
 from conecut.expr import Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
@@ -333,3 +335,11 @@ def test_sphere_local_expression_closed_forms():
     assert np.allclose(sphere_local_expression(2, [a, b]), [a, b * (a * a + 1)])
     assert np.allclose(sphere_local_expression(3, [a, b]), [a, a * b])
     assert np.allclose(sphere_local_expression(4, [a, b]), [a * b, b])
+
+
+def test_representatives_never_carry_negative_zero():
+    # raw rounding would keep the sign bits of cos(pi) * 0 and of -1e-16
+    rotated = rotate_blowup_point(np.pi, Body(np.array([0.0, 1.0]), DIMS20))
+    assert not np.any(np.signbit(rotated.x[:1]))
+    assert rotated.x[1] == -1.0
+    assert not np.signbit(canonical_polar([], [1.0, 0.0], -1e-16).t)

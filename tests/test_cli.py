@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,26 @@ def test_ring_demo_round_trip():
     assert payload["filtration_keys"] == [0, 2]
     # multiplying by t lowers the key by one
     assert "t^-1" in payload["times_t"] or "(y1)*t" in payload["times_t"]
+
+
+@pytest.mark.parametrize(
+    "element, char_xs, char_yxi, keys",
+    [
+        # body character at x = (1/2, 1/2, 1/2), s = 1/3: y1 - x1/s;
+        # normal character at (y; xi) = (1/2; 2/3, 2/3): y1 - xi1
+        ("(y1) - (x1)*t^-1", Fraction(1, 2) - 3 * Fraction(1, 2), Fraction(1, 2) - Fraction(2, 3), [0, 1]),
+        # x1 x2/s - y1; the t^-1 coefficient has no degree-1 part
+        ("(x1*x2)*t^-1 - (y1)", 3 * Fraction(1, 4) - Fraction(1, 2), -Fraction(1, 2), [0, 1]),
+        ("t^-1*(x1)", 3 * Fraction(1, 2), Fraction(2, 3), [1]),
+    ],
+)
+def test_ring_demo_reads_minus_signs_and_leading_t(element, char_xs, char_yxi, keys):
+    out = run_cli("dnc-ring-demo", "--element", element)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["char_xs_at_half_third"] == str(char_xs)
+    assert payload["char_yxi_at_half_twothirds"] == str(char_yxi)
+    assert payload["filtration_keys"] == keys
 
 
 def test_ring_demo_rejects_invalid_filtration():

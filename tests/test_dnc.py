@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecut.dnc import (
     Body,
+    DncMap,
     DncPoint,
     NormalSlice,
-    dnc_map,
     eval_function_class,
-    hat_t,
     psi,
     psi_inv,
     rx_action,
@@ -52,11 +51,11 @@ def test_dnc_map_rejects_non_adapted():
         from_components(2, (y, x + 1.0)), PairDims(2, 1), PairDims(2, 1)
     )
     with pytest.raises(NotAdapted):
-        dnc_map(bad)
+        DncMap(bad)
 
 
 def test_dnc_map_body_branch():
-    dm = dnc_map(_h())
+    dm = DncMap(_h())
     z = DncPoint.of([0.5], [2.0], 0.1)
     out = dm(z)
     # h(0.5, 0.2) = (0.5 + 0.04, 0.2*exp(0.5)); xi' = x'/t
@@ -66,7 +65,7 @@ def test_dnc_map_body_branch():
 
 
 def test_dnc_map_zero_slice_branch_is_normal_derivative():
-    dm = dnc_map(_h())
+    dm = DncMap(_h())
     out = dm(DncPoint.of([0.5], [2.0], 0.0))
     assert out.t == 0.0
     assert out.y[0] == pytest.approx(0.5)
@@ -74,7 +73,7 @@ def test_dnc_map_zero_slice_branch_is_normal_derivative():
 
 
 def test_dnc_map_continuous_at_zero():
-    dm = dnc_map(_h())
+    dm = DncMap(_h())
     limit = dm(DncPoint.of([0.5], [2.0], 0.0))
     for t in (1e-3, 1e-5, 1e-7):
         near = dm(DncPoint.of([0.5], [2.0], t))
@@ -90,13 +89,37 @@ def test_dnc_map_continuous_at_zero():
     st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
+@example(y=0, xi=1, t=5e-324, lam_mag=1.5, lam_neg=False)
+@example(y=0, xi=0.5, t=5e-324, lam_mag=0.5, lam_neg=False)
 def test_equivariance_property(y, xi, t, lam_mag, lam_neg):
     lam = -lam_mag if lam_neg else lam_mag
-    dm = dnc_map(_h(), check=False)
+    dm = DncMap(_h(), check=False)
     z = DncPoint.of([y], [xi], t)
     lhs = dm(rx_action(lam, z))
     rhs = rx_action(lam, dm(z))
     assert lhs.close_to(rhs, 1e-9 * (1 + abs(y) + abs(xi)))
+
+
+def test_near_slice_sweep_matches_closed_forms():
+    """t = +-10^-k down to the subnormal range: h~(y, xi, t) is
+    (y + t^2 xi^2, xi e^y, t) and the dnc_f1 quotient of x e^y is xi e^y."""
+    dims = PairDims(2, 1)
+    dm = DncMap(_h())
+    f = from_components(2, (Var(1) * Exp(Var(0)),))
+    y, xi = 0.3, 0.7
+    for k in range(324):
+        for t in (10.0**-k, -(10.0**-k)):
+            z = DncPoint.of([y], [xi], t)
+            out = dm(z)
+            assert out.y[0] == pytest.approx(y + t * t * xi * xi, rel=1e-12), t
+            assert out.xi[0] == pytest.approx(xi * np.exp(y), rel=1e-12), t
+            assert out.t == t
+            quotient = eval_function_class("dnc_f1", f, dims, z, check=False)
+            assert quotient == pytest.approx(xi * np.exp(y), rel=1e-12), t
+            for lam in (0.5, 1.5, -2.0):
+                lhs = dm(rx_action(lam, z))
+                rhs = rx_action(lam, out)
+                assert lhs.close_to(rhs, 1e-12), (t, lam)
 
 
 def test_scaling_action_is_an_action():
@@ -109,7 +132,7 @@ def test_scaling_action_is_an_action():
 
 def test_hat_t_is_equivariant_weight_one():
     z = DncPoint.of([0.1], [3.0], 0.7)
-    assert hat_t(rx_action(2.0, z)) == pytest.approx(2.0 * hat_t(z))
+    assert rx_action(2.0, z).t == pytest.approx(2.0 * z.t)
 
 
 def test_function_class_hat_f0():

@@ -1,11 +1,14 @@
 """Expression and map parsing."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conecut.errors import ParseError
+from conecut.errors import ArityMismatch, InvariantBreach, ParseError
 from conecut.expr import eval_map, from_components
-from conecut.parse import default_var_names, parse_expr, parse_map
+from conecut.parse import default_var_names, parse_expr, parse_laurent, parse_map
+from conecut.ring import LaurentElement, MultiPoly
 
 
 def _value(text, var_names, point):
@@ -54,3 +57,20 @@ def test_nested_expression():
     val = _value("exp(sin(x) * (1 - x^2)) / (2 + cos(x))", ["x"], [0.4])
     expected = np.exp(np.sin(0.4) * (1 - 0.16)) / (2 + np.cos(0.4))
     assert val == pytest.approx(expected)
+
+
+def test_parse_laurent_keys_coefficients_by_filtration():
+    y1, x1, x2 = (MultiPoly.var(1, 2, i) for i in range(3))
+    elem = parse_laurent("x1*x2/t^2 - 3*y1 + (x1 - x2)*t^-1 + t/2", 1, 2)
+    expected = LaurentElement(
+        1, 2, {2: x1 * x2, 0: y1 * (-3), 1: x1 - x2, -1: MultiPoly.const(1, 2, Fraction(1, 2))}
+    )
+    assert elem == expected
+    # the filtration is checked on the whole element, not term by term
+    assert parse_laurent("x1*t^-1 + y1*t^-1 - y1*t^-1", 1, 2) == parse_laurent("x1/t", 1, 2)
+    with pytest.raises(InvariantBreach):
+        parse_laurent("y1*t^-1", 1, 2)
+    with pytest.raises(ArityMismatch):
+        parse_laurent("x1/y1", 1, 2)
+    with pytest.raises(ArityMismatch):
+        parse_laurent("x1*(t + 1)^-1", 1, 2)

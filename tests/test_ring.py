@@ -15,7 +15,6 @@ from conecut.ring import (
     char_yxi,
     expr_to_poly,
     geometric_consistency,
-    laurent_mul,
     poly_to_expr,
     vanishing_order,
 )
@@ -85,7 +84,7 @@ def test_t_element_times_inverse_weight():
     y, x1, x2 = _vars()
     t = LaurentElement.t_element(P, Q)
     f = LaurentElement.from_poly(x1 * x2, 2)
-    prod = laurent_mul(t, f)
+    prod = t * f
     assert prod == LaurentElement.from_poly(x1 * x2, 1)
 
 
@@ -95,12 +94,12 @@ def test_characters_are_ring_homomorphisms():
     b = LaurentElement(P, Q, {2: x1 * x2, -1: MultiPoly.const(P, Q, 1)})
     x_pt = [Fraction(1, 2), Fraction(2, 3), Fraction(-1, 4)]
     s = Fraction(3, 5)
-    assert char_xs(laurent_mul(a, b), x_pt, s) == char_xs(a, x_pt, s) * char_xs(
+    assert char_xs(a * b, x_pt, s) == char_xs(a, x_pt, s) * char_xs(
         b, x_pt, s
     )
     assert char_xs(a + b, x_pt, s) == char_xs(a, x_pt, s) + char_xs(b, x_pt, s)
     y_pt, xi_pt = [Fraction(1, 2)], [Fraction(2, 3), Fraction(-1, 4)]
-    assert char_yxi(laurent_mul(a, b), y_pt, xi_pt) == char_yxi(
+    assert char_yxi(a * b, y_pt, xi_pt) == char_yxi(
         a, y_pt, xi_pt
     ) * char_yxi(b, y_pt, xi_pt)
     assert char_yxi(a + b, y_pt, xi_pt) == char_yxi(a, y_pt, xi_pt) + char_yxi(
