@@ -72,10 +72,6 @@ class Exceptional:
     xi_dir: np.ndarray
     dims: PairDims
 
-    @property
-    def is_exceptional(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Body:
@@ -83,10 +79,6 @@ class Body:
 
     x: np.ndarray
     dims: PairDims
-
-    @property
-    def is_exceptional(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -119,6 +111,18 @@ def canonicalize(y, xi, t, dims: PairDims):
     if float(np.linalg.norm(x_block)) == 0.0:
         raise CenterPoint("orbit meets the center: t != 0 with t*xi = 0")
     return Body(_round(np.concatenate([y, x_block])), dims)
+
+
+def point_dist(z, w) -> float:
+    """Max-norm distance of two points of one kind; inf across kinds."""
+    if isinstance(z, Body) and isinstance(w, Body):
+        return float(np.max(np.abs(z.x - w.x), initial=0.0))
+    if isinstance(z, Exceptional) and isinstance(w, Exceptional):
+        return max(
+            float(np.max(np.abs(z.y - w.y), initial=0.0)),
+            float(np.max(np.abs(z.xi_dir - w.xi_dir), initial=0.0)),
+        )
+    return float("inf")
 
 
 def from_ambient(x, dims: PairDims) -> Body:
@@ -185,10 +189,9 @@ def transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
     return chart_phi(i, chart_phi_inv(j, w, dims))
 
 
-def blowup_map(f: MapOfPairs, z, check: bool = True):
+def blowup_map(f: MapOfPairs, z):
     """The induced map of blow-ups, defined away from the excluded locus."""
-    if check:
-        require_adapted(f)
+    require_adapted(f)
     if isinstance(z, Body):
         value = f(z.x)
         _, x2 = f.target.split(value)
@@ -267,16 +270,15 @@ def from_polar(pp: PolarPoint, dims: PairDims):
     return Body(_round(np.concatenate([pp.x, pp.t * pp.theta])), dims)
 
 
-def polar_map(h: MapOfPairs, z: PolarPoint, check: bool = True) -> PolarPoint:
+def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
     """The induced map on the polar model (two-branch formula)."""
-    if check:
-        require_adapted(h)
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            y = rng.uniform(-1.0, 1.0, size=h.source.p)
-            dn = normal_derivative(h, y)
-            if np.linalg.matrix_rank(dn) < h.source.q:
-                raise NotImmersive("normal derivative has a kernel on the slice")
+    require_adapted(h)
+    rng = np.random.default_rng(0)
+    for _ in range(16):
+        y = rng.uniform(-1.0, 1.0, size=h.source.p)
+        dn = normal_derivative(h, y)
+        if np.linalg.matrix_rank(dn) < h.source.q:
+            raise NotImmersive("normal derivative has a kernel on the slice")
     if z.t == 0.0:
         dn = normal_derivative(h, z.x)
         image = dn @ z.theta

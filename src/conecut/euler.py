@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainViolation, NonConvergence, SliceCrossing
 from .expr import SmoothMapExpr, Var, eval_map, from_components, jet_eval
-from .pairs import PairDims
+from .pairs import PairDims, sample_slice_points
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,13 @@ class EulerLikeReport:
         return self.vanishes_on_Y and self.normal_block_is_identity
 
 
-def is_euler_like(
-    sigma: VectorField, slice_samples: int = 64, seed: int = 0, tol: float = 1e-10
-) -> EulerLikeReport:
+def is_euler_like(sigma: VectorField) -> EulerLikeReport:
     """Local criterion: sigma(y, 0) = 0 and the x-block of d(sigma_x) at
-    (y, 0) equals the identity."""
-    from .pairs import sample_slice_points
-
+    (y, 0) equals the identity, within 1e-10 on 64 seeded slice points."""
     dims = sigma.dims
     worst_vanish = 0.0
     worst_lin = 0.0
-    for point in sample_slice_points(dims, slice_samples, seed):
+    for point in sample_slice_points(dims, 64, 0):
         if not sigma.components.in_domain(point):
             continue
         jet = jet_eval(sigma.components, point)
@@ -80,7 +76,7 @@ def is_euler_like(
             worst_lin, float(np.max(np.abs(block - np.eye(dims.q)), initial=0.0))
         )
     return EulerLikeReport(
-        worst_vanish <= tol, worst_lin <= tol, max(worst_vanish, worst_lin)
+        worst_vanish <= 1e-10, worst_lin <= 1e-10, max(worst_vanish, worst_lin)
     )
 
 
@@ -103,13 +99,12 @@ def _rk4(sigma: VectorField, x, grid) -> np.ndarray:
     return x
 
 
-def w_sigma_flow(
-    sigma: VectorField, x, s: float, tau: float, step: float | None = None
-):
+def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
     """Flow of W = (1/t) sigma + d/dt from (x, s) for time tau by RK4.
 
     Integrates xdot = sigma(x)/t with t(tau') = s + tau' exact on a
-    uniform grid; the sign of t may not change along the way."""
+    uniform grid whose step is at most 1/20 of the smaller of |s| and
+    |s + tau|; the sign of t may not change along the way."""
     x = np.asarray(x, dtype=float).copy()
     s = float(s)
     tau = float(tau)
@@ -120,10 +115,7 @@ def w_sigma_flow(
         raise SliceCrossing("the requested time crosses the t = 0 slice")
     if tau == 0.0:
         return x, s
-    max_step = min(abs(s), abs(s_end)) / 20.0
-    if step is None:
-        step = max_step
-    step = min(abs(step), max_step)
+    step = min(abs(s), abs(s_end)) / 20.0
     nsteps = max(1, math.ceil(abs(tau) / step))
     return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1)), s_end
 
@@ -140,43 +132,36 @@ def _geometric_grid(t_start: float, t_end: float) -> list:
     return grid
 
 
-DEFAULT_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
+EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 
-def tubular_from_euler(
-    sigma: VectorField,
-    y,
-    xi,
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
-    tol: float = 1e-4,
-) -> np.ndarray:
+def tubular_from_euler(sigma: VectorField, y, xi) -> np.ndarray:
     """The tubular embedding chi(y, xi): flow W from ((y, eps*xi), eps)
-    to t = 1 and extrapolate eps -> 0 with a first-order model."""
+    to t = 1 for each eps in EPS_SCHEDULE and extrapolate eps -> 0 with
+    a first-order model; raises NonConvergence when the last two
+    extrapolants differ by more than 1e-4."""
     dims = sigma.dims
     y = np.atleast_1d(np.asarray(y, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if float(np.linalg.norm(xi)) == 0.0:
         return dims.join(y, np.zeros(dims.q))
-    values = []
-    for eps in eps_schedule:
-        start = dims.join(y, eps * xi)
-        values.append(_rk4(sigma, start, _geometric_grid(eps, 1.0)))
-    extrapolants = []
-    for (e1, v1), (e2, v2) in zip(
-        zip(eps_schedule, values), list(zip(eps_schedule, values))[1:]
-    ):
-        extrapolants.append((e1 * v2 - e2 * v1) / (e1 - e2))
-    if len(extrapolants) >= 2:
-        drift = float(np.max(np.abs(extrapolants[-1] - extrapolants[-2])))
-        if drift > tol:
-            raise NonConvergence(
-                f"extrapolants differ by {drift:.3e} > {tol:.1e}"
-            )
+    flows = [
+        (eps, _rk4(sigma, dims.join(y, eps * xi), _geometric_grid(eps, 1.0)))
+        for eps in EPS_SCHEDULE
+    ]
+    extrapolants = [
+        (e1 * v2 - e2 * v1) / (e1 - e2) for (e1, v1), (e2, v2) in zip(flows, flows[1:])
+    ]
+    drift = float(np.max(np.abs(extrapolants[-1] - extrapolants[-2])))
+    if drift > 1e-4:
+        raise NonConvergence(f"extrapolants differ by {drift:.3e} > 1.0e-04")
     return extrapolants[-1]
 
 
-def normal_derivative_of_chi(sigma: VectorField, y, h: float = 1e-3) -> np.ndarray:
-    """Central finite difference of chi in the xi directions at xi = 0."""
+def normal_derivative_of_chi(sigma: VectorField, y) -> np.ndarray:
+    """Central finite difference of chi in the xi directions at xi = 0,
+    with step 1e-3."""
+    h = 1e-3
     dims = sigma.dims
     out = np.empty((dims.q, dims.q))
     for j in range(dims.q):
@@ -188,10 +173,11 @@ def normal_derivative_of_chi(sigma: VectorField, y, h: float = 1e-3) -> np.ndarr
     return out
 
 
-def chi_relatedness_residual(sigma: VectorField, y, xi, h: float = 1e-4) -> float:
+def chi_relatedness_residual(sigma: VectorField, y, xi) -> float:
     """Residual of sigma(chi(y, xi)) = d(chi)(y, xi) . E(y, xi) where E is
-    the fiberwise scaling generator (0, xi); d(chi) by central FD."""
-    dims = sigma.dims
+    the fiberwise scaling generator (0, xi); d(chi) by central FD with
+    relative step 1e-4."""
+    h = 1e-4
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     chi = tubular_from_euler(sigma, y, xi)
     lhs = sigma(chi)

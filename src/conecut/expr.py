@@ -352,9 +352,6 @@ class SmoothMapExpr:
     def __call__(self, point) -> np.ndarray:
         return eval_map(self, point)
 
-    def jet(self, point) -> Jet:
-        return jet_eval(self, point)
-
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self.body) + ")"
 
@@ -396,15 +393,11 @@ def jet_eval(m: SmoothMapExpr, point) -> Jet:
     return Jet(vals, jac)
 
 
-def default_fd_step(point: np.ndarray) -> float:
-    return 1e-6 * (1.0 + float(np.linalg.norm(point)))
-
-
-def finite_diff_jacobian(m: SmoothMapExpr, point, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian estimate; O(step^2) accurate."""
+def finite_diff_jacobian(m: SmoothMapExpr, point) -> np.ndarray:
+    """Central-difference Jacobian estimate with step 1e-6 (1 + |point|);
+    O(step^2) accurate."""
     point = _check_point(m, point)
-    if step is None:
-        step = default_fd_step(point)
+    step = 1e-6 * (1.0 + float(np.linalg.norm(point)))
     jac = np.empty((m.output_dim, m.input_dim))
     for j in range(m.input_dim):
         hi = point.copy()

@@ -85,25 +85,21 @@ class AdaptedReport:
     checked: int
 
 
-def sample_slice_points(dims: PairDims, samples: int, seed: int, box: float = 1.0):
-    """Seeded slice points (y, 0) with y uniform in [-box, box]^p."""
+def sample_slice_points(dims: PairDims, samples: int, seed: int):
+    """Seeded slice points (y, 0) with y uniform in [-1, 1]^p."""
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(-box, box, size=(samples, dims.p))
+    ys = rng.uniform(-1.0, 1.0, size=(samples, dims.p))
     return [dims.join(y, np.zeros(dims.q)) for y in ys]
 
 
 def check_adapted(
-    m: MapOfPairs,
-    samples: int = DEFAULT_SLICE_SAMPLES,
-    seed: int = 0,
-    box: float = 1.0,
-    tol: float = ADAPTED_TOL,
+    m: MapOfPairs, samples: int = DEFAULT_SLICE_SAMPLES, seed: int = 0
 ) -> AdaptedReport:
     """Sampled adaptedness: the last q' components of f(y, 0) must vanish."""
     qprime = m.target.q
     worst = 0.0
     checked = 0
-    for point in sample_slice_points(m.source, samples, seed, box):
+    for point in sample_slice_points(m.source, samples, seed):
         if not m.f.in_domain(point):
             continue
         value = m.f(point)
@@ -113,11 +109,11 @@ def check_adapted(
         checked += 1
     if checked == 0:
         raise SamplingFailure("no sampled slice point lies in the map's domain")
-    return AdaptedReport(worst <= tol, worst, checked)
+    return AdaptedReport(worst <= ADAPTED_TOL, worst, checked)
 
 
-def require_adapted(m: MapOfPairs, samples: int = 128, seed: int = 0, box: float = 1.0):
-    report = check_adapted(m, samples=samples, seed=seed, box=box)
+def require_adapted(m: MapOfPairs):
+    report = check_adapted(m, samples=128)
     if not report.ok:
         raise NotAdapted(
             f"map does not carry the slice into the target slice "
@@ -142,14 +138,14 @@ def tangential_derivative(m: MapOfPairs, y) -> np.ndarray:
     return jac[: m.target.p, : m.source.p]
 
 
-def numeric_rank(matrix, rtol: float = RANK_RTOL) -> int:
+def numeric_rank(matrix) -> int:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0:
         return 0
     svals = np.linalg.svd(matrix, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rtol * svals[0]))
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,7 @@ class RankReport:
     dN_rank_constant: bool
 
 
-def check_rank_conditions(
-    m: MapOfPairs, samples: int = 64, seed: int = 0, box: float = 1.0
-) -> RankReport:
+def check_rank_conditions(m: MapOfPairs, samples: int = 64, seed: int = 0) -> RankReport:
     """Sampled ranks of df, of the restricted map, and of d_N fiberwise."""
     rng = np.random.default_rng(seed)
     full_ranks = set()
@@ -174,14 +168,14 @@ def check_rank_conditions(
     for _ in range(samples * 4):
         if found >= samples:
             break
-        point = rng.uniform(-box, box, size=m.source.n)
+        point = rng.uniform(-1.0, 1.0, size=m.source.n)
         if not m.f.in_domain(point):
             continue
         full_ranks.add(numeric_rank(jet_eval(m.f, point).jacobian))
         found += 1
     if found == 0:
         raise SamplingFailure("no sampled point lies in the map's domain")
-    for point in sample_slice_points(m.source, samples, seed + 1, box):
+    for point in sample_slice_points(m.source, samples, seed + 1):
         if not m.f.in_domain(point):
             continue
         y = point[: m.source.p]

@@ -375,13 +375,14 @@ def expr_to_poly(e: Expr, p: int, q: int) -> MultiPoly:
     return expr_to_laurent(e, p, q).get(0, MultiPoly(p, q))
 
 
-def geometric_consistency(f: MultiPoly, points, tol: float = 1e-12) -> dict:
+def geometric_consistency(f: MultiPoly, points) -> dict:
     """Cross-check t^{-1} f against the geometric quotient function.
 
     ``points`` is an iterable of (y, x, s) triples with s != 0 given as
     floats; for each, char_xs of f t^{-1} must match the geometric
     evaluation f(y, s * (x/s)) / s, and for order-exactly-1 f the normal
-    character must match the chart normal derivative contracted with xi.
+    character must match the chart normal derivative contracted with xi;
+    ``ok`` means the worst residual is at most 1e-12.
     """
     from .dnc import DncPoint, eval_function_class
     from .pairs import PairDims
@@ -407,4 +408,4 @@ def geometric_consistency(f: MultiPoly, points, tol: float = 1e-12) -> dict:
                 elem, [Fraction(v) for v in y], [Fraction(v / s) for v in x]
             )
             worst = max(worst, abs(float(exact0) - geo0))
-    return {"max_residual": worst, "ok": worst <= tol}
+    return {"max_residual": worst, "ok": worst <= 1e-12}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, Var, compose, eval_map, from_components, jet_eval
-from .pairs import MapOfPairs, PairDims, numeric_rank
+from .pairs import MapOfPairs, PairDims, check_adapted, numeric_rank
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
 
@@ -53,9 +53,6 @@ class VbPairModel:
 
     def f_of(self, u, upsilon) -> np.ndarray:
         return self.frame_value(u, upsilon)[: self.rank_f]
-
-    def e_of(self, u, upsilon) -> np.ndarray:
-        return self.frame_value(u, upsilon)[self.rank_f :]
 
 
 def trivial_model(base: PairDims, rank_f: int, rank_e: int) -> VbPairModel:
@@ -124,12 +121,12 @@ def fiber_linearity_check(
     base_point,
     samples: int = 32,
     seed: int = 0,
-    tol: float = 1e-11,
 ) -> LinearityReport:
     """Additivity and homogeneity of the fiber part of the r-th chart.
 
     ``base_point`` is either a Body/Exceptional of the base blow-up; the
-    fiber is sampled accordingly."""
+    fiber is sampled accordingly.  ``ok`` means the worst violation is
+    at most 1e-11."""
     rng = np.random.default_rng(seed)
     total = model.fiber_rank
     worst = 0.0
@@ -162,10 +159,10 @@ def fiber_linearity_check(
             worst = max(worst, float(np.max(np.abs(fscale - lam * fa))))
         else:
             raise TypeError(f"not a blow-up base point: {base_point!r}")
-    return LinearityReport(worst, worst <= tol)
+    return LinearityReport(worst, worst <= 1e-11)
 
 
-def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z, check: bool = True):
+def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
     """Blow up a section with values in the sub-bundle along the slice.
 
     alpha: u in R^n -> upsilon in R^{k+l} in trivialization coordinates.
@@ -187,25 +184,22 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z, check: bool = Tr
         ),
         id_and_alpha,
     )
-    if check:
-        # adapted: e(v, alpha(v)) = 0 on the slice.
-        e_pair = MapOfPairs(
-            from_components(
-                dims.n,
-                tuple(Var(i) for i in range(dims.p)) + e_along.body,
-                e_along.guards,
-            ),
-            dims,
-            PairDims(dims.p + model.rank_e, dims.p),
+    # adapted: e(v, alpha(v)) = 0 on the slice.
+    e_pair = MapOfPairs(
+        from_components(
+            dims.n,
+            tuple(Var(i) for i in range(dims.p)) + e_along.body,
+            e_along.guards,
+        ),
+        dims,
+        PairDims(dims.p + model.rank_e, dims.p),
+    )
+    report = check_adapted(e_pair, samples=64)
+    if not report.ok:
+        raise NotAdapted(
+            f"section does not take sub-bundle values on the slice "
+            f"(worst violation {report.worst_violation:.3e})"
         )
-        from .pairs import check_adapted
-
-        report = check_adapted(e_pair, samples=64)
-        if not report.ok:
-            raise NotAdapted(
-                f"section does not take sub-bundle values on the slice "
-                f"(worst violation {report.worst_violation:.3e})"
-            )
     if isinstance(z, Body):
         return VbBody(z.x.copy(), eval_map(alpha, z.x))
     if isinstance(z, Exceptional):

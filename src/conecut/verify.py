@@ -8,6 +8,7 @@ are registered in SUITES in report order.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,15 +57,35 @@ class SuiteResult:
         }
 
 
-def _timed(fn):
-    def wrapper(samples: int = 1000, seed: int = 42, tol: float | None = None):
-        start = time.perf_counter()
-        result = fn(samples=samples, seed=seed, tol=tol)
-        result.runtime = time.perf_counter() - start
-        return result
+SUITES: dict = {}
+DEFAULT_SUITE_SAMPLES: dict = {}
 
-    wrapper.__name__ = fn.__name__
-    return wrapper
+
+def _suite(name: str, samples: int, tol: float):
+    """Register a suite under ``name`` with its default sample count and
+    tolerance.
+
+    The decorated body takes (samples, seed, tol) and returns
+    (ok, max_residual, details).  The registered function defaults to
+    these samples and seed 42, reads tol=None as this tolerance, and
+    times the body into the result's runtime."""
+    default_samples, default_tol = samples, tol
+
+    def register(body):
+        def suite(
+            samples: int = default_samples, seed: int = 42, tol: float | None = None
+        ) -> SuiteResult:
+            tol = default_tol if tol is None else tol
+            start = time.perf_counter()
+            ok, worst, details = body(samples, seed, tol)
+            return SuiteResult(name, ok, worst, tol, time.perf_counter() - start, details)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        SUITES[name] = suite
+        DEFAULT_SUITE_SAMPLES[name] = default_samples
+        return suite
+
+    return register
 
 
 # -- suite maps shared by the dnc and normal-derivative suites ---------
@@ -93,9 +114,8 @@ def _suite_maps():
 # -- 1: model equivalence ---------------------------------------------
 
 
-@_timed
-def suite_models(samples=1000, seed=42, tol=None):
-    tol = 1e-12 if tol is None else tol
+@_suite("models", samples=1000, tol=1e-12)
+def suite_models(samples, seed, tol):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (2, 3):
@@ -112,28 +132,16 @@ def suite_models(samples=1000, seed=42, tol=None):
             z = bl.canonicalize(np.zeros(0), xi, t, dims)
             za = bl.from_algebraic(bl.to_algebraic(z), dims)
             zp = bl.from_polar(bl.to_polar(z), dims)
-            worst = max(worst, _point_dist(z, za), _point_dist(z, zp))
+            worst = max(worst, bl.point_dist(z, za), bl.point_dist(z, zp))
             worst = max(worst, bl.algebraic_relations_residual(bl.to_algebraic(z)))
-    return SuiteResult("models", worst <= tol, worst, tol, 0.0, {"ambient_dims": [2, 3]})
-
-
-def _point_dist(z, w) -> float:
-    if isinstance(z, bl.Body) and isinstance(w, bl.Body):
-        return float(np.max(np.abs(z.x - w.x), initial=0.0))
-    if isinstance(z, bl.Exceptional) and isinstance(w, bl.Exceptional):
-        return max(
-            float(np.max(np.abs(z.y - w.y), initial=0.0)),
-            float(np.max(np.abs(z.xi_dir - w.xi_dir), initial=0.0)),
-        )
-    return float("inf")
+    return worst <= tol, worst, {"ambient_dims": [2, 3]}
 
 
 # -- 2: blow-up atlas --------------------------------------------------
 
 
-@_timed
-def suite_atlas(samples=1000, seed=42, tol=None):
-    tol = 1e-10 if tol is None else tol
+@_suite("atlas", samples=1000, tol=1e-10)
+def suite_atlas(samples, seed, tol):
     rng = np.random.default_rng(seed)
     dims = PairDims(3, 1)
     q = dims.q
@@ -169,18 +177,14 @@ def suite_atlas(samples=1000, seed=42, tol=None):
         z = bl.Exceptional(np.zeros(dims.p), xi, dims)
         i_best = int(np.argmax(np.abs(xi))) + 1
         bl.chart_phi(i_best, z)  # raises if not covered
-    ok = worst <= tol and covered_all
-    return SuiteResult(
-        "atlas", ok, worst, tol, 0.0, {"coverage_certified": covered_all}
-    )
+    return worst <= tol and covered_all, worst, {"coverage_certified": covered_all}
 
 
 # -- 3: the blown-up sphere and the projective plane -------------------
 
 
-@_timed
-def suite_sphere(samples=500, seed=42, tol=None):
-    tol = 1e-10 if tol is None else tol
+@_suite("sphere", samples=500, tol=1e-10)
+def suite_sphere(samples, seed, tol):
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
@@ -213,15 +217,14 @@ def suite_sphere(samples=500, seed=42, tol=None):
             np.append(back.xi, 0.0)
         )
         worst = max(worst, float(np.max(np.abs(d))))
-    return SuiteResult("sphere", worst <= tol, worst, tol, 0.0, {"points": checked})
+    return worst <= tol, worst, {"points": checked}
 
 
 # -- 4: groupoid suite -------------------------------------------------
 
 
-@_timed
-def suite_groupoid(samples=1000, seed=42, tol=None):
-    tol = 1e-9 if tol is None else tol
+@_suite("groupoid", samples=1000, tol=1e-9)
+def suite_groupoid(samples, seed, tol):
     spec = gr.action_groupoid_rx()
     pair_rep = gr.check_axioms(gr.pair_groupoid(1), samples=samples, seed=seed)
     action_rep = gr.check_axioms(spec, samples=samples, seed=seed)
@@ -254,16 +257,14 @@ def suite_groupoid(samples=1000, seed=42, tol=None):
         action.composition_violation,
         action.blowdown_violation,
     )
-    ok = worst <= tol and dims_ok
-    return SuiteResult("groupoid", ok, worst, tol, 0.0, details)
+    return worst <= tol and dims_ok, worst, details
 
 
 # -- 5: deformation functoriality, equivariance, continuity ------------
 
 
-@_timed
-def suite_dnc(samples=500, seed=42, tol=None):
-    tol = 1e-10 if tol is None else tol
+@_suite("dnc", samples=500, tol=1e-10)
+def suite_dnc(samples, seed, tol):
     rng = np.random.default_rng(seed)
     maps = _suite_maps()
     worst = 0.0
@@ -277,16 +278,12 @@ def suite_dnc(samples=500, seed=42, tol=None):
             rng.uniform(-1.0, 1.0, 1),
             float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.8 else 0.0,
         )
-        lhs = dgf(z)
-        rhs = dg(df(z))
-        worst = max(worst, _dnc_dist(lhs, rhs))
+        w = df(z)
+        worst = max(worst, _dnc_dist(dgf(z), dg(w)))
         lam = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        eq_l = df(dn.rx_action(lam, z))
-        eq_r = dn.rx_action(lam, df(z))
-        worst = max(worst, _dnc_dist(eq_l, eq_r))
+        worst = max(worst, _dnc_dist(df(dn.rx_action(lam, z)), dn.rx_action(lam, w)))
         # slice compatibility is exact by construction
-        if df(z).t != z.t:
-            worst = max(worst, abs(df(z).t - z.t))
+        worst = max(worst, abs(w.t - z.t))
     # continuity at t = 0: regression slope of the residual in t
     slopes = {}
     for name in ("h_a", "h_b", "h_c"):
@@ -314,8 +311,7 @@ def suite_dnc(samples=500, seed=42, tol=None):
     slopes_ok = all(s == "exact" or s >= 0.99 for s in slopes.values())
     # fiber products: the pair-groupoid source/target projections
     worst = max(worst, _fiber_product_residual(rng, samples=min(samples, 200)))
-    ok = worst <= tol and slopes_ok
-    return SuiteResult("dnc", ok, worst, tol, 0.0, {"continuity_slopes": slopes})
+    return worst <= tol and slopes_ok, worst, {"continuity_slopes": slopes}
 
 
 def _dnc_dist(a: dn.DncPoint, b: dn.DncPoint) -> float:
@@ -326,7 +322,7 @@ def _dnc_dist(a: dn.DncPoint, b: dn.DncPoint) -> float:
     )
 
 
-def _fiber_product_residual(rng, samples=200) -> float:
+def _fiber_product_residual(rng, samples: int) -> float:
     """The deformation space of the composable-pairs manifold is carried
     bijectively onto the fiber product of two deformation spaces.
 
@@ -367,9 +363,8 @@ def _fiber_product_residual(rng, samples=200) -> float:
 # -- 6: normal derivative ---------------------------------------------
 
 
-@_timed
-def suite_normal_derivative(samples=100, seed=42, tol=None):
-    tol = 1e-6 if tol is None else tol
+@_suite("normal_derivative", samples=100, tol=1e-6)
+def suite_normal_derivative(samples, seed, tol):
     chain_tol = 1e-10
     rng = np.random.default_rng(seed)
     maps = _suite_maps()
@@ -394,13 +389,9 @@ def suite_normal_derivative(samples=100, seed=42, tol=None):
         fy = f.slice_image(y)
         rhs = normal_derivative(g, fy) @ normal_derivative(f, y)
         worst_chain = max(worst_chain, float(np.max(np.abs(lhs - rhs))))
-    ok = worst_fd <= tol and worst_chain <= chain_tol
-    return SuiteResult(
-        "normal_derivative",
-        ok,
+    return (
+        worst_fd <= tol and worst_chain <= chain_tol,
         max(worst_fd, worst_chain),
-        tol,
-        0.0,
         {"fd_residual": worst_fd, "chain_residual": worst_chain, "chain_tol": chain_tol},
     )
 
@@ -408,9 +399,8 @@ def suite_normal_derivative(samples=100, seed=42, tol=None):
 # -- 7: vector-bundle blow-up -----------------------------------------
 
 
-@_timed
-def suite_vb(samples=100, seed=42, tol=None):
-    tol = 1e-11 if tol is None else tol
+@_suite("vb", samples=100, tol=1e-11)
+def suite_vb(samples, seed, tol):
     rng = np.random.default_rng(seed)
     base = PairDims(3, 1)
     # x-dependent frame mixing the two e-components
@@ -454,13 +444,9 @@ def suite_vb(samples=100, seed=42, tol=None):
         )
         if vb.tangent_anchor_rank(z, i) != dims3.q - 1:
             ranks_ok = False
-    ok = worst <= tol and kernel_worst <= 1e-12 and ranks_ok
-    return SuiteResult(
-        "vb",
-        ok,
+    return (
+        worst <= tol and kernel_worst <= 1e-12 and ranks_ok,
         max(worst, kernel_worst),
-        tol,
-        0.0,
         {"linearity": worst, "anchor_kernel": kernel_worst, "anchor_rank_ok": ranks_ok},
     )
 
@@ -468,9 +454,8 @@ def suite_vb(samples=100, seed=42, tol=None):
 # -- 8: Euler-like suite ----------------------------------------------
 
 
-@_timed
-def suite_euler(samples=0, seed=42, tol=None):
-    tol = 1e-4 if tol is None else tol
+@_suite("euler", samples=0, tol=1e-4)
+def suite_euler(samples, seed, tol):
     dims = PairDims(2, 1)
     e_field = eu.euler_field(dims)
     # model case: the scaling field gives the identity embedding
@@ -503,12 +488,9 @@ def suite_euler(samples=0, seed=42, tol=None):
         and related <= 1e-4
     )
     worst = max(worst_id, worst_closed, worst_slice, worst_dn, related)
-    return SuiteResult(
-        "euler",
+    return (
         ok,
         worst,
-        tol,
-        0.0,
         {
             "identity_residual": worst_id,
             "closed_form_residual": worst_closed,
@@ -523,9 +505,9 @@ def suite_euler(samples=0, seed=42, tol=None):
 # -- 9: exact ring and characters -------------------------------------
 
 
-def _random_laurent(rnd, p, q, max_terms=2) -> rg.LaurentElement:
+def _random_laurent(rnd, p, q) -> rg.LaurentElement:
     coeffs = {}
-    for _ in range(rnd.randint(1, max_terms)):
+    for _ in range(rnd.randint(1, 2)):
         k = rnd.randint(-1, 2)
         y_exps = tuple(rnd.randint(0, 1) for _ in range(p))
         min_x = max(k, 0)
@@ -541,12 +523,9 @@ def _random_laurent(rnd, p, q, max_terms=2) -> rg.LaurentElement:
     return rg.LaurentElement(p, q, coeffs)
 
 
-@_timed
-def suite_ring(samples=10000, seed=42, tol=None):
-    tol = 1e-12 if tol is None else tol
-    import random as _random
-
-    rnd = _random.Random(seed)
+@_suite("ring", samples=10000, tol=1e-12)
+def suite_ring(samples, seed, tol):
+    rnd = random.Random(seed)
     p, q = 1, 2
     hom_ok = True
     grading_ok = True
@@ -559,16 +538,14 @@ def suite_ring(samples=10000, seed=42, tol=None):
         s = Fraction(rnd.randint(1, 4), 3)
         y_pt = x_pt[:p]
         xi_pt = [Fraction(rnd.randint(-3, 3)) for _ in range(q)]
-        if rg.char_xs(ab, x_pt, s) != rg.char_xs(a, x_pt, s) * rg.char_xs(b, x_pt, s):
-            hom_ok = False
-        if rg.char_xs(a + b, x_pt, s) != rg.char_xs(a, x_pt, s) + rg.char_xs(b, x_pt, s):
-            hom_ok = False
-        if rg.char_yxi(ab, y_pt, xi_pt) != rg.char_yxi(a, y_pt, xi_pt) * rg.char_yxi(
-            b, y_pt, xi_pt
-        ):
-            hom_ok = False
-        if rg.char_yxi(a + b, y_pt, xi_pt) != rg.char_yxi(a, y_pt, xi_pt) + rg.char_yxi(
-            b, y_pt, xi_pt
+        a_plus_b = a + b
+        xs_a, xs_b = rg.char_xs(a, x_pt, s), rg.char_xs(b, x_pt, s)
+        yxi_a, yxi_b = rg.char_yxi(a, y_pt, xi_pt), rg.char_yxi(b, y_pt, xi_pt)
+        if (
+            rg.char_xs(ab, x_pt, s) != xs_a * xs_b
+            or rg.char_xs(a_plus_b, x_pt, s) != xs_a + xs_b
+            or rg.char_yxi(ab, y_pt, xi_pt) != yxi_a * yxi_b
+            or rg.char_yxi(a_plus_b, y_pt, xi_pt) != yxi_a + yxi_b
         ):
             hom_ok = False
     if rg.char_xs(one, [0] * (p + q), 1) != 1 or rg.char_yxi(one, [0] * p, [0] * q) != 1:
@@ -603,13 +580,9 @@ def suite_ring(samples=10000, seed=42, tol=None):
     f1 = rg.MultiPoly(p, q, {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(1, 2)})
     geo1 = rg.geometric_consistency(f1, points)
     worst = max(geo["max_residual"], geo1["max_residual"])
-    ok = hom_ok and grading_ok and worst <= tol
-    return SuiteResult(
-        "ring",
-        ok,
+    return (
+        hom_ok and grading_ok and worst <= tol,
         worst,
-        tol,
-        0.0,
         {"homomorphism_exact": hom_ok, "grading_exact": grading_ok},
     )
 
@@ -617,9 +590,8 @@ def suite_ring(samples=10000, seed=42, tol=None):
 # -- 10: curve resolution ---------------------------------------------
 
 
-@_timed
-def suite_curve(samples=0, seed=42, tol=None):
-    tol = 0.0 if tol is None else tol
+@_suite("curve", samples=0, tol=0.0)
+def suite_curve(samples, seed, tol):
     x = rg.MultiPoly.var(0, 2, 0)
     y = rg.MultiPoly.var(0, 2, 1)
     nodal = y**2 - x**2 * (x + 1)
@@ -638,43 +610,13 @@ def suite_curve(samples=0, seed=42, tol=None):
         and strict_l == s
         and roots_l == [(0.0, 1)]
     )
-    return SuiteResult(
-        "curve",
+    return (
         ok,
         0.0 if ok else 1.0,
-        tol,
-        0.0,
         {
             "nodal_roots": [r for r, _ in roots_n],
             "cusp_roots": [[r, m] for r, m in roots_c],
             "line_roots": [r for r, _ in roots_l],
         },
     )
-
-
-SUITES = {
-    "models": suite_models,
-    "atlas": suite_atlas,
-    "sphere": suite_sphere,
-    "groupoid": suite_groupoid,
-    "dnc": suite_dnc,
-    "normal_derivative": suite_normal_derivative,
-    "vb": suite_vb,
-    "euler": suite_euler,
-    "ring": suite_ring,
-    "curve": suite_curve,
-}
-
-DEFAULT_SUITE_SAMPLES = {
-    "models": 1000,
-    "atlas": 1000,
-    "sphere": 500,
-    "groupoid": 1000,
-    "dnc": 500,
-    "normal_derivative": 100,
-    "vb": 100,
-    "euler": 0,
-    "ring": 10000,
-    "curve": 0,
-}
 

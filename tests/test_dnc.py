@@ -1,5 +1,7 @@
 """Deformation-space charts, induced maps, scaling action, function classes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from conecut.dnc import (
     psi_inv,
     rx_action,
 )
-from conecut.errors import NotAdapted, NotVanishing
+from conecut.errors import DomainViolation, NotAdapted, NotVanishing
 from conecut.expr import Exp, Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 
@@ -43,6 +45,14 @@ def test_psi_round_trip():
     z = DncPoint.of([0.3], [-1.2], 0.25)
     back = psi_inv(psi(z), PairDims(2, 1))
     assert back.close_to(z, 1e-14)
+
+
+def test_psi_inv_rejects_overflowing_quotient():
+    # 0.5 / 5e-324 overflows; an infinite xi must not be returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation):
+            psi_inv(Body(np.array([0.3, 0.5]), 5e-324), PairDims(2, 1))
 
 
 def test_dnc_map_rejects_non_adapted():

@@ -1,0 +1,111 @@
+"""Every default in the package is written once and shown here.
+
+``test_options_match_allow_list`` lists each parameter with a default of
+every function, method, staticmethod and classmethod defined at module
+or class level in ``src/conecut`` (the ``__init__`` a dataclass
+generates is not counted), plus every dataclass field with a default,
+and compares the list with ALLOWED.  A change that adds or removes an
+option edits ALLOWED in the same diff.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+import conecut
+from conecut import verify
+
+PACKAGE = Path(conecut.__file__).parent
+
+ALLOWED = {
+    "blowup.strict_transform_curve(chart)",
+    "cli.to_json(indent)",
+    "cli.main(argv)",
+    "dnc.psi_inv(dims)",
+    "dnc.DncMap.__init__(check)",
+    "dnc.eval_function_class(check)",
+    "errors.ParseError.__init__(position)",
+    "expr.SmoothMapExpr.guards",
+    "expr.from_components(guards)",
+    "groupoid.GroupoidSpec.tol",
+    "groupoid.GroupoidSpec.arrow_sampler",
+    "groupoid.AxiomReport.source_of_product",
+    "groupoid.AxiomReport.target_of_product",
+    "groupoid.AxiomReport.associativity",
+    "groupoid.AxiomReport.unit_laws",
+    "groupoid.AxiomReport.inverse_laws",
+    "groupoid.AxiomReport.samples",
+    "groupoid.check_axioms(samples)",
+    "groupoid.check_axioms(seed)",
+    "groupoid.pair_groupoid(base_dim)",
+    "groupoid.polar_groupoid_check(samples)",
+    "groupoid.polar_groupoid_check(seed)",
+    "groupoid.saturated_action_blowup(samples)",
+    "groupoid.saturated_action_blowup(seed)",
+    "pairs.check_adapted(samples)",
+    "pairs.check_adapted(seed)",
+    "pairs.check_rank_conditions(samples)",
+    "pairs.check_rank_conditions(seed)",
+    "parse.parse_map(var_names)",
+    "ring.MultiPoly.__init__(terms)",
+    "ring.LaurentElement.__init__(coeffs)",
+    "ring.LaurentElement.from_poly(k)",
+    "ring.expr_to_laurent(t_index)",
+    "vb.fiber_linearity_check(samples)",
+    "vb.fiber_linearity_check(seed)",
+    "verify.SuiteResult.details",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(owner: str, fn) -> list:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults) :]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [f"{owner}({a.arg})" for a in named]
+
+
+def package_options() -> list:
+    """Defaulted parameters and dataclass fields, in source order."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, functions):
+                out += _defaulted(f"{module}.{node.name}", node)
+            elif isinstance(node, ast.ClassDef):
+                fields = _is_dataclass(node)
+                for item in node.body:
+                    if isinstance(item, functions):
+                        out += _defaulted(f"{module}.{node.name}.{item.name}", item)
+                    elif fields and isinstance(item, ast.AnnAssign) and item.value is not None:
+                        out.append(f"{module}.{node.name}.{item.target.id}")
+    return out
+
+
+def test_options_match_allow_list():
+    found = package_options()
+    assert len(found) == len(set(found))
+    assert sorted(set(found) - ALLOWED) == [], "new options: add them to ALLOWED"
+    assert sorted(ALLOWED - set(found)) == [], "removed options: drop them from ALLOWED"
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_suite_default_samples_are_written_once(name):
+    suite = verify.SUITES[name]
+    assert inspect.signature(suite).parameters["samples"].default == (
+        verify.DEFAULT_SUITE_SAMPLES[name]
+    )
+    assert getattr(verify, f"suite_{name}") is suite
