@@ -30,7 +30,7 @@ from .errors import (
 )
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
 from .dnc import DncPoint
-from .ring import MultiPoly, vanishing_order
+from .ring import MultiPoly, squarefree_factors, vanishing_order
 
 # Representatives are rounded at this many decimals so that orbit
 # equality becomes bitwise equality.
@@ -273,12 +273,8 @@ def from_polar(pp: PolarPoint, dims: PairDims):
 def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
     """The induced map on the polar model (two-branch formula)."""
     require_adapted(h)
-    rng = np.random.default_rng(0)
-    for _ in range(16):
-        y = rng.uniform(-1.0, 1.0, size=h.source.p)
-        dn = normal_derivative(h, y)
-        if np.linalg.matrix_rank(dn) < h.source.q:
-            raise NotImmersive("normal derivative has a kernel on the slice")
+    if not h.normal_derivative_injective:
+        raise NotImmersive("normal derivative has a kernel on the slice")
     if z.t == 0.0:
         dn = normal_derivative(h, z.x)
         image = dn @ z.theta
@@ -389,28 +385,28 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
         },
     )
     # Restriction to the exceptional divisor {exceptional coordinate = 0},
-    # a univariate polynomial in the remaining coordinate.
+    # a univariate polynomial in the remaining coordinate.  It is split
+    # exactly into square-free factors, so each factor has simple roots
+    # and its index in the decomposition is their multiplicity.
     other = 1 - exc_index
-    restricted: dict[int, float] = {}
-    for exps, c in strict.terms.items():
-        if exps[exc_index] == 0:
-            restricted[exps[other]] = restricted.get(exps[other], 0.0) + float(c)
-    if not restricted:
-        return strict, []
+    restricted = {exps[other]: c for exps, c in strict.terms.items() if exps[exc_index] == 0}
     degree = max(restricted)
-    coeffs = [restricted.get(k, 0.0) for k in range(degree, -1, -1)]
     if degree == 0:
         return strict, []
-    roots = np.roots(coeffs)
-    real = sorted(
-        float(np.round(r.real, 12)) for r in roots if abs(r.imag) <= 1e-9
-    )
+    coeffs = [restricted.get(k, 0) for k in range(degree + 1)]
+    found = []
+    for multiplicity, factor in enumerate(squarefree_factors(coeffs), start=1):
+        if len(factor) < 2:
+            continue
+        for r in np.roots([float(c) for c in reversed(factor)]):
+            if abs(r.imag) <= 1e-9:
+                found.append((float(np.round(r.real, 12)), multiplicity))
     out: list[tuple[float, int]] = []
-    for r in real:
+    for r, multiplicity in sorted(found):
         if out and out[-1][0] == r:
-            out[-1] = (r, out[-1][1] + 1)
+            out[-1] = (r, out[-1][1] + multiplicity)
         else:
-            out.append((r, 1))
+            out.append((r, multiplicity))
     return strict, out
 
 

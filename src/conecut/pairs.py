@@ -11,6 +11,7 @@ its Jacobian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,23 @@ class MapOfPairs:
         point = self.source.join(y, np.zeros(self.source.q))
         return self.f(point)[: self.target.p]
 
+    # The sampled checks below depend only on the map, so each runs once
+    # per map; a check that raises is not cached and runs again.
+    @cached_property
+    def adapted(self) -> "AdaptedReport":
+        """check_adapted on 128 seeded slice points."""
+        return check_adapted(self, samples=128)
+
+    @cached_property
+    def normal_derivative_injective(self) -> bool:
+        """Whether d_N f has full column rank q at 16 seeded slice points."""
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            y = rng.uniform(-1.0, 1.0, size=self.source.p)
+            if np.linalg.matrix_rank(normal_derivative(self, y)) < self.source.q:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class AdaptedReport:
@@ -113,7 +131,8 @@ def check_adapted(
 
 
 def require_adapted(m: MapOfPairs):
-    report = check_adapted(m, samples=128)
+    """The map's adaptedness report; raises NotAdapted if the check fails."""
+    report = m.adapted
     if not report.ok:
         raise NotAdapted(
             f"map does not carry the slice into the target slice "

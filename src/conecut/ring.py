@@ -6,12 +6,22 @@ sum_k f_k t^{-k} must satisfy the filtration constraint: for k >= 1
 every monomial of f_k has x-block total degree >= k.  Two character
 families evaluate elements at body points (x, s) with s != 0 and at
 normal vectors (y, xi); both are exact ring homomorphisms.
+
+Evaluation splits the point once into integer numerators and
+denominators, accumulates each sum as an unreduced integer pair
+(num, den) and builds a single Fraction per result.  Internal +, - and
+* build results through ``MultiPoly._trusted``, which relies on the
+invariant every MultiPoly keeps: exponent tuples of length p + q with
+nonnegative ints, and exact nonzero coefficients.  Only the public
+constructor validates, coerces and merges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
+from operator import add
 
 from .errors import ArityMismatch, InvariantBreach
 from .expr import Add, Const, Div, Expr, Mul, Pow, SmoothMapExpr, Sub, Var
@@ -27,33 +37,78 @@ def _frac(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 
+def _split(point, n: int):
+    """Integer numerators and denominators of an exact point of length n."""
+    nums, dens = [], []
+    for v in point:
+        num, den = (v if type(v) in (int, Fraction) else _frac(v)).as_integer_ratio()
+        nums.append(num)
+        dens.append(den)
+    if len(nums) != n:
+        raise ArityMismatch("evaluation point has the wrong length")
+    return nums, dens
+
+
+def _eval_pair(terms, nums, dens, num: int, den: int):
+    """Add the (exponents, coefficient) ``terms`` at the point nums/dens to
+    num/den; returns the sum as an unreduced integer pair."""
+    for exps, coeff in terms:
+        n, d = coeff.as_integer_ratio()
+        for vn, vd, e in zip(nums, dens, exps):
+            if e == 1:
+                n *= vn
+                d *= vd
+            elif e:
+                n *= vn**e
+                d *= vd**e
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
+
+
 class MultiPoly:
     """A multivariate polynomial with Fraction coefficients.
 
     Variables are split into a y-block of size p followed by an x-block
     of size q; monomial keys are exponent tuples of length p + q.
+    Values are immutable: ``terms`` is never changed after construction.
     """
 
-    __slots__ = ("p", "q", "terms")
+    __slots__ = ("p", "q", "terms", "_order")
 
     def __init__(self, p: int, q: int, terms=None):
         self.p = p
         self.q = q
-        clean = {}
+        self._order = None
+        clean: dict = {}
         for exps, coeff in (terms or {}).items():
             coeff = _frac(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != p + q or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != p + q or min(exps, default=0) < 0:
                 raise ArityMismatch(f"bad monomial {exps} for {p}+{q} variables")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            clean[exps] = clean[exps] + coeff if exps in clean else coeff
+        self.terms = {e: c for e, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, p: int, q: int, terms: dict) -> "MultiPoly":
+        """Wrap ``terms`` that already keep the class invariant; the
+        result owns the dict."""
+        self = object.__new__(cls)
+        self.p = p
+        self.q = q
+        self.terms = terms
+        self._order = None
+        return self
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(p: int, q: int, value) -> "MultiPoly":
-        return MultiPoly(p, q, {(0,) * (p + q): _frac(value)})
+        value = _frac(value)
+        return MultiPoly._trusted(p, q, {(0,) * (p + q): value} if value else {})
 
     @staticmethod
     def var(p: int, q: int, index: int) -> "MultiPoly":
@@ -70,15 +125,22 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.p, self.q, other)
         self._check_like(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.p, self.q, terms)
+            if e in terms:
+                c += terms[e]
+                if c:
+                    terms[e] = c
+                else:
+                    del terms[e]
+            else:
+                terms[e] = c
+        return MultiPoly._trusted(self.p, self.q, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.p, self.q, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.p, self.q, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -90,16 +152,18 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(
-                self.p, self.q, {e: c * _frac(other) for e, c in self.terms.items()}
-            )
+            other = _frac(other)
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MultiPoly._trusted(self.p, self.q, terms)
         self._check_like(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.p, self.q, terms)
+                key = tuple(map(add, e1, e2))
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+        return MultiPoly._trusted(
+            self.p, self.q, {e: c for e, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -125,31 +189,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def x_degree(self, exps) -> int:
-        return sum(exps[self.p :])
-
-    def homogeneous_x_part(self, k: int) -> "MultiPoly":
-        """Terms whose x-block total degree is exactly k."""
-        return MultiPoly(
-            self.p,
-            self.q,
-            {e: c for e, c in self.terms.items() if self.x_degree(e) == k},
-        )
-
     def evaluate(self, point) -> Fraction:
-        point = [_frac(v) for v in point]
-        if len(point) != self.p + self.q:
-            raise ArityMismatch("evaluation point has the wrong length")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for v, e in zip(point, exps):
-                if e == 1:
-                    value *= v
-                elif e:
-                    value *= v**e
-            total += value
-        return total
+        nums, dens = _split(point, self.p + self.q)
+        return Fraction(*_eval_pair(self.terms.items(), nums, dens, 0, 1))
 
     def substitute(self, replacements) -> "MultiPoly":
         """Substitute one polynomial per variable; result in their variables."""
@@ -195,10 +237,13 @@ class MultiPoly:
 
 
 def vanishing_order(f: MultiPoly):
-    """Minimum x-block total degree over monomials; inf for the zero polynomial."""
-    if f.is_zero():
-        return float("inf")
-    return min(f.x_degree(e) for e in f.terms)
+    """Minimum x-block total degree over monomials; inf for the zero polynomial.
+
+    Computed once per polynomial, which never changes."""
+    if f._order is None:
+        p = f.p
+        f._order = min(sum(e[p:]) for e in f.terms) if f.terms else float("inf")
+    return f._order
 
 
 class LaurentElement:
@@ -215,12 +260,12 @@ class LaurentElement:
                 continue
             if (poly.p, poly.q) != (p, q):
                 raise ArityMismatch("coefficient over the wrong variable split")
-            clean[int(k)] = poly
-        for k, poly in clean.items():
+            k = int(k)
             if k >= 1 and vanishing_order(poly) < k:
                 raise InvariantBreach(
                     f"coefficient of t^-{k} vanishes only to order {vanishing_order(poly)}"
                 )
+            clean[k] = poly
         self.coeffs = clean
 
     @staticmethod
@@ -275,25 +320,94 @@ class LaurentElement:
 
 def char_xs(a: LaurentElement, x, s) -> Fraction:
     """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
+    nums, dens = _split(x, a.p + a.q)
     s = _frac(s)
-    if s == 0:
+    sn, sd = s.numerator, s.denominator
+    if sn == 0:
         raise ArityMismatch("body characters need s != 0")
-    total = Fraction(0)
+    num, den = 0, 1
     for k, poly in a.coeffs.items():
-        total += poly.evaluate(x) * s**(-k)
-    return total
+        n, d = _eval_pair(poly.terms.items(), nums, dens, 0, 1)
+        if k > 0:
+            n, d = n * sd**k, d * sn**k
+        elif k < 0:
+            n, d = n * sn**-k, d * sd**-k
+        num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+    return Fraction(num, den)
 
 
 def char_yxi(a: LaurentElement, y, xi) -> Fraction:
     """Evaluation at a normal vector: the degree-k x-homogeneous part of
     f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0."""
-    point = list(y) + list(xi)
-    total = Fraction(0)
+    p = a.p
+    nums, dens = _split([*y, *xi], p + a.q)
+    num, den = 0, 1
     for k, poly in a.coeffs.items():
-        if k < 0:
-            continue
-        total += poly.homogeneous_x_part(k).evaluate(point)
-    return total
+        if k >= 0:
+            part = [(e, c) for e, c in poly.terms.items() if sum(e[p:]) == k]
+            num, den = _eval_pair(part, nums, dens, num, den)
+    return Fraction(num, den)
+
+
+# -- exact univariate polynomials --------------------------------------
+# A univariate polynomial is a list of Fraction coefficients, lowest
+# degree first, with no trailing zero; [] is the zero polynomial.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_univariate(a: list, b: list):
+    """Quotient and remainder of a by the nonzero polynomial b."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, bj in enumerate(b):
+            rem[i + j] -= c * bj
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def _derivative_univariate(a: list) -> list:
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def univariate_gcd(a: list, b: list) -> list:
+    """Monic greatest common divisor by the Euclidean algorithm; [] when
+    both are zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod_univariate(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def squarefree_factors(f: list) -> list:
+    """Yun's square-free decomposition of a nonzero polynomial.
+
+    Returns monic, square-free, pairwise coprime [a_1, a_2, ...] with
+    f = c * a_1 * a_2^2 * a_3^3 * ..., so the roots of a_i are exactly
+    the roots of f of multiplicity i; [] for a constant f."""
+    f = _trim([Fraction(c) for c in f])
+    if not f:
+        raise ArityMismatch("the zero polynomial has no square-free decomposition")
+    df = _derivative_univariate(f)
+    g = univariate_gcd(f, df)
+    b = _divmod_univariate(f, g)[0]
+    d = _derivative_univariate(b)
+    c = _divmod_univariate(df, g)[0]
+    factors = []
+    while len(b) > 1:
+        d = _trim([ci - di for ci, di in zip_longest(c, d, fillvalue=0)])
+        a = univariate_gcd(b, d)
+        b = _divmod_univariate(b, a)[0]
+        c = _divmod_univariate(d, a)[0]
+        d = _derivative_univariate(b)
+        factors.append(a)
+    return factors
 
 
 def poly_to_expr(f: MultiPoly) -> SmoothMapExpr:

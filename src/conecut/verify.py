@@ -534,10 +534,10 @@ def suite_ring(samples, seed, tol):
         a = _random_laurent(rnd, p, q)
         b = _random_laurent(rnd, p, q)
         ab = a * b  # constructor re-asserts the filtration
-        x_pt = [Fraction(rnd.randint(-3, 3)) for _ in range(p + q)]
+        x_pt = [rnd.randint(-3, 3) for _ in range(p + q)]
         s = Fraction(rnd.randint(1, 4), 3)
         y_pt = x_pt[:p]
-        xi_pt = [Fraction(rnd.randint(-3, 3)) for _ in range(q)]
+        xi_pt = [rnd.randint(-3, 3) for _ in range(q)]
         a_plus_b = a + b
         xs_a, xs_b = rg.char_xs(a, x_pt, s), rg.char_xs(b, x_pt, s)
         yxi_a, yxi_b = rg.char_yxi(a, y_pt, xi_pt), rg.char_yxi(b, y_pt, xi_pt)

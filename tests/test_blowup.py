@@ -40,7 +40,8 @@ from conecut.blowup import (
 )
 from conecut.dnc import DncPoint
 from conecut.groupoid import rotate_blowup_point
-from conecut.errors import CenterPoint, OutsideBlupF, OutsideChart
+from conecut import pairs
+from conecut.errors import CenterPoint, NotAdapted, NotImmersive, OutsideBlupF, OutsideChart
 from conecut.expr import Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 from conecut.ring import MultiPoly
@@ -205,6 +206,38 @@ def test_blowup_map_excluded_locus():
         blowup_map(proj, exc)
 
 
+def test_blowup_map_checks_adaptedness_once_per_map(monkeypatch):
+    calls = []
+    original = pairs.check_adapted
+
+    def spy(m, *args, **kwargs):
+        calls.append(m)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(pairs, "check_adapted", spy)
+    f = _diffeo_pair()
+    body = from_ambient([0.5, 1.0, 2.0], DIMS31)
+    for _ in range(100):
+        blowup_map(f, body)
+    assert len(calls) == 1
+    # a map that is not adapted still raises on its first call
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    shifted = MapOfPairs(from_components(3, (y, x1 + 1.0, x2)), DIMS31, DIMS31)
+    with pytest.raises(NotAdapted):
+        blowup_map(shifted, body)
+    with pytest.raises(NotAdapted):
+        polar_map(shifted, to_polar(body))
+
+
+def test_polar_map_rejects_a_normal_derivative_with_kernel():
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    fold = MapOfPairs(from_components(3, (y, x1 + x2, x1 + x2)), DIMS31, DIMS31)
+    z = to_polar(from_ambient([0.5, 1.0, 2.0], DIMS31))
+    for _ in range(2):
+        with pytest.raises(NotImmersive):
+            polar_map(fold, z)
+
+
 def test_polar_map_matches_quotient_map():
     f = _diffeo_pair()
     z = canonicalize([0.5], [1.0, 2.0], 0.5, DIMS31)
@@ -276,6 +309,31 @@ def test_strict_transform_second_chart():
     strict, _ = strict_transform_curve(y**2 - x**3, 2)
     u, s = _xy()
     assert strict == MultiPoly.const(0, 2, 1) - u**3 * s
+
+
+def _curve(*factors, extra):
+    """prod(y - r*x) over the factors plus the monomial extra = (c, a, b)."""
+    x, y = _xy()
+    g = MultiPoly.const(0, 2, 1)
+    for r in factors:
+        g = g * (y - r * x)
+    c, a, b = extra
+    return g + c * x**a * y**b
+
+
+@pytest.mark.parametrize(
+    "g, roots",
+    [
+        # (y+x)^2 (y-3x) + x^4: a double root used to vanish
+        (_curve(-1, -1, 3, extra=(1, 4, 0)), [(-1.0, 2), (3.0, 1)]),
+        # (y+x)^3 (y-x) + x^5: a triple root used to come out as -0.999997
+        (_curve(-1, -1, -1, 1, extra=(1, 5, 0)), [(-1.0, 3), (1.0, 1)]),
+        # (y+4x)^2 (y-4x)^2 + x^5: both double roots used to vanish
+        (_curve(-4, -4, 4, 4, extra=(1, 5, 0)), [(-4.0, 2), (4.0, 2)]),
+    ],
+)
+def test_repeated_tangent_directions_keep_their_multiplicity(g, roots):
+    assert strict_transform_curve(g, 1)[1] == roots
 
 
 # -- the blown-up sphere ----------------------------------------------

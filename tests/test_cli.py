@@ -35,6 +35,20 @@ def test_resolve_curve_cusp_multiplicity():
     assert payload["exceptional_roots"] == [{"multiplicity": 2, "root": 0}]
 
 
+@pytest.mark.parametrize(
+    "poly, roots",
+    [
+        ("(y+x)^2*(y-3*x) + x^4", [{"multiplicity": 2, "root": -1}, {"multiplicity": 1, "root": 3}]),
+        ("(y+x)^3*(y-x) + x^5", [{"multiplicity": 3, "root": -1}, {"multiplicity": 1, "root": 1}]),
+        ("(y+4*x)^2*(y-4*x)^2 + x^5", [{"multiplicity": 2, "root": -4}, {"multiplicity": 2, "root": 4}]),
+    ],
+)
+def test_resolve_curve_repeated_directions(poly, roots):
+    out = run_cli("resolve-curve", "--poly", poly)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["exceptional_roots"] == roots
+
+
 def test_identical_invocations_give_identical_bytes():
     args = ("verify", "--suite", "curve", "--suite", "models", "--samples", "50")
     first = run_cli(*args)

@@ -1,12 +1,13 @@
 """Exact multivariate polynomials, the filtered Laurent model, characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecut.errors import InvariantBreach
+from conecut.errors import ArityMismatch, InvariantBreach
 from conecut.expr import Var, eval_map
 from conecut.ring import (
     LaurentElement,
@@ -16,6 +17,8 @@ from conecut.ring import (
     expr_to_poly,
     geometric_consistency,
     poly_to_expr,
+    squarefree_factors,
+    univariate_gcd,
     vanishing_order,
 )
 
@@ -158,3 +161,121 @@ def test_geometric_consistency():
     report = geometric_consistency(f, points)
     assert report["ok"]
     assert report["max_residual"] <= 1e-12
+
+
+# -- the integer-pair kernel against a naive Fraction oracle -----------
+
+
+def _naive_value(f, point):
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(point, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def _naive_xs(a, x, s):
+    return sum(
+        (_naive_value(f, x) * Fraction(s) ** -k for k, f in a.coeffs.items()),
+        Fraction(0),
+    )
+
+
+def _naive_yxi(a, y, xi):
+    total = Fraction(0)
+    for k, f in a.coeffs.items():
+        if k >= 0:
+            part = {e: c for e, c in f.terms.items() if sum(e[P:]) == k}
+            total += _naive_value(MultiPoly(P, Q, part), list(y) + list(xi))
+    return total
+
+
+def _seeded_element(rnd):
+    coeffs = {}
+    for k in rnd.sample([-1, 0, 1, 2], rnd.randint(0, 3)):
+        terms = {}
+        for _ in range(rnd.randint(0, 3)):
+            x_exps = [0, 0]
+            for _ in range(max(k, 0) + rnd.randint(0, 2)):
+                x_exps[rnd.randint(0, 1)] += 1
+            exps = (rnd.randint(0, 2), *x_exps)
+            terms[exps] = Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
+        coeffs[k] = MultiPoly(P, Q, terms)
+    return LaurentElement(P, Q, coeffs)
+
+
+def _seeded_rational(rnd):
+    return Fraction(rnd.randint(-7, 7), rnd.randint(1, 6))
+
+
+def test_integer_pair_kernel_matches_naive_fraction_sums():
+    rnd = random.Random(2021)
+    zero = LaurentElement(P, Q, {0: MultiPoly(P, Q)})
+    assert zero.coeffs == {}
+    for i in range(300):
+        a = zero if i == 0 else _seeded_element(rnd)
+        b = _seeded_element(rnd)
+        x = [_seeded_rational(rnd) for _ in range(P + Q)]
+        s = _seeded_rational(rnd) or Fraction(-2, 3)
+        y, xi = [_seeded_rational(rnd)], [_seeded_rational(rnd) for _ in range(Q)]
+        for e in (a, b, a * b, a + b):
+            assert char_xs(e, x, s) == _naive_xs(e, x, s)
+            assert char_yxi(e, y, xi) == _naive_yxi(e, y, xi)
+            for f in e.coeffs.values():
+                assert f.evaluate(x) == _naive_value(f, x)
+    assert MultiPoly(P, Q).evaluate([1, 2, 3]) == 0
+    # k = -1 at s = -1/2, x = (1/3, -2, 5/7), on int and float points too
+    t = LaurentElement.t_element(P, Q)
+    assert char_xs(t, [Fraction(1, 3), -2, 0.5], Fraction(-1, 2)) == Fraction(-1, 2)
+    assert char_yxi(t, [Fraction(1, 3)], [-2, 0.5]) == 0
+
+
+def test_cancelled_terms_are_not_stored():
+    y, x1, x2 = _vars()
+    one = MultiPoly.const(P, Q, 1)
+    diff = x1 - x1
+    assert diff.terms == {}
+    assert diff == MultiPoly(P, Q) and hash(diff) == hash(MultiPoly(P, Q))
+    prod = (x1 + one) * (x1 - one)
+    direct = MultiPoly(P, Q, {(0, 2, 0): 1, (0, 0, 0): -1})
+    assert prod.terms == direct.terms
+    assert prod == direct and hash(prod) == hash(direct)
+    assert 0 not in prod.terms.values()
+    assert (x1 * 0).terms == {} and (y * x2 + 2 * y - y * x2).terms == {(1, 0, 0): 2}
+    elem = LaurentElement(P, Q, {1: x1, 0: y}) + LaurentElement(P, Q, {1: -x1})
+    assert elem.coeffs == {0: y}
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ArityMismatch):
+        MultiPoly(P, Q, {(0, 1): 1})
+    with pytest.raises(ArityMismatch):
+        MultiPoly(P, Q, {(0, -1, 2): 1})
+    # exponents become ints, coefficients Fractions, zero terms go
+    coerced = MultiPoly(P, Q, {(0.0, 1.0, 0.0): 0.5, (0, 0, 1): 0})
+    [(exps, coeff)] = coerced.terms.items()
+    assert exps == (0, 1, 0) and all(type(e) is int for e in exps)
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    y, x1, _ = _vars()
+    assert vanishing_order(y) == 0  # cached before the element sees it
+    with pytest.raises(InvariantBreach):
+        LaurentElement(P, Q, {1: y})
+    with pytest.raises(InvariantBreach):
+        LaurentElement(P, Q, {2: x1 + y * x1})
+    with pytest.raises(ArityMismatch):
+        char_xs(LaurentElement.from_poly(y), [1, 2], 1)
+    with pytest.raises(ArityMismatch):
+        char_xs(LaurentElement.from_poly(y), [1, 2, 3], 0)
+
+
+def test_squarefree_factors_give_multiplicities():
+    # (s + 1)^2 (s - 3) = s^3 - s^2 - 5s - 3, lowest degree first
+    assert squarefree_factors([-3, -5, -1, 1]) == [[-3, 1], [1, 1]]
+    # (s^2 - 16)^2: no simple roots, a square-free double factor
+    assert squarefree_factors([256, 0, -32, 0, 1]) == [[1], [-16, 0, 1]]
+    assert squarefree_factors([0, 0, 2]) == [[1], [0, 1]]
+    assert squarefree_factors([5]) == []
+    assert univariate_gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
+    assert univariate_gcd([Fraction(2)], []) == [1]
