@@ -350,8 +350,9 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
     """Resolve a plane curve through the origin in one blow-up chart.
 
     ``g`` is a polynomial in (x, y) as a MultiPoly with p = 0, q = 2.
-    Chart 1 has coordinates (x, s) with y = x s; chart 2 has (s, y) with
-    x = s y.  The total transform is divided by the maximal power of the
+    Chart 1 has coordinates (u, s) with x = u, y = u s and exceptional
+    coordinate u; chart 2 has (u, s) with x = u s, y = s and exceptional
+    coordinate s.  The total transform is divided by the maximal power of the
     exceptional coordinate; returns the strict transform and the real
     roots (with multiplicities) of its restriction to the exceptional
     divisor.
@@ -371,8 +372,7 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
         total = g.substitute([u, u * s])
         exc_index = 0
     else:
-        # (x, y) -> (u*s, s)... chart 2 coords (u, s) with x = u*s? Keep
-        # symmetric convention: coordinates (u, s), x = u*s, y = s.
+        # (x, y) -> (u*s, s): exceptional coordinate is s (variable 1).
         total = g.substitute([u * s, s])
         exc_index = 1
     m = min(e[exc_index] for e in total.terms)

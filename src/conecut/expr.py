@@ -4,17 +4,27 @@ An ``Expr`` is a closed scalar expression over the primitives
 {constant, coordinate projection, +, -, *, /, integer power, sqrt, exp,
 log, sin, cos, euclidean norm}.  A ``SmoothMapExpr`` bundles a tuple of
 scalar expressions into a map R^n -> R^m together with explicit domain
-guards.  Evaluation never propagates NaN: any division by zero, log/sqrt
-of a bad argument, or failing guard raises ``DomainViolation``.
+guards.  Evaluation never returns NaN or infinity: division by zero,
+log/sqrt of a bad argument, a failing guard, an overflow, and a value
+or partial derivative that is not finite all raise ``DomainViolation``.
 
-Forward-mode AD evaluates each node on (value, gradient) pairs, so the
-value component of ``jet_eval`` agrees exactly with plain evaluation.
+A map is compiled on first use into tapes that are cached on it: flat
+lists of steps, one per distinct node (shared subtrees once), children
+first.  ``eval_map`` replays the value tape, which checks the guards and
+then computes the body; ``jet_eval`` replays the jet tape, which checks
+the guards and then carries each body node's value together with its n
+partial derivatives (forward mode).  Each step does its node's float
+arithmetic, in the same order on both tapes, so the value component of
+``jet_eval`` agrees exactly with ``eval_map``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -176,93 +186,388 @@ class Norm(Expr):
         return "norm(" + ", ".join(str(a) for a in self.args) + ")"
 
 
-def _ev(node: Expr, point: np.ndarray, grad: bool, cache: dict):
-    """Evaluate ``node`` at ``point``; returns (value, gradient-or-None)."""
-    key = id(node)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = point.shape[0]
-    if isinstance(node, Const):
-        out = (node.value, np.zeros(n) if grad else None)
-    elif isinstance(node, Var):
-        if node.index >= n:
-            raise ArityMismatch(
-                f"variable x{node.index + 1} out of range for input dimension {n}"
-            )
-        g = None
-        if grad:
-            g = np.zeros(n)
-            g[node.index] = 1.0
-        out = (float(point[node.index]), g)
-    elif isinstance(node, Add):
-        (a, ga) = _ev(node.left, point, grad, cache)
-        (b, gb) = _ev(node.right, point, grad, cache)
-        out = (a + b, ga + gb if grad else None)
-    elif isinstance(node, Sub):
-        (a, ga) = _ev(node.left, point, grad, cache)
-        (b, gb) = _ev(node.right, point, grad, cache)
-        out = (a - b, ga - gb if grad else None)
-    elif isinstance(node, Mul):
-        (a, ga) = _ev(node.left, point, grad, cache)
-        (b, gb) = _ev(node.right, point, grad, cache)
-        out = (a * b, ga * b + a * gb if grad else None)
-    elif isinstance(node, Div):
-        (a, ga) = _ev(node.left, point, grad, cache)
-        (b, gb) = _ev(node.right, point, grad, cache)
-        if b == 0.0:
+# -- tapes ------------------------------------------------------------------
+# A tape replays trees on a register list: the n input coordinates, then
+# one register per distinct non-Var node (by id), in post-order.  A
+# constant's register is filled when the list is made; every other node
+# has one step that reads its children's registers, runs the node's
+# domain check and writes its own register.  A jet step also writes the
+# node's n partial derivatives, as a list of floats, at the same index
+# of a gradient list.  Steps do the tree's arithmetic in the order the
+# dual-number rules give it, with math functions on floats, so every
+# value and partial is exactly the one the tree defines.
+#
+# Each step binds its registers as default arguments: such a function is
+# cheaper both to make and to call than one that closes over them.
+
+
+def _overflow(node) -> DomainViolation:
+    return DomainViolation(f"overflow in {node}")
+
+
+def _non_finite(node) -> DomainViolation:
+    return DomainViolation(f"non-finite argument in {node}")
+
+
+def _over_zero(x: float) -> float:
+    """x / +0.0 as IEEE 754 defines it, where Python raises instead."""
+    return math.copysign(math.inf, x) if x == x and x != 0.0 else math.nan
+
+
+def _v_add(node, k, a, b):
+    def step(r, k=k, a=a, b=b):
+        r[k] = r[a] + r[b]
+
+    return step
+
+
+def _v_sub(node, k, a, b):
+    def step(r, k=k, a=a, b=b):
+        r[k] = r[a] - r[b]
+
+    return step
+
+
+def _v_mul(node, k, a, b):
+    def step(r, k=k, a=a, b=b):
+        r[k] = r[a] * r[b]
+
+    return step
+
+
+def _v_div(node, k, a, b):
+    def step(r, k=k, a=a, b=b, node=node):
+        y = r[b]
+        if y == 0.0:
             raise DomainViolation(f"division by zero in {node}")
-        out = (a / b, (ga * b - a * gb) / (b * b) if grad else None)
-    elif isinstance(node, Pow):
-        (a, ga) = _ev(node.base, point, grad, cache)
-        k = node.exponent
-        if k < 0 and a == 0.0:
+        r[k] = r[a] / y
+
+    return step
+
+
+def _v_pow(node, k, a):
+    def step(r, k=k, a=a, e=node.exponent, node=node):
+        x = r[a]
+        if e < 0 and x == 0.0:
             raise DomainViolation(f"zero base with negative power in {node}")
-        v = float(a**k) if (a != 0.0 or k >= 0) else 0.0
-        if grad:
-            if k == 0:
-                g = np.zeros(len(point))
-            else:
-                g = k * (a ** (k - 1)) * ga
-            out = (v, g)
-        else:
-            out = (v, None)
-    elif isinstance(node, Sqrt):
-        (a, ga) = _ev(node.arg, point, grad, cache)
-        if a < 0.0 or (grad and a == 0.0):
+        try:
+            r[k] = float(x**e)
+        except OverflowError:
+            raise _overflow(node) from None
+
+    return step
+
+
+def _v_sqrt(node, k, a):
+    def step(r, k=k, a=a, node=node):
+        x = r[a]
+        if x < 0.0:
             raise DomainViolation(f"sqrt of nonpositive argument in {node}")
-        v = math.sqrt(a)
-        out = (v, ga / (2.0 * v) if grad else None)
-    elif isinstance(node, Exp):
-        (a, ga) = _ev(node.arg, point, grad, cache)
-        v = math.exp(a)
-        out = (v, v * ga if grad else None)
-    elif isinstance(node, Log):
-        (a, ga) = _ev(node.arg, point, grad, cache)
-        if a <= 0.0:
+        r[k] = math.sqrt(x)
+
+    return step
+
+
+def _v_exp(node, k, a):
+    def step(r, k=k, a=a, node=node):
+        try:
+            r[k] = math.exp(r[a])
+        except OverflowError:
+            raise _overflow(node) from None
+
+    return step
+
+
+def _v_log(node, k, a):
+    def step(r, k=k, a=a, node=node):
+        x = r[a]
+        if x <= 0.0:
             raise DomainViolation(f"log of nonpositive argument in {node}")
-        out = (math.log(a), ga / a if grad else None)
-    elif isinstance(node, Sin):
-        (a, ga) = _ev(node.arg, point, grad, cache)
-        out = (math.sin(a), math.cos(a) * ga if grad else None)
-    elif isinstance(node, Cos):
-        (a, ga) = _ev(node.arg, point, grad, cache)
-        out = (math.cos(a), -math.sin(a) * ga if grad else None)
-    elif isinstance(node, Norm):
-        vals = [_ev(a, point, grad, cache) for a in node.args]
-        s = math.fsum(v * v for (v, _) in vals)
-        v = math.sqrt(s)
-        if grad:
-            if v == 0.0:
-                raise DomainViolation(f"norm not differentiable at zero in {node}")
-            g = sum((vi / v) * gi for (vi, gi) in vals)
-            out = (v, g)
+        r[k] = math.log(x)
+
+    return step
+
+
+def _v_sin(node, k, a):
+    def step(r, k=k, a=a, node=node):
+        try:
+            r[k] = math.sin(r[a])
+        except ValueError:
+            raise _non_finite(node) from None
+
+    return step
+
+
+def _v_cos(node, k, a):
+    def step(r, k=k, a=a, node=node):
+        try:
+            r[k] = math.cos(r[a])
+        except ValueError:
+            raise _non_finite(node) from None
+
+    return step
+
+
+def _norm(node, r, args) -> float:
+    try:
+        return math.sqrt(math.fsum([r[i] * r[i] for i in args]))
+    except OverflowError:
+        raise _overflow(node) from None
+
+
+def _v_norm(node, k, *args):
+    def step(r, k=k, args=args, node=node):
+        r[k] = _norm(node, r, args)
+
+    return step
+
+
+def _j_add(node, k, a, b):
+    def step(r, g, k=k, a=a, b=b):
+        r[k] = r[a] + r[b]
+        g[k] = list(map(operator.add, g[a], g[b]))
+
+    return step
+
+
+def _j_sub(node, k, a, b):
+    def step(r, g, k=k, a=a, b=b):
+        r[k] = r[a] - r[b]
+        g[k] = list(map(operator.sub, g[a], g[b]))
+
+    return step
+
+
+def _j_mul(node, k, a, b):
+    def step(r, g, k=k, a=a, b=b):
+        x = r[a]
+        y = r[b]
+        r[k] = x * y
+        g[k] = [u * y + x * v for u, v in zip(g[a], g[b])]
+
+    return step
+
+
+def _j_div(node, k, a, b):
+    def step(r, g, k=k, a=a, b=b, node=node):
+        x = r[a]
+        y = r[b]
+        if y == 0.0:
+            raise DomainViolation(f"division by zero in {node}")
+        r[k] = x / y
+        yy = y * y
+        if yy == 0.0:
+            g[k] = [_over_zero(u * y - x * v) for u, v in zip(g[a], g[b])]
         else:
-            out = (v, None)
+            g[k] = [(u * y - x * v) / yy for u, v in zip(g[a], g[b])]
+
+    return step
+
+
+def _j_pow(node, k, a):
+    e = node.exponent
+    if e == 0:
+
+        def step(r, g, k=k, a=a, value=_v_pow(node, k, a)):
+            value(r)
+            g[k] = [0.0] * len(g[a])
+
+        return step
+
+    def step(r, g, k=k, a=a, e=e, value=_v_pow(node, k, a), node=node):
+        value(r)
+        try:
+            c = e * (r[a] ** (e - 1))
+        except OverflowError:
+            raise _overflow(node) from None
+        g[k] = [c * u for u in g[a]]
+
+    return step
+
+
+def _j_sqrt(node, k, a):
+    def step(r, g, k=k, a=a, node=node):
+        x = r[a]
+        if x <= 0.0:
+            raise DomainViolation(f"sqrt of nonpositive argument in {node}")
+        v = r[k] = math.sqrt(x)
+        d = 2.0 * v
+        g[k] = [u / d for u in g[a]]
+
+    return step
+
+
+def _j_exp(node, k, a):
+    def step(r, g, k=k, a=a, value=_v_exp(node, k, a)):
+        value(r)
+        v = r[k]
+        g[k] = [v * u for u in g[a]]
+
+    return step
+
+
+def _j_log(node, k, a):
+    def step(r, g, k=k, a=a, value=_v_log(node, k, a)):
+        value(r)
+        x = r[a]
+        g[k] = [u / x for u in g[a]]
+
+    return step
+
+
+def _j_sin(node, k, a):
+    def step(r, g, k=k, a=a, value=_v_sin(node, k, a)):
+        value(r)
+        c = math.cos(r[a])
+        g[k] = [c * u for u in g[a]]
+
+    return step
+
+
+def _j_cos(node, k, a):
+    def step(r, g, k=k, a=a, value=_v_cos(node, k, a)):
+        value(r)
+        c = -math.sin(r[a])
+        g[k] = [c * u for u in g[a]]
+
+    return step
+
+
+def _j_norm(node, k, *args):
+    def step(r, g, k=k, args=args, node=node):
+        v = r[k] = _norm(node, r, args)
+        if v == 0.0:
+            raise DomainViolation(f"norm not differentiable at zero in {node}")
+        total = [0.0] * len(g[args[0]])
+        for i in args:
+            c = r[i] / v
+            total = [t + c * u for t, u in zip(total, g[i])]
+        g[k] = total
+
+    return step
+
+
+_VALUE_STEPS = {
+    Add: _v_add, Sub: _v_sub, Mul: _v_mul, Div: _v_div, Pow: _v_pow, Sqrt: _v_sqrt,
+    Exp: _v_exp, Log: _v_log, Sin: _v_sin, Cos: _v_cos, Norm: _v_norm,
+}
+_JET_STEPS = {
+    Add: _j_add, Sub: _j_sub, Mul: _j_mul, Div: _j_div, Pow: _j_pow, Sqrt: _j_sqrt,
+    Exp: _j_exp, Log: _j_log, Sin: _j_sin, Cos: _j_cos, Norm: _j_norm,
+}
+_BINARY = frozenset((Add, Sub, Mul, Div))
+_UNARY = frozenset((Sqrt, Exp, Log, Sin, Cos))
+
+
+def _out_of_range(node: Var, n: int):
+    def step(*registers, node=node, n=n):
+        raise ArityMismatch(f"variable x{node.index + 1} out of range for input dimension {n}")
+
+    return step
+
+
+def _record(node, n: int, tail: list, steps: list, make: dict, seen: dict) -> int:
+    """The register of ``node``.  Appends to ``steps`` the steps of the
+    nodes under it that are not in ``seen``, children first, allocating
+    their registers in ``tail``."""
+    cls = type(node)
+    if cls is Var and node.index < n:
+        return node.index  # callers check this case inline, to save a call
+    key = id(node)
+    slot = seen.get(key)
+    if slot is not None:
+        return slot
+    if cls is Const:
+        slot = n + len(tail)
+        tail.append(node.value)
     else:
-        raise TypeError(f"unknown expression node {node!r}")
-    cache[key] = out
-    return out
+        if cls in _BINARY:
+            a, b = node.left, node.right
+            a = a.index if type(a) is Var and a.index < n else _record(a, n, tail, steps, make, seen)
+            b = b.index if type(b) is Var and b.index < n else _record(b, n, tail, steps, make, seen)
+            slot = n + len(tail)
+            step = make[cls](node, slot, a, b)
+        elif cls in _UNARY or cls is Pow:
+            a = node.base if cls is Pow else node.arg
+            a = a.index if type(a) is Var and a.index < n else _record(a, n, tail, steps, make, seen)
+            slot = n + len(tail)
+            step = make[cls](node, slot, a)
+        elif cls is Norm:
+            args = [_record(e, n, tail, steps, make, seen) for e in node.args]
+            slot = n + len(tail)
+            step = make[cls](node, slot, *args)
+        elif cls is Var:
+            slot = n + len(tail)
+            step = _out_of_range(node, n)
+        else:
+            raise TypeError(f"unknown expression node {node!r}")
+        tail.append(0.0)
+        steps.append(step)
+    seen[key] = slot
+    return slot
+
+
+def _guard_step(guard, slot: int, n: int):
+    def step(r, slot=slot, test=_GUARD_TESTS.get(guard.kind), guard=guard):
+        if test is None:
+            raise ValueError(f"unknown guard kind {guard.kind!r}")
+        if not test(r[slot], 0.0):
+            raise DomainViolation(f"guard {guard.kind}({guard.expr}) fails at {r[:n]}")
+
+    return step
+
+
+def _picker(slots: list):
+    """A function of the registers that returns those in ``slots``, in order."""
+    if len(slots) == 1:
+        return operator.itemgetter(slice(slots[0], slots[0] + 1))
+    return operator.itemgetter(*slots) if slots else operator.itemgetter(slice(0, 0))
+
+
+def _value_tape(n: int, guards: tuple, body: tuple):
+    """run(coordinates) -> the body's values, after checking every guard."""
+    tail: list = []
+    steps: list = []
+    seen: dict = {}
+    for guard in guards:
+        slot = _record(guard.expr, n, tail, steps, _VALUE_STEPS, seen)
+        steps.append(_guard_step(guard, slot, n))
+    pick = _picker([_record(e, n, tail, steps, _VALUE_STEPS, seen) for e in body])
+
+    def run(coords: list, tail=tail, steps=steps, pick=pick):
+        r = coords + tail
+        for step in steps:
+            step(r)
+        return pick(r)
+
+    return run
+
+
+def _jet_tape(n: int, guards: tuple, body: tuple):
+    """run(coordinates) -> (values, gradients) of the body, after checking
+    every guard; guards are evaluated without derivatives."""
+    tail: list = []
+    checks: list = []
+    steps: list = []
+    seen: dict = {}
+    for guard in guards:
+        slot = _record(guard.expr, n, tail, checks, _VALUE_STEPS, seen)
+        checks.append(_guard_step(guard, slot, n))
+    seen = {}  # a body node that is also in a guard needs a jet step of its own
+    pick = _picker([_record(e, n, tail, steps, _JET_STEPS, seen) for e in body])
+    # Var(i) has the unit gradient e_i, a constant the zero gradient.
+    gradients = [[float(i == j) for j in range(n)] for i in range(n)] + [[0.0] * n] * len(tail)
+
+    def run(coords: list, tail=tail, checks=checks, steps=steps, gradients=gradients, pick=pick):
+        r = coords + tail
+        for step in checks:
+            step(r)
+        g = gradients.copy()
+        for step in steps:
+            step(r, g)
+        return pick(r), pick(g)
+
+    return run
 
 
 def substitute(node: Expr, replacements: tuple) -> Expr:
@@ -301,6 +606,7 @@ def substitute(node: Expr, replacements: tuple) -> Expr:
 # Guard kinds: the guard expression must be respectively nonzero, strictly
 # positive, or nonnegative at a point for the point to be in the domain.
 GUARD_KINDS = ("nonzero", "positive", "nonnegative")
+_GUARD_TESTS = dict(zip(GUARD_KINDS, (operator.ne, operator.gt, operator.ge)))
 
 
 @dataclass(frozen=True)
@@ -309,14 +615,20 @@ class Guard:
     kind: str  # one of GUARD_KINDS
 
     def holds(self, point: np.ndarray) -> bool:
-        v, _ = _ev(self.expr, point, False, {})
-        if self.kind == "nonzero":
-            return v != 0.0
-        if self.kind == "positive":
-            return v > 0.0
-        if self.kind == "nonnegative":
-            return v >= 0.0
-        raise ValueError(f"unknown guard kind {self.kind!r}")
+        n = point.shape[0]
+        run = self._tapes.get(n)
+        if run is None:
+            run = self._tapes[n] = _value_tape(n, (), (self.expr,))
+        (v,) = run(point.tolist())
+        test = _GUARD_TESTS.get(self.kind)
+        if test is None:
+            raise ValueError(f"unknown guard kind {self.kind!r}")
+        return test(v, 0.0)
+
+    @cached_property
+    def _tapes(self) -> dict:
+        """The guard's value tape for each input dimension it was used at."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -352,6 +664,14 @@ class SmoothMapExpr:
     def __call__(self, point) -> np.ndarray:
         return eval_map(self, point)
 
+    @cached_property
+    def _values(self):
+        return _value_tape(self.input_dim, self.guards, self.body)
+
+    @cached_property
+    def _jets(self):
+        return _jet_tape(self.input_dim, self.guards, self.body)
+
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self.body) + ")"
 
@@ -365,32 +685,37 @@ def _check_point(m: SmoothMapExpr, point) -> np.ndarray:
     return point
 
 
-def _check_guards(m: SmoothMapExpr, point: np.ndarray):
-    for g in m.guards:
-        if not g.holds(point):
-            raise DomainViolation(f"guard {g.kind}({g.expr}) fails at {point.tolist()}")
+def _not_finite(m: SmoothMapExpr, coords: list, vals, rows) -> DomainViolation:
+    """The error for the first component whose value, or one of whose
+    partial derivatives, is not finite."""
+    for e, v in zip(m.body, vals):
+        if not math.isfinite(v):
+            return DomainViolation(f"value of {e} is not finite at {coords}")
+    for e, row in zip(m.body, rows):
+        if not all(map(math.isfinite, row)):
+            return DomainViolation(f"derivative of {e} is not finite at {coords}")
 
 
 def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
-    """Evaluate the map; raises DomainViolation outside the domain."""
-    point = _check_point(m, point)
-    _check_guards(m, point)
-    cache: dict = {}
-    return np.array([_ev(e, point, False, cache)[0] for e in m.body])
+    """Evaluate the map; raises DomainViolation outside the domain, which
+    includes the points where a component is not finite."""
+    coords = _check_point(m, point).tolist()
+    vals = m._values(coords)
+    if not all(map(math.isfinite, vals)):
+        raise _not_finite(m, coords, vals, ())
+    return np.array(vals)
 
 
 def jet_eval(m: SmoothMapExpr, point) -> Jet:
-    """Forward-mode value + Jacobian; exact derivatives of the tree."""
-    point = _check_point(m, point)
-    _check_guards(m, point)
-    cache: dict = {}
-    vals = np.empty(m.output_dim)
-    jac = np.empty((m.output_dim, m.input_dim))
-    for i, e in enumerate(m.body):
-        v, g = _ev(e, point, True, cache)
-        vals[i] = v
-        jac[i] = g
-    return Jet(vals, jac)
+    """Forward-mode value + Jacobian; exact derivatives of the tree.
+    Raises DomainViolation outside the domain and where a value or a
+    partial derivative is not finite."""
+    coords = _check_point(m, point).tolist()
+    vals, rows = m._jets(coords)
+    if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
+        raise _not_finite(m, coords, vals, rows)
+    jac = np.array(rows, dtype=float).reshape(m.output_dim, m.input_dim)
+    return Jet(np.array(vals, dtype=float), jac)
 
 
 def finite_diff_jacobian(m: SmoothMapExpr, point) -> np.ndarray:

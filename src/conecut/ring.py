@@ -338,9 +338,12 @@ def char_xs(a: LaurentElement, x, s) -> Fraction:
 
 def char_yxi(a: LaurentElement, y, xi) -> Fraction:
     """Evaluation at a normal vector: the degree-k x-homogeneous part of
-    f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0."""
+    f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0.
+    ``y`` has the p slice coordinates and ``xi`` the q normal ones."""
     p = a.p
-    nums, dens = _split([*y, *xi], p + a.q)
+    if len(y) != p:
+        raise ArityMismatch(f"slice block of length {len(y)} for p = {p}")
+    nums, dens = _split([*y, *xi], p + a.q)  # checks the length of xi
     num, den = 0, 1
     for k, poly in a.coeffs.items():
         if k >= 0:

@@ -127,6 +127,13 @@ def test_char_yxi_keeps_leading_homogeneous_part():
     assert char_yxi(b, [Fraction(7)], [Fraction(2), Fraction(3)]) == 0
 
 
+@pytest.mark.parametrize("y, xi", [([1, 2], [3]), ([], [1, 2, 3])])
+def test_char_yxi_rejects_a_wrong_block_split(y, xi):
+    a = LaurentElement(P, Q, {0: _vars()[0]})
+    with pytest.raises(ArityMismatch):
+        char_yxi(a, y, xi)
+
+
 def test_grading_homogeneity_exact():
     y, x1, x2 = _vars()
     elem = LaurentElement.from_poly(x1 * x2, 2)
