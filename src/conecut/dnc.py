@@ -16,6 +16,7 @@ lambda t), and t itself is a submersion whose fibers are the slices.
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,26 @@ def eval_function_class(
     # dnc_f1
     if check:
         check_vanishes_on_slice(f, dims)
+    return float(_quotient_map(f, dims)(z).xi[0])
+
+
+# The induced maps dnc_f1 has built, by id(f) and then by dims.  A weak
+# reference to f drops f's entry when f is freed, before any other map
+# can take its id, so an entry lives exactly as long as its f.
+_QUOTIENTS: dict = {}
+
+
+def _quotient_map(f: SmoothMapExpr, dims: PairDims) -> DncMap:
+    """The induced map of (y, x) -> (y, f(y, x)), whose xi component is
+    the dnc_f1 quotient; built, and so compiled, once per (f, dims)."""
+    key = id(f)
+    entry = _QUOTIENTS.get(key)
+    if entry is None:
+        entry = _QUOTIENTS[key] = (weakref.ref(f, lambda _, key=key: _QUOTIENTS.pop(key, None)), {})
+    maps = entry[1]
+    quotient = maps.get(dims)
+    if quotient is not None:
+        return quotient
     pair = MapOfPairs(
         SmoothMapExpr(
             dims.n,
@@ -184,4 +205,5 @@ def eval_function_class(
         dims,
         PairDims(dims.p + 1, dims.p),
     )
-    return float(DncMap(pair, check=False)(z).xi[0])
+    quotient = maps[dims] = DncMap(pair, check=False)
+    return quotient

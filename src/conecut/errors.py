@@ -14,6 +14,10 @@ class ArityMismatch(ConecutError):
     """Vector or matrix dimensions do not match a declared arity."""
 
 
+class UnknownGuardKind(ConecutError):
+    """A domain guard names a kind other than the known ones."""
+
+
 class ParseError(ConecutError):
     """Malformed textual expression; carries the offending position."""
 

@@ -7,15 +7,19 @@ scalar expressions into a map R^n -> R^m together with explicit domain
 guards.  Evaluation never returns NaN or infinity: division by zero,
 log/sqrt of a bad argument, a failing guard, an overflow, and a value
 or partial derivative that is not finite all raise ``DomainViolation``.
+``in_domain`` is False at every point with a non-finite coordinate.
 
 A map is compiled on first use into tapes that are cached on it: flat
 lists of steps, one per distinct node (shared subtrees once), children
 first.  ``eval_map`` replays the value tape, which checks the guards and
-then computes the body; ``jet_eval`` replays the jet tape, which checks
-the guards and then carries each body node's value together with its n
-partial derivatives (forward mode).  Each step does its node's float
-arithmetic, in the same order on both tapes, so the value component of
-``jet_eval`` agrees exactly with ``eval_map``.
+then computes the body.  ``eval_batch`` replays the same tape once per
+row of an (N, n) array of points; it saves the conversions ``eval_map``
+makes on each call, but none of the arithmetic, so every row is
+bit-identical to ``eval_map`` at that row.  ``jet_eval`` replays the jet
+tape, which checks the guards and then carries each body node's value
+together with its n partial derivatives (forward mode).  Each step does
+its node's float arithmetic, in the same order on both tapes, so the
+value component of ``jet_eval`` agrees exactly with ``eval_map``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation
+from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
 
 
 class Expr:
@@ -508,9 +512,7 @@ def _record(node, n: int, tail: list, steps: list, make: dict, seen: dict) -> in
 
 
 def _guard_step(guard, slot: int, n: int):
-    def step(r, slot=slot, test=_GUARD_TESTS.get(guard.kind), guard=guard):
-        if test is None:
-            raise ValueError(f"unknown guard kind {guard.kind!r}")
+    def step(r, slot=slot, test=_GUARD_TESTS[guard.kind], guard=guard):
         if not test(r[slot], 0.0):
             raise DomainViolation(f"guard {guard.kind}({guard.expr}) fails at {r[:n]}")
 
@@ -614,16 +616,17 @@ class Guard:
     expr: Expr
     kind: str  # one of GUARD_KINDS
 
+    def __post_init__(self):
+        if self.kind not in _GUARD_TESTS:
+            raise UnknownGuardKind(f"unknown guard kind {self.kind!r}; expected one of {GUARD_KINDS}")
+
     def holds(self, point: np.ndarray) -> bool:
         n = point.shape[0]
         run = self._tapes.get(n)
         if run is None:
             run = self._tapes[n] = _value_tape(n, (), (self.expr,))
         (v,) = run(point.tolist())
-        test = _GUARD_TESTS.get(self.kind)
-        if test is None:
-            raise ValueError(f"unknown guard kind {self.kind!r}")
-        return test(v, 0.0)
+        return _GUARD_TESTS[self.kind](v, 0.0)
 
     @cached_property
     def _tapes(self) -> dict:
@@ -655,7 +658,12 @@ class SmoothMapExpr:
             )
 
     def in_domain(self, point) -> bool:
+        """Whether every guard holds at the point.  A point with a
+        non-finite coordinate, or at which a guard cannot be evaluated,
+        is outside the domain."""
         point = _check_point(self, point)
+        if not np.isfinite(point).all():
+            return False
         try:
             return all(g.holds(point) for g in self.guards)
         except DomainViolation:
@@ -685,6 +693,15 @@ def _check_point(m: SmoothMapExpr, point) -> np.ndarray:
     return point
 
 
+def _check_points(m: SmoothMapExpr, points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != m.input_dim:
+        raise ArityMismatch(
+            f"points of shape {points.shape} for map with input_dim {m.input_dim}"
+        )
+    return points
+
+
 def _not_finite(m: SmoothMapExpr, coords: list, vals, rows) -> DomainViolation:
     """The error for the first component whose value, or one of whose
     partial derivatives, is not finite."""
@@ -704,6 +721,35 @@ def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
     if not all(map(math.isfinite, vals)):
         raise _not_finite(m, coords, vals, ())
     return np.array(vals)
+
+
+def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:
+    """Evaluate the map at each row of an (N, n) array of points; row i
+    of the (N, m) result is ``eval_map(m, points[i])``, bit for bit.
+    Raises what ``eval_map`` raises at the first row where it raises,
+    and a DomainViolation names that row."""
+    rows = _check_points(m, points).tolist()
+    run = m._values
+    vals: list = []
+    append = vals.append
+    try:
+        for coords in rows:
+            append(run(coords))
+    except DomainViolation as exc:
+        # A row before this one may already hold a non-finite value.
+        raise _first_not_finite(m, rows, vals) or DomainViolation(f"row {len(vals)}: {exc}") from None
+    out = np.array(vals, dtype=float).reshape(len(rows), m.output_dim)
+    if not np.isfinite(out).all():
+        raise _first_not_finite(m, rows, vals)
+    return out
+
+
+def _first_not_finite(m: SmoothMapExpr, rows: list, vals: list) -> DomainViolation | None:
+    """The error for the first of the evaluated rows with a non-finite value."""
+    for i, v in enumerate(vals):
+        if not all(map(math.isfinite, v)):
+            return DomainViolation(f"row {i}: {_not_finite(m, rows[i], v, ())}")
+    return None
 
 
 def jet_eval(m: SmoothMapExpr, point) -> Jet:

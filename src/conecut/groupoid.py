@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SamplingFailure
-from .expr import Guard, SmoothMapExpr, Var, eval_map, from_components, jet_eval
+from .expr import Guard, SmoothMapExpr, Var, eval_batch, eval_map, from_components, jet_eval
 from .pairs import RANK_RTOL, numeric_rank
 from .blowup import (
     Body,
@@ -36,6 +36,9 @@ from .blowup import (
 )
 
 COMPOSABILITY_TOL = 1e-10
+# Samples per eval_batch call in the axiom checks: enough rows to spread
+# the cost of each call, few enough to keep the batch's arrays small.
+BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -80,19 +83,37 @@ class GroupoidSpec:
         return eval_map(self.unit, np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def _sample_arrows(spec: GroupoidSpec, rng, count: int):
+def _sample_arrows(spec: GroupoidSpec, rng, count: int) -> np.ndarray:
+    """Up to ``count`` arrows, one per row.  Uniform draws come in blocks
+    of the number still missing, so the generator yields the same arrows
+    and ends in the same state as drawing them one at a time, and at
+    most 10 * count are drawn."""
     if spec.arrow_sampler is not None:
-        return [np.asarray(a, dtype=float) for a in spec.arrow_sampler(rng, count)]
-    out = []
-    for _ in range(count * 10):
-        if len(out) >= count:
-            break
-        g = rng.uniform(-2.0, 2.0, size=spec.arrow_dim)
-        if spec.source.in_domain(g) and spec.target.in_domain(g):
-            out.append(g)
-    if not out:
+        return np.asarray(spec.arrow_sampler(rng, count), dtype=float).reshape(-1, spec.arrow_dim)
+    blocks = []
+    kept = drawn = 0
+    while kept < count and drawn < count * 10:
+        block = rng.uniform(-2.0, 2.0, size=(min(count - kept, count * 10 - drawn), spec.arrow_dim))
+        drawn += len(block)
+        block = block[[spec.source.in_domain(g) and spec.target.in_domain(g) for g in block]]
+        kept += len(block)
+        blocks.append(block)
+    if not kept:
         raise SamplingFailure("no valid arrows found")
-    return out
+    return np.concatenate(blocks)
+
+
+def _products(spec: GroupoidSpec, left, right, s_left, t_right) -> np.ndarray:
+    """The product of each row of ``left`` with the same row of
+    ``right``, given their sources and targets; raises SamplingFailure
+    if any pair is not composable."""
+    if np.any(np.linalg.norm(s_left - t_right, axis=1) > spec.tol):
+        raise SamplingFailure("arrows are not composable")
+    return eval_batch(spec.mult, np.hstack([left, right]))
+
+
+def _worst(diff) -> float:
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 @dataclass
@@ -125,39 +146,53 @@ class AxiomReport:
 
 
 def check_axioms(spec: GroupoidSpec, samples: int = 200, seed: int = 0) -> AxiomReport:
-    """Sampled verification of the five groupoid axioms."""
+    """Sampled verification of the five groupoid axioms.
+
+    The arrows g are sampled first.  Then, BATCH_ROWS arrows at a time,
+    the partners h (composable with g) and k (composable with h) of each
+    arrow are drawn in turn, and each structure map is evaluated once on
+    the batch with ``eval_batch``.  Every pair is tested for
+    composability before its product is evaluated, and each axiom's
+    violation is the largest over all rows."""
     rng = np.random.default_rng(seed)
-    rep = AxiomReport()
     arrows = _sample_arrows(spec, rng, samples)
-    partner = spec.composable_partner
-    for g in arrows:
-        h = np.asarray(partner(rng, g), dtype=float)
-        k = np.asarray(partner(rng, h), dtype=float)
-        gh = spec.m(g, h)
-        hk = spec.m(h, k)
-        rep.source_of_product = max(
-            rep.source_of_product, float(np.max(np.abs(spec.s(gh) - spec.s(h))))
-        )
-        rep.target_of_product = max(
-            rep.target_of_product, float(np.max(np.abs(spec.t(gh) - spec.t(g))))
-        )
-        rep.associativity = max(
-            rep.associativity,
-            float(np.max(np.abs(spec.m(gh, k) - spec.m(g, hk)))),
-        )
-        rep.unit_laws = max(
-            rep.unit_laws,
-            float(np.max(np.abs(spec.m(g, spec.u(spec.s(g))) - g))),
-            float(np.max(np.abs(spec.m(spec.u(spec.t(g)), g) - g))),
-        )
-        rep.inverse_laws = max(
-            rep.inverse_laws,
-            float(np.max(np.abs(spec.m(g, spec.i(g)) - spec.u(spec.t(g))))),
-            float(np.max(np.abs(spec.m(spec.i(g), g) - spec.u(spec.s(g))))),
-            float(np.max(np.abs(spec.s(spec.i(g)) - spec.t(g)))),
-        )
-        rep.samples += 1
+    rep = AxiomReport(samples=len(arrows))
+    for start in range(0, len(arrows), BATCH_ROWS):
+        _check_batch(spec, rng, arrows[start : start + BATCH_ROWS], rep)
     return rep
+
+
+def _check_batch(spec: GroupoidSpec, rng, g: np.ndarray, rep: AxiomReport):
+    """Draw the partners of the arrows ``g`` and raise each violation in
+    ``rep`` to the largest on these rows."""
+    h, k = np.empty_like(g), np.empty_like(g)
+    for i, row in enumerate(g):
+        h[i] = spec.composable_partner(rng, row)
+        k[i] = spec.composable_partner(rng, h[i])
+    s, t = spec.source, spec.target
+    sg, tg, sh, th, tk = eval_batch(s, g), eval_batch(t, g), eval_batch(s, h), eval_batch(t, h), eval_batch(t, k)
+    gh = _products(spec, g, h, sg, th)
+    hk = _products(spec, h, k, sh, tk)
+    sgh = eval_batch(s, gh)
+    us, ut, ig = eval_batch(spec.unit, sg), eval_batch(spec.unit, tg), eval_batch(spec.inv, g)
+    sig = eval_batch(s, ig)
+    rep.source_of_product = max(rep.source_of_product, _worst(sgh - sh))
+    rep.target_of_product = max(rep.target_of_product, _worst(eval_batch(t, gh) - tg))
+    rep.associativity = max(
+        rep.associativity,
+        _worst(_products(spec, gh, k, sgh, tk) - _products(spec, g, hk, sg, eval_batch(t, hk))),
+    )
+    rep.unit_laws = max(
+        rep.unit_laws,
+        _worst(_products(spec, g, us, sg, eval_batch(t, us)) - g),
+        _worst(_products(spec, ut, g, eval_batch(s, ut), tg) - g),
+    )
+    rep.inverse_laws = max(
+        rep.inverse_laws,
+        _worst(_products(spec, g, ig, sg, eval_batch(t, ig)) - ut),
+        _worst(_products(spec, ig, g, sig, tg) - us),
+        _worst(sig - tg),
+    )
 
 
 def pair_groupoid(base_dim: int = 1) -> GroupoidSpec:
@@ -248,9 +283,17 @@ class PolarCheckReport:
 
 
 def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
-    """The conversion to (lambda, a) intertwines all structure maps."""
+    """The conversion to (lambda, a) intertwines all structure maps.
+
+    The sampling loop converts each polar arrow g and computes the polar
+    side; after every BATCH_ROWS accepted samples, and after the last,
+    the action side is evaluated, one batch per structure map.  The
+    source and target of every converted g count, also of those whose
+    partner or product is then rejected."""
     rng = np.random.default_rng(seed)
     spec = action_groupoid_rx()
+    arrows, polar_st = [], []  # every converted g, with its polar source and target
+    kept, partners, polar_prod, polar_inv = [], [], [], []  # the accepted samples
     worst = 0.0
     done = 0
     while done < samples:
@@ -263,8 +306,8 @@ def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
         if rng.random() < 0.5:
             theta, t = -theta, -t
         g = polar_arrow_to_action(theta, t)
-        worst = max(worst, abs(polar_source(theta, t) - float(spec.s(g)[0])))
-        worst = max(worst, abs(polar_target(theta, t) - float(spec.t(g)[0])))
+        arrows.append(g)
+        polar_st.append((polar_source(theta, t), polar_target(theta, t)))
         # composable polar partner: target of h must equal source of g = t*theta2
         ang2 = rng.uniform(0.0, 2 * np.pi)
         theta2 = np.array([np.cos(ang2), np.sin(ang2)])
@@ -277,14 +320,34 @@ def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
             # near a coordinate axis the conversion ratio theta1/theta2
             # amplifies representative rounding; resample
             continue
-        prod_action = polar_arrow_to_action(prod.theta, prod.t)
-        worst = max(worst, float(np.max(np.abs(prod_action - spec.m(g, h)))))
+        polar_prod.append(polar_arrow_to_action(prod.theta, prod.t))
         # inversion: the pair-groupoid flip (a, b) -> (b, a)
         inv_polar = _polar_of_pair_arrow(t * theta[1], t * theta[0])
-        inv_action = polar_arrow_to_action(inv_polar.theta, inv_polar.t)
-        worst = max(worst, float(np.max(np.abs(inv_action - spec.i(g)))))
+        polar_inv.append(polar_arrow_to_action(inv_polar.theta, inv_polar.t))
+        kept.append(len(arrows) - 1)
+        partners.append(h)
         done += 1
+        if len(kept) == BATCH_ROWS or done == samples:
+            batch = (arrows, polar_st, kept, partners, polar_prod, polar_inv)
+            worst = max(worst, _polar_batch_violation(spec, *batch))
+            for rows in batch:
+                rows.clear()
     return PolarCheckReport(worst, done)
+
+
+def _polar_batch_violation(spec, arrows, polar_st, kept, partners, polar_prod, polar_inv) -> float:
+    """The largest difference between the polar and the action side on
+    one batch of polar_groupoid_check's samples."""
+    g, h, st = np.array(arrows), np.array(partners), np.array(polar_st)
+    sg = eval_batch(spec.source, g)
+    gk = g[kept]
+    prod = _products(spec, gk, h, sg[kept], eval_batch(spec.target, h))
+    return max(
+        _worst(st[:, :1] - sg),
+        _worst(st[:, 1:] - eval_batch(spec.target, g)),
+        _worst(np.array(polar_prod) - prod),
+        _worst(np.array(polar_inv) - eval_batch(spec.inv, gk)),
+    )
 
 
 @dataclass

@@ -17,8 +17,10 @@ from conecut.dnc import (
     psi_inv,
     rx_action,
 )
+from conecut import dnc as dnc_module
+from conecut import expr as expr_module
 from conecut.errors import DomainViolation, NotAdapted, NotVanishing
-from conecut.expr import Exp, Var, from_components
+from conecut.expr import Exp, SmoothMapExpr, Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 
 
@@ -162,6 +164,34 @@ def test_function_class_dnc_f1_both_branches():
     z0 = DncPoint.of([3.0], [2.0], 0.0)
     # dN f(y) xi = y * xi = 6
     assert eval_function_class("dnc_f1", f, dims, z0) == pytest.approx(6.0)
+
+
+def test_dnc_f1_compiles_its_quotient_map_once(monkeypatch):
+    """Repeated dnc_f1 calls with one f compile one value tape and one jet
+    tape, and give bit for bit what a map built afresh for each call
+    gives.  The cached map goes when f goes."""
+    dims = PairDims(2, 1)
+    f = from_components(2, (Var(1) * Exp(Var(0)),))
+    points = [DncPoint.of([0.3], [0.7], t) for t in (0.5, -1e-3, 1e-320, 0.0)] * 3
+    compiled = []
+    for name in ("_value_tape", "_jet_tape"):
+        original = getattr(expr_module, name)
+        monkeypatch.setattr(
+            expr_module, name, lambda *a, name=name, original=original: compiled.append(name) or original(*a)
+        )
+    got = [eval_function_class("dnc_f1", f, dims, z, check=False) for z in points]
+    monkeypatch.undo()
+    assert sorted(compiled) == ["_jet_tape", "_value_tape"]
+    for z, value in zip(points, got):
+        fresh = MapOfPairs(
+            SmoothMapExpr(2, 2, (Var(0), f.body[0]), f.guards), dims, PairDims(2, 1)
+        )
+        expected = DncMap(fresh, check=False)(z).xi[0]
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes(), z
+    key = id(f)
+    assert key in dnc_module._QUOTIENTS
+    del f
+    assert key not in dnc_module._QUOTIENTS
 
 
 def test_function_class_dnc_f1_requires_vanishing():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecut.errors import ArityMismatch, DomainViolation
+from conecut.errors import ArityMismatch, DomainViolation, UnknownGuardKind
 from conecut.expr import (
     Cos,
     Exp,
@@ -105,6 +105,22 @@ def test_guards_restrict_domain():
     assert not m.in_domain([-0.5])
     with pytest.raises(DomainViolation):
         eval_map(m, [-0.5])
+
+
+@pytest.mark.parametrize("kind", ["nonzero", "positive", "nonnegative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_no_point_with_a_non_finite_coordinate_is_in_the_domain(kind, bad):
+    # NaN compares unequal to zero, so a nonzero guard alone would pass it.
+    guarded = SmoothMapExpr(1, 1, (Var(0),), (Guard(Var(0), kind),))
+    assert not guarded.in_domain([bad])
+    with pytest.raises(DomainViolation):
+        eval_map(guarded, [bad])
+    assert not identity_map(2).in_domain([1.0, bad])
+
+
+def test_unknown_guard_kind_is_rejected_at_construction():
+    with pytest.raises(UnknownGuardKind, match="unknown guard kind 'bogus'"):
+        Guard(Var(0), "bogus")
 
 
 def test_compose_chain_rule():
