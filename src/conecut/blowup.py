@@ -16,6 +16,7 @@ with the projective plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     ArityMismatch,
     CenterPoint,
     DegenerateCurve,
+    DomainViolation,
     NotImmersive,
     OutsideBlupF,
     OutsideChart,
@@ -39,9 +41,24 @@ CHART_TOL = 1e-12
 BLUP_F_RTOL = 1e-10
 
 
+_SCALE = 10.0**ROUND_DECIMALS
+
+
 def _round(a):
-    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0."""
-    return np.round(np.asarray(a, dtype=float), ROUND_DECIMALS) + 0.0
+    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0.
+
+    This computes what np.round(a, ROUND_DECIMALS) does (scale, round
+    half to even, unscale) without numpy's wrapper layers.  A coordinate
+    too large for the scaled value to be finite (above about 1.8e294)
+    has no digits below 10^-ROUND_DECIMALS and is kept as it is.  A
+    coordinate that is not finite raises DomainViolation."""
+    a = np.asarray(a, dtype=float)
+    r = np.rint(a * _SCALE) / _SCALE + 0.0
+    if all(map(math.isfinite, r.ravel().tolist())):
+        return r
+    if not np.isfinite(a).all():
+        raise DomainViolation(f"representative has a non-finite coordinate: {a.tolist()}")
+    return np.where(np.isfinite(r), r, a)[()]
 
 
 def _leading_is_negative(u) -> bool:
@@ -52,13 +69,31 @@ def _leading_is_negative(u) -> bool:
     return False
 
 
+# Below this norm the sum of squares that np.linalg.norm takes the root
+# of is subnormal, and has lost digits.
+_TINY_NORM = 2.0**-511
+
+
+def _unit(v: np.ndarray, zero_message: str):
+    """(v / |v|, |v|).  Where np.linalg.norm overflows or underflows, v is
+    first divided by its largest |entry|.  A zero vector raises
+    CenterPoint with ``zero_message``, a non-finite one DomainViolation."""
+    norm = float(np.linalg.norm(v))
+    if _TINY_NORM <= norm < math.inf:
+        return v / norm, norm
+    if not np.isfinite(v).all():
+        raise DomainViolation(f"direction {v.tolist()} is not finite")
+    big = float(np.max(np.abs(v), initial=0.0))
+    if big == 0.0:
+        raise CenterPoint(zero_message)
+    v = v / big
+    norm = float(np.linalg.norm(v))
+    return v / norm, big * norm
+
+
 def canonical_direction(xi) -> np.ndarray:
     """Unit vector with first nonzero component positive, rounded."""
-    xi = np.asarray(xi, dtype=float)
-    norm = float(np.linalg.norm(xi))
-    if norm == 0.0:
-        raise CenterPoint("zero vector has no direction")
-    u = xi / norm
+    u, _ = _unit(np.asarray(xi, dtype=float), "zero vector has no direction")
     if _leading_is_negative(u):
         u = -u
     return _round(u)
@@ -241,11 +276,7 @@ def algebraic_relations_residual(a: AlgebraicPoint) -> float:
 def canonical_polar(x, theta, t) -> PolarPoint:
     """Canonical representative under (x, theta, t) ~ (x, -theta, -t)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        raise CenterPoint("polar direction must be nonzero")
-    theta = theta / norm
+    theta, norm = _unit(np.asarray(theta, dtype=float), "polar direction must be nonzero")
     t = float(t) * norm
     if _leading_is_negative(theta):
         theta = -theta
@@ -259,8 +290,8 @@ def to_polar(z) -> PolarPoint:
         return canonical_polar(z.y, z.xi_dir, 0.0)
     if isinstance(z, Body):
         y, xb = z.dims.split(z.x)
-        r = float(np.linalg.norm(xb))
-        return canonical_polar(y, xb / r, r)
+        theta, r = _unit(xb, "body point lies on the center")
+        return canonical_polar(y, theta, r)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 

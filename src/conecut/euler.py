@@ -4,11 +4,14 @@ A vector field sigma on the local pair (R^n, R^p) is Euler-like when it
 vanishes on the slice and its normal-block linearization there is the
 identity.  The associated field on the deformation space is
 W = (1/t) sigma + d/dt; it is integrated directly from this ODE by RK4
-(the time component is exact since tdot = 1).  The time-1 slice map
-chi built from the flow, extrapolated from small starting parameters,
-is the tubular-neighborhood embedding: chi restricted to the slice is
-the identity, its normal derivative is the identity, and it carries the
-fiberwise scaling generator to sigma.
+(the time component is exact since tdot = 1).  The stepper replays
+sigma's compiled value tape on lists of floats, bit-identical to the
+same steps on numpy arrays, through ``expr.eval_coords``, which checks
+each stage's domain and finiteness as ``eval_map`` does.  The time-1
+slice map chi built from the flow, extrapolated from small starting
+parameters, is the tubular-neighborhood embedding: chi restricted to
+the slice is the identity, its normal derivative is the identity, and
+it carries the fiberwise scaling generator to sigma.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, NonConvergence, SliceCrossing
-from .expr import SmoothMapExpr, Var, eval_map, from_components, jet_eval
+from .errors import ArityMismatch, DomainViolation, NonConvergence, SliceCrossing
+from .expr import SmoothMapExpr, Var, eval_coords, eval_map, from_components, jet_eval
 from .pairs import PairDims, sample_slice_points
 
 
@@ -81,22 +84,31 @@ def is_euler_like(sigma: VectorField) -> EulerLikeReport:
 
 
 def _rk4(sigma: VectorField, x, grid) -> np.ndarray:
-    """Classical RK4 for xdot = sigma(x)/t along a time grid of one sign.
+    """Classical RK4 for xdot = sigma(x)/t along a time grid of one sign,
+    best given as a list of floats.
 
-    eval_map raises DomainViolation if the trajectory leaves the chart."""
-    x = np.asarray(x, dtype=float).copy()
-
-    def rhs(xv, tv):
-        return sigma(xv) / tv
-
+    Each stage replays sigma's value tape on a list of floats, doing the
+    IEEE operations of the array form in the same order: k = sigma(x)/t,
+    the stage points x + (h/2) k and x + h k, and the update
+    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  It raises DomainViolation
+    if the trajectory leaves the chart or sigma is not finite on it."""
+    f = sigma.components
+    x = np.asarray(x, dtype=float)
+    if x.shape != (f.input_dim,):
+        raise ArityMismatch(f"start point of shape {x.shape} for a field on R^{f.input_dim}")
+    x = x.tolist()
     for t, t_next in zip(grid[:-1], grid[1:]):
         h = t_next - t
-        k1 = rhs(x, t)
-        k2 = rhs(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+        half = 0.5 * h
+        mid = t + half
+        end = t + h
+        k1 = [v / t for v in eval_coords(f, x)]
+        k2 = [v / mid for v in eval_coords(f, [a + half * k for a, k in zip(x, k1)])]
+        k3 = [v / mid for v in eval_coords(f, [a + half * k for a, k in zip(x, k2)])]
+        k4 = [v / end for v in eval_coords(f, [a + h * k for a, k in zip(x, k3)])]
+        sixth = h / 6.0
+        x = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    return np.array(x)
 
 
 def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
@@ -117,7 +129,7 @@ def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
         return x, s
     step = min(abs(s), abs(s_end)) / 20.0
     nsteps = max(1, math.ceil(abs(tau) / step))
-    return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1)), s_end
+    return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1).tolist()), s_end
 
 
 def _geometric_grid(t_start: float, t_end: float) -> list:

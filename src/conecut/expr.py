@@ -12,7 +12,9 @@ or partial derivative that is not finite all raise ``DomainViolation``.
 A map is compiled on first use into tapes that are cached on it: flat
 lists of steps, one per distinct node (shared subtrees once), children
 first.  ``eval_map`` replays the value tape, which checks the guards and
-then computes the body.  ``eval_batch`` replays the same tape once per
+then computes the body; ``eval_coords`` does the same on a list of
+floats and returns floats, for callers that step a point in a loop.
+``eval_batch`` replays the same tape once per
 row of an (N, n) array of points; it saves the conversions ``eval_map``
 makes on each call, but none of the arithmetic, so every row is
 bit-identical to ``eval_map`` at that row.  ``jet_eval`` replays the jet
@@ -713,14 +715,20 @@ def _not_finite(m: SmoothMapExpr, coords: list, vals, rows) -> DomainViolation:
             return DomainViolation(f"derivative of {e} is not finite at {coords}")
 
 
-def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
-    """Evaluate the map; raises DomainViolation outside the domain, which
-    includes the points where a component is not finite."""
-    coords = _check_point(m, point).tolist()
+def eval_coords(m: SmoothMapExpr, coords: list):
+    """The map's values, as a sequence of floats, at a list of its
+    ``input_dim`` coordinates as floats; the caller checks that length.
+    Raises what ``eval_map`` raises."""
     vals = m._values(coords)
     if not all(map(math.isfinite, vals)):
         raise _not_finite(m, coords, vals, ())
-    return np.array(vals)
+    return vals
+
+
+def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
+    """Evaluate the map; raises DomainViolation outside the domain, which
+    includes the points where a component is not finite."""
+    return np.array(eval_coords(m, _check_point(m, point).tolist()))
 
 
 def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:

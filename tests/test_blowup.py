@@ -40,8 +40,8 @@ from conecut.blowup import (
 )
 from conecut.dnc import DncPoint
 from conecut.groupoid import rotate_blowup_point
-from conecut import pairs
-from conecut.errors import CenterPoint, NotAdapted, NotImmersive, OutsideBlupF, OutsideChart
+from conecut import blowup, pairs
+from conecut.errors import CenterPoint, DomainViolation, NotAdapted, NotImmersive, OutsideBlupF, OutsideChart
 from conecut.expr import Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 from conecut.ring import MultiPoly
@@ -401,3 +401,83 @@ def test_representatives_never_carry_negative_zero():
     assert not np.any(np.signbit(rotated.x[:1]))
     assert rotated.x[1] == -1.0
     assert not np.signbit(canonical_polar([], [1.0, 0.0], -1e-16).t)
+
+
+# -- rounding and normalisation at the ends of the float range -----------
+
+
+def _reference_round(a):
+    """The rounding _round replaced, kept as its oracle."""
+    return np.round(np.asarray(a, dtype=float), 14) + 0.0
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).shape == np.asarray(want).shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_round_matches_numpy_round_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for exponent in range(-20, 291, 5):
+        a = rng.normal(size=4000) * 10.0**exponent
+        with np.errstate(over="ignore"):
+            want = _reference_round(a)
+        finite = np.isfinite(want)
+        _same_bits(blowup._round(a[finite]), want[finite])
+    halves = (np.arange(-50, 50) + 0.5) * 1e-14
+    for a in (halves, [2.5e-14, -2.5e-14, 0.5, 1.5, -2.5, 1e-15], [0.0, -0.0, -1e-16, 1e-300]):
+        _same_bits(blowup._round(a), _reference_round(a))
+    for a in (2.5e-14, -0.0, 0.3, np.float64(-1e-15), np.array(7.125), np.zeros(0), np.zeros((0, 3))):
+        _same_bits(blowup._round(a), _reference_round(a))
+    assert not np.signbit(blowup._round(-0.0))
+
+
+def test_round_keeps_coordinates_too_large_to_scale():
+    with np.errstate(over="ignore"):
+        got = blowup._round([1e300, -1e295, 0.1 + 1e-16])
+    assert got.tolist() == [1e300, -1e295, 0.1]
+    with np.errstate(over="ignore"):
+        assert blowup._round(-1e300) == -1e300
+        assert from_ambient([1e300, 1.0], PairDims(2, 1)).x.tolist() == [1e300, 1.0]
+        assert canonicalize([1e295], [1.0], 1.0, PairDims(2, 1)).x.tolist() == [1e295, 1.0]
+        assert canonical_polar([1e300], [1.0], 2.0).x.tolist() == [1e300]
+
+
+def test_round_rejects_non_finite_coordinates():
+    for a in ([0.1, np.nan], [np.inf], -np.inf):
+        with pytest.raises(DomainViolation):
+            blowup._round(a)
+    with pytest.raises(DomainViolation):
+        canonicalize([0.1], [np.nan], 1.0, PairDims(2, 1))
+    with pytest.raises(DomainViolation):
+        chart_phi_inv(1, [np.nan, 1.0], PairDims(2, 1))
+
+
+def test_directions_survive_norm_overflow_and_underflow():
+    with np.errstate(over="ignore", under="ignore"):
+        _same_bits(canonical_direction([1e200, 1e200]), canonical_direction([1.0, 1.0]))
+        _same_bits(canonical_direction([-1e200, 1e200]), canonical_direction([-1.0, 1.0]))
+        assert canonical_direction([1e-320, 0.0]).tolist() == [1.0, 0.0]
+        # a norm whose square is subnormal has lost digits
+        assert canonical_direction([1e-160, 0.0]).tolist() == [1.0, 0.0]
+        assert canonical_direction([3e-160, -4e-160]).tolist() == [0.6, -0.8]
+        pp = canonical_polar([0.1], [1e200, -1e200], -1.0)
+        assert pp.theta.tolist() == canonical_direction([1.0, -1.0]).tolist()
+        assert pp.t == pytest.approx(-1e200 * np.sqrt(2.0), rel=1e-15)
+        pp = to_polar(from_ambient([0.5, -1e300], PairDims(2, 1)))
+        assert (pp.x.tolist(), pp.theta.tolist(), pp.t) == ([0.5], [1.0], -1e300)
+    with pytest.raises(CenterPoint, match="zero vector"):
+        canonical_direction([0.0, -0.0])
+    with pytest.raises(CenterPoint, match="polar direction"):
+        canonical_polar([0.1], [0.0], 1.0)
+
+
+def test_non_finite_directions_are_rejected():
+    for xi in ([np.inf, 1.0], [np.nan, 0.0], [-np.inf, np.inf]):
+        with pytest.raises(DomainViolation):
+            canonical_direction(xi)
+    with pytest.raises(DomainViolation):
+        canonical_polar([0.1], [np.inf], 1.0)
+    with pytest.raises(DomainViolation):
+        canonical_polar([0.1], [1.0], np.inf)
