@@ -32,7 +32,7 @@ from .errors import (
 )
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
 from .dnc import DncPoint
-from .ring import MultiPoly, squarefree_factors, vanishing_order
+from .ring import MultiPoly, squarefree_factors
 
 # Representatives are rounded at this many decimals so that orbit
 # equality becomes bitwise equality.
@@ -142,10 +142,7 @@ def canonicalize(y, xi, t, dims: PairDims):
         raise ArityMismatch("block shapes do not match the pair dimensions")
     if t == 0.0:
         return Exceptional(_round(y), canonical_direction(xi), dims)
-    x_block = t * xi
-    if float(np.linalg.norm(x_block)) == 0.0:
-        raise CenterPoint("orbit meets the center: t != 0 with t*xi = 0")
-    return Body(_round(np.concatenate([y, x_block])), dims)
+    return _body(np.concatenate([y, t * xi]), dims, "orbit meets the center: t != 0 with t*xi = 0")
 
 
 def point_dist(z, w) -> float:
@@ -163,10 +160,18 @@ def point_dist(z, w) -> float:
 def from_ambient(x, dims: PairDims) -> Body:
     """The body point over an off-center ambient point."""
     x = np.asarray(x, dtype=float)
-    y, xb = dims.split(x)
-    if float(np.linalg.norm(xb)) == 0.0:
-        raise CenterPoint("ambient point lies on the center")
-    return Body(_round(x), dims)
+    dims.split(x)  # raises ArityMismatch on a point of the wrong shape
+    return _body(x, dims, "ambient point lies on the center")
+
+
+def _body(x: np.ndarray, dims: PairDims, center_message: str) -> Body:
+    """The Body point at x, rounded; CenterPoint with ``center_message``
+    if the rounded x-block is zero, so a representative never lies on
+    the center."""
+    r = _round(x)
+    if not any(r.tolist()[dims.p :]):
+        raise CenterPoint(center_message)
+    return Body(r, dims)
 
 
 def blowdown(z) -> np.ndarray:
@@ -216,7 +221,7 @@ def chart_phi_inv(i: int, w, dims: PairDims):
         return Exceptional(_round(y), canonical_direction(xi), dims)
     xb = s[k] * s
     xb[k] = s[k]
-    return Body(_round(np.concatenate([y, xb])), dims)
+    return _body(np.concatenate([y, xb]), dims, "chart point rounds onto the center")
 
 
 def transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
@@ -502,22 +507,11 @@ def sphere_rp2_inv(a) -> "SphereBody | SphereExceptional":
 # target affine chart of the projective plane).
 
 
-def _rp2_chart0(a: np.ndarray) -> np.ndarray:  # a0 != 0: (a2/a0, a1/a0)
-    if a[0] == 0.0:
-        raise OutsideChart("projective point has a0 = 0")
-    return np.array([a[2] / a[0], a[1] / a[0]])
-
-
-def _rp2_chart1(a: np.ndarray) -> np.ndarray:  # a1 != 0: (a0/a1, a2/a1)
-    if a[1] == 0.0:
-        raise OutsideChart("projective point has a1 = 0")
-    return np.array([a[0] / a[1], a[2] / a[1]])
-
-
-def _rp2_chart2(a: np.ndarray) -> np.ndarray:  # a2 != 0: (a0/a2, a1/a2)
-    if a[2] == 0.0:
-        raise OutsideChart("projective point has a2 = 0")
-    return np.array([a[0] / a[2], a[1] / a[2]])
+def _rp2_affine(a: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
+    """The affine chart a_i != 0 of the projective plane: (a_j/a_i, a_k/a_i)."""
+    if a[i] == 0.0:
+        raise OutsideChart(f"projective point has a{i} = 0")
+    return np.array([a[j] / a[i], a[k] / a[i]])
 
 
 def sphere_chart(which: int, z) -> np.ndarray:
@@ -584,7 +578,8 @@ def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
     raise OutsideChart(f"sphere chart index {which} out of range 1..4")
 
 
-_RP2_CHARTS = {1: _rp2_chart0, 2: _rp2_chart1, 3: _rp2_chart2, 4: _rp2_chart2}
+# The target affine chart of each presentation, as (i, j, k) for _rp2_affine.
+_RP2_CHARTS = {1: (0, 2, 1), 2: (1, 0, 2), 3: (2, 0, 1), 4: (2, 0, 1)}
 
 
 def sphere_local_expression(which: int, w) -> np.ndarray:
@@ -606,4 +601,4 @@ def sphere_local_expression_direct(which: int, w) -> np.ndarray:
     """The same map computed by brute composition chart -> point -> image
     -> target affine chart; oracle for the closed forms."""
     z = sphere_chart_inv(which, w)
-    return _RP2_CHARTS[which](sphere_rp2_map(z))
+    return _rp2_affine(sphere_rp2_map(z), *_RP2_CHARTS[which])

@@ -15,9 +15,9 @@ bytes.  Floats are printed with 17 significant digits.  Exit code 0
 means all requested checks passed, 1 means a check failed, 2 means the
 invocation or an input could not be parsed.
 
-Per-suite tolerance overrides for `verify` are spelled with a dotted
-flag, e.g. ``--tol.atlas 1e-9``; these are collected before regular
-argument parsing.
+A suite's tolerance is overridden with a dotted flag after the
+subcommand, e.g. ``verify --tol.atlas 1e-9``; it beats ``--tol`` for
+that suite.
 """
 
 from __future__ import annotations
@@ -123,51 +123,17 @@ def _to_csv(payload) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- dotted tolerance flags -------------------------------------------
-
-
-def extract_suite_tols(argv):
-    """Pull ``--tol.<suite> <value>`` (or ``=``-joined) out of argv."""
-    remaining = []
-    overrides = {}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token.startswith("--tol."):
-            if "=" in token:
-                flag, value = token.split("=", 1)
-            else:
-                if i + 1 >= len(argv):
-                    raise ParseError(f"flag {token} needs a value", 0)
-                flag, value = token, argv[i + 1]
-                i += 1
-            suite = flag[len("--tol.") :]
-            if suite not in vf.SUITES:
-                raise ParseError(f"unknown suite in {flag}", 0)
-            try:
-                overrides[suite] = float(value)
-            except ValueError:
-                raise ParseError(f"bad tolerance for {flag}: {value}", 0)
-        else:
-            remaining.append(token)
-        i += 1
-    return remaining, overrides
-
-
 # -- subcommand implementations ---------------------------------------
 
 
-def _cmd_verify(args, tol_overrides) -> int:
+def _cmd_verify(args) -> int:
     """Run the requested suites; a demo runs its one suite and emits its row."""
     names = args.suite or sorted(vf.SUITES)
-    for name in names:
-        if name not in vf.SUITES:
-            print(f"unknown suite: {name}", file=sys.stderr)
-            return EXIT_USAGE
     results = []
     for name in sorted(names):
         samples = args.samples if args.samples is not None else vf.DEFAULT_SUITE_SAMPLES[name]
-        tol = tol_overrides.get(name, args.tol)
+        override = getattr(args, f"tol.{name}")
+        tol = args.tol if override is None else override
         results.append(vf.SUITES[name](samples=samples, seed=args.seed, tol=tol))
     all_ok = all(r.ok for r in results)
     if args.command == "verify":
@@ -178,7 +144,7 @@ def _cmd_verify(args, tol_overrides) -> int:
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
-def _cmd_resolve_curve(args, _tols) -> int:
+def _cmd_resolve_curve(args) -> int:
     from .blowup import strict_transform_curve
 
     poly = expr_to_poly(parse_expr(args.poly, ["x", "y"]), 0, 2)
@@ -202,7 +168,7 @@ def _parse_dims(text: str) -> PairDims:
     return PairDims(int(parts[0]), int(parts[1]))
 
 
-def _cmd_check_map(args, _tols) -> int:
+def _cmd_check_map(args) -> int:
     source = _parse_dims(args.source_dims)
     target = _parse_dims(args.target_dims) if args.target_dims else source
     f = parse_map(args.map, source.n, pair_var_names(source.p, source.q))
@@ -244,7 +210,7 @@ def _cmd_check_map(args, _tols) -> int:
     return EXIT_OK if adapted.ok else EXIT_FAILED
 
 
-def _cmd_ring_demo(args, _tols) -> int:
+def _cmd_ring_demo(args) -> int:
     p, q = args.p, args.q
     element = parse_laurent(args.element, p, q)
     x_point = [Fraction(1, 2)] * (p + q)
@@ -287,9 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
+        for name in vf.SUITES:
+            sp.add_argument(f"--tol.{name}", dest=f"tol.{name}", type=float, default=None, metavar="TOL")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", action="append", help="suite name (repeatable)")
+    sp.add_argument("--suite", action="append", choices=list(vf.SUITES), help="suite name (repeatable)")
     common(sp)
 
     sp = sub.add_parser("resolve-curve", help="strict transform of a plane curve")
@@ -338,19 +306,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        argv, tol_overrides = extract_suite_tols(argv)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, tol_overrides)
+        return _COMMANDS[args.command](args)
     except (ConecutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,26 +11,23 @@ the map
 
 the multiplicative group acts by lambda . (y, xi, t) = (y, xi/lambda,
 lambda t), and t itself is a submersion whose fibers are the slices.
+
+A function f vanishing on the slice is a map of pairs (R^n, R^p) ->
+(R, {0}); the deformation space of (R, {0}) is R x R, so the dnc_f1
+quotient f(y, t xi)/t, extended by dN f(y) xi at t = 0, is the
+xi-component of the induced map of f.
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, NotVanishing
-from .pairs import (
-    ADAPTED_TOL,
-    MapOfPairs,
-    PairDims,
-    normal_derivative,
-    require_adapted,
-    sample_slice_points,
-)
-from .expr import SmoothMapExpr, Var
+from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, require_adapted
+from .expr import SmoothMapExpr
 
 
 @dataclass(frozen=True)
@@ -142,15 +139,12 @@ _KINDS = ("hat_f0", "dnc_f1", "hat_t")
 
 
 def check_vanishes_on_slice(f: SmoothMapExpr, dims: PairDims):
-    """Sampled check that a scalar function vanishes on the slice {x = 0}."""
-    worst = 0.0
-    for point in sample_slice_points(dims, 128, 0):
-        if not f.in_domain(point):
-            continue
-        worst = max(worst, abs(float(f(point)[0])))
-    if worst > ADAPTED_TOL:
+    """Sampled check that a scalar function vanishes on the slice {x = 0}:
+    that f is a map of pairs (R^n, R^p) -> (R, {0})."""
+    report = check_adapted(MapOfPairs(f, dims, PairDims(1, 0)), samples=128)
+    if not report.ok:
         raise NotVanishing(
-            f"function does not vanish on the slice (worst violation {worst:.3e})"
+            f"function does not vanish on the slice (worst violation {report.worst_violation:.3e})"
         )
 
 
@@ -161,7 +155,9 @@ def eval_function_class(
 
     hat_f0: pullback of f along the shadow, (y, xi, t) -> f(y, t*xi).
     dnc_f1: for f vanishing on the slice, the smooth quotient
-            (y, xi, t) -> f(y, t*xi)/t, extended by dN f(y) xi at t = 0.
+            (y, xi, t) -> f(y, t*xi)/t, extended by dN f(y) xi at t = 0:
+            the xi-component of the induced map of the map of pairs
+            f: (R^n, R^p) -> (R, {0}).
     hat_t:  the submersion (y, xi, t) -> t.
     """
     if kind not in _KINDS:
@@ -175,35 +171,4 @@ def eval_function_class(
     # dnc_f1
     if check:
         check_vanishes_on_slice(f, dims)
-    return float(_quotient_map(f, dims)(z).xi[0])
-
-
-# The induced maps dnc_f1 has built, by id(f) and then by dims.  A weak
-# reference to f drops f's entry when f is freed, before any other map
-# can take its id, so an entry lives exactly as long as its f.
-_QUOTIENTS: dict = {}
-
-
-def _quotient_map(f: SmoothMapExpr, dims: PairDims) -> DncMap:
-    """The induced map of (y, x) -> (y, f(y, x)), whose xi component is
-    the dnc_f1 quotient; built, and so compiled, once per (f, dims)."""
-    key = id(f)
-    entry = _QUOTIENTS.get(key)
-    if entry is None:
-        entry = _QUOTIENTS[key] = (weakref.ref(f, lambda _, key=key: _QUOTIENTS.pop(key, None)), {})
-    maps = entry[1]
-    quotient = maps.get(dims)
-    if quotient is not None:
-        return quotient
-    pair = MapOfPairs(
-        SmoothMapExpr(
-            dims.n,
-            dims.p + 1,
-            tuple(Var(i) for i in range(dims.p)) + (f.body[0],),
-            f.guards,
-        ),
-        dims,
-        PairDims(dims.p + 1, dims.p),
-    )
-    quotient = maps[dims] = DncMap(pair, check=False)
-    return quotient
+    return float(DncMap(MapOfPairs(f, dims, PairDims(1, 0)), check=False)(z).xi[0])

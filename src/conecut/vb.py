@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
-from .expr import SmoothMapExpr, Var, compose, eval_map, from_components, jet_eval
-from .pairs import MapOfPairs, PairDims, check_adapted, numeric_rank
+from .expr import SmoothMapExpr, Var, compose, eval_map, from_components
+from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
 
@@ -184,16 +184,8 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
         ),
         id_and_alpha,
     )
-    # adapted: e(v, alpha(v)) = 0 on the slice.
-    e_pair = MapOfPairs(
-        from_components(
-            dims.n,
-            tuple(Var(i) for i in range(dims.p)) + e_along.body,
-            e_along.guards,
-        ),
-        dims,
-        PairDims(dims.p + model.rank_e, dims.p),
-    )
+    # adapted: u -> e(u, alpha(u)) is a map of pairs (R^n, R^p) -> (R^l, {0}).
+    e_pair = MapOfPairs(e_along, dims, PairDims(model.rank_e, 0))
     report = check_adapted(e_pair, samples=64)
     if not report.ok:
         raise NotAdapted(
@@ -205,8 +197,7 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
     if isinstance(z, Exceptional):
         slice_point = dims.join(z.y, np.zeros(dims.q))
         phi = model.f_of(slice_point, eval_map(alpha, slice_point))
-        jac = jet_eval(e_along, slice_point).jacobian
-        eps = jac[:, dims.p :] @ z.xi_dir
+        eps = normal_derivative(e_pair, z.y) @ z.xi_dir
         return VbExceptional(z.y.copy(), z.xi_dir.copy(), phi, eps)
     raise TypeError(f"not a blow-up point: {z!r}")
 

@@ -23,7 +23,6 @@ from . import ring as rg
 from . import vb
 from .errors import OutsideChart
 from .expr import (
-    Cos,
     Exp,
     Sin,
     SmoothMapExpr,
@@ -33,7 +32,7 @@ from .expr import (
     from_components,
     jet_eval,
 )
-from .pairs import MapOfPairs, PairDims, normal_derivative, numeric_rank
+from .pairs import MapOfPairs, PairDims, normal_derivative
 
 
 @dataclass

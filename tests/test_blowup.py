@@ -481,3 +481,26 @@ def test_non_finite_directions_are_rejected():
         canonical_polar([0.1], [np.inf], 1.0)
     with pytest.raises(DomainViolation):
         canonical_polar([0.1], [1.0], np.inf)
+
+
+# An x-block below half of 10^-14 rounds to zero: such a point is not an
+# off-center representative, so it raises instead of becoming a Body on
+# the center.  One x-coordinate that survives rounding keeps it off.
+
+
+def test_from_ambient_rejects_a_point_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint, match="ambient point lies on the center"):
+        from_ambient([0.5, 1e-15], PairDims(2, 1))
+    assert from_ambient([0.5, 1e-15, 1e-13], PairDims(3, 1)).x.tolist() == [0.5, 0.0, 1e-13]
+
+
+def test_canonicalize_rejects_an_orbit_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint, match="orbit meets the center"):
+        canonicalize([0.5], [1e-15], 1.0, PairDims(2, 1))
+    assert canonicalize([0.5], [1e-15], 10.0, PairDims(2, 1)).x.tolist() == [0.5, 1e-14]
+
+
+def test_chart_phi_inv_rejects_a_chart_point_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint, match="rounds onto the center"):
+        chart_phi_inv(1, [0.5, 1e-15], PairDims(2, 1))
+    assert chart_phi_inv(1, [0.5, 1e-14], PairDims(2, 1)).x.tolist() == [0.5, 1e-14]

@@ -74,6 +74,16 @@ def test_dotted_tolerance_flag_rejects_unknown_suite():
     assert out.returncode == 2
 
 
+def test_dotted_tolerance_flag_belongs_to_the_subcommand():
+    joined = run_cli("verify", "--suite", "models", "--samples", "20", "--tol.models=1e-300")
+    assert joined.returncode == 1
+    # the override beats --tol for its suite only
+    loose = run_cli("verify", "--suite", "models", "--samples", "20", "--tol", "1e-300", "--tol.models", "1")
+    assert loose.returncode == 0
+    before = run_cli("--tol.models", "1e-300", "verify", "--suite", "curve")
+    assert before.returncode == 2
+
+
 def test_parse_error_exit_code():
     out = run_cli("resolve-curve", "--poly", "y^2 - ")
     assert out.returncode == 2

@@ -12,15 +12,15 @@ from conecut.dnc import (
     DncMap,
     DncPoint,
     NormalSlice,
+    check_vanishes_on_slice,
     eval_function_class,
     psi,
     psi_inv,
     rx_action,
 )
-from conecut import dnc as dnc_module
 from conecut import expr as expr_module
-from conecut.errors import DomainViolation, NotAdapted, NotVanishing
-from conecut.expr import Exp, SmoothMapExpr, Var, from_components
+from conecut.errors import DomainViolation, NotAdapted, NotVanishing, SamplingFailure
+from conecut.expr import Exp, Guard, SmoothMapExpr, Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 
 
@@ -167,9 +167,9 @@ def test_function_class_dnc_f1_both_branches():
 
 
 def test_dnc_f1_compiles_its_quotient_map_once(monkeypatch):
-    """Repeated dnc_f1 calls with one f compile one value tape and one jet
-    tape, and give bit for bit what a map built afresh for each call
-    gives.  The cached map goes when f goes."""
+    """Repeated dnc_f1 calls with one f compile only f's own value tape
+    and jet tape, once each, and give bit for bit the xi-component of the
+    induced map of (y, x) -> (y, f(y, x)), the pair (R^2, R) -> (R^2, R)."""
     dims = PairDims(2, 1)
     f = from_components(2, (Var(1) * Exp(Var(0)),))
     points = [DncPoint.of([0.3], [0.7], t) for t in (0.5, -1e-3, 1e-320, 0.0)] * 3
@@ -188,10 +188,16 @@ def test_dnc_f1_compiles_its_quotient_map_once(monkeypatch):
         )
         expected = DncMap(fresh, check=False)(z).xi[0]
         assert np.float64(value).tobytes() == np.float64(expected).tobytes(), z
-    key = id(f)
-    assert key in dnc_module._QUOTIENTS
-    del f
-    assert key not in dnc_module._QUOTIENTS
+
+
+def test_dnc_f1_check_needs_a_slice_point_in_the_domain():
+    """A guard that excludes the whole slice leaves nothing to check."""
+    dims = PairDims(2, 1)
+    f = from_components(2, (Var(1),), (Guard(Var(1), "nonzero"),))
+    with pytest.raises(SamplingFailure):
+        check_vanishes_on_slice(f, dims)
+    with pytest.raises(SamplingFailure):
+        eval_function_class("dnc_f1", f, dims, DncPoint.of([0.0], [1.0], 0.5))
 
 
 def test_function_class_dnc_f1_requires_vanishing():

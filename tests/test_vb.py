@@ -5,8 +5,8 @@ import pytest
 
 from conecut.blowup import Body, Exceptional, canonical_direction, from_ambient
 from conecut.errors import NotAdapted, OutsideChart
-from conecut.expr import SmoothMapExpr, Var, from_components
-from conecut.pairs import PairDims
+from conecut.expr import SmoothMapExpr, Var, compose, from_components, jet_eval
+from conecut.pairs import MapOfPairs, PairDims, check_adapted
 from conecut.vb import (
     VbBody,
     VbExceptional,
@@ -87,6 +87,65 @@ def test_section_blowup_rejects_non_subbundle_section():
     exc = Exceptional(np.array([0.5]), canonical_direction([1.0, 2.0]), BASE)
     with pytest.raises(NotAdapted):
         section_blowup(model, alpha, exc)
+
+
+def _wrapper_section_eps(model, alpha, z):
+    """Oracle: eps as the section blow-up used to compute it, from the
+    wrapper map u -> (y, e(u, alpha(u))) and the x-columns of the Jacobian
+    of u -> e(u, alpha(u))."""
+    dims = model.base
+    id_and_alpha = from_components(
+        dims.n, tuple(Var(i) for i in range(dims.n)) + alpha.body, alpha.guards
+    )
+    e_along = compose(
+        from_components(model.frame.input_dim, model.frame.body[model.rank_f :], model.frame.guards),
+        id_and_alpha,
+    )
+    e_pair = MapOfPairs(
+        from_components(dims.n, tuple(Var(i) for i in range(dims.p)) + e_along.body, e_along.guards),
+        dims,
+        PairDims(dims.p + model.rank_e, dims.p),
+    )
+    report = check_adapted(e_pair, samples=64)
+    if not report.ok:
+        raise NotAdapted(
+            f"section does not take sub-bundle values on the slice "
+            f"(worst violation {report.worst_violation:.3e})"
+        )
+    jac = jet_eval(e_along, dims.join(z.y, np.zeros(dims.q))).jacobian
+    return jac[:, dims.p :] @ z.xi_dir
+
+
+def test_section_blowup_matches_the_wrapper_construction():
+    u0, x1, x2 = Var(0), Var(1), Var(2)
+    sections = [
+        from_components(3, (u0, x1, x1 + x2)),
+        from_components(3, (u0 * u0, x1 * u0 + x2 * x2, x2 - 3.0 * x1 * u0)),
+        from_components(3, (u0 * 0.0, u0 * 0.0, x1)),
+        from_components(3, (u0, x1 + 1.0, x2)),
+        from_components(3, (u0, u0 * x1, x2 + u0)),
+    ]
+    points = [
+        Exceptional(np.array([y]), canonical_direction(d), BASE)
+        for y in (0.5, -0.7, 0.0)
+        for d in ([1.0, 2.0], [-3.0, 0.25], [0.0, 1.0])
+    ]
+    outcomes = []
+    for model in (trivial_model(BASE, 1, 2), _mixing_model()):
+        for alpha in sections:
+            for z in points:
+                try:
+                    expected = _wrapper_section_eps(model, alpha, z)
+                except NotAdapted as exc:
+                    with pytest.raises(NotAdapted) as got:
+                        section_blowup(model, alpha, z)
+                    assert str(got.value) == str(exc)
+                    outcomes.append("rejected")
+                    continue
+                eps = section_blowup(model, alpha, z).eps
+                assert eps.tobytes() == expected.tobytes(), (alpha, z)
+                outcomes.append("blown up")
+    assert outcomes.count("rejected") == 36 and outcomes.count("blown up") == 54
 
 
 def test_coordinate_section_frame_identity():
