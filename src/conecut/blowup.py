@@ -7,11 +7,17 @@ nonzero component positive, a Body point carries the ambient point x
 {x_i y_j = y_i x_j} of R^n x RP^{n-1}.  Polar model: the double cover
 R^p x S^{q-1} x R modulo (x, theta, t) ~ (x, -theta, -t).
 
+Representatives are made by ``canonicalize`` from an orbit (y, xi, t)
+and by ``from_ambient`` from an off-center ambient point, never on the
+center.  Chart inverses, models, induced maps and the deformation space
+call them; the Body branch of ``chart_phi_inv`` calls their ``_body``.
+
 Also here: the q projective charts with their transitions, the
 blow-down, induced maps of blow-ups, strict transforms of plane curves,
 product splitting, the open inclusion of the deformation space into a
 one-higher blow-up, and the identification of the blown-up two-sphere
-with the projective plane.
+with the projective plane.  The sphere's four charts are the plane's
+two projective charts read through the two stereographic charts.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .errors import (
     OutsideChart,
 )
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
-from .dnc import DncPoint
 from .ring import MultiPoly, squarefree_factors
 
 # Representatives are rounded at this many decimals so that orbit
@@ -218,7 +223,7 @@ def chart_phi_inv(i: int, w, dims: PairDims):
     if s[k] == 0.0:
         xi = s.copy()
         xi[k] = 1.0
-        return Exceptional(_round(y), canonical_direction(xi), dims)
+        return canonicalize(y, xi, 0.0, dims)
     xb = s[k] * s
     xb[k] = s[k]
     return _body(np.concatenate([y, xb]), dims, "chart point rounds onto the center")
@@ -237,14 +242,14 @@ def blowup_map(f: MapOfPairs, z):
         _, x2 = f.target.split(value)
         if float(np.linalg.norm(x2)) <= BLUP_F_RTOL * (1.0 + float(np.linalg.norm(value))):
             raise OutsideBlupF("body point maps into the target submanifold")
-        return Body(_round(value), f.target)
+        return from_ambient(value, f.target)
     if isinstance(z, Exceptional):
         dn = normal_derivative(f, z.y)
         image = dn @ z.xi_dir
         scale = float(np.linalg.norm(dn, ord=2)) * float(np.linalg.norm(z.xi_dir))
         if float(np.linalg.norm(image)) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
-        return Exceptional(_round(f.slice_image(z.y)), canonical_direction(image), f.target)
+        return canonicalize(f.slice_image(z.y), image, 0.0, f.target)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -264,8 +269,8 @@ def from_algebraic(a: AlgebraicPoint, dims: PairDims):
     if dims.p != 0:
         raise ArityMismatch("the algebraic model is for a point center")
     if float(np.linalg.norm(a.x)) == 0.0:
-        return Exceptional(np.zeros(0), canonical_direction(a.line), dims)
-    return Body(_round(np.asarray(a.x, dtype=float)), dims)
+        return canonicalize(np.zeros(0), a.line, 0.0, dims)
+    return from_ambient(a.x, dims)
 
 
 def algebraic_relations_residual(a: AlgebraicPoint) -> float:
@@ -301,9 +306,7 @@ def to_polar(z) -> PolarPoint:
 
 
 def from_polar(pp: PolarPoint, dims: PairDims):
-    if pp.t == 0.0:
-        return Exceptional(_round(pp.x), canonical_direction(pp.theta), dims)
-    return Body(_round(np.concatenate([pp.x, pp.t * pp.theta])), dims)
+    return canonicalize(pp.x, pp.theta, pp.t, dims)
 
 
 def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
@@ -365,18 +368,14 @@ def product_join(z, m, factor_dims: PairDims):
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
-def dnc_as_open_subset(z: DncPoint):
+def dnc_as_open_subset(z):
     """Open inclusion of the deformation space into Blup(X x R, Y x {0}).
 
     The target pair has ambient (y, x, t) and submanifold {(x, t) = 0};
-    a t = 0 chart point (y, xi, 0) lands on the exceptional divisor with
-    direction (xi, 1), a body point (y, xi, t) lands at ((y, t xi), t)."""
-    dims = PairDims(z.dims.n + 1, z.dims.p)
-    if z.t == 0.0:
-        return Exceptional(
-            _round(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
-        )
-    return Body(_round(np.concatenate([z.y, z.t * z.xi, [z.t]])), dims)
+    the chart point z = (y, xi, t) of a DncPoint is the orbit of
+    (y, (xi, 1), t): at t = 0 it lands on the exceptional divisor with
+    direction (xi, 1), otherwise at ((y, t xi), t)."""
+    return canonicalize(z.y, np.append(z.xi, 1.0), z.t, PairDims(z.dims.n + 1, z.dims.p))
 
 
 # -- strict transform of plane curves ---------------------------------
@@ -449,22 +448,18 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
 # -- the blown-up two-sphere and the projective plane ------------------
 
 
-def _stereo_south(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], x[1]]) / (1.0 + x[2])
+# Stereographic chart from the pole (0, 0, pole), pole = -1 (south) or +1
+# (north).  1 - pole*x2 and pole*r2 - pole equal 1 + x2 and 1 - r2 at -1,
+# 1 - x2 and r2 - 1 at +1, bit for bit and with the same signed zeros.
 
 
-def _stereo_north(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], x[1]]) / (1.0 - x[2])
+def _stereo(x: np.ndarray, pole: float) -> np.ndarray:
+    return np.array([x[0], x[1]]) / (1.0 - pole * x[2])
 
 
-def _stereo_south_inv(u: np.ndarray) -> np.ndarray:
+def _stereo_inv(u: np.ndarray, pole: float) -> np.ndarray:
     r2 = float(u @ u)
-    return np.array([2 * u[0], 2 * u[1], 1.0 - r2]) / (1.0 + r2)
-
-
-def _stereo_north_inv(u: np.ndarray) -> np.ndarray:
-    r2 = float(u @ u)
-    return np.array([2 * u[0], 2 * u[1], r2 - 1.0]) / (1.0 + r2)
+    return np.array([2 * u[0], 2 * u[1], pole * r2 - pole]) / (1.0 + r2)
 
 
 @dataclass(frozen=True)
@@ -514,68 +509,49 @@ def _rp2_affine(a: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
     return np.array([a[j] / a[i], a[k] / a[i]])
 
 
+# Sphere chart -> (projective chart of the blown-up plane, pole of the
+# stereographic chart it is read through).
+_SPHERE_CHARTS = {1: (1, -1.0), 2: (2, -1.0), 3: (1, 1.0), 4: (2, 1.0)}
+_PLANE = PairDims(2, 0)
+
+
+def _plane_chart_and_pole(which: int):
+    if which not in _SPHERE_CHARTS:
+        raise OutsideChart(f"sphere chart index {which} out of range 1..4")
+    return _SPHERE_CHARTS[which]
+
+
 def sphere_chart(which: int, z) -> np.ndarray:
-    """Blow-up charts of the blown-up sphere, in order of presentation.
+    """Blow-up charts of the blown-up sphere, in order of presentation:
+    ``chart_phi`` of the plane's blow-up at the stereographic image.
 
     1: south-stereographic chart 1 — body (x0/(1+x2), x1/x0), exceptional (0, xi1/xi0)
     2: south-stereographic chart 2 — body (x0/x1, x1/(1+x2)), exceptional (xi0/xi1, 0)
     3: north-stereographic chart 1 — body (x0/(1-x2), x1/x0)
     4: north-stereographic chart 2 — body (x0/x1, x1/(1-x2))
     """
-    if which in (1, 2):
-        if isinstance(z, SphereExceptional):
-            xi0, xi1 = z.xi
-            if which == 1:
-                if xi0 == 0.0:
-                    raise OutsideChart("tangent direction has xi0 = 0")
-                return np.array([0.0, xi1 / xi0])
-            if xi1 == 0.0:
-                raise OutsideChart("tangent direction has xi1 = 0")
-            return np.array([xi0 / xi1, 0.0])
-        x = z.x
-        if x[2] == -1.0:
-            raise OutsideChart("south pole outside the south-stereographic chart")
-        u = _stereo_south(x)
-        if which == 1:
-            if u[0] == 0.0:
-                raise OutsideChart("body point has first chart coordinate 0")
-            return np.array([u[0], u[1] / u[0]])
-        if u[1] == 0.0:
-            raise OutsideChart("body point has second chart coordinate 0")
-        return np.array([u[0] / u[1], u[1]])
-    if which in (3, 4):
-        if isinstance(z, SphereExceptional):
+    i, pole = _plane_chart_and_pole(which)
+    if isinstance(z, SphereExceptional):
+        if pole > 0:
             raise OutsideChart("the north pole is outside the north-stereographic chart")
-        x = z.x
-        if x[2] == 1.0:
-            raise OutsideChart("north pole outside the north-stereographic chart")
-        u = _stereo_north(x)
-        if which == 3:
-            if u[0] == 0.0:
-                raise OutsideChart("body point has first chart coordinate 0")
-            return np.array([u[0], u[1] / u[0]])
-        if u[1] == 0.0:
-            raise OutsideChart("body point has second chart coordinate 0")
-        return np.array([u[0] / u[1], u[1]])
-    raise OutsideChart(f"sphere chart index {which} out of range 1..4")
+        return chart_phi(i, Exceptional(np.zeros(0), np.asarray(z.xi, dtype=float), _PLANE))
+    if z.x[2] == pole:
+        raise OutsideChart(f"the pole (0, 0, {pole:g}) is outside its stereographic chart")
+    return chart_phi(i, Body(_stereo(z.x, pole), _PLANE))
 
 
 def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
-    w = np.asarray(w, dtype=float)
-    a, b = float(w[0]), float(w[1])
-    if which == 1:
-        if a == 0.0:
-            return SphereExceptional(np.array([1.0, b]))
-        return SphereBody(_stereo_south_inv(np.array([a, a * b])))
-    if which == 2:
-        if b == 0.0:
-            return SphereExceptional(np.array([a, 1.0]))
-        return SphereBody(_stereo_south_inv(np.array([a * b, b])))
-    if which == 3:
-        return SphereBody(_stereo_north_inv(np.array([a, a * b])))
-    if which == 4:
-        return SphereBody(_stereo_north_inv(np.array([a * b, b])))
-    raise OutsideChart(f"sphere chart index {which} out of range 1..4")
+    """Inverse of sphere_chart: the plane's chart inverse, unrounded, then
+    the inverse stereographic chart."""
+    i, pole = _plane_chart_and_pole(which)
+    s = np.array(w, dtype=float)
+    k = i - 1
+    if pole < 0 and s[k] == 0.0:
+        s[k] = 1.0
+        return SphereExceptional(s)
+    u = s[k] * s
+    u[k] = s[k]
+    return SphereBody(_stereo_inv(u, pole))
 
 
 # The target affine chart of each presentation, as (i, j, k) for _rp2_affine.

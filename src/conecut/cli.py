@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Subcommands:
-  verify         run the registered verification suites
-  resolve-curve  strict transform of a plane curve under one blow-up
-  check-map      adaptedness, rank, and normal-derivative report
-  sphere-demo    blown-up sphere vs the projective plane
-  groupoid-demo  structure-map axioms and isotropy dimensions
-  dnc-demo       deformation-space maps, equivariance, continuity
-  euler-demo     Euler-like flow and the tubular embedding
-  dnc-ring-demo  exact Laurent model and its two characters
+Subcommands, with the flags each takes besides --seed, --out and
+--format (S stands for --samples, --tol and --tol.<suite>):
+  verify         run the registered verification suites; S, --suite
+  resolve-curve  strict transform of a plane curve under one blow-up; --poly, --chart
+  check-map      adaptedness, rank, and normal-derivative report; --map,
+                 --source-dims, --target-dims, --samples
+  sphere-demo    blown-up sphere vs the projective plane; S
+  groupoid-demo  structure-map axioms and isotropy dimensions; S
+  dnc-demo       deformation-space maps, equivariance, continuity; S
+  euler-demo     Euler-like flow and the tubular embedding; S
+  dnc-ring-demo  exact Laurent model and its two characters; --element, --p, --q
 
 Output is deterministic: the same arguments and seed produce the same
 bytes.  Floats are printed with 17 significant digits.  Exit code 0
@@ -247,18 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     default_seed = int(os.environ.get("CONECUT_SEED", "42"))
 
-    def common(sp, samples_default=None):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=default_seed)
-        sp.add_argument("--samples", type=int, default=samples_default)
-        sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
+
+    def suite_options(sp):
+        common(sp)
+        sp.add_argument("--samples", type=int, default=None)
+        sp.add_argument("--tol", type=float, default=None)
         for name in vf.SUITES:
             sp.add_argument(f"--tol.{name}", dest=f"tol.{name}", type=float, default=None, metavar="TOL")
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", action="append", choices=list(vf.SUITES), help="suite name (repeatable)")
-    common(sp)
+    suite_options(sp)
 
     sp = sub.add_parser("resolve-curve", help="strict transform of a plane curve")
     sp.add_argument("--poly", required=True, help="polynomial in x, y")
@@ -269,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True, help="comma-separated components in y1..,x1..")
     sp.add_argument("--source-dims", required=True, help="n,p of the source pair")
     sp.add_argument("--target-dims", default=None, help="m,p of the target pair")
-    common(sp, samples_default=512)
+    sp.add_argument("--samples", type=int, default=512)
+    common(sp)
 
     for name, suite in [
         ("sphere-demo", "sphere"),
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("euler-demo", "euler"),
     ]:
         sp = sub.add_parser(name, help=f"run the {suite} suite and report")
-        common(sp)
+        suite_options(sp)
         sp.set_defaults(suite=[suite])
 
     sp = sub.add_parser("dnc-ring-demo", help="exact Laurent model report")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainViolation, NonConvergence, SliceCrossing
+from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from .expr import SmoothMapExpr, Var, eval_coords, eval_map, from_components, jet_eval
 from .pairs import PairDims, sample_slice_points
 
@@ -65,13 +65,15 @@ class EulerLikeReport:
 
 def is_euler_like(sigma: VectorField) -> EulerLikeReport:
     """Local criterion: sigma(y, 0) = 0 and the x-block of d(sigma_x) at
-    (y, 0) equals the identity, within 1e-10 on 64 seeded slice points."""
+    (y, 0) equals the identity, within 1e-10 on those of 64 seeded slice
+    points in sigma's domain; SamplingFailure if there are none."""
     dims = sigma.dims
     worst_vanish = 0.0
     worst_lin = 0.0
-    for point in sample_slice_points(dims, 64, 0):
-        if not sigma.components.in_domain(point):
-            continue
+    points = [x for x in sample_slice_points(dims, 64, 0) if sigma.components.in_domain(x)]
+    if not points:
+        raise SamplingFailure("no sampled slice point lies in the vector field's domain")
+    for point in points:
         jet = jet_eval(sigma.components, point)
         worst_vanish = max(worst_vanish, float(np.max(np.abs(jet.value), initial=0.0)))
         block = jet.jacobian[dims.p :, dims.p :]

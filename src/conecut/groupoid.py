@@ -28,11 +28,11 @@ from .blowup import (
     Body,
     Exceptional,
     PairDims,
-    _round,
     blowdown,
-    canonical_direction,
-    canonical_polar,
+    canonicalize,
+    from_ambient,
     point_dist,
+    to_polar,
 )
 
 COMPOSABILITY_TOL = 1e-10
@@ -262,18 +262,13 @@ def polar_target(theta, t) -> float:
 
 def _polar_of_pair_arrow(a: float, b: float):
     """Polar representative of the plane point (a, b) off the origin."""
-    v = np.array([a, b])
-    r = float(np.linalg.norm(v))
-    return canonical_polar(np.zeros(0), v / r, r)
+    return to_polar(Body(np.array([a, b]), PairDims(2, 0)))
 
 
 def polar_mult(g, h):
-    """Product of off-exceptional polar arrows via the pair groupoid."""
-    (tg, thg) = g
-    (th, thh) = h
-    a = tg * thg[0]
-    c = th * thh[1]
-    return _polar_of_pair_arrow(a, c)
+    """Product of off-exceptional polar arrows (t, theta) via the pair
+    groupoid: the arrow from the source of h to the target of g."""
+    return _polar_of_pair_arrow(polar_target(g[1], g[0]), polar_source(h[1], h[0]))
 
 
 @dataclass
@@ -389,9 +384,9 @@ def rotate_blowup_point(angle: float, z):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     if isinstance(z, Body):
-        return Body(_round(rot @ z.x), z.dims)
+        return from_ambient(rot @ z.x, z.dims)
     if isinstance(z, Exceptional):
-        return Exceptional(z.y, canonical_direction(rot @ z.xi_dir), z.dims)
+        return canonicalize(z.y, rot @ z.xi_dir, 0.0, z.dims)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -413,7 +408,7 @@ def saturated_action_blowup(samples: int = 500, seed: int = 0) -> ActionReport:
             z = Body(x, dims)
         else:
             ang0 = rng.uniform(0.0, 2 * np.pi)
-            z = Exceptional(np.zeros(0), canonical_direction(np.array([np.cos(ang0), np.sin(ang0)])), dims)
+            z = canonicalize(np.zeros(0), np.array([np.cos(ang0), np.sin(ang0)]), 0.0, dims)
         a1 = float(rng.uniform(0.0, 2 * np.pi))
         a2 = float(rng.uniform(0.0, 2 * np.pi))
         id_v = max(id_v, point_dist(rotate_blowup_point(0.0, z), z))
@@ -423,9 +418,5 @@ def saturated_action_blowup(samples: int = 500, seed: int = 0) -> ActionReport:
         rot = np.array([[c, -s], [s, c]])
         bd_direct = rot @ blowdown(z)
         bd_lifted = blowdown(rotate_blowup_point(a1, z))
-        if isinstance(z, Exceptional):
-            # the center is fixed, so both sides are the origin
-            bd_v = max(bd_v, float(np.max(np.abs(bd_lifted))), float(np.max(np.abs(bd_direct))))
-        else:
-            bd_v = max(bd_v, float(np.max(np.abs(bd_direct - bd_lifted))))
+        bd_v = max(bd_v, float(np.max(np.abs(bd_direct - bd_lifted))))
     return ActionReport(id_v, comp_v, bd_v, samples)

@@ -89,23 +89,16 @@ class VbExceptional:
 def vb_chart(model: VbPairModel, r: int, z) -> np.ndarray:
     """The r-th induced vector-bundle chart (y, x~_r, f, e~_r)."""
     dims = model.base
-    if not 1 <= r <= dims.q:
-        raise OutsideChart(f"chart index {r} out of range 1..{dims.q}")
-    k = r - 1
     if isinstance(z, VbBody):
-        y, xb = dims.split(z.u)
-        if xb[k] == 0.0:
-            raise OutsideChart(f"base point has x-component {r} = 0")
+        # chart_phi raises OutsideChart off the chart, and keeps x_r in slot r
         base_coords = chart_phi(r, Body(np.asarray(z.u, float), dims))
         fe = model.frame_value(z.u, z.upsilon)
         f_part = fe[: model.rank_f]
-        e_part = fe[model.rank_f :] / xb[k]
+        e_part = fe[model.rank_f :] / base_coords[dims.p + r - 1]
         return np.concatenate([base_coords, f_part, e_part])
     if isinstance(z, VbExceptional):
-        if abs(z.xi[k]) <= CHART_TOL:
-            raise OutsideChart(f"exceptional direction has component {r} ~ 0")
         base_coords = chart_phi(r, Exceptional(z.y, z.xi, dims))
-        return np.concatenate([base_coords, z.phi, z.eps / z.xi[k]])
+        return np.concatenate([base_coords, z.phi, z.eps / z.xi[r - 1]])
     raise TypeError(f"not a vector-bundle blow-up point: {z!r}")
 
 

@@ -169,11 +169,11 @@ def suite_atlas(samples, seed, tol):
     # coverage: every canonical exceptional direction has a component of
     # magnitude at least 1/sqrt(q), so some chart contains it.
     for _ in range(samples):
-        xi = bl.canonical_direction(rng.normal(size=q))
+        z = bl.canonicalize(np.zeros(dims.p), rng.normal(size=q), 0.0, dims)
+        xi = z.xi_dir
         best = float(np.max(np.abs(xi)))
         if best < 1.0 / np.sqrt(q) - 1e-12:
             covered_all = False
-        z = bl.Exceptional(np.zeros(dims.p), xi, dims)
         i_best = int(np.argmax(np.abs(xi))) + 1
         bl.chart_phi(i_best, z)  # raises if not covered
     return worst <= tol and covered_all, worst, {"coverage_certified": covered_all}
@@ -434,9 +434,9 @@ def suite_vb(samples, seed, tol):
     kernel_worst = 0.0
     ranks_ok = True
     for _ in range(samples):
-        xi = bl.canonical_direction(rng.normal(size=3))
+        z = bl.canonicalize(np.zeros(0), rng.normal(size=3), 0.0, dims3)
+        xi = z.xi_dir
         i = int(np.argmax(np.abs(xi))) + 1
-        z = bl.Exceptional(np.zeros(0), xi, dims3)
         lam = float(rng.uniform(-2.0, 2.0))
         kernel_worst = max(
             kernel_worst, float(np.max(np.abs(vb.tangent_anchor(z, lam * xi, i))))

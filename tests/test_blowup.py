@@ -504,3 +504,28 @@ def test_chart_phi_inv_rejects_a_chart_point_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint, match="rounds onto the center"):
         chart_phi_inv(1, [0.5, 1e-15], PairDims(2, 1))
     assert chart_phi_inv(1, [0.5, 1e-14], PairDims(2, 1)).x.tolist() == [0.5, 1e-14]
+
+
+# Every other way of naming an orbit goes through canonicalize or
+# from_ambient, so the same orbit raises there too instead of coming
+# back as a Body on the center.
+
+
+def test_from_polar_rejects_an_orbit_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint):
+        from_polar(blowup.PolarPoint(np.array([0.5]), np.array([1.0]), 1e-15), PairDims(2, 1))
+
+
+def test_dnc_as_open_subset_rejects_an_orbit_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint):
+        dnc_as_open_subset(DncPoint.of([0.5], [1.0], 1e-15))
+
+
+def test_from_algebraic_rejects_a_point_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint):
+        from_algebraic(AlgebraicPoint(np.array([1e-15, 0.0]), np.array([1.0, 0.0])), DIMS20)
+
+
+def test_rotate_blowup_point_rejects_a_point_that_rounds_onto_the_center():
+    with pytest.raises(CenterPoint):
+        rotate_blowup_point(0.3, Body(np.array([1e-15, 0.0]), DIMS20))

@@ -1,0 +1,358 @@
+"""Blow-up points built by ``canonicalize`` against the formulas they replaced.
+
+Each ``old_*`` function below is the hand-built construction that a
+model conversion, the open inclusion of the deformation space, the
+rotation action, a polar arrow, the blown-up sphere's charts or a
+vector-bundle chart used before it was routed through ``canonicalize``,
+``from_ambient``, ``to_polar`` or ``chart_phi``, kept verbatim as the
+reference.  Off the center the new code must return the same points bit
+for bit (``tobytes()`` of every array), and raise the same exception
+type where the old code raised.
+"""
+
+import numpy as np
+import pytest
+
+from conecut.blowup import (
+    CHART_TOL,
+    AlgebraicPoint,
+    Body,
+    Exceptional,
+    PolarPoint,
+    SphereBody,
+    SphereExceptional,
+    _round,
+    canonical_direction,
+    canonical_polar,
+    canonicalize,
+    chart_phi,
+    dnc_as_open_subset,
+    from_algebraic,
+    from_polar,
+    sphere_chart,
+    sphere_chart_inv,
+    to_algebraic,
+    to_polar,
+)
+from conecut.dnc import DncPoint
+from conecut.errors import ConecutError, OutsideChart
+from conecut.groupoid import _polar_of_pair_arrow, polar_mult, rotate_blowup_point
+from conecut.pairs import PairDims
+from conecut.vb import VbBody, VbExceptional, trivial_model, vb_chart
+
+SEED = 20261018
+
+
+# -- the replaced constructions, verbatim ------------------------------
+
+
+def old_from_polar(pp: PolarPoint, dims: PairDims):
+    if pp.t == 0.0:
+        return Exceptional(_round(pp.x), canonical_direction(pp.theta), dims)
+    return Body(_round(np.concatenate([pp.x, pp.t * pp.theta])), dims)
+
+
+def old_dnc_as_open_subset(z: DncPoint):
+    dims = PairDims(z.dims.n + 1, z.dims.p)
+    if z.t == 0.0:
+        return Exceptional(
+            _round(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
+        )
+    return Body(_round(np.concatenate([z.y, z.t * z.xi, [z.t]])), dims)
+
+
+def old_from_algebraic(a: AlgebraicPoint, dims: PairDims):
+    if float(np.linalg.norm(a.x)) == 0.0:
+        return Exceptional(np.zeros(0), canonical_direction(a.line), dims)
+    return Body(_round(np.asarray(a.x, dtype=float)), dims)
+
+
+def old_rotate_blowup_point(angle: float, z):
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    if isinstance(z, Body):
+        return Body(_round(rot @ z.x), z.dims)
+    return Exceptional(z.y, canonical_direction(rot @ z.xi_dir), z.dims)
+
+
+def old_polar_of_pair_arrow(a: float, b: float):
+    v = np.array([a, b])
+    r = float(np.linalg.norm(v))
+    return canonical_polar(np.zeros(0), v / r, r)
+
+
+def old_polar_mult(g, h):
+    (tg, thg) = g
+    (th, thh) = h
+    a = tg * thg[0]
+    c = th * thh[1]
+    return old_polar_of_pair_arrow(a, c)
+
+
+def _stereo_south(x: np.ndarray) -> np.ndarray:
+    return np.array([x[0], x[1]]) / (1.0 + x[2])
+
+
+def _stereo_north(x: np.ndarray) -> np.ndarray:
+    return np.array([x[0], x[1]]) / (1.0 - x[2])
+
+
+def _stereo_south_inv(u: np.ndarray) -> np.ndarray:
+    r2 = float(u @ u)
+    return np.array([2 * u[0], 2 * u[1], 1.0 - r2]) / (1.0 + r2)
+
+
+def _stereo_north_inv(u: np.ndarray) -> np.ndarray:
+    r2 = float(u @ u)
+    return np.array([2 * u[0], 2 * u[1], r2 - 1.0]) / (1.0 + r2)
+
+
+def old_sphere_chart(which: int, z) -> np.ndarray:
+    if which in (1, 2):
+        if isinstance(z, SphereExceptional):
+            xi0, xi1 = z.xi
+            if which == 1:
+                if xi0 == 0.0:
+                    raise OutsideChart("tangent direction has xi0 = 0")
+                return np.array([0.0, xi1 / xi0])
+            if xi1 == 0.0:
+                raise OutsideChart("tangent direction has xi1 = 0")
+            return np.array([xi0 / xi1, 0.0])
+        x = z.x
+        if x[2] == -1.0:
+            raise OutsideChart("south pole outside the south-stereographic chart")
+        u = _stereo_south(x)
+        if which == 1:
+            if u[0] == 0.0:
+                raise OutsideChart("body point has first chart coordinate 0")
+            return np.array([u[0], u[1] / u[0]])
+        if u[1] == 0.0:
+            raise OutsideChart("body point has second chart coordinate 0")
+        return np.array([u[0] / u[1], u[1]])
+    if which in (3, 4):
+        if isinstance(z, SphereExceptional):
+            raise OutsideChart("the north pole is outside the north-stereographic chart")
+        x = z.x
+        if x[2] == 1.0:
+            raise OutsideChart("north pole outside the north-stereographic chart")
+        u = _stereo_north(x)
+        if which == 3:
+            if u[0] == 0.0:
+                raise OutsideChart("body point has first chart coordinate 0")
+            return np.array([u[0], u[1] / u[0]])
+        if u[1] == 0.0:
+            raise OutsideChart("body point has second chart coordinate 0")
+        return np.array([u[0] / u[1], u[1]])
+    raise OutsideChart(f"sphere chart index {which} out of range 1..4")
+
+
+def old_sphere_chart_inv(which: int, w):
+    w = np.asarray(w, dtype=float)
+    a, b = float(w[0]), float(w[1])
+    if which == 1:
+        if a == 0.0:
+            return SphereExceptional(np.array([1.0, b]))
+        return SphereBody(_stereo_south_inv(np.array([a, a * b])))
+    if which == 2:
+        if b == 0.0:
+            return SphereExceptional(np.array([a, 1.0]))
+        return SphereBody(_stereo_south_inv(np.array([a * b, b])))
+    if which == 3:
+        return SphereBody(_stereo_north_inv(np.array([a, a * b])))
+    if which == 4:
+        return SphereBody(_stereo_north_inv(np.array([a * b, b])))
+    raise OutsideChart(f"sphere chart index {which} out of range 1..4")
+
+
+def old_vb_chart(model, r: int, z) -> np.ndarray:
+    dims = model.base
+    if not 1 <= r <= dims.q:
+        raise OutsideChart(f"chart index {r} out of range 1..{dims.q}")
+    k = r - 1
+    if isinstance(z, VbBody):
+        y, xb = dims.split(z.u)
+        if xb[k] == 0.0:
+            raise OutsideChart(f"base point has x-component {r} = 0")
+        base_coords = chart_phi(r, Body(np.asarray(z.u, float), dims))
+        fe = model.frame_value(z.u, z.upsilon)
+        f_part = fe[: model.rank_f]
+        e_part = fe[model.rank_f :] / xb[k]
+        return np.concatenate([base_coords, f_part, e_part])
+    if abs(z.xi[k]) <= CHART_TOL:
+        raise OutsideChart(f"exceptional direction has component {r} ~ 0")
+    base_coords = chart_phi(r, Exceptional(z.y, z.xi, dims))
+    return np.concatenate([base_coords, z.phi, z.eps / z.xi[k]])
+
+
+# -- comparison helpers -------------------------------------------------
+
+
+def _bits(value):
+    """A hashable picture of a point: its class and the bytes of every field."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (float, np.floating)):
+        return ("float", np.float64(value).tobytes())
+    if isinstance(value, PairDims):
+        return ("dims", value.n, value.p)
+    fields = vars(value)
+    return (type(value).__name__,) + tuple((k, _bits(fields[k])) for k in sorted(fields))
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ConecutError as exc:
+        return ("raises", type(exc).__name__)
+
+
+def assert_same(new_fn, old_fn, *args):
+    assert _outcome(new_fn, *args) == _outcome(old_fn, *args), args
+
+
+def _signed_zeros(v):
+    """v, and v with each zero coordinate made -0.0."""
+    return [v, np.where(v == 0.0, -0.0, v)]
+
+
+# -- the models, the open inclusion, rotations and polar arrows ---------
+
+
+def test_from_polar_matches_the_old_formula():
+    rng = np.random.default_rng(SEED)
+    for dims in (PairDims(2, 0), PairDims(3, 1), PairDims(4, 2)):
+        for _ in range(400):
+            t = 0.0 if rng.random() < 0.3 else float(rng.uniform(-2.0, 2.0))
+            z = canonicalize(rng.uniform(-2.0, 2.0, dims.p), rng.normal(size=dims.q), t, dims)
+            pp = to_polar(z)
+            assert_same(from_polar, old_from_polar, pp, dims)
+            raw = PolarPoint(rng.uniform(-2, 2, dims.p), rng.normal(size=dims.q), t * 10.0 ** rng.integers(-6, 4))
+            assert_same(from_polar, old_from_polar, raw, dims)
+
+
+def test_dnc_as_open_subset_matches_the_old_formula():
+    rng = np.random.default_rng(SEED + 1)
+    for p, q in ((0, 2), (1, 1), (2, 3)):
+        for _ in range(400):
+            t = 0.0 if rng.random() < 0.3 else float(rng.uniform(-2.0, 2.0) * 10.0 ** rng.integers(-8, 3))
+            xi = rng.normal(size=q)
+            if rng.random() < 0.2:
+                xi[0] = 0.0
+            z = DncPoint.of(rng.uniform(-2.0, 2.0, p), xi, t)
+            assert_same(dnc_as_open_subset, old_dnc_as_open_subset, z)
+
+
+def test_from_algebraic_matches_the_old_formula():
+    rng = np.random.default_rng(SEED + 2)
+    for n in (2, 3):
+        dims = PairDims(n, 0)
+        for _ in range(400):
+            t = 0.0 if rng.random() < 0.3 else float(rng.uniform(-2.0, 2.0))
+            z = canonicalize(np.zeros(0), rng.normal(size=n), t, dims)
+            assert_same(from_algebraic, old_from_algebraic, to_algebraic(z), dims)
+        for x in _signed_zeros(np.zeros(n)):
+            assert_same(from_algebraic, old_from_algebraic, AlgebraicPoint(x, canonical_direction(rng.normal(size=n))), dims)
+
+
+def test_rotate_blowup_point_matches_the_old_formula():
+    rng = np.random.default_rng(SEED + 3)
+    dims = PairDims(2, 0)
+    for _ in range(1000):
+        angle = float(rng.uniform(0.0, 2 * np.pi))
+        assert_same(rotate_blowup_point, old_rotate_blowup_point, angle, Body(rng.uniform(-2.0, 2.0, 2), dims))
+        exc = canonicalize(np.zeros(0), rng.normal(size=2), 0.0, dims)
+        assert_same(rotate_blowup_point, old_rotate_blowup_point, angle, exc)
+    for angle in (0.0, np.pi / 2, np.pi, -np.pi):
+        for x in ([0.0, 1.0], [1.0, 0.0], [-1.0, -0.0]):
+            assert_same(rotate_blowup_point, old_rotate_blowup_point, angle, Body(np.array(x), dims))
+
+
+def test_polar_arrows_match_the_old_formula():
+    rng = np.random.default_rng(SEED + 4)
+    for _ in range(1000):
+        a, b = (float(v) for v in rng.uniform(-2.0, 2.0, 2) * 10.0 ** rng.integers(-5, 5))
+        assert_same(_polar_of_pair_arrow, old_polar_of_pair_arrow, a, b)
+        g = (float(rng.uniform(-2, 2)), canonical_direction(rng.normal(size=2)))
+        h = (float(rng.uniform(-2, 2)), canonical_direction(rng.normal(size=2)))
+        assert_same(polar_mult, old_polar_mult, g, h)
+    for a, b in ((1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)):
+        assert_same(_polar_of_pair_arrow, old_polar_of_pair_arrow, a, b)
+
+
+# -- the blown-up sphere through the plane's atlas ----------------------
+
+
+def _sphere_points(rng, count):
+    v = rng.normal(size=(count, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    exact = [
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+        [-0.0, -1.0, 0.0], [0.6, 0.0, 0.8], [0.0, -0.6, -0.8], [0.6, 0.8, 0.0],
+        [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0],
+    ]
+    return list(v) + [np.array(x) for x in exact]
+
+
+def test_sphere_chart_matches_the_stereographic_formulas():
+    rng = np.random.default_rng(SEED + 5)
+    points = _sphere_points(rng, 1200)
+    for v in points:
+        for which in (0, 1, 2, 3, 4, 5):
+            assert_same(sphere_chart, old_sphere_chart, which, SphereBody(v))
+    # both poles and zero chart coordinates are among them, and raise
+    for which, v in (
+        (1, [0.0, 0.0, -1.0]), (2, [0.0, -0.0, -1.0]), (3, [0.0, 0.0, 1.0]), (4, [-0.0, 0.0, 1.0]),
+        (1, [0.0, 1.0, 0.0]), (3, [-0.0, -1.0, 0.0]), (2, [1.0, 0.0, 0.0]), (4, [0.6, 0.0, 0.8]),
+    ):
+        with pytest.raises(OutsideChart):
+            sphere_chart(which, SphereBody(np.array(v)))
+
+
+def test_sphere_chart_matches_on_exceptional_directions():
+    rng = np.random.default_rng(SEED + 6)
+    angles = rng.uniform(0.0, 2 * np.pi, 1000)
+    directions = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+    directions += [np.array(x) for x in ([1.0, 0.0], [0.0, 1.0], [-0.0, 2.0], [3.0, -0.0], [-1.0, 1.0])]
+    for xi in directions:
+        for which in (1, 2, 3, 4, 7):
+            assert_same(sphere_chart, old_sphere_chart, which, SphereExceptional(xi))
+
+
+def test_sphere_chart_now_refuses_a_nearly_tangent_direction_as_the_plane_does():
+    """A direction component within CHART_TOL of zero is outside the
+    chart, as in ``chart_phi``; the old formula divided by it."""
+    z = SphereExceptional(np.array([1e-13, 1.0]))
+    with pytest.raises(OutsideChart):
+        sphere_chart(1, z)
+    assert old_sphere_chart(1, z).tolist() == [0.0, 1e13]
+    assert sphere_chart(2, z).tobytes() == old_sphere_chart(2, z).tobytes()
+
+
+def test_sphere_chart_inv_matches_the_stereographic_formulas():
+    rng = np.random.default_rng(SEED + 7)
+    ws = list(rng.uniform(-3.0, 3.0, size=(1000, 2)))
+    ws += [np.array(w) for w in ([0.0, 0.5], [-0.0, 0.5], [0.5, 0.0], [0.5, -0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
+    for w in ws:
+        for which in (0, 1, 2, 3, 4, 5):
+            assert_same(sphere_chart_inv, old_sphere_chart_inv, which, w)
+
+
+# -- vector-bundle charts read through chart_phi ------------------------
+
+
+def test_vb_chart_matches_the_old_formula():
+    rng = np.random.default_rng(SEED + 8)
+    base = PairDims(3, 1)
+    model = trivial_model(base, 1, 2)
+    for _ in range(300):
+        u = rng.uniform(-2.0, 2.0, 3)
+        if rng.random() < 0.2:
+            u[1 + rng.integers(2)] = 0.0
+        body = VbBody(u, rng.uniform(-2.0, 2.0, 3))
+        xi = canonical_direction(rng.normal(size=2))
+        if rng.random() < 0.2:
+            xi[rng.integers(2)] = 1e-13
+        exc = VbExceptional(rng.uniform(-2.0, 2.0, 1), xi, rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 2))
+        for r in (0, 1, 2, 3):
+            assert_same(vb_chart, old_vb_chart, model, r, body)
+            assert_same(vb_chart, old_vb_chart, model, r, exc)

@@ -179,3 +179,26 @@ def test_demo_subcommands_run():
         out = run_cli(name, "--samples", "20")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["ok"] is True
+
+
+def test_flags_belong_to_the_subcommands_that_read_them(capsys):
+    """--samples, --tol and --tol.<suite> are refused where nothing reads
+    them; --seed, --out and --format are taken everywhere."""
+    from conecut.cli import main
+
+    check_map = ["check-map", "--map", "y1, x1", "--source-dims", "2,1"]
+    for argv in (
+        ["resolve-curve", "--poly", "y", "--tol", "5"],
+        ["resolve-curve", "--poly", "y", "--samples", "3"],
+        ["resolve-curve", "--poly", "y", "--tol.atlas", "1"],
+        ["dnc-ring-demo", "--samples", "9"],
+        ["dnc-ring-demo", "--tol", "3"],
+        ["dnc-ring-demo", "--tol.ring", "3"],
+        check_map + ["--tol", "1"],
+        check_map + ["--tol.euler", "1e-30"],
+    ):
+        assert main(argv) == 2, argv
+    assert main(["resolve-curve", "--poly", "y", "--seed", "1", "--format", "csv"]) == 0
+    assert main(["dnc-ring-demo", "--seed", "3", "--format", "json"]) == 0
+    assert main(check_map + ["--samples", "8", "--seed", "2"]) == 0
+    capsys.readouterr()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conecut.errors import SliceCrossing
+from conecut.errors import SamplingFailure, SliceCrossing
 from conecut.euler import (
     VectorField,
     chi_relatedness_residual,
@@ -13,7 +13,7 @@ from conecut.euler import (
     tubular_from_euler,
     w_sigma_flow,
 )
-from conecut.expr import Var, from_components
+from conecut.expr import Guard, Var, from_components
 from conecut.pairs import PairDims
 
 DIMS = PairDims(2, 1)
@@ -105,3 +105,12 @@ def test_normal_derivative_of_chi_is_identity():
 def test_chi_intertwines_scaling_generator_and_sigma():
     res = chi_relatedness_residual(_perturbed_field(), [0.0], [0.2])
     assert res < 1e-4
+
+
+def test_is_euler_like_needs_a_slice_point_in_the_domain():
+    """A guard that excludes the whole slice leaves nothing checked, so
+    the field (5, 3x), which fails both conditions, must not pass."""
+    x = Var(1)
+    sigma = VectorField(from_components(2, (Var(0) * 0.0 + 5.0, 3.0 * x), (Guard(x, "nonzero"),)), DIMS)
+    with pytest.raises(SamplingFailure):
+        is_euler_like(sigma)

@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and no module
+imports another's private names.
 
 No linter ships with the package, so ``test_no_unused_module_imports``
 parses each module of ``src/conecut`` other than ``__init__`` (which
 re-exports) and lists the names its module-level ``import`` statements
-bind but its code never references.
+bind but its code never references.  ``test_no_private_cross_module_imports``
+lists every underscore name a module of ``src/conecut`` imports from a
+conecut module: a helper shared across modules is public.
 """
 
 import ast
@@ -37,5 +40,32 @@ def test_no_unused_module_imports():
         path.stem: unused
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__" and (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def private_imports(source: str) -> list:
+    """Underscore names imported from a conecut module, anywhere in the
+    source (function-level imports included)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        origin = node.module or ""
+        if node.level or origin.split(".")[0] == "conecut":
+            found += [f"line {node.lineno}: {origin}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_private_imports_finds_an_underscore_name():
+    source = "from .blowup import Body, _round\nfrom conecut.expr import _ev\nfrom numpy import _x\n"
+    assert private_imports(source) == ["line 1: blowup._round", "line 2: conecut.expr._ev"]
+
+
+def test_no_private_cross_module_imports():
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := private_imports(path.read_text()))
     }
     assert found == {}
