@@ -11,6 +11,10 @@ Representatives are made by ``canonicalize`` from an orbit (y, xi, t)
 and by ``from_ambient`` from an off-center ambient point, never on the
 center.  Chart inverses, models, induced maps and the deformation space
 call them; the Body branch of ``chart_phi_inv`` calls their ``_body``.
+The point kernels compute on lists of Python floats, build one numpy
+array per returned field, and take every vector norm from the correctly
+rounded ``math.hypot``, so no representative depends on the BLAS build
+(the ``OutsideBlupF`` threshold of ``blowup_map`` still takes an SVD).
 
 Also here: the q projective charts with their transitions, the
 blow-down, induced maps of blow-ups, strict transforms of plane curves,
@@ -44,26 +48,37 @@ from .ring import MultiPoly, squarefree_factors
 ROUND_DECIMALS = 14
 CHART_TOL = 1e-12
 BLUP_F_RTOL = 1e-10
-
-
 _SCALE = 10.0**ROUND_DECIMALS
 
 
-def _round(a):
-    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0.
-
-    This computes what np.round(a, ROUND_DECIMALS) does (scale, round
-    half to even, unscale) without numpy's wrapper layers.  A coordinate
-    too large for the scaled value to be finite (above about 1.8e294)
-    has no digits below 10^-ROUND_DECIMALS and is kept as it is.  A
-    coordinate that is not finite raises DomainViolation."""
+def _floats(a, n: int | None) -> list:
+    """A scalar or a vector as a list of Python floats; ArityMismatch
+    unless it is of length n, where n is not None."""
     a = np.asarray(a, dtype=float)
-    r = np.rint(a * _SCALE) / _SCALE + 0.0
-    if all(map(math.isfinite, r.ravel().tolist())):
-        return r
-    if not np.isfinite(a).all():
-        raise DomainViolation(f"representative has a non-finite coordinate: {a.tolist()}")
-    return np.where(np.isfinite(r), r, a)[()]
+    v = a.tolist() if a.ndim == 1 else [a.item()] if a.ndim == 0 else None
+    if v is None or n is not None and len(v) != n:
+        length = "" if n is None else f" of length {n}"
+        raise ArityMismatch(f"an array of shape {a.shape} where a vector{length} was expected")
+    return v
+
+
+def _rounded(v: list) -> list:
+    """Each float of v rounded to ROUND_DECIMALS, half to even, bit for bit
+    as np.round(c, ROUND_DECIMALS) + 0.0.  A coordinate above about 1.8e294
+    (scaled, not finite) has no digits below 10^-ROUND_DECIMALS and is
+    kept; a non-finite one raises DomainViolation."""
+    try:
+        return [round(c * _SCALE) / _SCALE + 0.0 for c in v]
+    except (OverflowError, ValueError):
+        if not all(map(math.isfinite, v)):
+            raise DomainViolation(f"representative has a non-finite coordinate: {v}") from None
+        return [c if abs(c * _SCALE) == math.inf else round(c * _SCALE) / _SCALE + 0.0 for c in v]
+
+
+def _round(a):
+    """_rounded on a scalar or an array of any shape, as numpy values."""
+    a = np.asarray(a, dtype=float)
+    return np.array(_rounded(a.ravel().tolist())).reshape(a.shape)[()]
 
 
 def _leading_is_negative(u) -> bool:
@@ -74,34 +89,31 @@ def _leading_is_negative(u) -> bool:
     return False
 
 
-# Below this norm the sum of squares that np.linalg.norm takes the root
-# of is subnormal, and has lost digits.
-_TINY_NORM = 2.0**-511
-
-
-def _unit(v: np.ndarray, zero_message: str):
-    """(v / |v|, |v|).  Where np.linalg.norm overflows or underflows, v is
-    first divided by its largest |entry|.  A zero vector raises
-    CenterPoint with ``zero_message``, a non-finite one DomainViolation."""
-    norm = float(np.linalg.norm(v))
-    if _TINY_NORM <= norm < math.inf:
-        return v / norm, norm
-    if not np.isfinite(v).all():
-        raise DomainViolation(f"direction {v.tolist()} is not finite")
-    big = float(np.max(np.abs(v), initial=0.0))
-    if big == 0.0:
+def _unit(v: list, zero_message: str):
+    """(v / |v|, |v|) with |v| = math.hypot(*v).  Where |v| is not a normal
+    double (inf past DBL_MAX, a subnormal with lost digits below DBL_MIN =
+    2^-1022), v is first divided by its largest |entry|.  A zero vector
+    raises CenterPoint with ``zero_message``, a non-finite one DomainViolation."""
+    norm = math.hypot(*v)
+    if 2.0**-1022 <= norm < math.inf:
+        return [c / norm for c in v], norm
+    if not all(map(math.isfinite, v)):
+        raise DomainViolation(f"direction {v} is not finite")
+    if norm == 0.0:
         raise CenterPoint(zero_message)
-    v = v / big
-    norm = float(np.linalg.norm(v))
-    return v / norm, big * norm
+    big = max(map(abs, v))
+    u, norm = _unit([c / big for c in v], zero_message)
+    return u, big * norm
+
+
+def _direction(xi: list) -> list:
+    u, _ = _unit(xi, "zero vector has no direction")
+    return _rounded([-c for c in u] if _leading_is_negative(u) else u)
 
 
 def canonical_direction(xi) -> np.ndarray:
     """Unit vector with first nonzero component positive, rounded."""
-    u, _ = _unit(np.asarray(xi, dtype=float), "zero vector has no direction")
-    if _leading_is_negative(u):
-        u = -u
-    return _round(u)
+    return np.array(_direction(_floats(xi, None)))
 
 
 @dataclass(frozen=True)
@@ -140,43 +152,36 @@ class AlgebraicPoint:
 
 def canonicalize(y, xi, t, dims: PairDims):
     """Canonical representative of the scaling orbit of (y, xi, t)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    t = float(t)
-    if y.shape != (dims.p,) or xi.shape != (dims.q,):
-        raise ArityMismatch("block shapes do not match the pair dimensions")
+    y, xi, t = _floats(y, dims.p), _floats(xi, dims.q), float(t)
     if t == 0.0:
-        return Exceptional(_round(y), canonical_direction(xi), dims)
-    return _body(np.concatenate([y, t * xi]), dims, "orbit meets the center: t != 0 with t*xi = 0")
+        return Exceptional(np.array(_rounded(y)), np.array(_direction(xi)), dims)
+    return _body(y + [t * c for c in xi], dims, "orbit meets the center: t != 0 with t*xi = 0")
 
 
 def point_dist(z, w) -> float:
     """Max-norm distance of two points of one kind; inf across kinds."""
     if isinstance(z, Body) and isinstance(w, Body):
-        return float(np.max(np.abs(z.x - w.x), initial=0.0))
-    if isinstance(z, Exceptional) and isinstance(w, Exceptional):
-        return max(
-            float(np.max(np.abs(z.y - w.y), initial=0.0)),
-            float(np.max(np.abs(z.xi_dir - w.xi_dir), initial=0.0)),
-        )
-    return float("inf")
+        a, b = z.x.tolist(), w.x.tolist()
+    elif isinstance(z, Exceptional) and isinstance(w, Exceptional):
+        a, b = z.y.tolist() + z.xi_dir.tolist(), w.y.tolist() + w.xi_dir.tolist()
+    else:
+        return float("inf")
+    return max([abs(u - v) for u, v in zip(a, b, strict=True)], default=0.0)
 
 
 def from_ambient(x, dims: PairDims) -> Body:
     """The body point over an off-center ambient point."""
-    x = np.asarray(x, dtype=float)
-    dims.split(x)  # raises ArityMismatch on a point of the wrong shape
-    return _body(x, dims, "ambient point lies on the center")
+    return _body(_floats(x, dims.n), dims, "ambient point lies on the center")
 
 
-def _body(x: np.ndarray, dims: PairDims, center_message: str) -> Body:
+def _body(x: list, dims: PairDims, center_message: str) -> Body:
     """The Body point at x, rounded; CenterPoint with ``center_message``
     if the rounded x-block is zero, so a representative never lies on
     the center."""
-    r = _round(x)
-    if not any(r.tolist()[dims.p :]):
+    r = _rounded(x)
+    if not any(r[dims.p :]):
         raise CenterPoint(center_message)
-    return Body(r, dims)
+    return Body(np.array(r), dims)
 
 
 def blowdown(z) -> np.ndarray:
@@ -195,38 +200,34 @@ def chart_phi(i: int, z) -> np.ndarray:
         raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
     k = i - 1
     if isinstance(z, Exceptional):
-        xi = z.xi_dir
-        if abs(xi[k]) <= CHART_TOL:
+        y, s, slot = z.y.tolist(), z.xi_dir.tolist(), 0.0
+        if abs(s[k]) <= CHART_TOL:
             raise OutsideChart(f"exceptional direction has component {i} ~ 0")
-        w = xi / xi[k]
-        w[k] = 0.0
-        return np.concatenate([z.y, w])
-    if isinstance(z, Body):
-        y, xb = dims.split(z.x)
-        if xb[k] == 0.0:
+    elif isinstance(z, Body):
+        x = _floats(z.x, dims.n)
+        y, s = x[: dims.p], x[dims.p :]
+        if s[k] == 0.0:
             raise OutsideChart(f"body point has x-component {i} = 0")
-        w = xb / xb[k]
-        w[k] = xb[k]
-        return np.concatenate([y, w])
-    raise TypeError(f"not a blow-up point: {z!r}")
+        slot = s[k]
+    else:
+        raise TypeError(f"not a blow-up point: {z!r}")
+    w = [c / s[k] for c in s]
+    w[k] = slot
+    return np.array(y + w)
 
 
 def chart_phi_inv(i: int, w, dims: PairDims):
     """Inverse of the i-th chart on its image."""
     if not 1 <= i <= dims.q:
         raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (dims.n,):
-        raise ArityMismatch(f"chart point of shape {w.shape} for ambient dim {dims.n}")
-    k = i - 1
-    y, s = dims.split(w)
+    w, k = _floats(w, dims.n), i - 1
+    y, s = w[: dims.p], w[dims.p :]
     if s[k] == 0.0:
-        xi = s.copy()
-        xi[k] = 1.0
-        return canonicalize(y, xi, 0.0, dims)
-    xb = s[k] * s
+        s[k] = 1.0
+        return canonicalize(y, s, 0.0, dims)
+    xb = [s[k] * c for c in s]
     xb[k] = s[k]
-    return _body(np.concatenate([y, xb]), dims, "chart point rounds onto the center")
+    return _body(y + xb, dims, "chart point rounds onto the center")
 
 
 def transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
@@ -240,14 +241,14 @@ def blowup_map(f: MapOfPairs, z):
     if isinstance(z, Body):
         value = f(z.x)
         _, x2 = f.target.split(value)
-        if float(np.linalg.norm(x2)) <= BLUP_F_RTOL * (1.0 + float(np.linalg.norm(value))):
+        if math.hypot(*x2.tolist()) <= BLUP_F_RTOL * (1.0 + math.hypot(*value.tolist())):
             raise OutsideBlupF("body point maps into the target submanifold")
         return from_ambient(value, f.target)
     if isinstance(z, Exceptional):
         dn = normal_derivative(f, z.y)
         image = dn @ z.xi_dir
-        scale = float(np.linalg.norm(dn, ord=2)) * float(np.linalg.norm(z.xi_dir))
-        if float(np.linalg.norm(image)) <= BLUP_F_RTOL * max(scale, 1e-300):
+        scale = float(np.linalg.svd(dn, compute_uv=False)[0]) * math.hypot(*z.xi_dir.tolist())
+        if math.hypot(*image.tolist()) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
         return canonicalize(f.slice_image(z.y), image, 0.0, f.target)
     raise TypeError(f"not a blow-up point: {z!r}")
@@ -268,30 +269,30 @@ def to_algebraic(z) -> AlgebraicPoint:
 def from_algebraic(a: AlgebraicPoint, dims: PairDims):
     if dims.p != 0:
         raise ArityMismatch("the algebraic model is for a point center")
-    if float(np.linalg.norm(a.x)) == 0.0:
-        return canonicalize(np.zeros(0), a.line, 0.0, dims)
+    if not any(_floats(a.x, None)):
+        return canonicalize([], a.line, 0.0, dims)
     return from_ambient(a.x, dims)
 
 
 def algebraic_relations_residual(a: AlgebraicPoint) -> float:
     """Max violation of the incidence relations x_i l_j = l_i x_j."""
-    x = np.asarray(a.x, dtype=float)
-    l = np.asarray(a.line, dtype=float)
-    return float(np.max(np.abs(np.outer(x, l) - np.outer(l, x)), initial=0.0))
+    pairs = list(zip(_floats(a.x, None), _floats(a.line, np.size(a.x))))
+    return max([abs(xi * lj - li * xj) for xi, li in pairs for xj, lj in pairs], default=0.0)
 
 
 # -- polar model -------------------------------------------------------
 
 
 def canonical_polar(x, theta, t) -> PolarPoint:
-    """Canonical representative under (x, theta, t) ~ (x, -theta, -t)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta, norm = _unit(np.asarray(theta, dtype=float), "polar direction must be nonzero")
-    t = float(t) * norm
-    if _leading_is_negative(theta):
-        theta = -theta
-        t = -t
-    return PolarPoint(_round(x), _round(theta), float(_round(t)))
+    """Canonical representative under (x, theta, t) ~ (x, -theta, -t); a
+    nonzero t that rounds to 0 raises CenterPoint, as ``_body`` does."""
+    theta, norm = _unit(_floats(theta, None), "polar direction must be nonzero")
+    sign = -1.0 if _leading_is_negative(theta) else 1.0
+    x, theta = _rounded(_floats(x, None)), _rounded([sign * c for c in theta])
+    (r,) = _rounded([sign * float(t) * norm])
+    if r == 0.0 and t != 0.0:
+        raise CenterPoint("polar point rounds onto the center: t != 0 rounds to 0")
+    return PolarPoint(np.array(x), np.array(theta), r)
 
 
 def to_polar(z) -> PolarPoint:
@@ -299,9 +300,9 @@ def to_polar(z) -> PolarPoint:
     if isinstance(z, Exceptional):
         return canonical_polar(z.y, z.xi_dir, 0.0)
     if isinstance(z, Body):
-        y, xb = z.dims.split(z.x)
-        theta, r = _unit(xb, "body point lies on the center")
-        return canonical_polar(y, theta, r)
+        x = z.x.tolist()
+        theta, r = _unit(x[z.dims.p :], "body point lies on the center")
+        return canonical_polar(x[: z.dims.p], theta, r)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -315,15 +316,14 @@ def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
     if not h.normal_derivative_injective:
         raise NotImmersive("normal derivative has a kernel on the slice")
     if z.t == 0.0:
-        dn = normal_derivative(h, z.x)
-        image = dn @ z.theta
-        norm = float(np.linalg.norm(image))
+        image = normal_derivative(h, z.x) @ z.theta
+        norm = math.hypot(*image.tolist())
         if norm == 0.0:
             raise NotImmersive("normal derivative kills the polar direction")
         return canonical_polar(h.slice_image(z.x), image / norm, 0.0)
     value = h(h.source.join(z.x, z.t * z.theta))
     y2, h2 = h.target.split(value)
-    norm = float(np.linalg.norm(h2))
+    norm = math.hypot(*h2.tolist())
     if norm == 0.0:
         raise OutsideChart("image lies on the target submanifold")
     sign = 1.0 if z.t > 0 else -1.0

@@ -396,11 +396,13 @@ def test_sphere_local_expression_closed_forms():
 
 
 def test_representatives_never_carry_negative_zero():
-    # raw rounding would keep the sign bits of cos(pi) * 0 and of -1e-16
+    # raw rounding would keep the sign bits of cos(pi) * 0 and of the
+    # t = 0 that the sign flip of theta negates
     rotated = rotate_blowup_point(np.pi, Body(np.array([0.0, 1.0]), DIMS20))
     assert not np.any(np.signbit(rotated.x[:1]))
     assert rotated.x[1] == -1.0
-    assert not np.signbit(canonical_polar([], [1.0, 0.0], -1e-16).t)
+    assert not np.signbit(canonical_polar([], [-1.0, 0.0], 0.0).t)
+    assert not np.signbit(canonical_polar([], [1.0, 0.0], -0.0).t)
 
 
 # -- rounding and normalisation at the ends of the float range -----------
@@ -467,6 +469,15 @@ def test_directions_survive_norm_overflow_and_underflow():
         assert pp.t == pytest.approx(-1e200 * np.sqrt(2.0), rel=1e-15)
         pp = to_polar(from_ambient([0.5, -1e300], PairDims(2, 1)))
         assert (pp.x.tolist(), pp.theta.tolist(), pp.t) == ([0.5], [1.0], -1e300)
+        # math.hypot returns inf once the norm itself exceeds DBL_MAX
+        _same_bits(canonical_direction([1.5e308, 1.5e308]), canonical_direction([1.0, 1.0]))
+        _same_bits(canonical_direction([-1.5e308, 1e308, 1e308]), canonical_direction([-1.5, 1.0, 1.0]))
+        with pytest.raises(DomainViolation):
+            canonical_polar([0.1], [1.5e308, 1.5e308], 1.0)  # t = |theta| is not finite
+        # and a subnormal one has lost digits: the direction of (1, 3)
+        tiny = 2.0**-1074
+        got = canonical_direction([2024 * tiny, -6072 * tiny])
+        assert np.abs(got - np.array([1.0, -3.0]) / np.sqrt(10.0)).max() <= 1e-14
     with pytest.raises(CenterPoint, match="zero vector"):
         canonical_direction([0.0, -0.0])
     with pytest.raises(CenterPoint, match="polar direction"):
@@ -524,6 +535,29 @@ def test_dnc_as_open_subset_rejects_an_orbit_that_rounds_onto_the_center():
 def test_from_algebraic_rejects_a_point_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint):
         from_algebraic(AlgebraicPoint(np.array([1e-15, 0.0]), np.array([1.0, 0.0])), DIMS20)
+
+
+def test_canonical_polar_rejects_a_nonzero_t_that_rounds_to_zero():
+    # the same orbit as in canonicalize above: off the divisor, but its
+    # t would round onto it
+    with pytest.raises(CenterPoint, match="rounds onto the center"):
+        canonical_polar([0.5], [1.0], 1e-15)
+    with pytest.raises(CenterPoint):
+        canonical_polar([0.5], [-3.0, 4.0], 1e-16)  # t = -5e-16 after the norm and the flip
+    with pytest.raises(CenterPoint):
+        canonicalize([0.5], [1.0], 1e-15, PairDims(2, 1))
+    assert canonical_polar([0.5], [1.0], 1e-14).t == 1e-14
+    assert canonical_polar([0.5], [-1.0], 0.0).t == 0.0
+
+
+def test_polar_map_rejects_a_body_image_that_rounds_onto_the_divisor():
+    y, x = Var(0), Var(1)
+    squash = MapOfPairs(from_components(2, (y, x * 1e-15)), PairDims(2, 1), PairDims(2, 1))
+    z = canonical_polar([0.5], [1.0], 0.5)
+    with pytest.raises(CenterPoint):
+        polar_map(squash, z)  # h2 = 5e-16 rounds to t = 0
+    assert polar_map(squash, canonical_polar([0.5], [1.0], 20.0)).t == 2e-14
+    assert polar_map(squash, canonical_polar([0.5], [1.0], 0.0)).t == 0.0
 
 
 def test_rotate_blowup_point_rejects_a_point_that_rounds_onto_the_center():

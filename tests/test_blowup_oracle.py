@@ -8,13 +8,26 @@ vector-bundle chart used before it was routed through ``canonicalize``,
 reference.  Off the center the new code must return the same points bit
 for bit (``tobytes()`` of every array), and raise the same exception
 type where the old code raised.
+
+Each ``np_*`` function is a numpy point kernel as it was before the
+kernels moved to lists of Python floats, kept verbatim.  The kernels
+that take no norm (the charts, their inverses and transitions on body
+points, ``from_polar`` off the exceptional divisor) must match them bit
+for bit.  The kernels that take a norm now take it from ``math.hypot``,
+which is correctly rounded, where ``np.linalg.norm`` could be 1 ulp off.
+A polar arrow must equal, bit for bit, the old formula evaluated at a
+norm within 1 ulp of ``np.linalg.norm``'s; a direction must agree with
+the numpy kernel to within ``norm_gap_bound``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from conecut.blowup import (
     CHART_TOL,
+    ROUND_DECIMALS,
     AlgebraicPoint,
     Body,
     Exceptional,
@@ -26,6 +39,7 @@ from conecut.blowup import (
     canonical_polar,
     canonicalize,
     chart_phi,
+    chart_phi_inv,
     dnc_as_open_subset,
     from_algebraic,
     from_polar,
@@ -33,9 +47,10 @@ from conecut.blowup import (
     sphere_chart_inv,
     to_algebraic,
     to_polar,
+    transition,
 )
 from conecut.dnc import DncPoint
-from conecut.errors import ConecutError, OutsideChart
+from conecut.errors import ArityMismatch, CenterPoint, ConecutError, DomainViolation, OutsideChart
 from conecut.groupoid import _polar_of_pair_arrow, polar_mult, rotate_blowup_point
 from conecut.pairs import PairDims
 from conecut.vb import VbBody, VbExceptional, trivial_model, vb_chart
@@ -81,12 +96,10 @@ def old_polar_of_pair_arrow(a: float, b: float):
     return canonical_polar(np.zeros(0), v / r, r)
 
 
-def old_polar_mult(g, h):
-    (tg, thg) = g
-    (th, thh) = h
-    a = tg * thg[0]
-    c = th * thh[1]
-    return old_polar_of_pair_arrow(a, c)
+def old_polar_of_pair_arrow_at(a: float, b: float, r: float):
+    """old_polar_of_pair_arrow with the norm r in place of np.linalg.norm's."""
+    v = np.array([a, b])
+    return canonical_polar(np.zeros(0), v / r, r)
 
 
 def _stereo_south(x: np.ndarray) -> np.ndarray:
@@ -184,6 +197,135 @@ def old_vb_chart(model, r: int, z) -> np.ndarray:
     return np.concatenate([base_coords, z.phi, z.eps / z.xi[k]])
 
 
+# -- the numpy point kernels, verbatim ---------------------------------
+
+
+_SCALE = 10.0**ROUND_DECIMALS
+
+
+def np_round(a):
+    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0.
+
+    This computes what np.round(a, ROUND_DECIMALS) does (scale, round
+    half to even, unscale) without numpy's wrapper layers.  A coordinate
+    too large for the scaled value to be finite (above about 1.8e294)
+    has no digits below 10^-ROUND_DECIMALS and is kept as it is.  A
+    coordinate that is not finite raises DomainViolation."""
+    a = np.asarray(a, dtype=float)
+    r = np.rint(a * _SCALE) / _SCALE + 0.0
+    if all(map(math.isfinite, r.ravel().tolist())):
+        return r
+    if not np.isfinite(a).all():
+        raise DomainViolation(f"representative has a non-finite coordinate: {a.tolist()}")
+    return np.where(np.isfinite(r), r, a)[()]
+
+
+def _leading_is_negative(u) -> bool:
+    """Whether the first component above 10^-ROUND_DECIMALS is negative."""
+    for v in u:
+        if abs(v) > 10.0**-ROUND_DECIMALS:
+            return v < 0
+    return False
+
+
+# Below this norm the sum of squares that np.linalg.norm takes the root
+# of is subnormal, and has lost digits.
+_TINY_NORM = 2.0**-511
+
+
+def np_unit(v: np.ndarray, zero_message: str):
+    """(v / |v|, |v|).  Where np.linalg.norm overflows or underflows, v is
+    first divided by its largest |entry|.  A zero vector raises
+    CenterPoint with ``zero_message``, a non-finite one DomainViolation."""
+    norm = float(np.linalg.norm(v))
+    if _TINY_NORM <= norm < math.inf:
+        return v / norm, norm
+    if not np.isfinite(v).all():
+        raise DomainViolation(f"direction {v.tolist()} is not finite")
+    big = float(np.max(np.abs(v), initial=0.0))
+    if big == 0.0:
+        raise CenterPoint(zero_message)
+    v = v / big
+    norm = float(np.linalg.norm(v))
+    return v / norm, big * norm
+
+
+def np_canonical_direction(xi) -> np.ndarray:
+    """Unit vector with first nonzero component positive, rounded."""
+    u, _ = np_unit(np.asarray(xi, dtype=float), "zero vector has no direction")
+    if _leading_is_negative(u):
+        u = -u
+    return np_round(u)
+
+
+def np_canonicalize(y, xi, t, dims: PairDims):
+    """Canonical representative of the scaling orbit of (y, xi, t)."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    t = float(t)
+    if y.shape != (dims.p,) or xi.shape != (dims.q,):
+        raise ArityMismatch("block shapes do not match the pair dimensions")
+    if t == 0.0:
+        return Exceptional(np_round(y), np_canonical_direction(xi), dims)
+    return np_body(np.concatenate([y, t * xi]), dims, "orbit meets the center: t != 0 with t*xi = 0")
+
+
+def np_body(x: np.ndarray, dims: PairDims, center_message: str) -> Body:
+    """The Body point at x, rounded; CenterPoint with ``center_message``
+    if the rounded x-block is zero, so a representative never lies on
+    the center."""
+    r = np_round(x)
+    if not any(r.tolist()[dims.p :]):
+        raise CenterPoint(center_message)
+    return Body(r, dims)
+
+
+def np_chart_phi(i: int, z) -> np.ndarray:
+    """The i-th projective chart (1-based i in 1..q)."""
+    dims = z.dims
+    if not 1 <= i <= dims.q:
+        raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
+    k = i - 1
+    if isinstance(z, Exceptional):
+        xi = z.xi_dir
+        if abs(xi[k]) <= CHART_TOL:
+            raise OutsideChart(f"exceptional direction has component {i} ~ 0")
+        w = xi / xi[k]
+        w[k] = 0.0
+        return np.concatenate([z.y, w])
+    if isinstance(z, Body):
+        y, xb = dims.split(z.x)
+        if xb[k] == 0.0:
+            raise OutsideChart(f"body point has x-component {i} = 0")
+        w = xb / xb[k]
+        w[k] = xb[k]
+        return np.concatenate([y, w])
+    raise TypeError(f"not a blow-up point: {z!r}")
+
+
+def np_chart_phi_inv(i: int, w, dims: PairDims):
+    """Inverse of the i-th chart on its image."""
+    if not 1 <= i <= dims.q:
+        raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (dims.n,):
+        raise ArityMismatch(f"chart point of shape {w.shape} for ambient dim {dims.n}")
+    k = i - 1
+    y, s = dims.split(w)
+    if s[k] == 0.0:
+        xi = s.copy()
+        xi[k] = 1.0
+        return np_canonicalize(y, xi, 0.0, dims)
+    xb = s[k] * s
+    xb[k] = s[k]
+    return np_body(np.concatenate([y, xb]), dims, "chart point rounds onto the center")
+
+
+def np_transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
+    """Chart transition: the i-th chart of the point with j-th chart value w."""
+    return np_chart_phi(i, np_chart_phi_inv(j, w, dims))
+
+
 # -- comparison helpers -------------------------------------------------
 
 
@@ -208,6 +350,49 @@ def _outcome(fn, *args):
 
 def assert_same(new_fn, old_fn, *args):
     assert _outcome(new_fn, *args) == _outcome(old_fn, *args), args
+
+
+def assert_same_as_old_arrow_at_a_nearby_norm(outcome, a: float, b: float):
+    """``outcome`` is, bit for bit, the old polar formula for the plane
+    point (a, b) evaluated at np.linalg.norm's norm r or at one of the two
+    doubles next to r.  np.linalg.norm can be 1 ulp from the correctly
+    rounded norm that math.hypot returns; this admits that 1-ulp change of
+    the norm, carried through the 14-decimal rounding, and no other gap."""
+    r = float(np.linalg.norm([a, b]))
+    near = [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)]
+    assert outcome in [_outcome(old_polar_of_pair_arrow_at, a, b, s) for s in near], (a, b)
+
+
+def norm_gap_bound(old: float) -> float:
+    """The largest gap allowed between a unit-vector coordinate computed
+    with the correctly rounded norm and the same coordinate computed with
+    np.linalg.norm: max(2 ulp, one step of the 10^-ROUND_DECIMALS grid)."""
+    return max(2 * math.ulp(old), 10.0**-ROUND_DECIMALS)
+
+
+def _coords(value):
+    """The kind of an outcome (class and field shapes, or the exception
+    type) and its coordinates, field by field."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.shape), value.tolist()
+    fields = vars(value)
+    arrays = [np.atleast_1d(fields[k]) for k in sorted(fields) if not isinstance(fields[k], PairDims)]
+    kind = (type(value).__name__,) + tuple(a.shape for a in arrays)
+    return kind, np.concatenate(arrays).tolist() if arrays else []
+
+
+def assert_close(new_fn, old_fn, *args):
+    """The same kind of outcome, every coordinate within norm_gap_bound."""
+    outcomes = []
+    for fn in (new_fn, old_fn):
+        try:
+            outcomes.append(_coords(fn(*args)))
+        except ConecutError as exc:
+            outcomes.append((("raises", type(exc).__name__), []))
+    (new_kind, new), (old_kind, old) = outcomes
+    assert new_kind == old_kind, args
+    for u, v in zip(new, old):
+        assert abs(u - v) <= norm_gap_bound(v), (args, u, v)
 
 
 def _signed_zeros(v):
@@ -271,10 +456,11 @@ def test_polar_arrows_match_the_old_formula():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(1000):
         a, b = (float(v) for v in rng.uniform(-2.0, 2.0, 2) * 10.0 ** rng.integers(-5, 5))
-        assert_same(_polar_of_pair_arrow, old_polar_of_pair_arrow, a, b)
+        assert_same_as_old_arrow_at_a_nearby_norm(_outcome(_polar_of_pair_arrow, a, b), a, b)
         g = (float(rng.uniform(-2, 2)), canonical_direction(rng.normal(size=2)))
         h = (float(rng.uniform(-2, 2)), canonical_direction(rng.normal(size=2)))
-        assert_same(polar_mult, old_polar_mult, g, h)
+        # the old product was the old arrow at (t_g theta_g[0], t_h theta_h[1])
+        assert_same_as_old_arrow_at_a_nearby_norm(_outcome(polar_mult, g, h), g[0] * g[1][0], h[0] * h[1][1])
     for a, b in ((1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)):
         assert_same(_polar_of_pair_arrow, old_polar_of_pair_arrow, a, b)
 
@@ -356,3 +542,72 @@ def test_vb_chart_matches_the_old_formula():
         for r in (0, 1, 2, 3):
             assert_same(vb_chart, old_vb_chart, model, r, body)
             assert_same(vb_chart, old_vb_chart, model, r, exc)
+
+
+# -- the plain-float point kernels against the numpy ones ---------------
+
+
+def _chart_point(rng, n):
+    """A point of R^n with coordinates of mixed sign and scale, some of
+    them signed zeros or small enough to round to zero."""
+    w = rng.normal(size=n) * 10.0 ** rng.integers(-16, 3, size=n)
+    for k in range(n):
+        if rng.random() < 0.15:
+            w[k] = rng.choice([0.0, -0.0, 1e-15, -4e-15])
+    return w
+
+
+def test_body_chart_kernels_match_the_numpy_kernels_bit_for_bit():
+    rng = np.random.default_rng(SEED + 9)
+    for dims in (PairDims(2, 0), PairDims(3, 1), PairDims(4, 2), PairDims(6, 1)):
+        for _ in range(150):
+            w = _chart_point(rng, dims.n)
+            for j in range(dims.q + 2):  # 0 and q + 1 are out of range
+                if 1 <= j <= dims.q and w[dims.p + j - 1] == 0.0:
+                    continue  # an exceptional point, whose direction takes a norm
+                assert_same(chart_phi_inv, np_chart_phi_inv, j, w, dims)
+                for i in range(dims.q + 2):
+                    assert_same(transition, np_transition, i, j, w, dims)
+            x = _chart_point(rng, dims.n)
+            xi = canonical_direction(_chart_point(rng, dims.q) + 1e-300)
+            exc = Exceptional(rng.uniform(-2.0, 2.0, dims.p), xi, dims)
+            for i in range(dims.q + 2):
+                assert_same(chart_phi, np_chart_phi, i, Body(x, dims))
+                assert_same(chart_phi, np_chart_phi, i, exc)
+    with np.errstate(over="ignore"):
+        for w in ([0.5, np.nan], [np.inf, 1.0], [1e300, 2.0], [0.5, 1e-15]):
+            assert_same(chart_phi_inv, np_chart_phi_inv, 1, np.array(w), PairDims(2, 1))
+    for w in ([1.0, 2.0], [[1.0, 2.0]], 1.0):
+        assert_same(chart_phi_inv, np_chart_phi_inv, 1, w, PairDims(3, 1))
+
+
+def test_from_polar_off_the_divisor_matches_the_numpy_kernel_bit_for_bit():
+    rng = np.random.default_rng(SEED + 10)
+
+    def np_from_polar(pp, dims):
+        return np_canonicalize(pp.x, pp.theta, pp.t, dims)
+
+    for dims in (PairDims(2, 0), PairDims(3, 1), PairDims(5, 2)):
+        for _ in range(600):
+            t = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) * 10.0 ** rng.integers(-16, 4))
+            theta = _chart_point(rng, dims.q)
+            pp = PolarPoint(rng.uniform(-2.0, 2.0, dims.p), theta, t)
+            assert_same(from_polar, np_from_polar, pp, dims)
+    assert_same(from_polar, np_from_polar, PolarPoint(np.array([0.5]), np.array([1.0]), 1e-15), PairDims(2, 1))
+    assert_same(from_polar, np_from_polar, PolarPoint(np.array([np.nan]), np.array([1.0]), 1.0), PairDims(2, 1))
+
+
+def test_directions_match_the_numpy_kernel_to_rounding():
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        xi = _chart_point(rng, n) * 10.0 ** float(rng.integers(-300, 300))
+        with np.errstate(over="ignore"):
+            assert_close(canonical_direction, np_canonical_direction, xi)
+    with np.errstate(over="ignore"):
+        for xi in (
+            [0.0, -0.0], [np.nan, 1.0], [np.inf, 0.0], [1e-320, 0.0], [1e-320, 3e-320], [2.5e-323, -5e-324, 1e-322],
+            [3e-160, -4e-160], [1e200, -1e200], [1.5e308, -1.5e308],
+        ):
+            assert_close(canonical_direction, np_canonical_direction, np.array(xi))
+
