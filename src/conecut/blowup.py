@@ -284,14 +284,20 @@ def algebraic_relations_residual(a: AlgebraicPoint) -> float:
 
 
 def canonical_polar(x, theta, t) -> PolarPoint:
-    """Canonical representative under (x, theta, t) ~ (x, -theta, -t); a
-    nonzero t that rounds to 0 raises CenterPoint, as ``_body`` does."""
-    theta, norm = _unit(_floats(theta, None), "polar direction must be nonzero")
+    """Canonical representative under (x, theta, t) ~ (x, -theta, -t).
+    CenterPoint if t != 0 but the rounded block t*theta is zero, as
+    ``canonicalize`` of the same orbit raises, or the rounded block r*theta
+    of the result is zero, as ``from_polar`` of it would raise.  Either
+    needs r^2 < 4e-28 q, since some |theta_i| >= 1/sqrt(q)."""
+    given = _floats(theta, None)
+    theta, norm = _unit(given, "polar direction must be nonzero")
     sign = -1.0 if _leading_is_negative(theta) else 1.0
     x, theta = _rounded(_floats(x, None)), _rounded([sign * c for c in theta])
-    (r,) = _rounded([sign * float(t) * norm])
-    if r == 0.0 and t != 0.0:
-        raise CenterPoint("polar point rounds onto the center: t != 0 rounds to 0")
+    t = float(t)
+    (r,) = _rounded([sign * t * norm])
+    if t != 0.0 and r * r < 4e-28 * len(theta):
+        if not any(_rounded([t * c for c in given])) or not any(_rounded([r * c for c in theta])):
+            raise CenterPoint("polar point rounds onto the center: t*theta rounds to 0")
     return PolarPoint(np.array(x), np.array(theta), r)
 
 

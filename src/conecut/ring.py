@@ -13,7 +13,8 @@ denominators, accumulates each sum as an unreduced integer pair
 * build results through ``MultiPoly._trusted``, which relies on the
 invariant every MultiPoly keeps: exponent tuples of length p + q with
 nonnegative ints, and exact nonzero coefficients.  Only the public
-constructor validates, coerces and merges.
+constructors validate every term, coerce and merge; plain ints and
+Fractions pass unconverted, and an all-int point is its own numerators.
 """
 
 from __future__ import annotations
@@ -26,27 +27,37 @@ from operator import add
 from .errors import ArityMismatch, InvariantBreach
 from .expr import Add, Const, Div, Expr, Mul, Pow, SmoothMapExpr, Sub, Var
 
+_INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
+
 
 def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, (int, Rational)):
+    if isinstance(value, (int, float)):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
+    if isinstance(value, Rational):  # numpy integers, whose own products would wrap
+        return Fraction(int(value.numerator), int(value.denominator))
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def _exponents(values) -> tuple:
+    """``values`` as a tuple of ints; ArityMismatch unless each int(v) == v."""
+    try:
+        if (ints := tuple(map(int, values))) == tuple(values):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ArityMismatch(f"non-integer exponent or power of t in {values!r}")
 
 
 def _split(point, n: int):
     """Integer numerators and denominators of an exact point of length n."""
-    nums, dens = [], []
-    for v in point:
-        num, den = (v if type(v) in (int, Fraction) else _frac(v)).as_integer_ratio()
-        nums.append(num)
-        dens.append(den)
-    if len(nums) != n:
+    point = list(point)
+    if len(point) != n:
         raise ArityMismatch("evaluation point has the wrong length")
-    return nums, dens
+    if _INTS.issuperset(map(type, point)):
+        return point, [1] * n
+    return tuple(zip(*(_frac(v).as_integer_ratio() for v in point)))
 
 
 def _eval_pair(terms, nums, dens, num: int, den: int):
@@ -84,14 +95,16 @@ class MultiPoly:
         self._order = None
         clean: dict = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _frac(coeff)
-            if not coeff:
-                continue
-            exps = tuple(map(int, exps))
-            if len(exps) != p + q or min(exps, default=0) < 0:
+            if type(exps) is not tuple or not _INTS.issuperset(map(type, exps)):
+                exps = _exponents(exps)
+            if len(exps) != p + q or exps and min(exps) < 0:
                 raise ArityMismatch(f"bad monomial {exps} for {p}+{q} variables")
-            clean[exps] = clean[exps] + coeff if exps in clean else coeff
-        self.terms = {e: c for e, c in clean.items() if c}
+            coeff = _frac(coeff)
+            if exps in clean:
+                coeff += clean.pop(exps)
+            if coeff:
+                clean[exps] = coeff
+        self.terms = clean
 
     @classmethod
     def _trusted(cls, p: int, q: int, terms: dict) -> "MultiPoly":
@@ -191,7 +204,8 @@ class MultiPoly:
 
     def evaluate(self, point) -> Fraction:
         nums, dens = _split(point, self.p + self.q)
-        return Fraction(*_eval_pair(self.terms.items(), nums, dens, 0, 1))
+        num, den = _eval_pair(self.terms.items(), nums, dens, 0, 1)
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
     def substitute(self, replacements) -> "MultiPoly":
         """Substitute one polynomial per variable; result in their variables."""
@@ -256,11 +270,12 @@ class LaurentElement:
         self.q = q
         clean = {}
         for k, poly in (coeffs or {}).items():
-            if poly.is_zero():
+            if not poly.terms:
                 continue
             if (poly.p, poly.q) != (p, q):
                 raise ArityMismatch("coefficient over the wrong variable split")
-            k = int(k)
+            if type(k) is not int:
+                (k,) = _exponents((k,))
             if k >= 1 and vanishing_order(poly) < k:
                 raise InvariantBreach(
                     f"coefficient of t^-{k} vanishes only to order {vanishing_order(poly)}"
@@ -321,8 +336,7 @@ class LaurentElement:
 def char_xs(a: LaurentElement, x, s) -> Fraction:
     """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
     nums, dens = _split(x, a.p + a.q)
-    s = _frac(s)
-    sn, sd = s.numerator, s.denominator
+    sn, sd = _frac(s).as_integer_ratio()
     if sn == 0:
         raise ArityMismatch("body characters need s != 0")
     num, den = 0, 1
@@ -333,7 +347,7 @@ def char_xs(a: LaurentElement, x, s) -> Fraction:
         elif k < 0:
             n, d = n * sn**-k, d * sd**-k
         num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
-    return Fraction(num, den)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def char_yxi(a: LaurentElement, y, xi) -> Fraction:
@@ -349,7 +363,7 @@ def char_yxi(a: LaurentElement, y, xi) -> Fraction:
         if k >= 0:
             part = [(e, c) for e, c in poly.terms.items() if sum(e[p:]) == k]
             num, den = _eval_pair(part, nums, dens, num, den)
-    return Fraction(num, den)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 # -- exact univariate polynomials --------------------------------------

@@ -8,7 +8,6 @@ are registered in SUITES in report order.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -504,39 +503,45 @@ def suite_euler(samples, seed, tol):
 # -- 9: exact ring and characters -------------------------------------
 
 
-def _random_laurent(rnd, p, q) -> rg.LaurentElement:
-    coeffs = {}
-    for _ in range(rnd.randint(1, 2)):
-        k = rnd.randint(-1, 2)
-        y_exps = tuple(rnd.randint(0, 1) for _ in range(p))
-        min_x = max(k, 0)
-        x_total = min_x + rnd.randint(0, 1)
+def _random_laurent(row, p, q) -> rg.LaurentElement:
+    """The element in a row's first 2p + 13 entries: a term count, then two terms
+    (k, y-exponents, extra, x-slots, coefficient) with max(k, 0) + extra slots used."""
+    coeffs: dict = {}
+    for i in range(row[0]):
+        k, *term, c = row[1 + i * (p + 6) : 7 + p + i * (p + 6)]
         x_exps = [0] * q
-        for _ in range(x_total):
-            x_exps[rnd.randint(0, q - 1)] += 1
-        terms = {y_exps + tuple(x_exps): Fraction(rnd.randint(-5, 5))}
-        poly = rg.MultiPoly(p, q, terms)
-        if poly.is_zero():
-            continue
-        coeffs[k] = coeffs[k] + poly if k in coeffs else poly
-    return rg.LaurentElement(p, q, coeffs)
+        for j in term[p + 1 : p + 1 + max(k, 0) + term[p]]:
+            x_exps[j] += 1
+        monomials = coeffs.setdefault(k, {})
+        key = (*term[:p], *x_exps)
+        monomials[key] = monomials.get(key, 0) + c
+    return rg.LaurentElement(p, q, {k: rg.MultiPoly(p, q, m) for k, m in coeffs.items()})
+
+
+def _ring_samples(rng, samples, p, q):
+    """Yield ``samples`` draws (a, b, x, s, xi), in blocks of at most 256 rows
+    that are each one ``integers`` call with a bound per column."""
+    term = [(-1, 2)] + [(0, 1)] * (p + 1) + [(0, q - 1)] * 3 + [(-5, 5)]
+    laurent = [(1, 2)] + term * 2
+    n, m = len(laurent), 2 * len(laurent) + p + q
+    low, high = zip(*laurent, *laurent, *[(-3, 3)] * (p + q), (1, 4), *[(-3, 3)] * q)
+    for start in range(0, samples, 256):
+        size = (min(256, samples - start), len(low))
+        for row in rng.integers(low, high, size, endpoint=True).tolist():
+            a, b = _random_laurent(row, p, q), _random_laurent(row[n:], p, q)
+            yield a, b, row[2 * n : m], Fraction(row[m], 3), row[m + 1 :]
 
 
 @_suite("ring", samples=10000, tol=1e-12)
 def suite_ring(samples, seed, tol):
-    rnd = random.Random(seed)
+    rng = np.random.default_rng(seed)
     p, q = 1, 2
     hom_ok = True
     grading_ok = True
     one = rg.LaurentElement.from_poly(rg.MultiPoly.const(p, q, 1))
-    for _ in range(samples):
-        a = _random_laurent(rnd, p, q)
-        b = _random_laurent(rnd, p, q)
+    for a, b, x_pt, s, xi_pt in _ring_samples(rng, samples, p, q):
         ab = a * b  # constructor re-asserts the filtration
-        x_pt = [rnd.randint(-3, 3) for _ in range(p + q)]
-        s = Fraction(rnd.randint(1, 4), 3)
         y_pt = x_pt[:p]
-        xi_pt = [rnd.randint(-3, 3) for _ in range(q)]
         a_plus_b = a + b
         xs_a, xs_b = rg.char_xs(a, x_pt, s), rg.char_xs(b, x_pt, s)
         yxi_a, yxi_b = rg.char_yxi(a, y_pt, xi_pt), rg.char_yxi(b, y_pt, xi_pt)
@@ -550,16 +555,17 @@ def suite_ring(samples, seed, tol):
     if rg.char_xs(one, [0] * (p + q), 1) != 1 or rg.char_yxi(one, [0] * p, [0] * q) != 1:
         hom_ok = False
     # grading: pure elements f_k t^-k are degree-k homogeneous in xi
-    for _ in range(200):
-        k = rnd.randint(1, 3)
+    bounds = [(1, 3), (0, 1), (0, 1), (1, 4)] + [(0, q - 1)] * 4 + [(-3, 3)] * q
+    draws = rng.integers(*zip(*bounds), (200, len(bounds)), endpoint=True).tolist()
+    for k, extra, y_exp, lam, *rest in draws:
         x_exps = [0] * q
-        for _ in range(k + rnd.randint(0, 1)):
-            x_exps[rnd.randint(0, q - 1)] += 1
-        poly = rg.MultiPoly(p, q, {(rnd.randint(0, 1),) + tuple(x_exps): Fraction(3, 2)})
+        for j in rest[: k + extra]:
+            x_exps[j] += 1
+        poly = rg.MultiPoly(p, q, {(y_exp, *x_exps): Fraction(3, 2)})
         elem = rg.LaurentElement.from_poly(poly, k)
-        lam = Fraction(rnd.randint(1, 4), 3)
+        lam = Fraction(lam, 3)
         y_pt = [Fraction(1, 2)]
-        xi_pt = [Fraction(rnd.randint(-3, 3), 2) for _ in range(q)]
+        xi_pt = [Fraction(v, 2) for v in rest[4:]]
         lhs = rg.char_yxi(elem, y_pt, [lam * v for v in xi_pt])
         rhs = lam**k * rg.char_yxi(elem, y_pt, xi_pt)
         if lhs != rhs:

@@ -550,6 +550,37 @@ def test_canonical_polar_rejects_a_nonzero_t_that_rounds_to_zero():
     assert canonical_polar([0.5], [-1.0], 0.0).t == 0.0
 
 
+def test_polar_and_quotient_models_refuse_the_same_orbit():
+    # each t*xi_i = 4e-15 rounds to 0, though t*|xi| = 5.7e-15 rounds up to 1e-14
+    with pytest.raises(CenterPoint):
+        canonicalize([0.5], [1.0, 1.0], 4e-15, PairDims(3, 1))
+    with pytest.raises(CenterPoint, match="rounds onto the center"):
+        canonical_polar([0.5], [1.0, 1.0], 4e-15)
+    # t*xi_i = 5.1e-15 rounds up, but the result's r*theta_i = 1e-14 * 0.5 rounds to 0
+    with pytest.raises(CenterPoint):
+        canonical_polar([0.5], [1.0] * 4, 5.1e-15)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_every_polar_point_maps_back_through_from_polar(q):
+    rng = np.random.default_rng(q)
+    dims, refused = PairDims(q + 1, 1), 0
+    for _ in range(2000):
+        xi = rng.integers(-3, 4, q).astype(float)
+        if not xi.any():
+            continue
+        t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.5, -13.5))
+        try:
+            pp = canonical_polar([0.5], xi, t)
+        except CenterPoint:
+            refused += 1
+            continue
+        assert pp.t != 0.0
+        assert isinstance(from_polar(pp, dims), Body)
+        assert isinstance(canonicalize([0.5], xi, t, dims), Body)
+    assert 0 < refused < 2000
+
+
 def test_polar_map_rejects_a_body_image_that_rounds_onto_the_divisor():
     y, x = Var(0), Var(1)
     squash = MapOfPairs(from_components(2, (y, x * 1e-15)), PairDims(2, 1), PairDims(2, 1))

@@ -7,6 +7,9 @@ re-exports) and lists the names its module-level ``import`` statements
 bind but its code never references.  ``test_no_private_cross_module_imports``
 lists every underscore name a module of ``src/conecut`` imports from a
 conecut module: a helper shared across modules is public.
+``test_no_module_imports_random`` lists every import of the standard
+``random`` module, so every suite draws from a numpy ``Generator``
+seeded by its ``seed``.
 """
 
 import ast
@@ -67,5 +70,33 @@ def test_no_private_cross_module_imports():
         path.stem: names
         for path in sorted(PACKAGE.glob("*.py"))
         if (names := private_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def random_imports(source: str) -> list:
+    """Imports of the standard ``random`` module, anywhere in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "random":
+            found.append(f"line {node.lineno}: {node.module}")
+    return found
+
+
+def test_random_imports_finds_the_standard_module():
+    source = (
+        "import os, random as r\nimport numpy.random\nfrom .random import x\n"
+        "def f():\n    from random import randint\n    import random.foo\n"
+    )
+    assert random_imports(source) == ["line 1: random", "line 5: random", "line 6: random.foo"]
+
+
+def test_no_module_imports_random():
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := random_imports(path.read_text()))
     }
     assert found == {}

@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecut.errors import ArityMismatch, InvariantBreach
@@ -286,3 +287,150 @@ def test_squarefree_factors_give_multiplicities():
     assert squarefree_factors([5]) == []
     assert univariate_gcd([-1, 0, 1], [1, 2, 1]) == [1, 1]
     assert univariate_gcd([Fraction(2)], []) == [1]
+
+
+# -- the constructors' and kernels' fast paths ------------------------
+
+
+def test_non_integer_exponents_and_powers_of_t_are_rejected():
+    x1 = _vars()[1]
+    with pytest.raises(ArityMismatch, match="non-integer"):
+        MultiPoly(1, 2, {(0.5, 0, 1): 1})  # int(0.5) would drop y^0.5, leaving x2
+    with pytest.raises(ArityMismatch, match="non-integer"):
+        LaurentElement(1, 2, {1.5: x1})  # int(1.5) would give (x1)*t^-1
+    for bad in (float("nan"), float("inf"), Fraction(1, 2), "1"):
+        with pytest.raises(ArityMismatch):
+            MultiPoly(P, Q, {(0, bad, 0): 1})
+        with pytest.raises(ArityMismatch):
+            LaurentElement(P, Q, {bad: x1})
+    # integers, numpy integers and integral floats keep working, as ints
+    for one in (1, np.int64(1), np.uint8(1), 1.0, np.float64(1.0), True, Fraction(1)):
+        f = MultiPoly(P, Q, {(0, one, 0): 1})
+        assert f == x1 and all(type(e) is int for exps in f.terms for e in exps)
+        elem = LaurentElement(P, Q, {one: x1})
+        assert elem == LaurentElement.from_poly(x1, 1) and all(type(k) is int for k in elem.coeffs)
+
+
+class _Pairs(list):
+    """Terms as (key, value) pairs, so that a key can repeat."""
+
+    def items(self):
+        return iter(self)
+
+
+def test_constructors_still_merge_drop_and_check_the_filtration():
+    y, x1, x2 = _vars()
+    merged = MultiPoly(
+        P,
+        Q,
+        _Pairs(
+            [((0, 1, 0), 2), ((1, 0, 0), 1), ((0, 1, 0), Fraction(1, 2)), ((1, 0, 0), -1), ((0, 0, 1), 0)]
+        ),
+    )
+    assert merged.terms == {(0, 1, 0): Fraction(5, 2)}
+    again = MultiPoly(P, Q, _Pairs([((0, 1, 0), 1), ((0, 1, 0), -1), ((0, 1, 0), 3)]))
+    assert again.terms == {(0, 1, 0): 3}
+    assert LaurentElement(P, Q, {0: y - y, 1: x1, 2: MultiPoly(P, Q)}).coeffs == {1: x1}
+    for k, f in ((1, y + x1), (np.int64(2), x1), (2.0, x1 * x2 + x2)):
+        with pytest.raises(InvariantBreach):
+            LaurentElement(P, Q, {k: f})
+
+
+def _exact(v) -> Fraction:
+    return Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
+
+
+def _forms(point, sized=False):
+    """The forms a point can take: list, tuple, object ndarray, an int64
+    ndarray when every entry is an integer, and (unless ``sized``) a generator."""
+    forms = [list(point), tuple(point), np.array(point, dtype=object)]
+    if all(isinstance(v, (int, np.integer)) for v in point):
+        forms.append(np.array([int(v) for v in point], dtype=np.int64))
+    return forms if sized else forms + [(v for v in point)]
+
+
+_ELEMENT = LaurentElement(
+    P,
+    Q,
+    {
+        -1: MultiPoly(P, Q, {(2, 0, 0): 3, (0, 1, 1): Fraction(-1, 2)}),
+        0: MultiPoly(P, Q, {(0, 0, 0): 1, (1, 1, 0): -2}),
+        1: MultiPoly(P, Q, {(0, 1, 0): Fraction(5, 3), (1, 1, 1): 1}),
+        2: MultiPoly(P, Q, {(0, 1, 1): 4, (0, 3, 0): -1}),
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        [2, -3, 5],
+        [Fraction(1, 3), Fraction(-7, 2), Fraction(5)],
+        [np.int64(2), np.int32(-3), np.uint8(5)],
+        [True, False, True],
+        [Fraction(1, 3), np.int64(-2), True],
+        [0.5, -3.0, np.float64(2.25)],
+    ],
+    ids=["int", "Fraction", "numpy int", "bool", "mixed", "float"],
+)
+def test_fast_paths_agree_on_every_point_form(point):
+    exact = [_exact(v) for v in point]
+    s = Fraction(-2, 3)
+    want_xs, want_yxi = _naive_xs(_ELEMENT, exact, s), _naive_yxi(_ELEMENT, exact[:P], exact[P:])
+    f = _ELEMENT.coeffs[1]
+    for x in _forms(point):
+        assert char_xs(_ELEMENT, x, s) == want_xs
+    for x in _forms(point):
+        assert f.evaluate(x) == _naive_value(f, exact)
+    for y in _forms(point[:P], sized=True):
+        for xi in _forms(point[P:]):
+            got = char_yxi(_ELEMENT, y, xi)
+            assert got == want_yxi and type(got) is Fraction
+    for s_form in (s, -2, np.int64(-2), True, 0.25):
+        assert char_xs(_ELEMENT, point, s_form) == _naive_xs(_ELEMENT, exact, _exact(s_form))
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_entries = st.one_of(
+    st.integers(-4, 4), _rationals, st.integers(-4, 4).map(np.int64), st.booleans()
+)
+
+
+@st.composite
+def _elements(draw):
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-2, 3), unique=True, max_size=3)):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            x1 = draw(st.integers(0, 3) | st.integers(40, 45))
+            x2 = draw(st.integers(max(k - x1, 0), max(k - x1, 0) + 2))
+            terms[(draw(st.integers(0, 3)), x1, x2)] = draw(_rationals)
+        coeffs[k] = MultiPoly(P, Q, terms)
+    return LaurentElement(P, Q, coeffs)
+
+
+# Counterexamples found against numpy integers read as numpy values: int64
+# products wrapped silently (the first) or overflowed on mixing with ints.
+@example(LaurentElement(P, Q, {0: MultiPoly(P, Q, {(0, 40, 0): 1})}), [0, np.int64(3), 0], 1, 0)
+@example(LaurentElement(P, Q, {1: MultiPoly(P, Q, {(0, 40, 0): 1})}), [0, 3, 0], np.int64(-1), 0)
+@example(
+    LaurentElement(P, Q, {0: MultiPoly(P, Q, {(1, 40, 0): 1})}), [np.int64(0), Fraction(1, 3), 0], 1, 0
+)
+@given(
+    _elements(),
+    st.lists(_entries, min_size=P + Q, max_size=P + Q),
+    _entries.filter(bool),
+    st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_characters_match_a_direct_fraction_evaluation(a, point, s, form):
+    exact = [_exact(v) for v in point]
+
+    def pick(forms):
+        return forms[min(form, len(forms) - 1)]
+
+    assert char_xs(a, pick(_forms(point)), s) == _naive_xs(a, exact, _exact(s))
+    y, xi = pick(_forms(point[:P], sized=True)), pick(_forms(point[P:]))
+    assert char_yxi(a, y, xi) == _naive_yxi(a, exact[:P], exact[P:])
+    for f in a.coeffs.values():
+        assert f.evaluate(pick(_forms(point))) == _naive_value(f, exact)
