@@ -27,7 +27,6 @@ two projective charts read through the two stereographic charts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     OutsideChart,
 )
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
+from .record import Record
 from .ring import MultiPoly, squarefree_factors
 
 # Representatives are rounded at this many decimals so that orbit
@@ -116,38 +116,38 @@ def canonical_direction(xi) -> np.ndarray:
     return np.array(_direction(_floats(xi, None)))
 
 
-@dataclass(frozen=True)
-class Exceptional:
+class Exceptional(Record, frozen=True):
     """A point [y, xi] of the exceptional divisor, canonical direction."""
 
-    y: np.ndarray
-    xi_dir: np.ndarray
-    dims: PairDims
+    def __init__(self, y: np.ndarray, xi_dir: np.ndarray, dims: PairDims):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "xi_dir", xi_dir)
+        object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(Record, frozen=True):
     """An off-center ambient point, the t = 1 orbit representative."""
 
-    x: np.ndarray
-    dims: PairDims
+    def __init__(self, x: np.ndarray, dims: PairDims):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "dims", dims)
 
 
-@dataclass(frozen=True)
-class PolarPoint:
+class PolarPoint(Record, frozen=True):
     """Canonical representative (x, theta, t) of the polar double quotient."""
 
-    x: np.ndarray
-    theta: np.ndarray
-    t: float
+    def __init__(self, x: np.ndarray, theta: np.ndarray, t: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class AlgebraicPoint:
+class AlgebraicPoint(Record, frozen=True):
     """A point (x, [line]) of the incidence submanifold, center a point."""
 
-    x: np.ndarray
-    line: np.ndarray
+    def __init__(self, x: np.ndarray, line: np.ndarray):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "line", line)
 
 
 def canonicalize(y, xi, t, dims: PairDims):
@@ -468,18 +468,18 @@ def _stereo_inv(u: np.ndarray, pole: float) -> np.ndarray:
     return np.array([2 * u[0], 2 * u[1], pole * r2 - pole]) / (1.0 + r2)
 
 
-@dataclass(frozen=True)
-class SphereBody:
+class SphereBody(Record, frozen=True):
     """A sphere point away from the north pole +1 = (0, 0, 1)."""
 
-    x: np.ndarray
+    def __init__(self, x: np.ndarray):
+        object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class SphereExceptional:
+class SphereExceptional(Record, frozen=True):
     """A tangent direction (xi0, xi1, 0) at the north pole."""
 
-    xi: np.ndarray  # length 2: the (xi0, xi1) components
+    def __init__(self, xi: np.ndarray):  # length 2: the (xi0, xi1) components
+        object.__setattr__(self, "xi", xi)
 
 
 def sphere_rp2_map(z) -> np.ndarray:

@@ -21,22 +21,22 @@ xi-component of the induced map of f.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, NotVanishing
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, require_adapted
 from .expr import SmoothMapExpr
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DncPoint:
+class DncPoint(Record, frozen=True):
     """A chart point (y, xi, t); the ambient shadow is (y, t*xi)."""
 
-    y: np.ndarray
-    xi: np.ndarray
-    t: float
+    def __init__(self, y: np.ndarray, xi: np.ndarray, t: float):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "t", t)
 
     @staticmethod
     def of(y, xi, t) -> "DncPoint":
@@ -62,23 +62,21 @@ class DncPoint:
         )
 
 
-@dataclass(frozen=True)
-class NormalSlice:
+class NormalSlice(Record, frozen=True):
     """A point (y, xi) of the t = 0 slice (a normal vector)."""
 
-    y: np.ndarray
-    xi: np.ndarray
+    def __init__(self, y: np.ndarray, xi: np.ndarray):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "xi", xi)
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(Record, frozen=True):
     """An ambient point x at parameter t != 0."""
 
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if self.t == 0.0:
+    def __init__(self, x: np.ndarray, t: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
+        if t == 0.0:
             raise ArityMismatch("Body points require t != 0")
 
 

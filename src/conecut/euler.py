@@ -17,27 +17,22 @@ it carries the fiberwise scaling generator to sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from .expr import SmoothMapExpr, Var, eval_coords, eval_map, from_components, jet_eval
 from .pairs import PairDims, sample_slice_points
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record, frozen=True):
     """Components of a vector field on the ambient chart (n -> n)."""
 
-    components: SmoothMapExpr
-    dims: PairDims
-
-    def __post_init__(self):
-        if (
-            self.components.input_dim != self.dims.n
-            or self.components.output_dim != self.dims.n
-        ):
+    def __init__(self, components: SmoothMapExpr, dims: PairDims):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "dims", dims)
+        if components.input_dim != dims.n or components.output_dim != dims.n:
             raise DomainViolation("vector field must map the chart to itself")
 
     def __call__(self, x) -> np.ndarray:
@@ -52,11 +47,11 @@ def euler_field(dims: PairDims) -> VectorField:
     return VectorField(from_components(dims.n, body), dims)
 
 
-@dataclass(frozen=True)
-class EulerLikeReport:
-    vanishes_on_Y: bool
-    normal_block_is_identity: bool
-    max_violation: float
+class EulerLikeReport(Record, frozen=True):
+    def __init__(self, vanishes_on_Y: bool, normal_block_is_identity: bool, max_violation: float):
+        object.__setattr__(self, "vanishes_on_Y", vanishes_on_Y)
+        object.__setattr__(self, "normal_block_is_identity", normal_block_is_identity)
+        object.__setattr__(self, "max_violation", max_violation)
 
     @property
     def ok(self) -> bool:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
+from .record import Record
 
 
 class Expr:
@@ -83,110 +83,110 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot coerce {value!r} to an expression")
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
+class Const(Expr, Record, frozen=True):
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def __str__(self):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Var(Expr):
-    index: int  # 0-based input coordinate
+class Var(Expr, Record, frozen=True):
+    def __init__(self, index: int):  # 0-based input coordinate
+        object.__setattr__(self, "index", index)
 
     def __str__(self):
         return f"x{self.index + 1}"
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class Add(Expr, Record, frozen=True):
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sub(Expr, Record, frozen=True):
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} - {self.right})"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Mul(Expr, Record, frozen=True):
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Div(Expr, Record, frozen=True):
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def __str__(self):
         return f"({self.left} / {self.right})"
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
+class Pow(Expr, Record, frozen=True):
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
     def __str__(self):
         return f"({self.base})^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: Expr
+class Sqrt(Expr, Record, frozen=True):
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def __str__(self):
         return f"sqrt({self.arg})"
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Exp(Expr, Record, frozen=True):
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def __str__(self):
         return f"exp({self.arg})"
 
 
-@dataclass(frozen=True)
-class Log(Expr):
-    arg: Expr
+class Log(Expr, Record, frozen=True):
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def __str__(self):
         return f"log({self.arg})"
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
+class Sin(Expr, Record, frozen=True):
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def __str__(self):
         return f"sin({self.arg})"
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
+class Cos(Expr, Record, frozen=True):
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def __str__(self):
         return f"cos({self.arg})"
 
 
-@dataclass(frozen=True)
-class Norm(Expr):
-    args: tuple  # tuple[Expr, ...]
+class Norm(Expr, Record, frozen=True):
+    def __init__(self, args: tuple):  # tuple[Expr, ...]
+        object.__setattr__(self, "args", args)
 
     def __str__(self):
         return "norm(" + ", ".join(str(a) for a in self.args) + ")"
@@ -613,14 +613,12 @@ GUARD_KINDS = ("nonzero", "positive", "nonnegative")
 _GUARD_TESTS = dict(zip(GUARD_KINDS, (operator.ne, operator.gt, operator.ge)))
 
 
-@dataclass(frozen=True)
-class Guard:
-    expr: Expr
-    kind: str  # one of GUARD_KINDS
-
-    def __post_init__(self):
-        if self.kind not in _GUARD_TESTS:
-            raise UnknownGuardKind(f"unknown guard kind {self.kind!r}; expected one of {GUARD_KINDS}")
+class Guard(Record, frozen=True):
+    def __init__(self, expr: Expr, kind: str):  # kind: one of GUARD_KINDS
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "kind", kind)
+        if kind not in _GUARD_TESTS:
+            raise UnknownGuardKind(f"unknown guard kind {kind!r}; expected one of {GUARD_KINDS}")
 
     def holds(self, point: np.ndarray) -> bool:
         n = point.shape[0]
@@ -636,28 +634,26 @@ class Guard:
         return {}
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(Record, frozen=True):
     """Value and Jacobian of a smooth map at a point."""
 
-    value: np.ndarray  # shape (m,)
-    jacobian: np.ndarray  # shape (m, n)
+    def __init__(self, value: np.ndarray, jacobian: np.ndarray):  # shapes (m,) and (m, n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "jacobian", jacobian)
 
 
-@dataclass(frozen=True)
-class SmoothMapExpr:
-    """A smooth map R^n -> R^m as a tuple of scalar expression trees."""
+class SmoothMapExpr(Record, frozen=True):
+    """A smooth map R^n -> R^m as a tuple of scalar expression trees.
 
-    input_dim: int
-    output_dim: int
-    body: tuple  # tuple[Expr, ...], length output_dim
-    guards: tuple = ()  # tuple[Guard, ...]
+    ``body`` is a tuple of output_dim Exprs, ``guards`` a tuple of Guards."""
 
-    def __post_init__(self):
-        if len(self.body) != self.output_dim:
-            raise ArityMismatch(
-                f"{len(self.body)} components for declared output_dim {self.output_dim}"
-            )
+    def __init__(self, input_dim: int, output_dim: int, body: tuple, guards: tuple = ()):
+        object.__setattr__(self, "input_dim", input_dim)
+        object.__setattr__(self, "output_dim", output_dim)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "guards", guards)
+        if len(body) != output_dim:
+            raise ArityMismatch(f"{len(body)} components for declared output_dim {output_dim}")
 
     def in_domain(self, point) -> bool:
         """Whether every guard holds at the point.  A point with a

@@ -16,7 +16,6 @@ documented fact, not a test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import SamplingFailure
 from .expr import Guard, SmoothMapExpr, Var, eval_batch, eval_map, from_components, jet_eval
 from .pairs import RANK_RTOL, numeric_rank
+from .record import Record
 from .blowup import (
     Body,
     Exceptional,
@@ -41,8 +41,7 @@ COMPOSABILITY_TOL = 1e-10
 BATCH_ROWS = 256
 
 
-@dataclass(frozen=True)
-class GroupoidSpec:
+class GroupoidSpec(Record, frozen=True):
     """Structure maps of a groupoid in a single arrow chart.
 
     mult takes the concatenation (g, h) of two composable arrows (the
@@ -54,16 +53,29 @@ class GroupoidSpec:
     kept where source and target are defined.
     """
 
-    arrow_dim: int
-    base_dim: int
-    source: SmoothMapExpr
-    target: SmoothMapExpr
-    mult: SmoothMapExpr
-    inv: SmoothMapExpr
-    unit: SmoothMapExpr
-    composable_partner: Callable
-    tol: float = COMPOSABILITY_TOL
-    arrow_sampler: Callable | None = None
+    def __init__(
+        self,
+        arrow_dim: int,
+        base_dim: int,
+        source: SmoothMapExpr,
+        target: SmoothMapExpr,
+        mult: SmoothMapExpr,
+        inv: SmoothMapExpr,
+        unit: SmoothMapExpr,
+        composable_partner: Callable,
+        tol: float = COMPOSABILITY_TOL,
+        arrow_sampler: Callable | None = None,
+    ):
+        object.__setattr__(self, "arrow_dim", arrow_dim)
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "composable_partner", composable_partner)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "arrow_sampler", arrow_sampler)
 
     def s(self, g):
         return eval_map(self.source, g)
@@ -116,14 +128,22 @@ def _worst(diff) -> float:
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-@dataclass
-class AxiomReport:
-    source_of_product: float = 0.0
-    target_of_product: float = 0.0
-    associativity: float = 0.0
-    unit_laws: float = 0.0
-    inverse_laws: float = 0.0
-    samples: int = 0
+class AxiomReport(Record, frozen=False):
+    def __init__(
+        self,
+        source_of_product: float = 0.0,
+        target_of_product: float = 0.0,
+        associativity: float = 0.0,
+        unit_laws: float = 0.0,
+        inverse_laws: float = 0.0,
+        samples: int = 0,
+    ):
+        self.source_of_product = source_of_product
+        self.target_of_product = target_of_product
+        self.associativity = associativity
+        self.unit_laws = unit_laws
+        self.inverse_laws = inverse_laws
+        self.samples = samples
 
     def max_violation(self) -> float:
         return max(
@@ -271,10 +291,10 @@ def polar_mult(g, h):
     return _polar_of_pair_arrow(polar_target(g[1], g[0]), polar_source(h[1], h[0]))
 
 
-@dataclass
-class PolarCheckReport:
-    max_structure_violation: float
-    samples: int
+class PolarCheckReport(Record, frozen=False):
+    def __init__(self, max_structure_violation: float, samples: int):
+        self.max_structure_violation = max_structure_violation
+        self.samples = samples
 
 
 def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
@@ -345,10 +365,10 @@ def _polar_batch_violation(spec, arrows, polar_st, kept, partners, polar_prod, p
     )
 
 
-@dataclass
-class IsotropyReport:
-    isotropy_dim: int
-    orbit_dim: int
+class IsotropyReport(Record, frozen=False):
+    def __init__(self, isotropy_dim: int, orbit_dim: int):
+        self.isotropy_dim = isotropy_dim
+        self.orbit_dim = orbit_dim
 
 
 def isotropy_orbit_report(spec: GroupoidSpec, base_point) -> IsotropyReport:
@@ -371,12 +391,18 @@ def isotropy_orbit_report(spec: GroupoidSpec, base_point) -> IsotropyReport:
     return IsotropyReport(isotropy_dim, orbit_dim)
 
 
-@dataclass
-class ActionReport:
-    identity_violation: float
-    composition_violation: float
-    blowdown_violation: float
-    samples: int
+class ActionReport(Record, frozen=False):
+    def __init__(
+        self,
+        identity_violation: float,
+        composition_violation: float,
+        blowdown_violation: float,
+        samples: int,
+    ):
+        self.identity_violation = identity_violation
+        self.composition_violation = composition_violation
+        self.blowdown_violation = blowdown_violation
+        self.samples = samples
 
 
 def rotate_blowup_point(angle: float, z):

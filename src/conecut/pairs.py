@@ -10,13 +10,13 @@ its Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
 from .expr import SmoothMapExpr, jet_eval
+from .record import Record
 
 # Singular values below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-8
@@ -24,16 +24,14 @@ ADAPTED_TOL = 1e-12
 DEFAULT_SLICE_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class PairDims:
+class PairDims(Record, frozen=True):
     """Dimension data (n, p) of a local pair; q = n - p is the codimension."""
 
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if not (0 <= self.p <= self.n):
-            raise ArityMismatch(f"invalid pair dimensions (n={self.n}, p={self.p})")
+    def __init__(self, n: int, p: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        if not (0 <= p <= n):
+            raise ArityMismatch(f"invalid pair dimensions (n={n}, p={p})")
 
     @property
     def q(self) -> int:
@@ -55,19 +53,17 @@ class PairDims:
         return np.concatenate([y, x])
 
 
-@dataclass(frozen=True)
-class MapOfPairs:
+class MapOfPairs(Record, frozen=True):
     """A smooth map f: (R^n, R^p) -> (R^m, R^p') in adapted coordinates."""
 
-    f: SmoothMapExpr
-    source: PairDims
-    target: PairDims
-
-    def __post_init__(self):
-        if self.f.input_dim != self.source.n or self.f.output_dim != self.target.n:
+    def __init__(self, f: SmoothMapExpr, source: PairDims, target: PairDims):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        if f.input_dim != source.n or f.output_dim != target.n:
             raise ArityMismatch(
-                f"map arity ({self.f.input_dim} -> {self.f.output_dim}) does not match "
-                f"pair dims ({self.source.n} -> {self.target.n})"
+                f"map arity ({f.input_dim} -> {f.output_dim}) does not match "
+                f"pair dims ({source.n} -> {target.n})"
             )
 
     def __call__(self, point) -> np.ndarray:
@@ -96,11 +92,11 @@ class MapOfPairs:
         return True
 
 
-@dataclass(frozen=True)
-class AdaptedReport:
-    ok: bool
-    worst_violation: float
-    checked: int
+class AdaptedReport(Record, frozen=True):
+    def __init__(self, ok: bool, worst_violation: float, checked: int):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "worst_violation", worst_violation)
+        object.__setattr__(self, "checked", checked)
 
 
 def sample_slice_points(dims: PairDims, samples: int, seed: int):
@@ -157,51 +153,67 @@ def tangential_derivative(m: MapOfPairs, y) -> np.ndarray:
     return jac[: m.target.p, : m.source.p]
 
 
+def numeric_ranks(matrices) -> list:
+    """The number of singular values above RANK_RTOL times the largest,
+    for each of a sequence of matrices of one shape, from one stacked
+    SVD; 0 for an empty or a zero matrix."""
+    stack = np.asarray(matrices, dtype=float)
+    if stack.size == 0:
+        return [0] * len(stack)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(svals > RANK_RTOL * svals[:, :1], axis=1).tolist()
+
+
 def numeric_rank(matrix) -> int:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_RTOL * svals[0]))
+    """numeric_ranks of one matrix; a vector counts as one row."""
+    return numeric_ranks(np.atleast_2d(np.asarray(matrix, dtype=float))[None])[0]
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank_f: int
-    rank_f_restricted: int
-    fiberwise_rank_dN: int
-    rank_f_constant: bool
-    rank_f_restricted_constant: bool
-    dN_rank_constant: bool
+class RankReport(Record, frozen=True):
+    def __init__(
+        self,
+        rank_f: int,
+        rank_f_restricted: int,
+        fiberwise_rank_dN: int,
+        rank_f_constant: bool,
+        rank_f_restricted_constant: bool,
+        dN_rank_constant: bool,
+    ):
+        object.__setattr__(self, "rank_f", rank_f)
+        object.__setattr__(self, "rank_f_restricted", rank_f_restricted)
+        object.__setattr__(self, "fiberwise_rank_dN", fiberwise_rank_dN)
+        object.__setattr__(self, "rank_f_constant", rank_f_constant)
+        object.__setattr__(self, "rank_f_restricted_constant", rank_f_restricted_constant)
+        object.__setattr__(self, "dN_rank_constant", dN_rank_constant)
 
 
 def check_rank_conditions(m: MapOfPairs, samples: int = 64, seed: int = 0) -> RankReport:
-    """Sampled ranks of df, of the restricted map, and of d_N fiberwise."""
+    """Sampled ranks of df, of the restricted map, and of d_N fiberwise.
+
+    One jet per slice point gives both its tangential_derivative and its
+    normal_derivative block."""
     rng = np.random.default_rng(seed)
-    full_ranks = set()
-    restricted_ranks = set()
-    dn_ranks = set()
-    found = 0
+    full = []
     for _ in range(samples * 4):
-        if found >= samples:
+        if len(full) >= samples:
             break
         point = rng.uniform(-1.0, 1.0, size=m.source.n)
-        if not m.f.in_domain(point):
-            continue
-        full_ranks.add(numeric_rank(jet_eval(m.f, point).jacobian))
-        found += 1
-    if found == 0:
+        if m.f.in_domain(point):
+            full.append(jet_eval(m.f, point).jacobian)
+    if not full:
         raise SamplingFailure("no sampled point lies in the map's domain")
+    p, p_target = m.source.p, m.target.p
+    restricted, dn = [], []
     for point in sample_slice_points(m.source, samples, seed + 1):
-        if not m.f.in_domain(point):
-            continue
-        y = point[: m.source.p]
-        restricted_ranks.add(numeric_rank(tangential_derivative(m, y)))
-        dn_ranks.add(numeric_rank(normal_derivative(m, y)))
-    if not dn_ranks:
+        if m.f.in_domain(point):
+            jac = jet_eval(m.f, point).jacobian
+            restricted.append(jac[:p_target, :p])
+            dn.append(jac[p_target:, p:])
+    if not dn:
         raise SamplingFailure("no sampled slice point lies in the map's domain")
+    full_ranks = set(numeric_ranks(full))
+    restricted_ranks = set(numeric_ranks(restricted))
+    dn_ranks = set(numeric_ranks(dn))
     return RankReport(
         rank_f=max(full_ranks),
         rank_f_restricted=max(restricted_ranks),

@@ -28,14 +28,19 @@ from .errors import ArityMismatch, InvariantBreach
 from .expr import Add, Const, Div, Expr, Mul, Pow, SmoothMapExpr, Sub, Var
 
 _INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
+_SCALARS = (float, Rational)  # the scalars _frac reads; ints are Rational
 
 
 def _frac(value) -> Fraction:
+    """``value`` as a Fraction whose numerator and denominator are ints."""
     if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, float)):
+        num, den = value.as_integer_ratio()
+        if type(num) is int and type(den) is int:
+            return value
+    elif isinstance(value, (int, float)):
         return Fraction(value)
-    if isinstance(value, Rational):  # numpy integers, whose own products would wrap
+    # numpy integers, and Fractions of them, whose own products would wrap
+    if isinstance(value, Rational):
         return Fraction(int(value.numerator), int(value.denominator))
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
@@ -134,9 +139,14 @@ class MultiPoly:
         if (self.p, self.q) != (other.p, other.q):
             raise ArityMismatch("polynomials over different variable splits")
 
+    def _const(self, value):
+        """A scalar ``_frac`` reads, as a constant over this split; None
+        for any other value."""
+        return MultiPoly.const(self.p, self.q, value) if isinstance(value, _SCALARS) else None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.p, self.q, other)
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
+            return NotImplemented
         self._check_like(other)
         terms = self.terms.copy()
         for e, c in other.terms.items():
@@ -156,15 +166,17 @@ class MultiPoly:
         return MultiPoly._trusted(self.p, self.q, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.p, self.q, other)
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = _frac(other)
             terms = {e: c * other for e, c in self.terms.items()} if other else {}
             return MultiPoly._trusted(self.p, self.q, terms)
@@ -189,9 +201,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.p, self.q, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
             return NotImplemented
         return (self.p, self.q) == (other.p, other.q) and self.terms == other.terms
 
@@ -297,6 +307,8 @@ class LaurentElement:
             raise ArityMismatch("Laurent elements over different variable splits")
 
     def __add__(self, other):
+        if not isinstance(other, LaurentElement):
+            return NotImplemented
         self._check_like(other)
         coeffs = dict(self.coeffs)
         for k, poly in other.coeffs.items():
@@ -304,6 +316,8 @@ class LaurentElement:
         return LaurentElement(self.p, self.q, coeffs)
 
     def __mul__(self, other):
+        if not isinstance(other, LaurentElement):
+            return NotImplemented
         self._check_like(other)
         coeffs: dict = {}
         for k1, f1 in self.coeffs.items():

@@ -14,33 +14,31 @@ r-th normal coordinate (body) or its derivative along the direction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, Var, compose, eval_map, from_components
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
+from .record import Record
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
 
-@dataclass(frozen=True)
-class VbPairModel:
+class VbPairModel(Record, frozen=True):
     """A trivialized vector-bundle pair over a local base pair.
 
     frame: (u, upsilon) in R^{n + k + l} -> (f, e) in R^{k + l}, linear
     in upsilon.  The sub-bundle is {x(u) = 0, e(u, upsilon) = 0}.
     """
 
-    base: PairDims
-    rank_f: int  # k: rank of the sub-bundle's fiber
-    rank_e: int  # l: rank of the complement block
-
-    frame: SmoothMapExpr
-
-    def __post_init__(self):
-        total = self.rank_f + self.rank_e
-        if self.frame.input_dim != self.base.n + total or self.frame.output_dim != total:
+    def __init__(self, base: PairDims, rank_f: int, rank_e: int, frame: SmoothMapExpr):
+        # rank_f = k: rank of the sub-bundle's fiber; rank_e = l: rank of the complement block
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rank_f", rank_f)
+        object.__setattr__(self, "rank_e", rank_e)
+        object.__setattr__(self, "frame", frame)
+        total = rank_f + rank_e
+        if frame.input_dim != base.n + total or frame.output_dim != total:
             raise ArityMismatch("frame arity does not match base and fiber ranks")
 
     @property
@@ -62,16 +60,15 @@ def trivial_model(base: PairDims, rank_f: int, rank_e: int) -> VbPairModel:
     return VbPairModel(base, rank_f, rank_e, SmoothMapExpr(base.n + total, total, body))
 
 
-@dataclass(frozen=True)
-class VbBody:
+class VbBody(Record, frozen=True):
     """A bundle element over an off-center base point."""
 
-    u: np.ndarray
-    upsilon: np.ndarray
+    def __init__(self, u: np.ndarray, upsilon: np.ndarray):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "upsilon", upsilon)
 
 
-@dataclass(frozen=True)
-class VbExceptional:
+class VbExceptional(Record, frozen=True):
     """An exceptional fiber element over [y, xi].
 
     phi is the f-block value of the underlying sub-bundle point, eps is
@@ -80,10 +77,11 @@ class VbExceptional:
     bundle of the bundle pair in the adapted chart.
     """
 
-    y: np.ndarray
-    xi: np.ndarray
-    phi: np.ndarray
-    eps: np.ndarray
+    def __init__(self, y: np.ndarray, xi: np.ndarray, phi: np.ndarray, eps: np.ndarray):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "eps", eps)
 
 
 def vb_chart(model: VbPairModel, r: int, z) -> np.ndarray:
@@ -102,10 +100,10 @@ def vb_chart(model: VbPairModel, r: int, z) -> np.ndarray:
     raise TypeError(f"not a vector-bundle blow-up point: {z!r}")
 
 
-@dataclass(frozen=True)
-class LinearityReport:
-    max_violation: float
-    ok: bool
+class LinearityReport(Record, frozen=True):
+    def __init__(self, max_violation: float, ok: bool):
+        object.__setattr__(self, "max_violation", max_violation)
+        object.__setattr__(self, "ok", ok)
 
 
 def fiber_linearity_check(

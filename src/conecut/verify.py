@@ -9,7 +9,6 @@ are registered in SUITES in report order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,16 +31,25 @@ from .expr import (
     jet_eval,
 )
 from .pairs import MapOfPairs, PairDims, normal_derivative
+from .record import Record
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    ok: bool
-    max_residual: float
-    tol: float
-    runtime: float
-    details: dict = field(default_factory=dict)
+class SuiteResult(Record, frozen=False):
+    def __init__(
+        self,
+        name: str,
+        ok: bool,
+        max_residual: float,
+        tol: float,
+        runtime: float,
+        details: dict | None = None,
+    ):
+        self.name = name
+        self.ok = ok
+        self.max_residual = max_residual
+        self.tol = tol
+        self.runtime = runtime
+        self.details = {} if details is None else details
 
     def as_dict(self) -> dict:
         # runtime is deliberately not serialized: identical invocations

@@ -9,10 +9,17 @@ lists every underscore name a module of ``src/conecut`` imports from a
 conecut module: a helper shared across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
 ``random`` module, so every suite draws from a numpy ``Generator``
-seeded by its ``seed``.
+seeded by its ``seed``.  ``test_no_module_imports_dataclasses`` does the
+same for ``dataclasses``, whose decorator compiles every generated
+method at import (records subclass ``conecut.record.Record`` instead),
+and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
+dependency loads it on the CLI's cold start either.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import conecut
@@ -74,13 +81,13 @@ def test_no_private_cross_module_imports():
     assert found == {}
 
 
-def random_imports(source: str) -> list:
-    """Imports of the standard ``random`` module, anywhere in the source."""
+def module_imports(module: str, source: str) -> list:
+    """Imports of the top-level ``module``, anywhere in the source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == "random"]
-        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "random":
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == module:
             found.append(f"line {node.lineno}: {node.module}")
     return found
 
@@ -90,13 +97,36 @@ def test_random_imports_finds_the_standard_module():
         "import os, random as r\nimport numpy.random\nfrom .random import x\n"
         "def f():\n    from random import randint\n    import random.foo\n"
     )
-    assert random_imports(source) == ["line 1: random", "line 5: random", "line 6: random.foo"]
+    assert module_imports("random", source) == ["line 1: random", "line 5: random", "line 6: random.foo"]
+
+
+def _package_imports(module: str) -> dict:
+    return {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := module_imports(module, path.read_text()))
+    }
 
 
 def test_no_module_imports_random():
-    found = {
-        path.stem: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (names := random_imports(path.read_text()))
-    }
-    assert found == {}
+    assert _package_imports("random") == {}
+
+
+def test_no_module_imports_dataclasses():
+    source = "from dataclasses import dataclass, field\nimport dataclasses as dc\nfrom .dataclasses import x\n"
+    assert module_imports("dataclasses", source) == ["line 1: dataclasses", "line 2: dataclasses"]
+    assert _package_imports("dataclasses") == {}
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, conecut.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"

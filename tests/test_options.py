@@ -2,10 +2,10 @@
 
 ``test_options_match_allow_list`` lists each parameter with a default of
 every function, method, staticmethod and classmethod defined at module
-or class level in ``src/conecut`` (the ``__init__`` a dataclass
-generates is not counted), plus every dataclass field with a default,
-and compares the list with ALLOWED.  A change that adds or removes an
-option edits ALLOWED in the same diff.
+or class level in ``src/conecut``, and compares the list with ALLOWED.
+A record's fields are the parameters of its ``__init__``, so a field
+with a default is listed as ``module.Class.__init__(field)``.  A change
+that adds or removes an option edits ALLOWED in the same diff.
 """
 
 import ast
@@ -27,16 +27,16 @@ ALLOWED = {
     "dnc.DncMap.__init__(check)",
     "dnc.eval_function_class(check)",
     "errors.ParseError.__init__(position)",
-    "expr.SmoothMapExpr.guards",
+    "expr.SmoothMapExpr.__init__(guards)",
     "expr.from_components(guards)",
-    "groupoid.GroupoidSpec.tol",
-    "groupoid.GroupoidSpec.arrow_sampler",
-    "groupoid.AxiomReport.source_of_product",
-    "groupoid.AxiomReport.target_of_product",
-    "groupoid.AxiomReport.associativity",
-    "groupoid.AxiomReport.unit_laws",
-    "groupoid.AxiomReport.inverse_laws",
-    "groupoid.AxiomReport.samples",
+    "groupoid.GroupoidSpec.__init__(tol)",
+    "groupoid.GroupoidSpec.__init__(arrow_sampler)",
+    "groupoid.AxiomReport.__init__(source_of_product)",
+    "groupoid.AxiomReport.__init__(target_of_product)",
+    "groupoid.AxiomReport.__init__(associativity)",
+    "groupoid.AxiomReport.__init__(unit_laws)",
+    "groupoid.AxiomReport.__init__(inverse_laws)",
+    "groupoid.AxiomReport.__init__(samples)",
     "groupoid.check_axioms(samples)",
     "groupoid.check_axioms(seed)",
     "groupoid.pair_groupoid(base_dim)",
@@ -55,17 +55,8 @@ ALLOWED = {
     "ring.expr_to_laurent(t_index)",
     "vb.fiber_linearity_check(samples)",
     "vb.fiber_linearity_check(seed)",
-    "verify.SuiteResult.details",
+    "verify.SuiteResult.__init__(details)",
 }
-
-
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
 
 
 def _defaulted(owner: str, fn) -> list:
@@ -77,7 +68,7 @@ def _defaulted(owner: str, fn) -> list:
 
 
 def package_options() -> list:
-    """Defaulted parameters and dataclass fields, in source order."""
+    """Defaulted parameters, in source order."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -86,12 +77,9 @@ def package_options() -> list:
             if isinstance(node, functions):
                 out += _defaulted(f"{module}.{node.name}", node)
             elif isinstance(node, ast.ClassDef):
-                fields = _is_dataclass(node)
                 for item in node.body:
                     if isinstance(item, functions):
                         out += _defaulted(f"{module}.{node.name}.{item.name}", item)
-                    elif fields and isinstance(item, ast.AnnAssign) and item.value is not None:
-                        out.append(f"{module}.{node.name}.{item.target.id}")
     return out
 
 

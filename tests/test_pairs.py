@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from conecut.errors import NotAdapted
-from conecut.expr import Exp, Var, from_components
+from conecut.errors import NotAdapted, SamplingFailure
+from conecut.expr import Exp, Guard, Sin, Var, from_components, jet_eval
 from conecut.pairs import (
+    RANK_RTOL,
     MapOfPairs,
     PairDims,
+    RankReport,
     check_adapted,
     check_rank_conditions,
     normal_derivative,
     numeric_rank,
+    numeric_ranks,
     require_adapted,
     sample_slice_points,
     tangential_derivative,
@@ -91,3 +94,97 @@ def test_rank_report_for_adapted_map():
     assert rep.rank_f_restricted == 1
     assert rep.fiberwise_rank_dN == 1
     assert rep.dN_rank_constant
+
+
+def _reference_rank(matrix) -> int:
+    """The rank rule with one SVD per matrix, as numeric_rank computed it
+    before ranks were stacked."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if matrix.size == 0:
+        return 0
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return 0
+    return int(np.sum(svals > RANK_RTOL * svals[0]))
+
+
+def _reference_rank_report(m, samples, seed) -> RankReport:
+    """check_rank_conditions with a fresh jet for each block and one SVD
+    per matrix."""
+    rng = np.random.default_rng(seed)
+    full, restricted, dn = set(), set(), set()
+    found = 0
+    for _ in range(samples * 4):
+        if found >= samples:
+            break
+        point = rng.uniform(-1.0, 1.0, size=m.source.n)
+        if not m.f.in_domain(point):
+            continue
+        full.add(_reference_rank(jet_eval(m.f, point).jacobian))
+        found += 1
+    if found == 0:
+        raise SamplingFailure("no sampled point lies in the map's domain")
+    for point in sample_slice_points(m.source, samples, seed + 1):
+        if not m.f.in_domain(point):
+            continue
+        y = point[: m.source.p]
+        restricted.add(_reference_rank(tangential_derivative(m, y)))
+        dn.add(_reference_rank(normal_derivative(m, y)))
+    if not dn:
+        raise SamplingFailure("no sampled slice point lies in the map's domain")
+    return RankReport(max(full), max(restricted), max(dn), len(full) == 1, len(restricted) == 1, len(dn) == 1)
+
+
+def _rank_maps():
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    d31 = PairDims(3, 1)
+    return {
+        "full rank": _adapted_map(),
+        # d_N has rank 1 of 2 at every slice point
+        "rank-deficient": MapOfPairs(from_components(3, (y, x1 + x2, 2.0 * x1 + 2.0 * x2)), d31, d31),
+        # d_N is the zero matrix at every slice point
+        "zero normal block": MapOfPairs(from_components(3, (y * y, x1 * x2, x1 * x1)), d31, d31),
+        # p = 0 empties the tangential block, q' = 0 the normal block
+        "empty blocks": MapOfPairs(
+            from_components(2, (Var(0) + Var(1), Var(0) * Var(1))), PairDims(2, 0), PairDims(2, 2)
+        ),
+        "empty normal columns": MapOfPairs(
+            from_components(1, (Sin(Var(0)), Var(0) * 0.0)), PairDims(1, 1), PairDims(2, 1)
+        ),
+        # half of the points fail the guard y > 0
+        "guarded": MapOfPairs(
+            from_components(2, (Var(0), Var(0) * Var(1)), (Guard(Var(0), "positive"),)),
+            PairDims(2, 1),
+            PairDims(2, 1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rank_maps()))
+@pytest.mark.parametrize("samples, seed", [(16, 0), (64, 3)])
+def test_rank_report_matches_one_jet_and_one_svd_per_matrix(name, samples, seed):
+    m = _rank_maps()[name]
+    assert check_rank_conditions(m, samples, seed) == _reference_rank_report(m, samples, seed)
+
+
+def test_rank_reports_of_deficient_and_empty_blocks():
+    maps = _rank_maps()
+    assert check_rank_conditions(maps["rank-deficient"]) == RankReport(2, 1, 1, True, True, True)
+    assert check_rank_conditions(maps["zero normal block"]).fiberwise_rank_dN == 0
+    assert check_rank_conditions(maps["empty blocks"]) == RankReport(2, 0, 0, True, True, True)
+
+
+def test_numeric_ranks_match_one_svd_per_matrix():
+    rng = np.random.default_rng(7)
+    for rows in range(5):
+        for cols in range(5):
+            mats = [np.zeros((rows, cols)), np.eye(rows, cols), np.eye(rows, cols) * 1e-300]
+            for _ in range(30):
+                rank = rng.integers(0, min(rows, cols) + 1)
+                mats.append(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+                mats.append(mats[-1] + RANK_RTOL * rng.standard_normal((rows, cols)))
+            want = [_reference_rank(m) for m in mats]
+            assert numeric_ranks(mats) == want
+            assert [numeric_rank(m) for m in mats] == want
+    assert numeric_ranks([]) == []
+    assert numeric_rank([3.0, 4.0]) == 1

@@ -337,7 +337,10 @@ def test_constructors_still_merge_drop_and_check_the_filtration():
 
 
 def _exact(v) -> Fraction:
-    return Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
+    """``v`` as a Fraction of Python ints, also when ``v`` is a numpy
+    integer or a Fraction of them."""
+    v = Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
 def _forms(point, sized=False):
@@ -416,6 +419,11 @@ def _elements(draw):
 @example(
     LaurentElement(P, Q, {0: MultiPoly(P, Q, {(1, 40, 0): 1})}), [np.int64(0), Fraction(1, 3), 0], 1, 0
 )
+# A Fraction keeps a numpy numerator as it is, so it wrapped the same way.
+@example(LaurentElement(P, Q, {0: MultiPoly(P, Q, {(0, 41, 0): 1})}), [0, Fraction(np.int64(3)), 0], 1, 0)
+@example(
+    LaurentElement(P, Q, {2: MultiPoly(P, Q, {(0, 2, 0): 1})}), [0, 1, 0], Fraction(np.int64(3) ** 20), 0
+)
 @given(
     _elements(),
     st.lists(_entries, min_size=P + Q, max_size=P + Q),
@@ -434,3 +442,47 @@ def test_characters_match_a_direct_fraction_evaluation(a, point, s, form):
     assert char_yxi(a, y, xi) == _naive_yxi(a, exact[:P], exact[P:])
     for f in a.coeffs.values():
         assert f.evaluate(pick(_forms(point))) == _naive_value(f, exact)
+
+
+_SCALARS = [2, np.int64(2), 2.5, np.float64(0.5), Fraction(-1, 3), Fraction(np.int64(7)), True]
+
+
+@pytest.mark.parametrize("scalar", _SCALARS, ids=[repr(v) for v in _SCALARS])
+def test_scalar_operands_work_on_either_side(scalar):
+    y, x1, x2 = _vars()
+    f = y + x1 * x2
+    c = MultiPoly.const(P, Q, _exact(scalar))
+    results = {
+        "f + s": (f + scalar, f + c),
+        "s + f": (scalar + f, f + c),
+        "f - s": (f - scalar, f - c),
+        "s - f": (scalar - f, c - f),
+        "f * s": (f * scalar, f * c),
+        "s * f": (scalar * f, f * c),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is MultiPoly and got == want, name
+        assert all(type(v) is Fraction and type(v.numerator) is int for v in got.terms.values()), name
+    assert c == scalar and scalar == c
+    assert f != scalar and scalar != f
+
+
+@pytest.mark.parametrize("other", ["2", None, [1], LaurentElement.t_element(P, Q)], ids=repr)
+def test_other_operands_are_not_implemented(other):
+    f = _vars()[1]
+    for op in ("+", "-", "*"):
+        with pytest.raises(TypeError):
+            eval(f"f {op} other")
+        with pytest.raises(TypeError):
+            eval(f"other {op} f")
+    assert f != other
+
+
+@pytest.mark.parametrize("other", [2, np.int64(2), 2.5, Fraction(1, 2), _vars()[0]], ids=repr)
+def test_laurent_elements_take_no_scalar_or_polynomial_operand(other):
+    t = LaurentElement.t_element(P, Q)
+    for op in ("+", "*"):
+        with pytest.raises(TypeError):
+            eval(f"t {op} other")
+        with pytest.raises(TypeError):
+            eval(f"other {op} t")
