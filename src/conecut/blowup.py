@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     ArityMismatch,
     CenterPoint,
@@ -39,9 +37,10 @@ from .errors import (
     OutsideBlupF,
     OutsideChart,
 )
+from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
 from .record import Record
-from .ring import MultiPoly, squarefree_factors
+from .ring import MultiPoly, real_roots, squarefree_factors
 
 # Representatives are rounded at this many decimals so that orbit
 # equality becomes bitwise equality.
@@ -396,7 +395,7 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
     coordinate s.  The total transform is divided by the maximal power of the
     exceptional coordinate; returns the strict transform and the real
     roots (with multiplicities) of its restriction to the exceptional
-    divisor.
+    divisor, ascending, each as the float nearest to it (``ring.real_roots``).
     """
     if g.is_zero():
         raise DegenerateCurve("the zero polynomial has no strict transform")
@@ -427,28 +426,20 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
     )
     # Restriction to the exceptional divisor {exceptional coordinate = 0},
     # a univariate polynomial in the remaining coordinate.  It is split
-    # exactly into square-free factors, so each factor has simple roots
-    # and its index in the decomposition is their multiplicity.
+    # exactly into square-free factors, which are pairwise coprime, so
+    # each factor has simple roots, no two factors share one, and its
+    # index in the decomposition is their multiplicity.
     other = 1 - exc_index
     restricted = {exps[other]: c for exps, c in strict.terms.items() if exps[exc_index] == 0}
     degree = max(restricted)
     if degree == 0:
         return strict, []
     coeffs = [restricted.get(k, 0) for k in range(degree + 1)]
-    found = []
-    for multiplicity, factor in enumerate(squarefree_factors(coeffs), start=1):
-        if len(factor) < 2:
-            continue
-        for r in np.roots([float(c) for c in reversed(factor)]):
-            if abs(r.imag) <= 1e-9:
-                found.append((float(np.round(r.real, 12)), multiplicity))
-    out: list[tuple[float, int]] = []
-    for r, multiplicity in sorted(found):
-        if out and out[-1][0] == r:
-            out[-1] = (r, out[-1][1] + multiplicity)
-        else:
-            out.append((r, multiplicity))
-    return strict, out
+    return strict, sorted(
+        (root, multiplicity)
+        for multiplicity, factor in enumerate(squarefree_factors(coeffs), start=1)
+        for root in real_roots(factor)
+    )
 
 
 # -- the blown-up two-sphere and the projective plane ------------------

@@ -29,11 +29,10 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import verify as vf
 from .errors import ConecutError, ParseError
 from .expr import finite_diff_jacobian, jet_eval
+from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
 from .parse import pair_var_names, parse_expr, parse_laurent, parse_map
 from .ring import LaurentElement, char_xs, char_yxi, expr_to_poly, vanishing_order
@@ -57,7 +56,11 @@ def _fmt_float(x: float) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Minimal JSON emitter with sorted keys and %.17g floats."""
+    """Minimal JSON emitter with sorted keys and %.17g floats.
+
+    numpy arrays and scalars are written as their ``tolist()``; the
+    plain types are tested first, so a payload without numpy values
+    never loads numpy."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -67,22 +70,23 @@ def to_json(obj, indent: int = 0) -> str:
         for key in sorted(obj, key=str):
             items.append(f'{inner}"{key}": {to_json(obj[key], indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in seq]
+        items = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(float(obj))
     if isinstance(obj, Fraction):
         return f'"{obj}"'
     if obj is None:
         return "null"
+    if hasattr(obj, "tolist"):
+        return to_json(obj.tolist(), indent)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

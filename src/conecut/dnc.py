@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from .errors import ArityMismatch, DomainViolation, NotVanishing
+from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, require_adapted
 from .expr import SmoothMapExpr
 from .record import Record

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from .expr import SmoothMapExpr, Var, eval_coords, eval_map, from_components, jet_eval
+from .lazy_numpy import np
 from .pairs import PairDims, sample_slice_points
 from .record import Record
 

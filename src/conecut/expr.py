@@ -31,9 +31,8 @@ import operator
 from functools import cached_property
 from itertools import chain
 
-import numpy as np
-
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
+from .lazy_numpy import np
 from .record import Record
 
 

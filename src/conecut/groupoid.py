@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from .errors import SamplingFailure
 from .expr import Guard, SmoothMapExpr, Var, eval_batch, eval_map, from_components, jet_eval
+from .lazy_numpy import np
 from .pairs import RANK_RTOL, numeric_rank
 from .record import Record
 from .blowup import (

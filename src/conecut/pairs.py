@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
 from .expr import SmoothMapExpr, jet_eval
+from .lazy_numpy import np
 from .record import Record
 
 # Singular values below RANK_RTOL * sigma_max count as zero.
@@ -83,11 +82,12 @@ class MapOfPairs(Record, frozen=True):
 
     @cached_property
     def normal_derivative_injective(self) -> bool:
-        """Whether d_N f has full column rank q at 16 seeded slice points."""
+        """Whether d_N f has full column rank q, by ``numeric_rank``, at 16
+        seeded slice points."""
         rng = np.random.default_rng(0)
         for _ in range(16):
             y = rng.uniform(-1.0, 1.0, size=self.source.p)
-            if np.linalg.matrix_rank(normal_derivative(self, y)) < self.source.q:
+            if numeric_rank(normal_derivative(self, y)) < self.source.q:
                 return False
         return True
 

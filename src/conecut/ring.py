@@ -19,6 +19,7 @@ Fractions pass unconverted, and an all-int point is its own numerators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
@@ -37,7 +38,11 @@ def _frac(value) -> Fraction:
         num, den = value.as_integer_ratio()
         if type(num) is int and type(den) is int:
             return value
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, int):
+        return Fraction(value)
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArityMismatch(f"non-finite coefficient or operand {value!r}")
         return Fraction(value)
     # numpy integers, and Fractions of them, whose own products would wrap
     if isinstance(value, Rational):
@@ -439,6 +444,157 @@ def squarefree_factors(f: list) -> list:
         d = _derivative_univariate(b)
         factors.append(a)
     return factors
+
+
+# -- real roots of a square-free polynomial ------------------------------
+# Here polynomials have integer coefficients, lowest degree first, and
+# points are dyadic, num / den with den a power of two, so the sign of a
+# polynomial at a point is one integer Horner.  Every Sturm term is kept
+# as a positive multiple of itself, which has the same signs.
+
+_NEWTON_STEPS = 64
+
+
+def _horner(c: list, num: int, den: int) -> int:
+    """den**d * c(num / den) for c of degree d: for den > 0, it has the
+    sign of c at num / den."""
+    acc, scale = 0, 1
+    for ci in reversed(c):
+        acc = acc * num + ci * scale
+        scale *= den
+    return acc
+
+
+def _negated_remainder(a: list, b: list) -> list:
+    """A positive multiple of -(a mod b), divided by its content."""
+    r, lead = list(a), b[-1]
+    scale, sign = abs(lead), 1 if lead > 0 else -1
+    for i in range(len(a) - len(b), -1, -1):
+        q = sign * r[i + len(b) - 1]
+        r = [scale * x for x in r]
+        for j, bj in enumerate(b):
+            r[i + j] -= q * bj
+    r = _trim(r[: len(b) - 1])
+    content = math.gcd(*r) or 1
+    return [-x // content for x in r]
+
+
+def _sturm_at(sturm: list, num: int, den: int):
+    """The sign changes of the Sturm sequence at num / den, zeros
+    skipped, and whether its first term vanishes there."""
+    values = [_horner(c, num, den) for c in sturm]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:])), not values[0]
+
+
+def _newton(coeffs: list, x: float) -> float:
+    """Float Newton steps from x on the float coefficients ``coeffs``;
+    only a guess, which the caller certifies exactly."""
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in reversed(coeffs):
+            slope = slope * x + value
+            value = value * x + c
+        if not slope:
+            break
+        x, last = x - value / slope, x
+        if x == last:
+            break
+    return x
+
+
+def _nearest_root(f: list, guess_coeffs, lo: int, hi: int, den: int) -> float:
+    """The float nearest to the one root of f in (lo / den, hi / den),
+    where f(hi / den) != 0.
+
+    f has the sign it has at hi on (root, hi] and the other sign on
+    (lo, root), so the sign of f at a point in between tells on which
+    side of the root the point lies."""
+    s_hi = _horner(f, hi, den) > 0
+
+    def side(num: int, scale: int) -> int:
+        """-1, 0 or 1 as num / scale, inside the interval, lies below, at
+        or above the root."""
+        v = _horner(f, num, scale)
+        return v and (1 if (v > 0) == s_hi else -1)
+
+    if guess_coeffs is not None:
+        c = _newton(guess_coeffs, (lo + hi) / (2 * den))
+        neighbours = (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+        if all(map(math.isfinite, neighbours)):
+            # Over one power-of-two denominator: the interval, c, and the
+            # points halfway to c's neighbours, which bound the reals
+            # that round to c.
+            ratios = [x.as_integer_ratio() for x in neighbours]
+            big = 2 * max(den, *(q for _, q in ratios))
+            below, at, above = (n * (big // q) for n, q in ratios)
+            low, high = (below + at) // 2, (at + above) // 2
+            lo_big, hi_big = lo * (big // den), hi * (big // den)
+            if lo_big < at < hi_big:
+                at_low = side(low, big) if low > lo_big else -1
+                at_high = side(high, big) if high < hi_big else 1
+                if at_low == 0:
+                    return low / big
+                if at_high == 0:
+                    return high / big
+                if at_low < 0 < at_high:
+                    return c
+    while (x := lo / den) != hi / den:
+        lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+        at_mid = side(mid, den)
+        if not at_mid:
+            return mid / den
+        if at_mid > 0:
+            hi = mid
+        else:
+            lo = mid
+    return x
+
+
+def real_roots(f: list) -> list:
+    """The real roots of a square-free polynomial, ascending, each as the
+    float nearest to it (ties to even).
+
+    ``f`` lists rational coefficients, lowest degree first, as
+    ``squarefree_factors`` returns them.  A Sturm sequence counts the
+    roots, and exact bisection from Fujiwara's root bound isolates each
+    one in an interval.  There a float Newton guess is certified
+    exactly: f changes sign between the two points halfway to the
+    guess's float neighbours.  If it does not, exact bisection goes on
+    until both ends of the interval round to the same float.  No
+    tolerance is involved.  Two roots closer together than the float
+    spacing come back as two equal floats."""
+    f = _trim(list(f))
+    if len(f) < 3:
+        return [float(-Fraction(f[0]) / f[1])] if len(f) == 2 else []
+    scale = math.lcm(*(c.denominator for c in f))
+    f = [c.numerator * (scale // c.denominator) for c in f]
+    sturm = [f, _trim([i * c for i, c in enumerate(f)][1:])]
+    while len(sturm[-1]) > 1:
+        sturm.append(_negated_remainder(sturm[-2], sturm[-1]))
+    # |root| < 2 max_j |f[d-j] / f[d]|**(1/j), and |f[i] / f[d]| < 2**(bits(f[i]) - lead + 1)
+    d, lead = len(f) - 1, abs(f[-1]).bit_length()
+    e = max(
+        [0] + [1 - (lead - abs(c).bit_length() - 1) // (d - i) for i, c in enumerate(f[:-1]) if c]
+    )
+    try:
+        guess_coeffs = [float(c) for c in f]
+    except OverflowError:  # a coefficient past the float range: bisection only
+        guess_coeffs = None
+    roots = []
+    # (lo, hi, den, sign changes at lo and at hi, whether hi is a root)
+    bound = 1 << e
+    todo = [(-bound, bound, 1, _sturm_at(sturm, -bound, 1)[0], _sturm_at(sturm, bound, 1)[0], False)]
+    while todo:
+        lo, hi, den, v_lo, v_hi, hi_is_root = todo.pop()
+        if v_lo - v_hi == 1:
+            roots.append(hi / den if hi_is_root else _nearest_root(f, guess_coeffs, lo, hi, den))
+        elif v_lo - v_hi > 1:
+            lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+            v_mid, mid_is_root = _sturm_at(sturm, mid, den)
+            todo.append((mid, hi, den, v_mid, v_hi, hi_is_root))
+            todo.append((lo, mid, den, v_lo, v_mid, mid_is_root))  # popped first: roots ascend
+    return roots
 
 
 def poly_to_expr(f: MultiPoly) -> SmoothMapExpr:

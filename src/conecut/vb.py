@@ -15,10 +15,9 @@ r-th normal coordinate (body) or its derivative along the direction
 from __future__ import annotations
 
 
-import numpy as np
-
 from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, Var, compose, eval_map, from_components
+from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
 from .record import Record
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi

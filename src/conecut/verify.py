@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import blowup as bl
 from . import dnc as dn
 from . import euler as eu
@@ -30,6 +28,7 @@ from .expr import (
     from_components,
     jet_eval,
 )
+from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, normal_derivative
 from .record import Record
 

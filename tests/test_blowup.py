@@ -1,5 +1,10 @@
 """Blow-up models, charts, induced maps, products, curves, the sphere."""
 
+import ast
+import math
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -238,6 +243,14 @@ def test_polar_map_rejects_a_normal_derivative_with_kernel():
             polar_map(fold, z)
 
 
+def test_polar_map_rejects_a_normal_derivative_that_numeric_rank_calls_singular():
+    # d_N = diag(1, 1e-10): its singular values are 1e-10 apart, below RANK_RTOL
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    squash = MapOfPairs(from_components(3, (y, x1, 1e-10 * x2)), DIMS31, DIMS31)
+    with pytest.raises(NotImmersive):
+        polar_map(squash, to_polar(from_ambient([0.5, 1.0, 2.0], DIMS31)))
+
+
 def test_polar_map_matches_quotient_map():
     f = _diffeo_pair()
     z = canonicalize([0.5], [1.0, 2.0], 0.5, DIMS31)
@@ -334,6 +347,51 @@ def _curve(*factors, extra):
 )
 def test_repeated_tangent_directions_keep_their_multiplicity(g, roots):
     assert strict_transform_curve(g, 1)[1] == roots
+
+
+def test_a_cone_just_off_a_double_line_has_no_root():
+    x, y = _xy()
+    # restriction s^2 - 2s + 1 + 10^-20: no real root, however close
+    g = (y - x) ** 2 + Fraction(1, 10**20) * x**2 + x**3
+    assert strict_transform_curve(g, 1)[1] == []
+
+
+def test_tangent_directions_10_to_the_minus_13_apart_stay_two_simple_roots():
+    x, y = _xy()
+    r = 1 + Fraction(1, 10**13)
+    g = (y - x) * (y - r * x) + x**3
+    assert strict_transform_curve(g, 1)[1] == [(1.0, 1), (float(r), 1)]
+    assert float(r) == 1.0000000000001
+
+
+def test_irrational_tangent_directions_are_the_rounded_square_roots():
+    x, y = _xy()
+    assert strict_transform_curve(y**2 - 2 * x**2 + x**3, 1)[1] == [(-math.sqrt(2), 1), (math.sqrt(2), 1)]
+
+
+def test_strict_transform_matches_cones_with_known_rational_roots():
+    rnd = random.Random(13)
+    x, y = _xy()
+    for _ in range(150):
+        want, g = {}, MultiPoly.const(0, 2, 1)
+        for _ in range(rnd.randint(1, 4)):
+            r = Fraction(rnd.randint(-500, 500), rnd.randint(1, 50))
+            close = [r, r + Fraction(rnd.choice((1, -1)), 10**13)] if rnd.random() < 0.3 else [r]
+            for root in close:
+                if root not in want:
+                    want[root] = rnd.randint(1, 3)
+                    g = g * (y - root * x) ** want[root]
+        if rnd.random() < 0.5:  # a definite quadratic factor: no real direction
+            g = g * (y**2 + rnd.randint(1, 9) * x**2)
+        degree = max(sum(e) for e in g.terms)
+        g = g + rnd.choice((-2, -1, 1, 2)) * x ** (degree + 1)
+        assert strict_transform_curve(g, 1)[1] == sorted((float(r), m) for r, m in want.items())
+
+
+def test_strict_transform_curve_uses_no_numpy():
+    source = Path(blowup.__file__).read_text()
+    (fn,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == "strict_transform_curve"]
+    assert "np" not in {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
 
 
 # -- the blown-up sphere ----------------------------------------------

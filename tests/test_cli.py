@@ -1,6 +1,7 @@
 """Command-line interface: determinism, exit codes, output formats."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,6 +45,26 @@ def test_resolve_curve_cusp_multiplicity():
     ],
 )
 def test_resolve_curve_repeated_directions(poly, roots):
+    out = run_cli("resolve-curve", "--poly", poly)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["exceptional_roots"] == roots
+
+
+@pytest.mark.parametrize(
+    "poly, roots",
+    [
+        ("(y-x)^2 + x^2/10^20 + x^3", []),
+        (
+            "(y-x)*(y-x-x/10^13) + x^3",
+            [{"multiplicity": 1, "root": 1.0}, {"multiplicity": 1, "root": float(1 + Fraction(1, 10**13))}],
+        ),
+        (
+            "y^2 - 2*x^2",
+            [{"multiplicity": 1, "root": -math.sqrt(2)}, {"multiplicity": 1, "root": math.sqrt(2)}],
+        ),
+    ],
+)
+def test_resolve_curve_finds_roots_exactly(poly, roots):
     out = run_cli("resolve-curve", "--poly", poly)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["exceptional_roots"] == roots
@@ -202,3 +223,25 @@ def test_flags_belong_to_the_subcommands_that_read_them(capsys):
     assert main(["dnc-ring-demo", "--seed", "3", "--format", "json"]) == 0
     assert main(check_map + ["--samples", "8", "--seed", "2"]) == 0
     capsys.readouterr()
+
+
+def test_to_json_writes_numpy_values_as_their_plain_equivalents():
+    import numpy as np
+
+    from conecut.cli import to_json
+
+    plain = {
+        "a": [[1.5, -0.0], [2.0, 3.0]], "b": 7, "c": True, "d": 0.1, "e": [], "f": [1, 2], "g": "x", "h": 0.5
+    }
+    arrays = {
+        "a": np.array([[1.5, -0.0], [2.0, 3.0]]),
+        "b": np.int64(7),
+        "c": np.bool_(True),
+        "d": np.float64(0.1),
+        "e": np.zeros(0),
+        "f": np.array([1, 2], dtype=np.int32),
+        "g": np.str_("x"),
+        "h": np.float32(0.5),
+    }
+    assert to_json(arrays) == to_json(plain)
+    assert '"a": [\n    [\n      1.5,\n      -0\n    ],' in to_json(plain)

@@ -14,6 +14,12 @@ same for ``dataclasses``, whose decorator compiles every generated
 method at import (records subclass ``conecut.record.Record`` instead),
 and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
 dependency loads it on the CLI's cold start either.
+``test_no_module_imports_numpy_at_module_level`` keeps numpy's
+import behind ``conecut.lazy_numpy``, which loads it by name on first
+use.  The subprocess tests after it check that importing the CLI and
+running its exact subcommands load no part of numpy, and that
+``import conecut.cli`` still loads every module the benchmark's tracer
+patches.
 """
 
 import ast
@@ -25,6 +31,7 @@ from pathlib import Path
 import conecut
 
 PACKAGE = Path(conecut.__file__).parent
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list:
@@ -81,15 +88,33 @@ def test_no_private_cross_module_imports():
     assert found == {}
 
 
+def _imports_of(module: str, node) -> list:
+    """The imports of the top-level ``module`` that the AST ``node`` makes."""
+    if isinstance(node, ast.Import):
+        return [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == module]
+    if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == module:
+        return [f"line {node.lineno}: {node.module}"]
+    return []
+
+
 def module_imports(module: str, source: str) -> list:
     """Imports of the top-level ``module``, anywhere in the source."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.split(".")[0] == module]
-        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == module:
-            found.append(f"line {node.lineno}: {node.module}")
-    return found
+    return [line for node in ast.walk(ast.parse(source)) for line in _imports_of(module, node)]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def module_level_imports(module: str, source: str) -> list:
+    """Imports of the top-level ``module`` that run when the source is
+    imported: all but those inside a function body."""
+    imports, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        todo += [n for n in ast.iter_child_nodes(node) if not isinstance(n, _FUNCTIONS)]
+    return [line for node in sorted(imports, key=lambda n: n.lineno) for line in _imports_of(module, node)]
 
 
 def test_random_imports_finds_the_standard_module():
@@ -118,9 +143,9 @@ def test_no_module_imports_dataclasses():
     assert _package_imports("dataclasses") == {}
 
 
-def test_cli_import_leaves_dataclasses_unloaded():
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package; its stdout."""
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, conecut.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))"
     run = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -129,4 +154,57 @@ def test_cli_import_leaves_dataclasses_unloaded():
         timeout=60,
         check=True,
     )
-    assert run.stdout.strip() == "[]"
+    return run.stdout
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    code = "import sys, conecut.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses'))"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_no_module_imports_numpy_at_module_level():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import svd\nfrom .numpy import x\n"
+        "if x:\n    import numpy.random\nclass A:\n    import numpy\n"
+        "def f():\n    import numpy\n"
+    )
+    assert module_level_imports("numpy", source) == [
+        "line 1: numpy", "line 2: numpy.linalg", "line 5: numpy.random", "line 7: numpy"
+    ]
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := module_level_imports("numpy", path.read_text()))
+    }
+    assert found == {}
+
+
+def test_cli_import_and_exact_subcommands_leave_numpy_unloaded():
+    code = (
+        "import contextlib, io, sys, conecut.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "print(loaded())\n"
+        "for argv in (['resolve-curve', '--poly', 'y^2 - 2*x^2 + x^3'], ['dnc-ring-demo'],\n"
+        "             ['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = conecut.cli.main(argv)\n"
+        "    print(argv[0], code, bool(loaded()) and 'numpy loaded')\n"
+    )
+    assert _run_python(code).splitlines() == [
+        "[]",
+        "resolve-curve 0 False",
+        "dnc-ring-demo 0 False",
+        "check-map 0 numpy loaded",  # a float subcommand does load it
+    ]
+
+
+def test_cli_import_loads_every_module_the_tracer_patches():
+    code = (
+        "import importlib.util, sys, conecut.cli\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "print(sorted({module for module, *_ in spans.TARGETS} - set(sys.modules)))\n"
+    )
+    assert _run_python(code).strip() == "[]"

@@ -88,6 +88,19 @@ def test_numeric_rank():
     assert numeric_rank(mat) == 1
 
 
+def test_normal_derivative_injectivity_uses_the_rank_rule_of_the_rank_report():
+    # d_N = diag(1, 1e-10) on (R^3, R): numeric_rank counts 1, not 2
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    dims = PairDims(3, 1)
+    m = MapOfPairs(from_components(3, (y, x1, 1e-10 * x2)), dims, dims)
+    assert check_rank_conditions(m).fiberwise_rank_dN == 1
+    assert numeric_rank(normal_derivative(m, [0.5])) == 1
+    assert not m.normal_derivative_injective
+    well = MapOfPairs(from_components(3, (y, x1, 1e-7 * x2)), dims, dims)
+    assert check_rank_conditions(well).fiberwise_rank_dN == 2
+    assert well.normal_derivative_injective
+
+
 def test_rank_report_for_adapted_map():
     rep = check_rank_conditions(_adapted_map())
     assert rep.rank_f == 2

@@ -1,5 +1,6 @@
 """Exact multivariate polynomials, the filtered Laurent model, characters."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conecut.ring import (
     expr_to_poly,
     geometric_consistency,
     poly_to_expr,
+    real_roots,
     squarefree_factors,
     univariate_gcd,
     vanishing_order,
@@ -289,6 +291,78 @@ def test_squarefree_factors_give_multiplicities():
     assert univariate_gcd([Fraction(2)], []) == [1]
 
 
+# -- real roots, each the nearest float ---------------------------------
+
+
+def _with_roots(*roots) -> list:
+    """The coefficients of prod(s - r), lowest degree first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def test_real_roots_of_s_squared_minus_two_are_the_rounded_square_roots():
+    assert real_roots([-2, 0, 1]) == [-math.sqrt(2), math.sqrt(2)]
+    assert real_roots([Fraction(-4), 0, Fraction(2)]) == [-math.sqrt(2), math.sqrt(2)]
+    # the cube root of 3: the reals that round to c lie strictly between
+    # the points halfway to its float neighbours
+    (c,) = real_roots([-3, 0, 0, 1])
+    below, above = ((Fraction(c) + Fraction(math.nextafter(c, to))) / 2 for to in (-math.inf, math.inf))
+    assert below**3 < 3 < above**3
+
+
+def test_real_roots_find_no_root_of_a_cone_that_misses_the_axis():
+    # s^2 - 2s + 1 + 10^-20 = (s - 1)^2 + 10^-20
+    assert real_roots([1 + Fraction(1, 10**20), -2, 1]) == []
+    assert real_roots([1, 0, 1]) == []
+
+
+def test_real_roots_separate_roots_10_to_the_minus_13_apart():
+    r = 1 + Fraction(1, 10**13)
+    assert real_roots(_with_roots(1, r)) == [1.0, float(r)]
+    assert float(r) != 1.0
+
+
+def test_real_roots_round_a_tie_to_even():
+    # 1 + 3 * 2^-53 lies halfway between 1 + 2^-52 and 1 + 2^-51.
+    tie = 1 + Fraction(3, 2**53)
+    assert real_roots(_with_roots(-5, tie)) == [-5.0, 1 + 2**-51] == [-5.0, float(tie)]
+    assert real_roots(_with_roots(-5, 1 + Fraction(1, 2**53))) == [-5.0, 1.0]
+
+
+def test_real_roots_closer_than_the_float_spacing_come_back_equal():
+    assert real_roots(_with_roots(1, 1 + Fraction(1, 2**60), 2)) == [1.0, 1.0, 2.0]
+
+
+def test_real_roots_round_a_subnormal_root_once():
+    # sqrt(3) * 2^-1050 is subnormal: a multiple of 2^-1074, rounded once.
+    n = math.isqrt(3 << 48)
+    n += (2 * n + 1) ** 2 < 12 << 48
+    assert real_roots([Fraction(-3, 2**2100), 0, 1]) == [-math.ldexp(n, -1074), math.ldexp(n, -1074)]
+
+
+def test_real_roots_of_coefficients_past_the_float_range():
+    # (s - 1)(s - 2) * 10^400: no float guess exists, so bisection alone
+    assert real_roots([2 * 10**400, -3 * 10**400, 10**400]) == [1.0, 2.0]
+
+
+def test_real_roots_match_a_seeded_rational_oracle():
+    rnd = random.Random(3)
+    for _ in range(200):
+        roots = set()
+        for _ in range(rnd.randint(1, 5)):
+            r = Fraction(rnd.randint(-10**6, 10**6), rnd.randint(1, 10**4))
+            roots.add(r)
+            if rnd.random() < 0.3:
+                roots.add(r + Fraction(rnd.choice((1, -1)), 10**13))
+        coeffs = _with_roots(*roots)
+        if rnd.random() < 0.5:  # times s^2 + c, which has no real root
+            c = Fraction(rnd.randint(1, 100), rnd.randint(1, 100))
+            coeffs = [c * a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+        assert real_roots(coeffs) == sorted(float(r) for r in roots)
+
+
 # -- the constructors' and kernels' fast paths ------------------------
 
 
@@ -486,3 +560,25 @@ def test_laurent_elements_take_no_scalar_or_polynomial_operand(other):
             eval(f"t {op} other")
         with pytest.raises(TypeError):
             eval(f"other {op} t")
+
+
+_NON_FINITE = [float("nan"), float("inf"), -float("inf"), np.float64("nan")]
+_NON_FINITE_USES = {
+    "f + v": lambda f, v: f + v,
+    "v + f": lambda f, v: v + f,
+    "f - v": lambda f, v: f - v,
+    "v - f": lambda f, v: v - f,
+    "f * v": lambda f, v: f * v,
+    "v * f": lambda f, v: v * f,
+    "f == v": lambda f, v: f == v,
+    "coefficient": lambda f, v: MultiPoly(0, 1, {(1,): v}),
+    "constant": lambda f, v: MultiPoly.const(0, 1, v),
+    "point": lambda f, v: f.evaluate([v]),
+}
+
+
+@pytest.mark.parametrize("use", list(_NON_FINITE_USES))
+@pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+def test_non_finite_floats_raise_arity_mismatch(use, value):
+    with pytest.raises(ArityMismatch, match="non-finite"):
+        _NON_FINITE_USES[use](MultiPoly.var(0, 1, 0), value)
