@@ -393,9 +393,14 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
     Chart 1 has coordinates (u, s) with x = u, y = u s and exceptional
     coordinate u; chart 2 has (u, s) with x = u s, y = s and exceptional
     coordinate s.  The total transform is divided by the maximal power of the
-    exceptional coordinate; returns the strict transform and the real
-    roots (with multiplicities) of its restriction to the exceptional
-    divisor, ascending, each as the float nearest to it (``ring.real_roots``).
+    exceptional coordinate.
+
+    Returns the strict transform and the real roots of its restriction
+    to the exceptional divisor, as ascending (root, multiplicity) pairs.
+    The restriction is split exactly into square-free factors, and
+    ``ring.real_roots`` bisects each one exactly, so each root is the
+    float nearest to it (ties to even) and no tolerance is involved.  A
+    root that rounds past the float range raises ``DomainViolation``.
     """
     if g.is_zero():
         raise DegenerateCurve("the zero polynomial has no strict transform")
@@ -489,10 +494,7 @@ def sphere_rp2_inv(a) -> "SphereBody | SphereExceptional":
     a = np.asarray(a, dtype=float)
     if a[2] == 0.0:
         return SphereExceptional(np.array([a[0], a[1]]))
-    a = a / a[2]
-    a0, a1 = a[0], a[1]
-    d = a0 * a0 + a1 * a1 + 1.0
-    return SphereBody(np.array([2 * a0 / d, 2 * a1 / d, (a0 * a0 + a1 * a1 - 1.0) / d]))
+    return SphereBody(_stereo_inv(a[:2] / a[2], 1.0))
 
 
 # The four chart presentations: (source chart map, local expression,

@@ -19,7 +19,7 @@ invocation or an input could not be parsed.
 
 A suite's tolerance is overridden with a dotted flag after the
 subcommand, e.g. ``verify --tol.atlas 1e-9``; it beats ``--tol`` for
-that suite.
+that suite.  A demo takes the dotted flag of its own suite only.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ def _emit(payload, args) -> None:
 
 
 def _to_csv(payload) -> str:
-    """Flat CSV for list-of-dicts payloads (e.g. verify suite rows)."""
+    """Flat CSV for list-of-dicts payloads (e.g. verify suite rows); a
+    cell with a comma, quote or newline is quoted."""
+    import csv
+    import io
+
     rows = payload.get("suites") if isinstance(payload, dict) else None
     if rows is None:
         rows = payload if isinstance(payload, list) else [payload]
@@ -123,10 +127,11 @@ def _to_csv(payload) -> str:
                 flat[key] = str(value)
         flat_rows.append(flat)
     headers = sorted({k for row in flat_rows for k in row})
-    lines = [",".join(headers)]
-    for flat in flat_rows:
-        lines.append(",".join(flat.get(h, "") for h in headers))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([flat.get(h, "") for h in headers] for flat in flat_rows)
+    return text.getvalue()
 
 
 # -- subcommand implementations ---------------------------------------
@@ -258,16 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
 
-    def suite_options(sp):
+    def suite_options(sp, suites):
         common(sp)
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
-        for name in vf.SUITES:
+        for name in suites:
             sp.add_argument(f"--tol.{name}", dest=f"tol.{name}", type=float, default=None, metavar="TOL")
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", action="append", choices=list(vf.SUITES), help="suite name (repeatable)")
-    suite_options(sp)
+    suite_options(sp, vf.SUITES)
 
     sp = sub.add_parser("resolve-curve", help="strict transform of a plane curve")
     sp.add_argument("--poly", required=True, help="polynomial in x, y")
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("euler-demo", "euler"),
     ]:
         sp = sub.add_parser(name, help=f"run the {suite} suite and report")
-        suite_options(sp)
+        suite_options(sp, [suite])
         sp.set_defaults(suite=[suite])
 
     sp = sub.add_parser("dnc-ring-demo", help="exact Laurent model report")

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from numbers import Rational
 from operator import add
 
-from .errors import ArityMismatch, InvariantBreach
+from .errors import ArityMismatch, DomainViolation, InvariantBreach
 from .expr import Add, Const, Div, Expr, Mul, Pow, SmoothMapExpr, Sub, Var
 
 _INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
@@ -452,8 +452,6 @@ def squarefree_factors(f: list) -> list:
 # polynomial at a point is one integer Horner.  Every Sturm term is kept
 # as a positive multiple of itself, which has the same signs.
 
-_NEWTON_STEPS = 64
-
 
 def _horner(c: list, num: int, den: int) -> int:
     """den**d * c(num / den) for c of degree d: for den > 0, it has the
@@ -487,68 +485,13 @@ def _sturm_at(sturm: list, num: int, den: int):
     return sum(a != b for a, b in zip(signs, signs[1:])), not values[0]
 
 
-def _newton(coeffs: list, x: float) -> float:
-    """Float Newton steps from x on the float coefficients ``coeffs``;
-    only a guess, which the caller certifies exactly."""
-    for _ in range(_NEWTON_STEPS):
-        value = slope = 0.0
-        for c in reversed(coeffs):
-            slope = slope * x + value
-            value = value * x + c
-        if not slope:
-            break
-        x, last = x - value / slope, x
-        if x == last:
-            break
-    return x
-
-
-def _nearest_root(f: list, guess_coeffs, lo: int, hi: int, den: int) -> float:
-    """The float nearest to the one root of f in (lo / den, hi / den),
-    where f(hi / den) != 0.
-
-    f has the sign it has at hi on (root, hi] and the other sign on
-    (lo, root), so the sign of f at a point in between tells on which
-    side of the root the point lies."""
-    s_hi = _horner(f, hi, den) > 0
-
-    def side(num: int, scale: int) -> int:
-        """-1, 0 or 1 as num / scale, inside the interval, lies below, at
-        or above the root."""
-        v = _horner(f, num, scale)
-        return v and (1 if (v > 0) == s_hi else -1)
-
-    if guess_coeffs is not None:
-        c = _newton(guess_coeffs, (lo + hi) / (2 * den))
-        neighbours = (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
-        if all(map(math.isfinite, neighbours)):
-            # Over one power-of-two denominator: the interval, c, and the
-            # points halfway to c's neighbours, which bound the reals
-            # that round to c.
-            ratios = [x.as_integer_ratio() for x in neighbours]
-            big = 2 * max(den, *(q for _, q in ratios))
-            below, at, above = (n * (big // q) for n, q in ratios)
-            low, high = (below + at) // 2, (at + above) // 2
-            lo_big, hi_big = lo * (big // den), hi * (big // den)
-            if lo_big < at < hi_big:
-                at_low = side(low, big) if low > lo_big else -1
-                at_high = side(high, big) if high < hi_big else 1
-                if at_low == 0:
-                    return low / big
-                if at_high == 0:
-                    return high / big
-                if at_low < 0 < at_high:
-                    return c
-    while (x := lo / den) != hi / den:
-        lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
-        at_mid = side(mid, den)
-        if not at_mid:
-            return mid / den
-        if at_mid > 0:
-            hi = mid
-        else:
-            lo = mid
-    return x
+def _rounded(num: int, den: int) -> float:
+    """num / den correctly rounded (ties to even); past the float range,
+    infinity with its sign, as IEEE rounding gives."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def real_roots(f: list) -> list:
@@ -556,17 +499,18 @@ def real_roots(f: list) -> list:
     float nearest to it (ties to even).
 
     ``f`` lists rational coefficients, lowest degree first, as
-    ``squarefree_factors`` returns them.  A Sturm sequence counts the
-    roots, and exact bisection from Fujiwara's root bound isolates each
-    one in an interval.  There a float Newton guess is certified
-    exactly: f changes sign between the two points halfway to the
-    guess's float neighbours.  If it does not, exact bisection goes on
-    until both ends of the interval round to the same float.  No
-    tolerance is involved.  Two roots closer together than the float
-    spacing come back as two equal floats."""
+    ``squarefree_factors`` returns them.  A Sturm sequence over the
+    integers counts the roots in each interval, and exact bisection at
+    dyadic points, from Fujiwara's root bound, goes on until an interval
+    that holds roots either holds one, at its upper end, or has two ends
+    that round to the same float, which is then each of its roots.  No
+    float is made before that, and no tolerance is involved.  So two
+    roots closer together than the float spacing come back as two equal
+    floats, and a root that rounds past the float range raises
+    ``DomainViolation``."""
     f = _trim(list(f))
-    if len(f) < 3:
-        return [float(-Fraction(f[0]) / f[1])] if len(f) == 2 else []
+    if len(f) < 2:
+        return []
     scale = math.lcm(*(c.denominator for c in f))
     f = [c.numerator * (scale // c.denominator) for c in f]
     sturm = [f, _trim([i * c for i, c in enumerate(f)][1:])]
@@ -577,23 +521,24 @@ def real_roots(f: list) -> list:
     e = max(
         [0] + [1 - (lead - abs(c).bit_length() - 1) // (d - i) for i, c in enumerate(f[:-1]) if c]
     )
-    try:
-        guess_coeffs = [float(c) for c in f]
-    except OverflowError:  # a coefficient past the float range: bisection only
-        guess_coeffs = None
     roots = []
     # (lo, hi, den, sign changes at lo and at hi, whether hi is a root)
     bound = 1 << e
     todo = [(-bound, bound, 1, _sturm_at(sturm, -bound, 1)[0], _sturm_at(sturm, bound, 1)[0], False)]
     while todo:
         lo, hi, den, v_lo, v_hi, hi_is_root = todo.pop()
-        if v_lo - v_hi == 1:
-            roots.append(hi / den if hi_is_root else _nearest_root(f, guess_coeffs, lo, hi, den))
-        elif v_lo - v_hi > 1:
+        if v_lo == v_hi:
+            continue
+        x = _rounded(hi, den)
+        if (lo > 0 or hi < 0) and _rounded(lo, den) == x or hi_is_root and v_lo - v_hi == 1:
+            roots += [x] * (v_lo - v_hi)  # every real in [lo, hi] rounds to x, signed zero too
+        else:
             lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
             v_mid, mid_is_root = _sturm_at(sturm, mid, den)
             todo.append((mid, hi, den, v_mid, v_hi, hi_is_root))
             todo.append((lo, mid, den, v_lo, v_mid, mid_is_root))  # popped first: roots ascend
+    if any(map(math.isinf, roots)):
+        raise DomainViolation("a real root lies past the float range")
     return roots
 
 
@@ -645,7 +590,7 @@ def expr_to_laurent(e: Expr, p: int, q: int, t_index: int | None = None) -> dict
 
     def go(e: Expr) -> dict:
         if isinstance(e, Const):
-            return {0: MultiPoly.const(p, q, Fraction(e.value))}
+            return {0: MultiPoly.const(p, q, e.value)}
         if isinstance(e, Var):
             if e.index == t_index:
                 return {-1: MultiPoly.const(p, q, 1)}

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, exit codes, output formats."""
 
+import io
 import json
 import math
 import subprocess
@@ -70,6 +71,14 @@ def test_resolve_curve_finds_roots_exactly(poly, roots):
     assert json.loads(out.stdout)["exceptional_roots"] == roots
 
 
+@pytest.mark.parametrize("poly", ["y - 10^400*x", "1e400*x + y"])
+def test_resolve_curve_past_the_float_range_is_an_input_error(poly):
+    out = run_cli("resolve-curve", "--poly", poly)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
 def test_identical_invocations_give_identical_bytes():
     args = ("verify", "--suite", "curve", "--suite", "models", "--samples", "50")
     first = run_cli(*args)
@@ -129,6 +138,29 @@ def test_csv_format():
     lines = out.stdout.strip().splitlines()
     assert len(lines) == 2
     assert "name" in lines[0].split(",")
+
+
+@pytest.mark.parametrize(
+    "argv, column, cell",
+    [
+        (["check-map", "--map", "y1, x1", "--source-dims", "2,1", "--samples", "16"], "map", "y1, x1"),
+        (
+            ["resolve-curve", "--poly", "y^2-x^2"],
+            "exceptional_roots",
+            "{'root': -1.0, 'multiplicity': 1};{'root': 1.0, 'multiplicity': 1}",
+        ),
+    ],
+    ids=["check-map", "resolve-curve"],
+)
+def test_csv_cells_with_commas_are_quoted(argv, column, cell, capsys):
+    import csv
+
+    from conecut.cli import main
+
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert dict(zip(header, rows[0]))[column] == cell
 
 
 def test_seed_env_default(tmp_path):
@@ -200,6 +232,22 @@ def test_demo_subcommands_run():
         out = run_cli(name, "--samples", "20")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["ok"] is True
+
+
+_DEMOS = {"sphere-demo": "sphere", "groupoid-demo": "groupoid", "dnc-demo": "dnc", "euler-demo": "euler"}
+
+
+@pytest.mark.parametrize("demo", list(_DEMOS))
+def test_demos_take_only_their_own_suite_tolerance(demo, capsys):
+    from conecut.cli import main
+    from conecut.verify import SUITES
+
+    own = _DEMOS[demo]
+    for suite in SUITES:
+        if suite != own:
+            assert main([demo, f"--tol.{suite}", "5"]) == 2, suite
+    assert main([demo, "--samples", "4", f"--tol.{own}", "5"]) == 0
+    capsys.readouterr()
 
 
 def test_flags_belong_to_the_subcommands_that_read_them(capsys):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conecut.errors import ArityMismatch, InvariantBreach
-from conecut.expr import Var, eval_map
+from conecut.errors import ArityMismatch, DomainViolation, InvariantBreach
+from conecut.expr import Const, Mul, Var, eval_map
 from conecut.ring import (
     LaurentElement,
     MultiPoly,
@@ -343,8 +343,42 @@ def test_real_roots_round_a_subnormal_root_once():
 
 
 def test_real_roots_of_coefficients_past_the_float_range():
-    # (s - 1)(s - 2) * 10^400: no float guess exists, so bisection alone
+    # (s - 1)(s - 2) * 10^400: no coefficient is ever made a float
     assert real_roots([2 * 10**400, -3 * 10**400, 10**400]) == [1.0, 2.0]
+
+
+def test_real_roots_past_the_float_range_raise_domain_violation():
+    with pytest.raises(DomainViolation, match="past the float range"):
+        real_roots([-(10**700), 0, 1])
+    with pytest.raises(DomainViolation, match="past the float range"):
+        real_roots([-(10**400), 1])
+    # the largest float is a root; halfway to 2^1024 rounds to infinity (ties to even)
+    big = 2**1024 - 2**971
+    assert real_roots([-big, 1]) == [float(big)] == [1.7976931348623157e308]
+    assert real_roots([-(big + 2**970) + 1, 1]) == [float(big)]
+    with pytest.raises(DomainViolation):
+        real_roots([-(big + 2**970), 1])
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        Fraction(3),
+        Fraction(-7, 3),
+        Fraction(1, 10),
+        1 + Fraction(3, 2**53),  # a tie, rounded to even
+        1 + Fraction(1, 2**53),  # a tie, rounded down to even
+        Fraction(5, 2**1076),  # subnormal
+        Fraction(-1, 3 * 2**1074),  # rounds to -0.0
+        Fraction(17 * 10**307),  # near the top of the float range
+    ],
+    ids=str,
+)
+def test_real_roots_of_a_linear_factor_are_the_rounded_fraction(root):
+    (x,) = real_roots([-root, 1])
+    assert x.hex() == float(root).hex()
+    (x,) = real_roots([-3 * root, 3])
+    assert x.hex() == float(root).hex()
 
 
 def test_real_roots_match_a_seeded_rational_oracle():
@@ -574,6 +608,7 @@ _NON_FINITE_USES = {
     "coefficient": lambda f, v: MultiPoly(0, 1, {(1,): v}),
     "constant": lambda f, v: MultiPoly.const(0, 1, v),
     "point": lambda f, v: f.evaluate([v]),
+    "tree constant": lambda f, v: expr_to_poly(Mul(Const(v), Var(0)), 0, 1),
 }
 
 
