@@ -13,8 +13,7 @@ center.  Chart inverses, models, induced maps and the deformation space
 call them; the Body branch of ``chart_phi_inv`` calls their ``_body``.
 The point kernels compute on lists of Python floats, build one numpy
 array per returned field, and take every vector norm from the correctly
-rounded ``math.hypot``, so no representative depends on the BLAS build
-(the ``OutsideBlupF`` threshold of ``blowup_map`` still takes an SVD).
+rounded ``math.hypot``, so no representative depends on the BLAS build.
 
 Also here: the q projective charts with their transitions, the
 blow-down, induced maps of blow-ups, strict transforms of plane curves,
@@ -38,7 +37,7 @@ from .errors import (
     OutsideChart,
 )
 from .lazy_numpy import np
-from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted
+from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted, singular_values
 from .record import Record
 from .ring import MultiPoly, real_roots, squarefree_factors
 
@@ -188,7 +187,7 @@ def blowdown(z) -> np.ndarray:
     if isinstance(z, Body):
         return z.x.copy()
     if isinstance(z, Exceptional):
-        return z.dims.join(z.y, np.zeros(z.dims.q))
+        return np.array(z.dims.join(z.y, np.zeros(z.dims.q)))
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -240,13 +239,13 @@ def blowup_map(f: MapOfPairs, z):
     if isinstance(z, Body):
         value = f(z.x)
         _, x2 = f.target.split(value)
-        if math.hypot(*x2.tolist()) <= BLUP_F_RTOL * (1.0 + math.hypot(*value.tolist())):
+        if math.hypot(*x2) <= BLUP_F_RTOL * (1.0 + math.hypot(*value.tolist())):
             raise OutsideBlupF("body point maps into the target submanifold")
         return from_ambient(value, f.target)
     if isinstance(z, Exceptional):
         dn = normal_derivative(f, z.y)
-        image = dn @ z.xi_dir
-        scale = float(np.linalg.svd(dn, compute_uv=False)[0]) * math.hypot(*z.xi_dir.tolist())
+        image = np.array(dn) @ z.xi_dir
+        scale = singular_values(dn)[0] * math.hypot(*z.xi_dir.tolist())
         if math.hypot(*image.tolist()) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
         return canonicalize(f.slice_image(z.y), image, 0.0, f.target)
@@ -321,18 +320,18 @@ def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
     if not h.normal_derivative_injective:
         raise NotImmersive("normal derivative has a kernel on the slice")
     if z.t == 0.0:
-        image = normal_derivative(h, z.x) @ z.theta
+        image = np.array(normal_derivative(h, z.x)) @ z.theta
         norm = math.hypot(*image.tolist())
         if norm == 0.0:
             raise NotImmersive("normal derivative kills the polar direction")
         return canonical_polar(h.slice_image(z.x), image / norm, 0.0)
     value = h(h.source.join(z.x, z.t * z.theta))
     y2, h2 = h.target.split(value)
-    norm = math.hypot(*h2.tolist())
+    norm = math.hypot(*h2)
     if norm == 0.0:
         raise OutsideChart("image lies on the target submanifold")
     sign = 1.0 if z.t > 0 else -1.0
-    return canonical_polar(y2, sign * h2 / norm, sign * norm)
+    return canonical_polar(y2, [sign * c / norm for c in h2], sign * norm)
 
 
 # -- products and the deformation space as an open subset --------------
@@ -355,8 +354,8 @@ def product_split(z, factor_dims: PairDims, m_dim: int):
     if isinstance(z, Body):
         y, xb = dims.split(z.x)
         return (
-            Body(np.concatenate([y[: factor_dims.p], xb]), factor_dims),
-            y[factor_dims.p :].copy(),
+            Body(np.array(y[: factor_dims.p] + xb), factor_dims),
+            np.array(y[factor_dims.p :]),
         )
     raise TypeError(f"not a blow-up point: {z!r}")
 

@@ -13,7 +13,8 @@ Subcommands, with the flags each takes besides --seed, --out and
   dnc-ring-demo  exact Laurent model and its two characters; --element, --p, --q
 
 Output is deterministic: the same arguments and seed produce the same
-bytes.  Floats are printed with 17 significant digits.  Exit code 0
+bytes.  Floats are printed with 17 significant digits.  resolve-curve,
+dnc-ring-demo and check-map never load numpy.  Exit code 0
 means all requested checks passed, 1 means a check failed, 2 means the
 invocation or an input could not be parsed.
 
@@ -31,8 +32,7 @@ from fractions import Fraction
 
 from . import verify as vf
 from .errors import ConecutError, ParseError
-from .expr import finite_diff_jacobian, jet_eval
-from .lazy_numpy import np
+from .expr import finite_diff_jacobian, jet_coords
 from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
 from .parse import pair_var_names, parse_expr, parse_laurent, parse_map
 from .ring import LaurentElement, char_xs, char_yxi, expr_to_poly, vanishing_order
@@ -102,9 +102,20 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
+def _csv_item(value) -> str:
+    """A CSV cell or one item of a list cell: floats with 17 significant
+    digits, a nested list as its items between brackets."""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, (list, tuple)):
+        return "[" + ";".join(map(_csv_item, value)) + "]"
+    return str(value)
+
+
 def _to_csv(payload) -> str:
     """Flat CSV for list-of-dicts payloads (e.g. verify suite rows); a
-    cell with a comma, quote or newline is quoted."""
+    list cell joins its items with ';', and a cell with a comma, quote
+    or newline is quoted."""
     import csv
     import io
 
@@ -117,14 +128,12 @@ def _to_csv(payload) -> str:
         for key, value in sorted(row.items(), key=lambda kv: str(kv[0])):
             if isinstance(value, dict):
                 continue
-            if isinstance(value, float):
-                flat[key] = "%.17g" % value
-            elif isinstance(value, bool):
+            if isinstance(value, bool):
                 flat[key] = "true" if value else "false"
             elif isinstance(value, (list, tuple)):
-                flat[key] = ";".join(str(v) for v in value)
+                flat[key] = ";".join(map(_csv_item, value))
             else:
-                flat[key] = str(value)
+                flat[key] = _csv_item(value)
         flat_rows.append(flat)
     headers = sorted({k for row in flat_rows for k in row})
     text = io.StringIO()
@@ -199,16 +208,10 @@ def _cmd_check_map(args) -> int:
         "worst_slice_violation": adapted.worst_violation,
     }
     if adapted.ok:
-        y0 = np.zeros(source.p)
-        dn = normal_derivative(m, y0)
-        ad_vs_fd = float(
-            np.max(
-                np.abs(
-                    jet_eval(f, np.zeros(source.n)).jacobian
-                    - finite_diff_jacobian(f, np.zeros(source.n))
-                )
-            )
-        )
+        dn = normal_derivative(m, [0.0] * source.p)
+        origin = [0.0] * source.n
+        rows = zip(jet_coords(f, origin)[1], finite_diff_jacobian(f, origin))
+        ad_vs_fd = max((abs(a - b) for ad, fd in rows for a, b in zip(ad, fd)), default=0.0)
         ranks = check_rank_conditions(m, samples=min(args.samples, 256), seed=args.seed)
         payload["normal_derivative_at_0"] = dn
         payload["rank_full"] = ranks.rank_f

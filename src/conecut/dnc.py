@@ -98,10 +98,10 @@ def psi_inv(point, dims: PairDims | None = None) -> DncPoint:
             raise ArityMismatch("psi_inv on a Body point needs the pair dimensions")
         y, x = dims.split(point.x)
         with np.errstate(over="ignore"):
-            xi = x / point.t
+            xi = np.array(x) / point.t
         if not np.all(np.isfinite(xi)):
             raise DomainViolation(f"x / t is not finite at t = {point.t!r}")
-        return DncPoint(y, xi, point.t)
+        return DncPoint(np.array(y), xi, point.t)
     raise TypeError(f"not an abstract DNC point: {point!r}")
 
 
@@ -123,13 +123,19 @@ class DncMap:
     def __call__(self, z: DncPoint) -> DncPoint:
         h = self.h
         if z.t == 0.0:
-            return DncPoint(h.slice_image(z.y), normal_derivative(h, z.y) @ z.xi, 0.0)
-        y2, x2 = h.target.split(h.f(z.ambient()))
+            return DncPoint(h.slice_image(z.y), _normal_image(h, z), 0.0)
+        value = h.f(z.ambient())
+        y2, x2 = value[: h.target.p], value[h.target.p :]
         # Once t*xi leaves the normal float range, h2(y, t*xi)/t has lost
         # its precision; the jet branch is then exact to rounding.
         if np.any((z.xi != 0.0) & (np.abs(z.t * z.xi) < sys.float_info.min)):
-            return DncPoint(y2, normal_derivative(h, z.y) @ z.xi, z.t)
+            return DncPoint(y2, _normal_image(h, z), z.t)
         return DncPoint(y2, x2 / z.t, z.t)
+
+
+def _normal_image(h: MapOfPairs, z: DncPoint) -> np.ndarray:
+    """d_N h(y) xi, as an array; the block keeps its q' x q shape when q' is 0."""
+    return np.array(normal_derivative(h, z.y), dtype=float).reshape(h.target.q, h.source.q) @ z.xi
 
 
 _KINDS = ("hat_f0", "dnc_f1", "hat_t")

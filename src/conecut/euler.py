@@ -152,7 +152,7 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if float(np.linalg.norm(xi)) == 0.0:
-        return dims.join(y, np.zeros(dims.q))
+        return np.array(dims.join(y, np.zeros(dims.q)))
     flows = [
         (eps, _rk4(sigma, dims.join(y, eps * xi), _geometric_grid(eps, 1.0)))
         for eps in EPS_SCHEDULE

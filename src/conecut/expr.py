@@ -19,9 +19,13 @@ row of an (N, n) array of points; it saves the conversions ``eval_map``
 makes on each call, but none of the arithmetic, so every row is
 bit-identical to ``eval_map`` at that row.  ``jet_eval`` replays the jet
 tape, which checks the guards and then carries each body node's value
-together with its n partial derivatives (forward mode).  Each step does
-its node's float arithmetic, in the same order on both tapes, so the
-value component of ``jet_eval`` agrees exactly with ``eval_map``.
+together with its n partial derivatives (forward mode); ``jet_coords``
+does the same on a list of floats and returns the values and the
+Jacobian rows as floats.  Each step does its node's float arithmetic,
+in the same order on both tapes, so the value component of
+``jet_eval`` agrees exactly with ``eval_map``.  ``in_domain``,
+``jet_coords``, ``eval_coords`` and ``finite_diff_jacobian`` take and
+return plain floats, so they run without numpy.
 """
 
 from __future__ import annotations
@@ -558,8 +562,10 @@ def _jet_tape(n: int, guards: tuple, body: tuple):
         checks.append(_guard_step(guard, slot, n))
     seen = {}  # a body node that is also in a guard needs a jet step of its own
     pick = _picker([_record(e, n, tail, steps, _JET_STEPS, seen) for e in body])
-    # Var(i) has the unit gradient e_i, a constant the zero gradient.
-    gradients = [[float(i == j) for j in range(n)] for i in range(n)] + [[0.0] * n] * len(tail)
+    # Var(i) has the unit gradient e_i, a constant the zero gradient.  They
+    # are tuples: a body that is a bare Var or Const returns one of them as
+    # its Jacobian row, and no caller can change it for the next run.
+    gradients = [tuple(float(i == j) for j in range(n)) for i in range(n)] + [(0.0,) * n] * len(tail)
 
     def run(coords: list, tail=tail, checks=checks, steps=steps, gradients=gradients, pick=pick):
         r = coords + tail
@@ -619,12 +625,13 @@ class Guard(Record, frozen=True):
         if kind not in _GUARD_TESTS:
             raise UnknownGuardKind(f"unknown guard kind {kind!r}; expected one of {GUARD_KINDS}")
 
-    def holds(self, point: np.ndarray) -> bool:
-        n = point.shape[0]
+    def holds(self, coords: list) -> bool:
+        """Whether the guard holds at a point given as a list of floats."""
+        n = len(coords)
         run = self._tapes.get(n)
         if run is None:
             run = self._tapes[n] = _value_tape(n, (), (self.expr,))
-        (v,) = run(point.tolist())
+        (v,) = run(coords)
         return _GUARD_TESTS[self.kind](v, 0.0)
 
     @cached_property
@@ -658,11 +665,11 @@ class SmoothMapExpr(Record, frozen=True):
         """Whether every guard holds at the point.  A point with a
         non-finite coordinate, or at which a guard cannot be evaluated,
         is outside the domain."""
-        point = _check_point(self, point)
-        if not np.isfinite(point).all():
+        coords = _check_coords(self, point)
+        if not all(map(math.isfinite, coords)):
             return False
         try:
-            return all(g.holds(point) for g in self.guards)
+            return all(g.holds(coords) for g in self.guards)
         except DomainViolation:
             return False
 
@@ -681,13 +688,22 @@ class SmoothMapExpr(Record, frozen=True):
         return "(" + ", ".join(str(e) for e in self.body) + ")"
 
 
-def _check_point(m: SmoothMapExpr, point) -> np.ndarray:
-    point = np.asarray(point, dtype=float)
-    if point.shape != (m.input_dim,):
+def as_floats(point) -> list:
+    """A flat sequence of numbers, or a 1-D array, as a new list of Python
+    floats; ArityMismatch for a scalar or a nested sequence."""
+    try:
+        return list(map(float, point.tolist() if hasattr(point, "tolist") else point))
+    except TypeError:
+        raise ArityMismatch(f"{point!r} is not a flat sequence of numbers") from None
+
+
+def _check_coords(m: SmoothMapExpr, point) -> list:
+    coords = as_floats(point)
+    if len(coords) != m.input_dim:
         raise ArityMismatch(
-            f"point of shape {point.shape} for map with input_dim {m.input_dim}"
+            f"point of length {len(coords)} for map with input_dim {m.input_dim}"
         )
-    return point
+    return coords
 
 
 def _check_points(m: SmoothMapExpr, points) -> np.ndarray:
@@ -723,7 +739,7 @@ def eval_coords(m: SmoothMapExpr, coords: list):
 def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
     """Evaluate the map; raises DomainViolation outside the domain, which
     includes the points where a component is not finite."""
-    return np.array(eval_coords(m, _check_point(m, point).tolist()))
+    return np.array(eval_coords(m, _check_coords(m, point)))
 
 
 def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:
@@ -755,30 +771,61 @@ def _first_not_finite(m: SmoothMapExpr, rows: list, vals: list) -> DomainViolati
     return None
 
 
+def jet_coords(m: SmoothMapExpr, coords: list):
+    """The map's values and Jacobian rows, as a sequence of ``output_dim``
+    floats and a sequence of ``output_dim`` rows (lists or tuples) of
+    ``input_dim`` floats, at a list of its ``input_dim`` coordinates as
+    floats; the caller checks that length.  Raises what ``jet_eval``
+    raises."""
+    vals, rows = m._jets(coords)
+    if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
+        raise _not_finite(m, coords, vals, rows)
+    return vals, rows
+
+
 def jet_eval(m: SmoothMapExpr, point) -> Jet:
     """Forward-mode value + Jacobian; exact derivatives of the tree.
     Raises DomainViolation outside the domain and where a value or a
     partial derivative is not finite."""
-    coords = _check_point(m, point).tolist()
-    vals, rows = m._jets(coords)
-    if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
-        raise _not_finite(m, coords, vals, rows)
+    vals, rows = jet_coords(m, _check_coords(m, point))
     jac = np.array(rows, dtype=float).reshape(m.output_dim, m.input_dim)
     return Jet(np.array(vals, dtype=float), jac)
 
 
-def finite_diff_jacobian(m: SmoothMapExpr, point) -> np.ndarray:
-    """Central-difference Jacobian estimate with step 1e-6 (1 + |point|);
-    O(step^2) accurate."""
-    point = _check_point(m, point)
-    step = 1e-6 * (1.0 + float(np.linalg.norm(point)))
-    jac = np.empty((m.output_dim, m.input_dim))
+def _fma_norm(coords: list) -> float:
+    """The euclidean norm as the square root of s = fl(s + c*c) over the
+    coordinates, one rounding per fused multiply-add: the bits of
+    ``numpy.linalg.norm`` of a short vector, whose BLAS dot product
+    accumulates that way."""
+    if not all(map(math.isfinite, coords)):
+        return math.sqrt(sum(c * c for c in coords))
+    s = 0.0
+    for c in coords:
+        # Both denominators are powers of two, and int / int rounds correctly.
+        num, den = s.as_integer_ratio()
+        c_num, c_den = c.as_integer_ratio()
+        c_den *= c_den
+        try:
+            s = (num * c_den + c_num * c_num * den) / (den * c_den)
+        except OverflowError:
+            return math.inf
+    return math.sqrt(s)
+
+
+def finite_diff_jacobian(m: SmoothMapExpr, point) -> list:
+    """Central-difference Jacobian estimate, as ``output_dim`` rows of
+    ``input_dim`` floats, with step 1e-6 (1 + |point|); O(step^2)
+    accurate."""
+    coords = _check_coords(m, point)
+    step = 1e-6 * (1.0 + _fma_norm(coords))
+    jac = [[0.0] * m.input_dim for _ in range(m.output_dim)]
     for j in range(m.input_dim):
-        hi = point.copy()
-        lo = point.copy()
+        hi = coords.copy()
+        lo = coords.copy()
         hi[j] += step
         lo[j] -= step
-        jac[:, j] = (eval_map(m, hi) - eval_map(m, lo)) / (2.0 * step)
+        for row, a, b in zip(jac, eval_coords(m, hi), eval_coords(m, lo)):
+            row[j] = (a - b) / (2.0 * step)
     return jac
 
 

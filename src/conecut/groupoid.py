@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import SamplingFailure
 from .expr import Guard, SmoothMapExpr, Var, eval_batch, eval_map, from_components, jet_eval
 from .lazy_numpy import np
-from .pairs import RANK_RTOL, numeric_rank
+from .pairs import numeric_rank
 from .record import Record
 from .blowup import (
     Body,
@@ -383,8 +383,8 @@ def isotropy_orbit_report(spec: GroupoidSpec, base_point) -> IsotropyReport:
     stacked = np.vstack([js, jt])
     isotropy_dim = spec.arrow_dim - numeric_rank(stacked)
     # source-fiber tangent: kernel of js
-    _, svals, vt = np.linalg.svd(js)
-    rank_s = int(np.sum(svals > RANK_RTOL * (svals[0] if svals.size else 1.0)))
+    vt = np.linalg.svd(js)[2]
+    rank_s = numeric_rank(js)
     kernel = vt[rank_s:].T  # columns span ker d(source)
     orbit_dim = numeric_rank(jt @ kernel) if kernel.size else 0
     return IsotropyReport(isotropy_dim, orbit_dim)

@@ -543,10 +543,14 @@ def real_roots(f: list) -> list:
 
 
 def poly_to_expr(f: MultiPoly) -> SmoothMapExpr:
-    """Float expression tree for the geometric boundary."""
+    """Float expression tree for the geometric boundary; DomainViolation
+    for a coefficient past the float range."""
     e: Expr = Const(0.0)
     for exps, coeff in sorted(f.terms.items()):
-        term: Expr = Const(float(coeff))
+        try:
+            term: Expr = Const(float(coeff))
+        except OverflowError:
+            raise DomainViolation("a coefficient lies past the float range") from None
         for i, k in enumerate(exps):
             if k:
                 term = Mul(term, Pow(Var(i), k))

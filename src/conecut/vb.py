@@ -187,7 +187,7 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
     if isinstance(z, Exceptional):
         slice_point = dims.join(z.y, np.zeros(dims.q))
         phi = model.f_of(slice_point, eval_map(alpha, slice_point))
-        eps = normal_derivative(e_pair, z.y) @ z.xi_dir
+        eps = np.array(normal_derivative(e_pair, z.y)) @ z.xi_dir
         return VbExceptional(z.y.copy(), z.xi_dir.copy(), phi, eps)
     raise TypeError(f"not a blow-up point: {z!r}")
 

@@ -390,9 +390,9 @@ def suite_normal_derivative(samples, seed, tol):
     worst_chain = 0.0
     for _ in range(50):
         y = rng.uniform(-1.0, 1.0, size=f.source.p)
-        lhs = normal_derivative(gf, y)
+        lhs = np.array(normal_derivative(gf, y))
         fy = f.slice_image(y)
-        rhs = normal_derivative(g, fy) @ normal_derivative(f, y)
+        rhs = np.array(normal_derivative(g, fy)) @ np.array(normal_derivative(f, y))
         worst_chain = max(worst_chain, float(np.max(np.abs(lhs - rhs))))
     return (
         worst_fd <= tol and worst_chain <= chain_tol,

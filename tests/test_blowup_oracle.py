@@ -61,6 +61,12 @@ SEED = 20261018
 # -- the replaced constructions, verbatim ------------------------------
 
 
+def np_split(dims: PairDims, point):
+    """The blocks (y, x) of a point, as views of one array."""
+    point = np.asarray(point, dtype=float)
+    return point[: dims.p], point[dims.p :]
+
+
 def old_from_polar(pp: PolarPoint, dims: PairDims):
     if pp.t == 0.0:
         return Exceptional(_round(pp.x), canonical_direction(pp.theta), dims)
@@ -183,7 +189,7 @@ def old_vb_chart(model, r: int, z) -> np.ndarray:
         raise OutsideChart(f"chart index {r} out of range 1..{dims.q}")
     k = r - 1
     if isinstance(z, VbBody):
-        y, xb = dims.split(z.u)
+        y, xb = np_split(dims, z.u)
         if xb[k] == 0.0:
             raise OutsideChart(f"base point has x-component {r} = 0")
         base_coords = chart_phi(r, Body(np.asarray(z.u, float), dims))
@@ -294,7 +300,7 @@ def np_chart_phi(i: int, z) -> np.ndarray:
         w[k] = 0.0
         return np.concatenate([z.y, w])
     if isinstance(z, Body):
-        y, xb = dims.split(z.x)
+        y, xb = np_split(dims, z.x)
         if xb[k] == 0.0:
             raise OutsideChart(f"body point has x-component {i} = 0")
         w = xb / xb[k]
@@ -311,7 +317,7 @@ def np_chart_phi_inv(i: int, w, dims: PairDims):
     if w.shape != (dims.n,):
         raise ArityMismatch(f"chart point of shape {w.shape} for ambient dim {dims.n}")
     k = i - 1
-    y, s = dims.split(w)
+    y, s = np_split(dims, w)
     if s[k] == 0.0:
         xi = s.copy()
         xi[k] = 1.0

@@ -132,6 +132,22 @@ def test_check_map_reports():
     assert json.loads(bad.stdout)["adapted"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "error: expected non-negative integer\n"),
+        (["--samples", "-3"], "error: negative dimensions are not allowed\n"),
+        (["--samples", "0"], "error: no sampled slice point lies in the map's domain\n"),
+    ],
+)
+def test_check_map_rejects_a_negative_seed_and_no_samples(flags, message, capsys):
+    from conecut.cli import main
+
+    assert main(["check-map", "--map", "y1, x1*exp(y1)", "--source-dims", "2,1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_csv_format():
     out = run_cli("verify", "--suite", "curve", "--format", "csv")
     assert out.returncode == 0
@@ -149,8 +165,13 @@ def test_csv_format():
             "exceptional_roots",
             "{'root': -1.0, 'multiplicity': 1};{'root': 1.0, 'multiplicity': 1}",
         ),
+        (
+            ["check-map", "--map", "y1, 0.1*x1*exp(y1), 3*x1", "--source-dims", "2,1", "--target-dims", "3,1"],
+            "normal_derivative_at_0",
+            "[0.10000000000000001];[3]",
+        ),
     ],
-    ids=["check-map", "resolve-curve"],
+    ids=["check-map", "resolve-curve", "check-map-matrix"],
 )
 def test_csv_cells_with_commas_are_quoted(argv, column, cell, capsys):
     import csv

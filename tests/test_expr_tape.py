@@ -34,7 +34,6 @@ from conecut.expr import (
     Sqrt,
     Sub,
     Var,
-    _check_point,
     eval_batch,
     eval_map,
     from_components,
@@ -134,6 +133,13 @@ def _ev(node, point: np.ndarray, grad: bool, cache: dict):
 
 
 # -- the interpreter's entry points, on top of _ev ----------------------
+
+
+def _check_point(m, point) -> np.ndarray:
+    point = np.asarray(point, dtype=float)
+    if point.shape != (m.input_dim,):
+        raise ArityMismatch(f"point of shape {point.shape} for map with input_dim {m.input_dim}")
+    return point
 
 
 def _ref_holds(guard, point):
@@ -330,24 +336,24 @@ def test_tapes_match_the_interpreter_on_suite_maps(name, monkeypatch):
     """Every map a suite evaluates, at the points the suite evaluates it at
     (up to 40 per map), and at a few boundary points."""
     seen: dict = {}
-    check_point = expr_module._check_point
+    check_coords = expr_module._check_coords
     check_points = expr_module._check_points
 
     def record(m, rows):
         points = seen.setdefault(id(m), (m, []))[1]
-        points.extend(row.copy() for row in rows[: 40 - len(points)])
+        points.extend(np.array(row) for row in rows[: 40 - len(points)])
 
     def recording(m, point):
-        point = check_point(m, point)
-        record(m, [point])
-        return point
+        coords = check_coords(m, point)
+        record(m, [coords])
+        return coords
 
     def recording_rows(m, points):
         points = check_points(m, points)
         record(m, points)
         return points
 
-    monkeypatch.setattr(expr_module, "_check_point", recording)
+    monkeypatch.setattr(expr_module, "_check_coords", recording)
     monkeypatch.setattr(expr_module, "_check_points", recording_rows)
     SUITES[name](samples=20, seed=3)
     monkeypatch.undo()

@@ -9,7 +9,8 @@ lists every underscore name a module of ``src/conecut`` imports from a
 conecut module: a helper shared across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
 ``random`` module, so every suite draws from a numpy ``Generator``
-seeded by its ``seed``.  ``test_no_module_imports_dataclasses`` does the
+seeded by its ``seed`` (``pairs`` draws from ``conecut.pcg64``, which
+``test_draws_module_never_names_numpy`` keeps free of numpy).  ``test_no_module_imports_dataclasses`` does the
 same for ``dataclasses``, whose decorator compiles every generated
 method at import (records subclass ``conecut.record.Record`` instead),
 and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
@@ -17,7 +18,7 @@ dependency loads it on the CLI's cold start either.
 ``test_no_module_imports_numpy_at_module_level`` keeps numpy's
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
-running its exact subcommands load no part of numpy, and that
+running its exact subcommands and ``check-map`` load no part of numpy, and that
 ``import conecut.cli`` still loads every module the benchmark's tracer
 patches.
 """
@@ -180,23 +181,61 @@ def test_no_module_imports_numpy_at_module_level():
 
 
 def test_cli_import_and_exact_subcommands_leave_numpy_unloaded():
+    """``sys.modules["numpy"]`` holds the lazy module of ``lazy_numpy``
+    from the package import on; numpy is loaded once its code has run,
+    which makes the module a plain one and imports numpy's submodules."""
+    check_map = ["check-map", "--map", "y1, 0.5*x1*exp(y1), 3*x1", "--source-dims", "2,1", "--target-dims", "3,1"]
     code = (
         "import contextlib, io, sys, conecut.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "    lazy = type(sys.modules['numpy']).__name__ == '_LazyModule'\n"
+        "    return not lazy or any(m.startswith('numpy.') for m in sys.modules)\n"
         "print(loaded())\n"
         "for argv in (['resolve-curve', '--poly', 'y^2 - 2*x^2 + x^3'], ['dnc-ring-demo'],\n"
-        "             ['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8']):\n"
+        "             ['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8'],\n"
+        f"             {check_map!r}, {check_map + ['--format', 'csv']!r}):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = conecut.cli.main(argv)\n"
-        "    print(argv[0], code, bool(loaded()) and 'numpy loaded')\n"
+        "    print(argv[0], code, loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    conecut.cli.main(['verify', '--suite', 'models', '--samples', '4'])\n"
+        "print(loaded())\n"
     )
     assert _run_python(code).splitlines() == [
-        "[]",
+        "False",
         "resolve-curve 0 False",
         "dnc-ring-demo 0 False",
-        "check-map 0 numpy loaded",  # a float subcommand does load it
+        "check-map 0 False",
+        "check-map 0 False",
+        "check-map 0 False",
+        "True",  # a float suite does load it
     ]
+
+
+def numpy_references(source: str) -> list:
+    """Names, attributes and imports of ``np``, ``numpy`` or
+    ``lazy_numpy`` anywhere in the source, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
+        found += [(node.lineno, name) for name in names if {"np", "numpy", "lazy_numpy"} & set(name.split("."))]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_numpy_references_finds_every_kind():
+    source = "import numpy.random\nfrom .lazy_numpy import np as a\ndef f(x):\n    return x.np + np\n"
+    assert numpy_references(source) == [
+        "line 1: numpy.random", "line 2: lazy_numpy", "line 2: np", "line 4: np", "line 4: np"
+    ]
+
+
+def test_draws_module_never_names_numpy():
+    assert numpy_references((PACKAGE / "pcg64.py").read_text()) == []
 
 
 def test_cli_import_loads_every_module_the_tracer_patches():

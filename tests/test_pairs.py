@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conecut.errors import NotAdapted, SamplingFailure
+from conecut.errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
 from conecut.expr import Exp, Guard, Sin, Var, from_components, jet_eval
 from conecut.pairs import (
     RANK_RTOL,
@@ -17,6 +17,7 @@ from conecut.pairs import (
     numeric_ranks,
     require_adapted,
     sample_slice_points,
+    singular_values,
     tangential_derivative,
 )
 
@@ -39,15 +40,21 @@ def test_split_join_round_trip():
     dims = PairDims(5, 2)
     v = np.arange(5.0)
     y, x = dims.split(v)
-    assert y.shape == (2,) and x.shape == (3,)
-    assert np.array_equal(dims.join(y, x), v)
+    assert y == [0.0, 1.0] and x == [2.0, 3.0, 4.0]
+    assert dims.join(y, x) == v.tolist()
+    assert dims.split([0, 1, 2, 3, 4]) == (y, x)
+    for bad in ([0.0] * 4, np.zeros((5, 1)), 3.0):
+        with pytest.raises(ArityMismatch):
+            dims.split(bad)
+    with pytest.raises(ArityMismatch):
+        dims.join([0.0], x)
 
 
 def test_sample_slice_points_lie_on_slice():
     dims = PairDims(4, 2)
     pts = sample_slice_points(dims, 16, seed=1)
-    for p in pts:
-        assert np.all(p[2:] == 0.0)
+    draws = np.random.default_rng(1).uniform(-1.0, 1.0, size=(16, 2)).tolist()
+    assert pts == [y + [0.0, 0.0] for y in draws]
 
 
 def test_check_adapted_accepts_adapted_map():
@@ -68,14 +75,23 @@ def test_normal_derivative_block():
     # x-component is x * exp(y); its x-derivative at (y, 0) is exp(y)
     for y in (-0.5, 0.0, 1.2):
         dn = normal_derivative(m, [y])
-        assert dn.shape == (1, 1)
-        assert dn[0, 0] == pytest.approx(np.exp(y))
+        assert dn == [[pytest.approx(np.exp(y))]]
 
 
 def test_tangential_derivative_block():
     m = _adapted_map()
     dt = tangential_derivative(m, [0.7])
-    assert dt[0, 0] == pytest.approx(1.0)
+    assert dt == [[pytest.approx(1.0)]]
+
+
+def test_derivative_blocks_of_bare_variables_are_lists():
+    # components that are bare Vars hand out the jet tape's tuple gradients
+    m = MapOfPairs(from_components(2, (Var(1), Var(0))), PairDims(2, 1), PairDims(2, 1))
+    assert normal_derivative(m, [0.0]) == [[0.0]]
+    assert tangential_derivative(m, [0.0]) == [[0.0]]
+    m = MapOfPairs(from_components(2, (Var(0), Var(1))), PairDims(2, 1), PairDims(2, 1))
+    assert normal_derivative(m, [0.3]) == [[1.0]]
+    assert tangential_derivative(m, [0.3]) == [[1.0]]
 
 
 def test_numeric_rank():
@@ -201,3 +217,66 @@ def test_numeric_ranks_match_one_svd_per_matrix():
             assert [numeric_rank(m) for m in mats] == want
     assert numeric_ranks([]) == []
     assert numeric_rank([3.0, 4.0]) == 1
+
+
+def _well_separated(matrix) -> bool:
+    """Whether no singular value lies within a factor 10 of the rank
+    threshold, so that the rank does not depend on rounding."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        return True
+    ratio = svals / svals[0]
+    return not np.any((ratio > RANK_RTOL / 10) & (ratio < RANK_RTOL * 10))
+
+
+def test_jacobi_ranks_agree_with_numpy_svd_away_from_the_threshold():
+    rng = np.random.default_rng(16)
+    mats = [np.diag([1.0, 1e-10]), np.diag([1.0, 1e-7]), np.zeros((3, 2)), np.zeros((0, 3)), np.zeros((2, 0))]
+    for _ in range(600):
+        rows, cols = rng.integers(1, 6), rng.integers(1, 5)
+        rank = rng.integers(0, min(rows, cols) + 1)
+        mats.append(rng.standard_normal((rows, cols)))
+        mats.append(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+        mats.append(rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-12, 12, cols))
+    mats = [m for m in mats if _well_separated(m)]
+    assert len(mats) > 1500
+    want = [_reference_rank(m) for m in mats]
+    assert numeric_ranks(mats) == want
+    assert numeric_ranks([m.tolist() for m in mats]) == want
+
+
+def test_largest_singular_value_is_within_16_ulps_of_numpy_svd():
+    """The scale of blowup_map's OutsideBlupF threshold."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for k in range(3000):
+        rows, cols = rng.integers(1, 6), rng.integers(1, 6)
+        m = rng.standard_normal((rows, cols))
+        if k % 3 == 1:
+            rank = rng.integers(1, min(rows, cols) + 1)
+            m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        elif k % 3 == 2:
+            m = m * 10.0 ** rng.integers(-8, 8, cols)
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        worst = max(worst, abs(singular_values(m)[0] - want) / np.spacing(want))
+    assert worst <= 16
+
+
+def test_singular_values_of_scaled_and_degenerate_matrices():
+    assert singular_values([]) == [] and singular_values([[], []]) == []
+    assert singular_values([[0.0, 0.0], [0.0, 0.0]]) == [0.0, 0.0]
+    assert singular_values([[3.0], [4.0]]) == [5.0]
+    for scale in (2.0**-1060, 1e-300, 1.0, 1e300):
+        svals = singular_values([[3.0 * scale, 0.0], [0.0, 4.0 * scale]])
+        assert svals == [4.0 * scale, 3.0 * scale]
+    with pytest.raises(DomainViolation, match="non-finite entry"):
+        singular_values([[1.0, float("nan")], [0.0, 1.0]])
+    # rank-1 matrices whose column norms square past the float range
+    for scale in (1e100, 1e-100, 1e200, 1e-200):
+        m = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]) * scale
+        svals = singular_values(m)
+        want = np.linalg.svd(m, compute_uv=False)
+        assert svals == pytest.approx(want.tolist(), rel=1e-14, abs=1e-14 * want[0])
+        assert numeric_rank(m) == 1 == numeric_rank(m.T)
+    with pytest.raises(DomainViolation, match="past the float range"):
+        singular_values([[1e308, 1e308], [1e308, 1e308]])

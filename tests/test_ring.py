@@ -173,6 +173,16 @@ def test_geometric_consistency():
     assert report["max_residual"] <= 1e-12
 
 
+def test_coefficient_past_the_float_range_is_a_domain_violation():
+    y, x1, x2 = _vars()
+    huge = MultiPoly(0, 1, {(1,): 10**400})
+    with pytest.raises(DomainViolation, match="coefficient lies past the float range"):
+        poly_to_expr(huge)
+    f = y * x1 + x2**3 * 10**400
+    with pytest.raises(DomainViolation, match="coefficient lies past the float range"):
+        geometric_consistency(f, [([0.3], [0.7, -0.2], 0.9)])
+
+
 # -- the integer-pair kernel against a naive Fraction oracle -----------
 
 
