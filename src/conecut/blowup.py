@@ -11,9 +11,11 @@ Representatives are made by ``canonicalize`` from an orbit (y, xi, t)
 and by ``from_ambient`` from an off-center ambient point, never on the
 center.  Chart inverses, models, induced maps and the deformation space
 call them; the Body branch of ``chart_phi_inv`` calls their ``_body``.
-The point kernels compute on lists of Python floats, build one numpy
-array per returned field, and take every vector norm from the correctly
-rounded ``math.hypot``, so no representative depends on the BLAS build.
+The point kernels take any flat sequences of numbers, compute on Python
+floats, and return tuples of floats: every field of a point and every
+chart value is a tuple, so two representatives of one orbit are ``==``
+and hash alike.  Every vector norm comes from the correctly rounded
+``math.hypot``, so no representative depends on the BLAS build.
 
 Also here: the q projective charts with their transitions, the
 blow-down, induced maps of blow-ups, strict transforms of plane curves,
@@ -36,6 +38,7 @@ from .errors import (
     OutsideBlupF,
     OutsideChart,
 )
+from .expr import as_floats
 from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted, singular_values
 from .record import Record
@@ -49,34 +52,17 @@ BLUP_F_RTOL = 1e-10
 _SCALE = 10.0**ROUND_DECIMALS
 
 
-def _floats(a, n: int | None) -> list:
-    """A scalar or a vector as a list of Python floats; ArityMismatch
-    unless it is of length n, where n is not None."""
-    a = np.asarray(a, dtype=float)
-    v = a.tolist() if a.ndim == 1 else [a.item()] if a.ndim == 0 else None
-    if v is None or n is not None and len(v) != n:
-        length = "" if n is None else f" of length {n}"
-        raise ArityMismatch(f"an array of shape {a.shape} where a vector{length} was expected")
-    return v
-
-
-def _rounded(v: list) -> list:
+def _rounded(v) -> tuple:
     """Each float of v rounded to ROUND_DECIMALS, half to even, bit for bit
     as np.round(c, ROUND_DECIMALS) + 0.0.  A coordinate above about 1.8e294
     (scaled, not finite) has no digits below 10^-ROUND_DECIMALS and is
     kept; a non-finite one raises DomainViolation."""
     try:
-        return [round(c * _SCALE) / _SCALE + 0.0 for c in v]
+        return tuple([round(c * _SCALE) / _SCALE + 0.0 for c in v])
     except (OverflowError, ValueError):
         if not all(map(math.isfinite, v)):
             raise DomainViolation(f"representative has a non-finite coordinate: {v}") from None
-        return [c if abs(c * _SCALE) == math.inf else round(c * _SCALE) / _SCALE + 0.0 for c in v]
-
-
-def _round(a):
-    """_rounded on a scalar or an array of any shape, as numpy values."""
-    a = np.asarray(a, dtype=float)
-    return np.array(_rounded(a.ravel().tolist())).reshape(a.shape)[()]
+        return tuple([c if abs(c * _SCALE) == math.inf else round(c * _SCALE) / _SCALE + 0.0 for c in v])
 
 
 def _leading_is_negative(u) -> bool:
@@ -87,7 +73,7 @@ def _leading_is_negative(u) -> bool:
     return False
 
 
-def _unit(v: list, zero_message: str):
+def _unit(v, zero_message: str):
     """(v / |v|, |v|) with |v| = math.hypot(*v).  Where |v| is not a normal
     double (inf past DBL_MAX, a subnormal with lost digits below DBL_MIN =
     2^-1022), v is first divided by its largest |entry|.  A zero vector
@@ -104,20 +90,20 @@ def _unit(v: list, zero_message: str):
     return u, big * norm
 
 
-def _direction(xi: list) -> list:
+def _direction(xi) -> tuple:
     u, _ = _unit(xi, "zero vector has no direction")
     return _rounded([-c for c in u] if _leading_is_negative(u) else u)
 
 
-def canonical_direction(xi) -> np.ndarray:
+def canonical_direction(xi) -> tuple:
     """Unit vector with first nonzero component positive, rounded."""
-    return np.array(_direction(_floats(xi, None)))
+    return _direction(as_floats(xi))
 
 
 class Exceptional(Record, frozen=True):
     """A point [y, xi] of the exceptional divisor, canonical direction."""
 
-    def __init__(self, y: np.ndarray, xi_dir: np.ndarray, dims: PairDims):
+    def __init__(self, y: tuple, xi_dir: tuple, dims: PairDims):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xi_dir", xi_dir)
         object.__setattr__(self, "dims", dims)
@@ -126,7 +112,7 @@ class Exceptional(Record, frozen=True):
 class Body(Record, frozen=True):
     """An off-center ambient point, the t = 1 orbit representative."""
 
-    def __init__(self, x: np.ndarray, dims: PairDims):
+    def __init__(self, x: tuple, dims: PairDims):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "dims", dims)
 
@@ -134,7 +120,7 @@ class Body(Record, frozen=True):
 class PolarPoint(Record, frozen=True):
     """Canonical representative (x, theta, t) of the polar double quotient."""
 
-    def __init__(self, x: np.ndarray, theta: np.ndarray, t: float):
+    def __init__(self, x: tuple, theta: tuple, t: float):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "t", t)
@@ -143,25 +129,26 @@ class PolarPoint(Record, frozen=True):
 class AlgebraicPoint(Record, frozen=True):
     """A point (x, [line]) of the incidence submanifold, center a point."""
 
-    def __init__(self, x: np.ndarray, line: np.ndarray):
+    def __init__(self, x: tuple, line: tuple):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "line", line)
 
 
 def canonicalize(y, xi, t, dims: PairDims):
     """Canonical representative of the scaling orbit of (y, xi, t)."""
-    y, xi, t = _floats(y, dims.p), _floats(xi, dims.q), float(t)
+    coords, t = dims.join(y, xi), float(t)
+    y, xi = coords[: dims.p], coords[dims.p :]
     if t == 0.0:
-        return Exceptional(np.array(_rounded(y)), np.array(_direction(xi)), dims)
+        return Exceptional(_rounded(y), _direction(xi), dims)
     return _body(y + [t * c for c in xi], dims, "orbit meets the center: t != 0 with t*xi = 0")
 
 
 def point_dist(z, w) -> float:
     """Max-norm distance of two points of one kind; inf across kinds."""
     if isinstance(z, Body) and isinstance(w, Body):
-        a, b = z.x.tolist(), w.x.tolist()
+        a, b = z.x, w.x
     elif isinstance(z, Exceptional) and isinstance(w, Exceptional):
-        a, b = z.y.tolist() + z.xi_dir.tolist(), w.y.tolist() + w.xi_dir.tolist()
+        a, b = (*z.y, *z.xi_dir), (*w.y, *w.xi_dir)
     else:
         return float("inf")
     return max([abs(u - v) for u, v in zip(a, b, strict=True)], default=0.0)
@@ -169,7 +156,8 @@ def point_dist(z, w) -> float:
 
 def from_ambient(x, dims: PairDims) -> Body:
     """The body point over an off-center ambient point."""
-    return _body(_floats(x, dims.n), dims, "ambient point lies on the center")
+    y, x = dims.split(x)
+    return _body(y + x, dims, "ambient point lies on the center")
 
 
 def _body(x: list, dims: PairDims, center_message: str) -> Body:
@@ -179,31 +167,30 @@ def _body(x: list, dims: PairDims, center_message: str) -> Body:
     r = _rounded(x)
     if not any(r[dims.p :]):
         raise CenterPoint(center_message)
-    return Body(np.array(r), dims)
+    return Body(r, dims)
 
 
-def blowdown(z) -> np.ndarray:
+def blowdown(z) -> tuple:
     """Body points map to themselves, exceptional points down to the center."""
     if isinstance(z, Body):
-        return z.x.copy()
+        return z.x
     if isinstance(z, Exceptional):
-        return np.array(z.dims.join(z.y, np.zeros(z.dims.q)))
+        return (*z.y, *[0.0] * z.dims.q)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
-def chart_phi(i: int, z) -> np.ndarray:
+def chart_phi(i: int, z) -> tuple:
     """The i-th projective chart (1-based i in 1..q)."""
     dims = z.dims
     if not 1 <= i <= dims.q:
         raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
     k = i - 1
     if isinstance(z, Exceptional):
-        y, s, slot = z.y.tolist(), z.xi_dir.tolist(), 0.0
+        y, s, slot = z.y, z.xi_dir, 0.0
         if abs(s[k]) <= CHART_TOL:
             raise OutsideChart(f"exceptional direction has component {i} ~ 0")
     elif isinstance(z, Body):
-        x = _floats(z.x, dims.n)
-        y, s = x[: dims.p], x[dims.p :]
+        y, s = dims.split(z.x)
         if s[k] == 0.0:
             raise OutsideChart(f"body point has x-component {i} = 0")
         slot = s[k]
@@ -211,15 +198,14 @@ def chart_phi(i: int, z) -> np.ndarray:
         raise TypeError(f"not a blow-up point: {z!r}")
     w = [c / s[k] for c in s]
     w[k] = slot
-    return np.array(y + w)
+    return (*y, *w)
 
 
 def chart_phi_inv(i: int, w, dims: PairDims):
     """Inverse of the i-th chart on its image."""
     if not 1 <= i <= dims.q:
         raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
-    w, k = _floats(w, dims.n), i - 1
-    y, s = w[: dims.p], w[dims.p :]
+    (y, s), k = dims.split(w), i - 1
     if s[k] == 0.0:
         s[k] = 1.0
         return canonicalize(y, s, 0.0, dims)
@@ -228,7 +214,7 @@ def chart_phi_inv(i: int, w, dims: PairDims):
     return _body(y + xb, dims, "chart point rounds onto the center")
 
 
-def transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
+def transition(i: int, j: int, w, dims: PairDims) -> tuple:
     """Chart transition: the i-th chart of the point with j-th chart value w."""
     return chart_phi(i, chart_phi_inv(j, w, dims))
 
@@ -239,13 +225,13 @@ def blowup_map(f: MapOfPairs, z):
     if isinstance(z, Body):
         value = f(z.x)
         _, x2 = f.target.split(value)
-        if math.hypot(*x2) <= BLUP_F_RTOL * (1.0 + math.hypot(*value.tolist())):
+        if math.hypot(*x2) <= BLUP_F_RTOL * (1.0 + math.hypot(*value)):
             raise OutsideBlupF("body point maps into the target submanifold")
         return from_ambient(value, f.target)
     if isinstance(z, Exceptional):
         dn = normal_derivative(f, z.y)
         image = np.array(dn) @ z.xi_dir
-        scale = singular_values(dn)[0] * math.hypot(*z.xi_dir.tolist())
+        scale = singular_values(dn)[0] * math.hypot(*z.xi_dir)
         if math.hypot(*image.tolist()) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
         return canonicalize(f.slice_image(z.y), image, 0.0, f.target)
@@ -260,21 +246,24 @@ def to_algebraic(z) -> AlgebraicPoint:
     if z.dims.p != 0:
         raise ArityMismatch("the algebraic model is for a point center")
     if isinstance(z, Body):
-        return AlgebraicPoint(z.x.copy(), canonical_direction(z.x))
-    return AlgebraicPoint(np.zeros(z.dims.n), z.xi_dir.copy())
+        return AlgebraicPoint(z.x, canonical_direction(z.x))
+    return AlgebraicPoint((0.0,) * z.dims.n, z.xi_dir)
 
 
 def from_algebraic(a: AlgebraicPoint, dims: PairDims):
     if dims.p != 0:
         raise ArityMismatch("the algebraic model is for a point center")
-    if not any(_floats(a.x, None)):
+    if not any(as_floats(a.x)):
         return canonicalize([], a.line, 0.0, dims)
     return from_ambient(a.x, dims)
 
 
 def algebraic_relations_residual(a: AlgebraicPoint) -> float:
     """Max violation of the incidence relations x_i l_j = l_i x_j."""
-    pairs = list(zip(_floats(a.x, None), _floats(a.line, np.size(a.x))))
+    x, line = as_floats(a.x), as_floats(a.line)
+    if len(line) != len(x):
+        raise ArityMismatch(f"a line of length {len(line)} through a point of length {len(x)}")
+    pairs = list(zip(x, line))
     return max([abs(xi * lj - li * xj) for xi, li in pairs for xj, lj in pairs], default=0.0)
 
 
@@ -287,16 +276,16 @@ def canonical_polar(x, theta, t) -> PolarPoint:
     ``canonicalize`` of the same orbit raises, or the rounded block r*theta
     of the result is zero, as ``from_polar`` of it would raise.  Either
     needs r^2 < 4e-28 q, since some |theta_i| >= 1/sqrt(q)."""
-    given = _floats(theta, None)
+    given = as_floats(theta)
     theta, norm = _unit(given, "polar direction must be nonzero")
     sign = -1.0 if _leading_is_negative(theta) else 1.0
-    x, theta = _rounded(_floats(x, None)), _rounded([sign * c for c in theta])
+    x, theta = _rounded(as_floats(x)), _rounded([sign * c for c in theta])
     t = float(t)
     (r,) = _rounded([sign * t * norm])
     if t != 0.0 and r * r < 4e-28 * len(theta):
         if not any(_rounded([t * c for c in given])) or not any(_rounded([r * c for c in theta])):
             raise CenterPoint("polar point rounds onto the center: t*theta rounds to 0")
-    return PolarPoint(np.array(x), np.array(theta), r)
+    return PolarPoint(x, theta, r)
 
 
 def to_polar(z) -> PolarPoint:
@@ -304,9 +293,9 @@ def to_polar(z) -> PolarPoint:
     if isinstance(z, Exceptional):
         return canonical_polar(z.y, z.xi_dir, 0.0)
     if isinstance(z, Body):
-        x = z.x.tolist()
-        theta, r = _unit(x[z.dims.p :], "body point lies on the center")
-        return canonical_polar(x[: z.dims.p], theta, r)
+        y, x = z.dims.split(z.x)
+        theta, r = _unit(x, "body point lies on the center")
+        return canonical_polar(y, theta, r)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -325,7 +314,7 @@ def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
         if norm == 0.0:
             raise NotImmersive("normal derivative kills the polar direction")
         return canonical_polar(h.slice_image(z.x), image / norm, 0.0)
-    value = h(h.source.join(z.x, z.t * z.theta))
+    value = h(h.source.join(z.x, [z.t * c for c in z.theta]))
     y2, h2 = h.target.split(value)
     norm = math.hypot(*h2)
     if norm == 0.0:
@@ -347,28 +336,22 @@ def product_split(z, factor_dims: PairDims, m_dim: int):
     if dims.p != factor_dims.p + m_dim or dims.q != factor_dims.q:
         raise ArityMismatch("product dimensions do not match")
     if isinstance(z, Exceptional):
-        return (
-            Exceptional(z.y[: factor_dims.p].copy(), z.xi_dir.copy(), factor_dims),
-            z.y[factor_dims.p :].copy(),
-        )
+        return Exceptional(tuple(z.y[: factor_dims.p]), z.xi_dir, factor_dims), tuple(z.y[factor_dims.p :])
     if isinstance(z, Body):
-        y, xb = dims.split(z.x)
-        return (
-            Body(np.array(y[: factor_dims.p] + xb), factor_dims),
-            np.array(y[factor_dims.p :]),
-        )
+        x = z.x
+        return Body((*x[: factor_dims.p], *x[dims.p :]), factor_dims), tuple(x[factor_dims.p : dims.p])
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
 def product_join(z, m, factor_dims: PairDims):
-    """Inverse of product_split."""
-    m = np.atleast_1d(np.asarray(m, dtype=float))
+    """Inverse of product_split; m is a flat sequence of numbers."""
+    m = _rounded(as_floats(m))
     dims = PairDims(factor_dims.n + len(m), factor_dims.p + len(m))
     if isinstance(z, Exceptional):
-        return Exceptional(np.concatenate([z.y, _round(m)]), z.xi_dir.copy(), dims)
+        return Exceptional((*z.y, *m), z.xi_dir, dims)
     if isinstance(z, Body):
-        y, xb = z.dims.split(z.x)
-        return Body(np.concatenate([y, _round(m), xb]), dims)
+        p = z.dims.p
+        return Body((*z.x[:p], *m, *z.x[p:]), dims)
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
@@ -379,7 +362,7 @@ def dnc_as_open_subset(z):
     the chart point z = (y, xi, t) of a DncPoint is the orbit of
     (y, (xi, 1), t): at t = 0 it lands on the exceptional divisor with
     direction (xi, 1), otherwise at ((y, t xi), t)."""
-    return canonicalize(z.y, np.append(z.xi, 1.0), z.t, PairDims(z.dims.n + 1, z.dims.p))
+    return canonicalize(z.y, (*z.xi, 1.0), z.t, PairDims(z.dims.n + 1, z.dims.p))
 
 
 # -- strict transform of plane curves ---------------------------------
@@ -454,57 +437,62 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
 # 1 - x2 and r2 - 1 at +1, bit for bit and with the same signed zeros.
 
 
-def _stereo(x: np.ndarray, pole: float) -> np.ndarray:
-    return np.array([x[0], x[1]]) / (1.0 - pole * x[2])
+def _stereo(x, pole: float) -> tuple:
+    d = 1.0 - pole * x[2]
+    return (x[0] / d, x[1] / d)
 
 
-def _stereo_inv(u: np.ndarray, pole: float) -> np.ndarray:
-    r2 = float(u @ u)
-    return np.array([2 * u[0], 2 * u[1], pole * r2 - pole]) / (1.0 + r2)
+def _stereo_inv(u, pole: float) -> tuple:
+    # |u|^2 is numpy's dot product, whose BLAS kernel may fuse a multiply-add
+    # that a plain sum of squares would round twice.
+    a = np.array(u, dtype=float)
+    r2 = float(a @ a)
+    d = 1.0 + r2
+    return (2 * u[0] / d, 2 * u[1] / d, (pole * r2 - pole) / d)
 
 
 class SphereBody(Record, frozen=True):
     """A sphere point away from the north pole +1 = (0, 0, 1)."""
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: tuple):
         object.__setattr__(self, "x", x)
 
 
 class SphereExceptional(Record, frozen=True):
     """A tangent direction (xi0, xi1, 0) at the north pole."""
 
-    def __init__(self, xi: np.ndarray):  # length 2: the (xi0, xi1) components
+    def __init__(self, xi: tuple):  # length 2: the (xi0, xi1) components
         object.__setattr__(self, "xi", xi)
 
 
-def sphere_rp2_map(z) -> np.ndarray:
+def sphere_rp2_map(z) -> tuple:
     """The diffeomorphism onto the projective plane, as canonical
     homogeneous coordinates [a0 : a1 : a2]."""
     if isinstance(z, SphereExceptional):
-        return canonical_direction(np.array([z.xi[0], z.xi[1], 0.0]))
+        return canonical_direction((z.xi[0], z.xi[1], 0.0))
     if isinstance(z, SphereBody):
-        x = np.asarray(z.x, dtype=float)
-        return canonical_direction(np.array([x[0], x[1], 1.0 - x[2]]))
+        x = z.x
+        return canonical_direction((x[0], x[1], 1.0 - x[2]))
     raise TypeError(f"not a blown-up sphere point: {z!r}")
 
 
 def sphere_rp2_inv(a) -> "SphereBody | SphereExceptional":
     """Inverse of sphere_rp2_map on canonical homogeneous coordinates."""
-    a = np.asarray(a, dtype=float)
+    a = as_floats(a)
     if a[2] == 0.0:
-        return SphereExceptional(np.array([a[0], a[1]]))
-    return SphereBody(_stereo_inv(a[:2] / a[2], 1.0))
+        return SphereExceptional((a[0], a[1]))
+    return SphereBody(_stereo_inv([a[0] / a[2], a[1] / a[2]], 1.0))
 
 
 # The four chart presentations: (source chart map, local expression,
 # target affine chart of the projective plane).
 
 
-def _rp2_affine(a: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
+def _rp2_affine(a, i: int, j: int, k: int) -> tuple:
     """The affine chart a_i != 0 of the projective plane: (a_j/a_i, a_k/a_i)."""
     if a[i] == 0.0:
         raise OutsideChart(f"projective point has a{i} = 0")
-    return np.array([a[j] / a[i], a[k] / a[i]])
+    return (a[j] / a[i], a[k] / a[i])
 
 
 # Sphere chart -> (projective chart of the blown-up plane, pole of the
@@ -519,7 +507,7 @@ def _plane_chart_and_pole(which: int):
     return _SPHERE_CHARTS[which]
 
 
-def sphere_chart(which: int, z) -> np.ndarray:
+def sphere_chart(which: int, z) -> tuple:
     """Blow-up charts of the blown-up sphere, in order of presentation:
     ``chart_phi`` of the plane's blow-up at the stereographic image.
 
@@ -532,7 +520,7 @@ def sphere_chart(which: int, z) -> np.ndarray:
     if isinstance(z, SphereExceptional):
         if pole > 0:
             raise OutsideChart("the north pole is outside the north-stereographic chart")
-        return chart_phi(i, Exceptional(np.zeros(0), np.asarray(z.xi, dtype=float), _PLANE))
+        return chart_phi(i, Exceptional((), z.xi, _PLANE))
     if z.x[2] == pole:
         raise OutsideChart(f"the pole (0, 0, {pole:g}) is outside its stereographic chart")
     return chart_phi(i, Body(_stereo(z.x, pole), _PLANE))
@@ -542,12 +530,12 @@ def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
     """Inverse of sphere_chart: the plane's chart inverse, unrounded, then
     the inverse stereographic chart."""
     i, pole = _plane_chart_and_pole(which)
-    s = np.array(w, dtype=float)
+    s = as_floats(w)
     k = i - 1
     if pole < 0 and s[k] == 0.0:
         s[k] = 1.0
-        return SphereExceptional(s)
-    u = s[k] * s
+        return SphereExceptional(tuple(s))
+    u = [s[k] * c for c in s]
     u[k] = s[k]
     return SphereBody(_stereo_inv(u, pole))
 
@@ -556,22 +544,21 @@ def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
 _RP2_CHARTS = {1: (0, 2, 1), 2: (1, 0, 2), 3: (2, 0, 1), 4: (2, 0, 1)}
 
 
-def sphere_local_expression(which: int, w) -> np.ndarray:
+def sphere_local_expression(which: int, w) -> tuple:
     """The stated closed forms of the map in the four chart presentations."""
-    w = np.asarray(w, dtype=float)
     a, b = float(w[0]), float(w[1])
     if which == 1:
-        return np.array([a * (b * b + 1.0), b])
+        return (a * (b * b + 1.0), b)
     if which == 2:
-        return np.array([a, b * (a * a + 1.0)])
+        return (a, b * (a * a + 1.0))
     if which == 3:
-        return np.array([a, a * b])
+        return (a, a * b)
     if which == 4:
-        return np.array([a * b, b])
+        return (a * b, b)
     raise OutsideChart(f"sphere chart index {which} out of range 1..4")
 
 
-def sphere_local_expression_direct(which: int, w) -> np.ndarray:
+def sphere_local_expression_direct(which: int, w) -> tuple:
     """The same map computed by brute composition chart -> point -> image
     -> target affine chart; oracle for the closed forms."""
     z = sphere_chart_inv(which, w)

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import verify as vf
 from .errors import ConecutError, ParseError
-from .expr import finite_diff_jacobian, jet_coords
+from .expr import finite_diff_jacobian, jet_eval
 from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
 from .parse import pair_var_names, parse_expr, parse_laurent, parse_map
 from .ring import LaurentElement, char_xs, char_yxi, expr_to_poly, vanishing_order
@@ -210,7 +210,7 @@ def _cmd_check_map(args) -> int:
     if adapted.ok:
         dn = normal_derivative(m, [0.0] * source.p)
         origin = [0.0] * source.n
-        rows = zip(jet_coords(f, origin)[1], finite_diff_jacobian(f, origin))
+        rows = zip(jet_eval(f, origin).jacobian, finite_diff_jacobian(f, origin))
         ad_vs_fd = max((abs(a - b) for ad, fd in rows for a, b in zip(ad, fd)), default=0.0)
         ranks = check_rank_conditions(m, samples=min(args.samples, 256), seed=args.seed)
         payload["normal_derivative_at_0"] = dn

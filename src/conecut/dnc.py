@@ -20,51 +20,59 @@ xi-component of the induced map of f.
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 
 from .errors import ArityMismatch, DomainViolation, NotVanishing
 from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, require_adapted
-from .expr import SmoothMapExpr
+from .expr import SmoothMapExpr, as_floats
 from .record import Record
 
 
 class DncPoint(Record, frozen=True):
     """A chart point (y, xi, t); the ambient shadow is (y, t*xi)."""
 
-    def __init__(self, y: np.ndarray, xi: np.ndarray, t: float):
+    def __init__(self, y: tuple, xi: tuple, t: float):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "t", t)
 
     @staticmethod
     def of(y, xi, t) -> "DncPoint":
-        return DncPoint(
-            np.atleast_1d(np.asarray(y, dtype=float)),
-            np.atleast_1d(np.asarray(xi, dtype=float)),
-            float(t),
-        )
+        """The point with blocks y and xi, each a number or a flat
+        sequence of numbers (an array too), and parameter t."""
+        return DncPoint(_block(y), _block(xi), float(t))
 
     @property
     def dims(self) -> PairDims:
         return PairDims(len(self.y) + len(self.xi), len(self.y))
 
-    def ambient(self) -> np.ndarray:
+    def ambient(self) -> tuple:
         """The underlying chart point (y, t*xi)."""
-        return np.concatenate([self.y, self.t * self.xi])
+        t = self.t
+        return (*self.y, *[t * c for c in self.xi])
 
     def close_to(self, other: "DncPoint", tol: float) -> bool:
         return (
-            np.max(np.abs(self.y - other.y), initial=0.0) <= tol
-            and np.max(np.abs(self.xi - other.xi), initial=0.0) <= tol
+            all(abs(a - b) <= tol for a, b in zip(self.y, other.y, strict=True))
+            and all(abs(a - b) <= tol for a, b in zip(self.xi, other.xi, strict=True))
             and abs(self.t - other.t) <= tol
         )
+
+
+def _block(v) -> tuple:
+    """A number, or a flat sequence of numbers, as a tuple of floats."""
+    if isinstance(v, numbers.Real) or getattr(v, "ndim", None) == 0:
+        return (float(v),)
+    return tuple(as_floats(v))
 
 
 class NormalSlice(Record, frozen=True):
     """A point (y, xi) of the t = 0 slice (a normal vector)."""
 
-    def __init__(self, y: np.ndarray, xi: np.ndarray):
+    def __init__(self, y: tuple, xi: tuple):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xi", xi)
 
@@ -72,7 +80,7 @@ class NormalSlice(Record, frozen=True):
 class Body(Record, frozen=True):
     """An ambient point x at parameter t != 0."""
 
-    def __init__(self, x: np.ndarray, t: float):
+    def __init__(self, x: tuple, t: float):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
         if t == 0.0:
@@ -83,7 +91,7 @@ def psi(z: DncPoint):
     """Identify a chart point with a normal vector (t = 0) or a body point
     (the ambient shadow (y, t*xi) at t != 0)."""
     if z.t == 0.0:
-        return NormalSlice(z.y.copy(), z.xi.copy())
+        return NormalSlice(z.y, z.xi)
     return Body(z.ambient(), z.t)
 
 
@@ -92,16 +100,15 @@ def psi_inv(point, dims: PairDims | None = None) -> DncPoint:
 
     Raises DomainViolation when x / t overflows, as at subnormal t."""
     if isinstance(point, NormalSlice):
-        return DncPoint(point.y.copy(), point.xi.copy(), 0.0)
+        return DncPoint(point.y, point.xi, 0.0)
     if isinstance(point, Body):
         if dims is None:
             raise ArityMismatch("psi_inv on a Body point needs the pair dimensions")
         y, x = dims.split(point.x)
-        with np.errstate(over="ignore"):
-            xi = np.array(x) / point.t
-        if not np.all(np.isfinite(xi)):
+        xi = tuple([c / point.t for c in x])
+        if not all(map(math.isfinite, xi)):
             raise DomainViolation(f"x / t is not finite at t = {point.t!r}")
-        return DncPoint(np.array(y), xi, point.t)
+        return DncPoint(tuple(y), xi, point.t)
     raise TypeError(f"not an abstract DNC point: {point!r}")
 
 
@@ -109,7 +116,7 @@ def rx_action(lam: float, z: DncPoint) -> DncPoint:
     """The scaling action lambda . (y, xi, t) = (y, xi/lambda, lambda*t)."""
     if lam == 0.0:
         raise DomainViolation("the scaling action needs lambda != 0")
-    return DncPoint(z.y.copy(), z.xi / lam, lam * z.t)
+    return DncPoint(z.y, tuple([c / lam for c in z.xi]), lam * z.t)
 
 
 class DncMap:
@@ -124,18 +131,20 @@ class DncMap:
         h = self.h
         if z.t == 0.0:
             return DncPoint(h.slice_image(z.y), _normal_image(h, z), 0.0)
+        t = z.t
         value = h.f(z.ambient())
         y2, x2 = value[: h.target.p], value[h.target.p :]
         # Once t*xi leaves the normal float range, h2(y, t*xi)/t has lost
         # its precision; the jet branch is then exact to rounding.
-        if np.any((z.xi != 0.0) & (np.abs(z.t * z.xi) < sys.float_info.min)):
-            return DncPoint(y2, _normal_image(h, z), z.t)
-        return DncPoint(y2, x2 / z.t, z.t)
+        if any(c != 0.0 and abs(t * c) < sys.float_info.min for c in z.xi):
+            return DncPoint(y2, _normal_image(h, z), t)
+        return DncPoint(y2, tuple([c / t for c in x2]), t)
 
 
-def _normal_image(h: MapOfPairs, z: DncPoint) -> np.ndarray:
-    """d_N h(y) xi, as an array; the block keeps its q' x q shape when q' is 0."""
-    return np.array(normal_derivative(h, z.y), dtype=float).reshape(h.target.q, h.source.q) @ z.xi
+def _normal_image(h: MapOfPairs, z: DncPoint) -> tuple:
+    """d_N h(y) xi, a numpy product; the block keeps its q' x q shape when q' is 0."""
+    dn = np.array(normal_derivative(h, z.y), dtype=float).reshape(h.target.q, h.source.q)
+    return tuple((dn @ np.array(z.xi, dtype=float)).tolist())
 
 
 _KINDS = ("hat_f0", "dnc_f1", "hat_t")

@@ -4,10 +4,10 @@ A vector field sigma on the local pair (R^n, R^p) is Euler-like when it
 vanishes on the slice and its normal-block linearization there is the
 identity.  The associated field on the deformation space is
 W = (1/t) sigma + d/dt; it is integrated directly from this ODE by RK4
-(the time component is exact since tdot = 1).  The stepper replays
-sigma's compiled value tape on lists of floats, bit-identical to the
-same steps on numpy arrays, through ``expr.eval_coords``, which checks
-each stage's domain and finiteness as ``eval_map`` does.  The time-1
+(the time component is exact since tdot = 1).  The stepper evaluates
+sigma with ``expr.eval_map``, which checks each stage's domain and
+finiteness, and does its own arithmetic on Python floats, bit-identical
+to the same steps on numpy arrays.  The time-1
 slice map chi built from the flow, extrapolated from small starting
 parameters, is the tubular-neighborhood embedding: chi restricted to
 the slice is the identity, its normal derivative is the identity, and
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
-from .expr import SmoothMapExpr, Var, eval_coords, eval_map, from_components, jet_eval
+from .expr import SmoothMapExpr, Var, as_floats, eval_map, from_components, jet_eval
 from .lazy_numpy import np
 from .pairs import PairDims, sample_slice_points
 from .record import Record
@@ -34,7 +34,7 @@ class VectorField(Record, frozen=True):
         if components.input_dim != dims.n or components.output_dim != dims.n:
             raise DomainViolation("vector field must map the chart to itself")
 
-    def __call__(self, x) -> np.ndarray:
+    def __call__(self, x) -> tuple:
         return eval_map(self.components, x)
 
 
@@ -70,7 +70,7 @@ def is_euler_like(sigma: VectorField) -> EulerLikeReport:
     for point in points:
         jet = jet_eval(sigma.components, point)
         worst_vanish = max(worst_vanish, float(np.max(np.abs(jet.value), initial=0.0)))
-        block = jet.jacobian[dims.p :, dims.p :]
+        block = np.array(jet.jacobian)[dims.p :, dims.p :]
         worst_lin = max(
             worst_lin, float(np.max(np.abs(block - np.eye(dims.q)), initial=0.0))
         )
@@ -79,32 +79,31 @@ def is_euler_like(sigma: VectorField) -> EulerLikeReport:
     )
 
 
-def _rk4(sigma: VectorField, x, grid) -> np.ndarray:
+def _rk4(sigma: VectorField, x, grid) -> tuple:
     """Classical RK4 for xdot = sigma(x)/t along a time grid of one sign,
     best given as a list of floats.
 
-    Each stage replays sigma's value tape on a list of floats, doing the
-    IEEE operations of the array form in the same order: k = sigma(x)/t,
+    Each stage evaluates sigma and does, on Python floats, the IEEE
+    operations of the array form in the same order: k = sigma(x)/t,
     the stage points x + (h/2) k and x + h k, and the update
     x + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  It raises DomainViolation
     if the trajectory leaves the chart or sigma is not finite on it."""
     f = sigma.components
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.input_dim,):
-        raise ArityMismatch(f"start point of shape {x.shape} for a field on R^{f.input_dim}")
-    x = x.tolist()
+    x = as_floats(x)
+    if len(x) != f.input_dim:
+        raise ArityMismatch(f"start point of length {len(x)} for a field on R^{f.input_dim}")
     for t, t_next in zip(grid[:-1], grid[1:]):
         h = t_next - t
         half = 0.5 * h
         mid = t + half
         end = t + h
-        k1 = [v / t for v in eval_coords(f, x)]
-        k2 = [v / mid for v in eval_coords(f, [a + half * k for a, k in zip(x, k1)])]
-        k3 = [v / mid for v in eval_coords(f, [a + half * k for a, k in zip(x, k2)])]
-        k4 = [v / end for v in eval_coords(f, [a + h * k for a, k in zip(x, k3)])]
+        k1 = [v / t for v in eval_map(f, x)]
+        k2 = [v / mid for v in eval_map(f, [a + half * k for a, k in zip(x, k1)])]
+        k3 = [v / mid for v in eval_map(f, [a + half * k for a, k in zip(x, k2)])]
+        k4 = [v / end for v in eval_map(f, [a + h * k for a, k in zip(x, k3)])]
         sixth = h / 6.0
         x = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    return np.array(x)
+    return tuple(x)
 
 
 def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
@@ -113,7 +112,7 @@ def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
     Integrates xdot = sigma(x)/t with t(tau') = s + tau' exact on a
     uniform grid whose step is at most 1/20 of the smaller of |s| and
     |s + tau|; the sign of t may not change along the way."""
-    x = np.asarray(x, dtype=float).copy()
+    x = tuple(as_floats(x))
     s = float(s)
     tau = float(tau)
     if s == 0.0:
@@ -143,7 +142,7 @@ def _geometric_grid(t_start: float, t_end: float) -> list:
 EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 
-def tubular_from_euler(sigma: VectorField, y, xi) -> np.ndarray:
+def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
     """The tubular embedding chi(y, xi): flow W from ((y, eps*xi), eps)
     to t = 1 for each eps in EPS_SCHEDULE and extrapolate eps -> 0 with
     a first-order model; raises NonConvergence when the last two
@@ -152,9 +151,9 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if float(np.linalg.norm(xi)) == 0.0:
-        return np.array(dims.join(y, np.zeros(dims.q)))
+        return tuple(dims.join(y, [0.0] * dims.q))
     flows = [
-        (eps, _rk4(sigma, dims.join(y, eps * xi), _geometric_grid(eps, 1.0)))
+        (eps, np.array(_rk4(sigma, dims.join(y, eps * xi), _geometric_grid(eps, 1.0))))
         for eps in EPS_SCHEDULE
     ]
     extrapolants = [
@@ -163,7 +162,7 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> np.ndarray:
     drift = float(np.max(np.abs(extrapolants[-1] - extrapolants[-2])))
     if drift > 1e-4:
         raise NonConvergence(f"extrapolants differ by {drift:.3e} > 1.0e-04")
-    return extrapolants[-1]
+    return tuple(extrapolants[-1].tolist())
 
 
 def normal_derivative_of_chi(sigma: VectorField, y) -> np.ndarray:
@@ -175,8 +174,8 @@ def normal_derivative_of_chi(sigma: VectorField, y) -> np.ndarray:
     for j in range(dims.q):
         e = np.zeros(dims.q)
         e[j] = h
-        hi = tubular_from_euler(sigma, y, e)
-        lo = tubular_from_euler(sigma, y, -e)
+        hi = np.array(tubular_from_euler(sigma, y, e))
+        lo = np.array(tubular_from_euler(sigma, y, -e))
         out[:, j] = (hi - lo)[dims.p :] / (2.0 * h)
     return out
 
@@ -188,9 +187,9 @@ def chi_relatedness_residual(sigma: VectorField, y, xi) -> float:
     h = 1e-4
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     chi = tubular_from_euler(sigma, y, xi)
-    lhs = sigma(chi)
+    lhs = np.array(sigma(chi))
     # directional derivative of chi along (0, xi) at (y, xi)
-    hi = tubular_from_euler(sigma, y, xi * (1.0 + h))
-    lo = tubular_from_euler(sigma, y, xi * (1.0 - h))
+    hi = np.array(tubular_from_euler(sigma, y, xi * (1.0 + h)))
+    lo = np.array(tubular_from_euler(sigma, y, xi * (1.0 - h)))
     rhs = (hi - lo) / (2.0 * h)
     return float(np.max(np.abs(lhs - rhs)))

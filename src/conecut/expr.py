@@ -12,20 +12,18 @@ or partial derivative that is not finite all raise ``DomainViolation``.
 A map is compiled on first use into tapes that are cached on it: flat
 lists of steps, one per distinct node (shared subtrees once), children
 first.  ``eval_map`` replays the value tape, which checks the guards and
-then computes the body; ``eval_coords`` does the same on a list of
-floats and returns floats, for callers that step a point in a loop.
-``eval_batch`` replays the same tape once per
-row of an (N, n) array of points; it saves the conversions ``eval_map``
-makes on each call, but none of the arithmetic, so every row is
-bit-identical to ``eval_map`` at that row.  ``jet_eval`` replays the jet
-tape, which checks the guards and then carries each body node's value
-together with its n partial derivatives (forward mode); ``jet_coords``
-does the same on a list of floats and returns the values and the
-Jacobian rows as floats.  Each step does its node's float arithmetic,
-in the same order on both tapes, so the value component of
-``jet_eval`` agrees exactly with ``eval_map``.  ``in_domain``,
-``jet_coords``, ``eval_coords`` and ``finite_diff_jacobian`` take and
-return plain floats, so they run without numpy.
+then computes the body, and returns the values as a tuple of floats.
+``eval_batch`` replays the same tape once per row of an (N, n) array of
+points; it saves the conversions ``eval_map`` makes on each call, but
+none of the arithmetic, so every row is bit-identical to ``eval_map`` at
+that row.  ``jet_eval`` replays the jet tape, which checks the guards and
+then carries each body node's value together with its n partial
+derivatives (forward mode), and returns the values and the Jacobian rows
+as tuples of floats.  Each step does its node's float arithmetic, in the
+same order on both tapes, so the value component of ``jet_eval`` agrees
+exactly with ``eval_map``.  Only ``eval_batch`` and ``linear_map`` use
+numpy; every other function takes any flat sequence of numbers and
+returns plain floats.
 """
 
 from __future__ import annotations
@@ -525,10 +523,11 @@ def _guard_step(guard, slot: int, n: int):
 
 
 def _picker(slots: list):
-    """A function of the registers that returns those in ``slots``, in order."""
+    """A function of the registers that returns those in ``slots``, in
+    order, as a tuple."""
     if len(slots) == 1:
-        return operator.itemgetter(slice(slots[0], slots[0] + 1))
-    return operator.itemgetter(*slots) if slots else operator.itemgetter(slice(0, 0))
+        return lambda r, slot=slots[0]: (r[slot],)
+    return operator.itemgetter(*slots) if slots else lambda r: ()
 
 
 def _value_tape(n: int, guards: tuple, body: tuple):
@@ -562,9 +561,8 @@ def _jet_tape(n: int, guards: tuple, body: tuple):
         checks.append(_guard_step(guard, slot, n))
     seen = {}  # a body node that is also in a guard needs a jet step of its own
     pick = _picker([_record(e, n, tail, steps, _JET_STEPS, seen) for e in body])
-    # Var(i) has the unit gradient e_i, a constant the zero gradient.  They
-    # are tuples: a body that is a bare Var or Const returns one of them as
-    # its Jacobian row, and no caller can change it for the next run.
+    # Var(i) has the unit gradient e_i, a constant the zero gradient; every
+    # run shares these rows, so they are tuples.
     gradients = [tuple(float(i == j) for j in range(n)) for i in range(n)] + [(0.0,) * n] * len(tail)
 
     def run(coords: list, tail=tail, checks=checks, steps=steps, gradients=gradients, pick=pick):
@@ -643,7 +641,7 @@ class Guard(Record, frozen=True):
 class Jet(Record, frozen=True):
     """Value and Jacobian of a smooth map at a point."""
 
-    def __init__(self, value: np.ndarray, jacobian: np.ndarray):  # shapes (m,) and (m, n)
+    def __init__(self, value: tuple, jacobian: tuple):  # m floats; m rows of n floats
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "jacobian", jacobian)
 
@@ -673,7 +671,7 @@ class SmoothMapExpr(Record, frozen=True):
         except DomainViolation:
             return False
 
-    def __call__(self, point) -> np.ndarray:
+    def __call__(self, point) -> tuple:
         return eval_map(self, point)
 
     @cached_property
@@ -726,20 +724,15 @@ def _not_finite(m: SmoothMapExpr, coords: list, vals, rows) -> DomainViolation:
             return DomainViolation(f"derivative of {e} is not finite at {coords}")
 
 
-def eval_coords(m: SmoothMapExpr, coords: list):
-    """The map's values, as a sequence of floats, at a list of its
-    ``input_dim`` coordinates as floats; the caller checks that length.
-    Raises what ``eval_map`` raises."""
+def eval_map(m: SmoothMapExpr, point) -> tuple:
+    """The map's values, as a tuple of ``output_dim`` floats, at a flat
+    sequence of ``input_dim`` numbers; raises DomainViolation outside the
+    domain, which includes the points where a component is not finite."""
+    coords = _check_coords(m, point)
     vals = m._values(coords)
     if not all(map(math.isfinite, vals)):
         raise _not_finite(m, coords, vals, ())
     return vals
-
-
-def eval_map(m: SmoothMapExpr, point) -> np.ndarray:
-    """Evaluate the map; raises DomainViolation outside the domain, which
-    includes the points where a component is not finite."""
-    return np.array(eval_coords(m, _check_coords(m, point)))
 
 
 def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:
@@ -771,25 +764,17 @@ def _first_not_finite(m: SmoothMapExpr, rows: list, vals: list) -> DomainViolati
     return None
 
 
-def jet_coords(m: SmoothMapExpr, coords: list):
-    """The map's values and Jacobian rows, as a sequence of ``output_dim``
-    floats and a sequence of ``output_dim`` rows (lists or tuples) of
-    ``input_dim`` floats, at a list of its ``input_dim`` coordinates as
-    floats; the caller checks that length.  Raises what ``jet_eval``
-    raises."""
+def jet_eval(m: SmoothMapExpr, point) -> Jet:
+    """Forward-mode value + Jacobian at a flat sequence of ``input_dim``
+    numbers; exact derivatives of the tree.  The value is a tuple of
+    ``output_dim`` floats, the Jacobian a tuple of as many rows, each a
+    tuple of ``input_dim`` floats.  Raises DomainViolation outside the
+    domain and where a value or a partial derivative is not finite."""
+    coords = _check_coords(m, point)
     vals, rows = m._jets(coords)
     if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
         raise _not_finite(m, coords, vals, rows)
-    return vals, rows
-
-
-def jet_eval(m: SmoothMapExpr, point) -> Jet:
-    """Forward-mode value + Jacobian; exact derivatives of the tree.
-    Raises DomainViolation outside the domain and where a value or a
-    partial derivative is not finite."""
-    vals, rows = jet_coords(m, _check_coords(m, point))
-    jac = np.array(rows, dtype=float).reshape(m.output_dim, m.input_dim)
-    return Jet(np.array(vals, dtype=float), jac)
+    return Jet(vals, tuple(map(tuple, rows)))
 
 
 def _fma_norm(coords: list) -> float:
@@ -824,7 +809,7 @@ def finite_diff_jacobian(m: SmoothMapExpr, point) -> list:
         lo = coords.copy()
         hi[j] += step
         lo[j] -= step
-        for row, a, b in zip(jac, eval_coords(m, hi), eval_coords(m, lo)):
+        for row, a, b in zip(jac, eval_map(m, hi), eval_map(m, lo)):
             row[j] = (a - b) / (2.0 * step)
     return jac
 

@@ -83,7 +83,7 @@ class GroupoidSpec(Record, frozen=True):
         return eval_map(self.target, g)
 
     def m(self, g, h):
-        if float(np.linalg.norm(self.s(g) - self.t(h))) > self.tol:
+        if float(np.linalg.norm(np.subtract(self.s(g), self.t(h)))) > self.tol:
             raise SamplingFailure("arrows are not composable")
         return eval_map(self.mult, np.concatenate([g, h]))
 
@@ -281,7 +281,7 @@ def polar_target(theta, t) -> float:
 
 def _polar_of_pair_arrow(a: float, b: float):
     """Polar representative of the plane point (a, b) off the origin."""
-    return to_polar(Body(np.array([a, b]), PairDims(2, 0)))
+    return to_polar(Body((a, b), PairDims(2, 0)))
 
 
 def polar_mult(g, h):
@@ -378,8 +378,8 @@ def isotropy_orbit_report(spec: GroupoidSpec, base_point) -> IsotropyReport:
     the rank of the target differential restricted to the source fiber."""
     x0 = np.atleast_1d(np.asarray(base_point, dtype=float))
     g0 = spec.u(x0)
-    js = jet_eval(spec.source, g0).jacobian
-    jt = jet_eval(spec.target, g0).jacobian
+    js = np.array(jet_eval(spec.source, g0).jacobian)
+    jt = np.array(jet_eval(spec.target, g0).jacobian)
     stacked = np.vstack([js, jt])
     isotropy_dim = spec.arrow_dim - numeric_rank(stacked)
     # source-fiber tangent: kernel of js
@@ -430,7 +430,7 @@ def saturated_action_blowup(samples: int = 500, seed: int = 0) -> ActionReport:
             x = rng.uniform(-2.0, 2.0, size=2)
             if np.linalg.norm(x) < 1e-6:
                 continue
-            z = Body(x, dims)
+            z = Body(tuple(x.tolist()), dims)
         else:
             ang0 = rng.uniform(0.0, 2 * np.pi)
             z = canonicalize(np.zeros(0), np.array([np.cos(ang0), np.sin(ang0)]), 0.0, dims)

@@ -22,8 +22,7 @@ from itertools import chain, combinations
 from operator import mul
 
 from .errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
-from .expr import SmoothMapExpr, as_floats, eval_coords, jet_coords
-from .lazy_numpy import np
+from .expr import SmoothMapExpr, as_floats, eval_map, jet_eval
 from .pcg64 import PCG64
 from .record import Record
 
@@ -84,10 +83,10 @@ class MapOfPairs(Record, frozen=True):
                 f"pair dims ({source.n} -> {target.n})"
             )
 
-    def __call__(self, point) -> np.ndarray:
+    def __call__(self, point) -> tuple:
         return self.f(point)
 
-    def slice_image(self, y) -> np.ndarray:
+    def slice_image(self, y) -> tuple:
         """Value of the tangential part f_Y(y) = first p' components of f(y, 0)."""
         point = self.source.join(y, [0.0] * self.source.q)
         return self.f(point)[: self.target.p]
@@ -135,7 +134,7 @@ def check_adapted(
     for point in sample_slice_points(m.source, samples, seed):
         if not m.f.in_domain(point):
             continue
-        worst = max(worst, max(map(abs, eval_coords(m.f, point)[p_target:]), default=0.0))
+        worst = max(worst, max(map(abs, eval_map(m.f, point)[p_target:]), default=0.0))
         checked += 1
     if checked == 0:
         raise SamplingFailure("no sampled slice point lies in the map's domain")
@@ -158,7 +157,7 @@ def _jacobian_at_slice(m: MapOfPairs, y) -> list:
     point = m.source.join(y, [0.0] * m.source.q)
     if not m.f.in_domain(point):
         raise DomainViolation(f"slice point {point} outside the map's domain")
-    return jet_coords(m.f, point)[1]
+    return jet_eval(m.f, point).jacobian
 
 
 def normal_derivative(m: MapOfPairs, y) -> list:
@@ -272,14 +271,14 @@ def check_rank_conditions(m: MapOfPairs, samples: int = 64, seed: int = 0) -> Ra
             break
         point = rng.uniform(-1.0, 1.0, size=m.source.n)
         if m.f.in_domain(point):
-            full.append(jet_coords(m.f, point)[1])
+            full.append(jet_eval(m.f, point).jacobian)
     if not full:
         raise SamplingFailure("no sampled point lies in the map's domain")
     p, p_target = m.source.p, m.target.p
     restricted, dn = [], []
     for point in sample_slice_points(m.source, samples, seed + 1):
         if m.f.in_domain(point):
-            rows = jet_coords(m.f, point)[1]
+            rows = jet_eval(m.f, point).jacobian
             restricted.append([row[:p] for row in rows[:p_target]])
             dn.append([row[p:] for row in rows[p_target:]])
     if not dn:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
-from .expr import SmoothMapExpr, Var, compose, eval_map, from_components
+from .expr import SmoothMapExpr, Var, as_floats, compose, eval_map, from_components
 from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
 from .record import Record
@@ -44,11 +44,11 @@ class VbPairModel(Record, frozen=True):
     def fiber_rank(self) -> int:
         return self.rank_f + self.rank_e
 
-    def frame_value(self, u, upsilon) -> np.ndarray:
+    def frame_value(self, u, upsilon) -> tuple:
         """(f, e) at the bundle point (u, upsilon)."""
-        return eval_map(self.frame, np.concatenate([np.asarray(u, float), np.asarray(upsilon, float)]))
+        return eval_map(self.frame, [*u, *upsilon])
 
-    def f_of(self, u, upsilon) -> np.ndarray:
+    def f_of(self, u, upsilon) -> tuple:
         return self.frame_value(u, upsilon)[: self.rank_f]
 
 
@@ -62,7 +62,7 @@ def trivial_model(base: PairDims, rank_f: int, rank_e: int) -> VbPairModel:
 class VbBody(Record, frozen=True):
     """A bundle element over an off-center base point."""
 
-    def __init__(self, u: np.ndarray, upsilon: np.ndarray):
+    def __init__(self, u: tuple, upsilon: tuple):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "upsilon", upsilon)
 
@@ -76,26 +76,26 @@ class VbExceptional(Record, frozen=True):
     bundle of the bundle pair in the adapted chart.
     """
 
-    def __init__(self, y: np.ndarray, xi: np.ndarray, phi: np.ndarray, eps: np.ndarray):
+    def __init__(self, y: tuple, xi: tuple, phi: tuple, eps: tuple):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "eps", eps)
 
 
-def vb_chart(model: VbPairModel, r: int, z) -> np.ndarray:
+def vb_chart(model: VbPairModel, r: int, z) -> tuple:
     """The r-th induced vector-bundle chart (y, x~_r, f, e~_r)."""
     dims = model.base
     if isinstance(z, VbBody):
         # chart_phi raises OutsideChart off the chart, and keeps x_r in slot r
-        base_coords = chart_phi(r, Body(np.asarray(z.u, float), dims))
+        base_coords = chart_phi(r, Body(z.u, dims))
         fe = model.frame_value(z.u, z.upsilon)
-        f_part = fe[: model.rank_f]
-        e_part = fe[model.rank_f :] / base_coords[dims.p + r - 1]
-        return np.concatenate([base_coords, f_part, e_part])
+        x_r = base_coords[dims.p + r - 1]
+        return (*base_coords, *fe[: model.rank_f], *[c / x_r for c in fe[model.rank_f :]])
     if isinstance(z, VbExceptional):
         base_coords = chart_phi(r, Exceptional(z.y, z.xi, dims))
-        return np.concatenate([base_coords, z.phi, z.eps / z.xi[r - 1]])
+        xi_r = z.xi[r - 1]
+        return (*base_coords, *z.phi, *[c / xi_r for c in z.eps])
     raise TypeError(f"not a vector-bundle blow-up point: {z!r}")
 
 
@@ -121,34 +121,24 @@ def fiber_linearity_check(
     total = model.fiber_rank
     worst = 0.0
 
-    def fiber_part(z):
-        return vb_chart(model, r, z)[model.base.n :]
-
     for _ in range(samples):
         if isinstance(base_point, Body):
-            u = base_point.x
             a = rng.uniform(-1.0, 1.0, size=total)
             b = rng.uniform(-1.0, 1.0, size=total)
             lam = float(rng.uniform(-2.0, 2.0))
-            fa = fiber_part(VbBody(u, a))
-            fb = fiber_part(VbBody(u, b))
-            fsum = fiber_part(VbBody(u, a + b))
-            fscale = fiber_part(VbBody(u, lam * a))
-            worst = max(worst, float(np.max(np.abs(fsum - fa - fb))))
-            worst = max(worst, float(np.max(np.abs(fscale - lam * fa))))
+            points = [VbBody(base_point.x, tuple(v.tolist())) for v in (a, b, a + b, lam * a)]
         elif isinstance(base_point, Exceptional):
-            y, xi = base_point.y, base_point.xi_dir
             pa, pb = rng.uniform(-1.0, 1.0, size=(2, model.rank_f))
             ea, eb = rng.uniform(-1.0, 1.0, size=(2, model.rank_e))
             lam = float(rng.uniform(-2.0, 2.0))
-            fa = fiber_part(VbExceptional(y, xi, pa, ea))
-            fb = fiber_part(VbExceptional(y, xi, pb, eb))
-            fsum = fiber_part(VbExceptional(y, xi, pa + pb, ea + eb))
-            fscale = fiber_part(VbExceptional(y, xi, lam * pa, lam * ea))
-            worst = max(worst, float(np.max(np.abs(fsum - fa - fb))))
-            worst = max(worst, float(np.max(np.abs(fscale - lam * fa))))
+            points = [
+                VbExceptional(base_point.y, base_point.xi_dir, tuple(p.tolist()), tuple(e.tolist()))
+                for p, e in ((pa, ea), (pb, eb), (pa + pb, ea + eb), (lam * pa, lam * ea))
+            ]
         else:
             raise TypeError(f"not a blow-up base point: {base_point!r}")
+        fa, fb, fsum, fscale = [np.array(vb_chart(model, r, z)[model.base.n :]) for z in points]
+        worst = max(worst, float(np.max(np.abs(fsum - fa - fb))), float(np.max(np.abs(fscale - lam * fa))))
     return LinearityReport(worst, worst <= 1e-11)
 
 
@@ -183,16 +173,16 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
             f"(worst violation {report.worst_violation:.3e})"
         )
     if isinstance(z, Body):
-        return VbBody(z.x.copy(), eval_map(alpha, z.x))
+        return VbBody(z.x, eval_map(alpha, z.x))
     if isinstance(z, Exceptional):
-        slice_point = dims.join(z.y, np.zeros(dims.q))
+        slice_point = dims.join(z.y, [0.0] * dims.q)
         phi = model.f_of(slice_point, eval_map(alpha, slice_point))
-        eps = np.array(normal_derivative(e_pair, z.y)) @ z.xi_dir
-        return VbExceptional(z.y.copy(), z.xi_dir.copy(), phi, eps)
+        eps = np.array(normal_derivative(e_pair, z.y)) @ np.array(z.xi_dir)
+        return VbExceptional(z.y, z.xi_dir, phi, tuple(eps.tolist()))
     raise TypeError(f"not a blow-up point: {z!r}")
 
 
-def tangent_anchor(z: Exceptional, eta, chart_i: int) -> np.ndarray:
+def tangent_anchor(z: Exceptional, eta, chart_i: int) -> tuple:
     """Push a normal-bundle tangent vector down to the blow-up chart.
 
     For the pair (R^n, {0}) an exceptional point [xi] has tangent
@@ -203,8 +193,8 @@ def tangent_anchor(z: Exceptional, eta, chart_i: int) -> np.ndarray:
     dims = z.dims
     if dims.p != 0:
         raise ArityMismatch("the anchor example uses a point center")
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (dims.q,):
+    eta = as_floats(eta)
+    if len(eta) != dims.q:
         raise ArityMismatch("tangent representative has the wrong dimension")
     if not 1 <= chart_i <= dims.q:
         raise OutsideChart(f"chart index {chart_i} out of range 1..{dims.q}")
@@ -212,13 +202,14 @@ def tangent_anchor(z: Exceptional, eta, chart_i: int) -> np.ndarray:
     xi = z.xi_dir
     if abs(xi[k]) <= CHART_TOL:
         raise OutsideChart(f"exceptional direction has component {chart_i} ~ 0")
-    out = eta / xi[k] - xi * (eta[k] / (xi[k] * xi[k]))
+    s = eta[k] / (xi[k] * xi[k])
+    out = [e / xi[k] - c * s for e, c in zip(eta, xi)]
     out[k] = 0.0
-    return out
+    return tuple(out)
 
 
 def tangent_anchor_rank(z: Exceptional, chart_i: int) -> int:
     """Numeric rank of the anchor at a fixed exceptional point."""
     q = z.dims.q
-    cols = [tangent_anchor(z, np.eye(q)[j], chart_i) for j in range(q)]
-    return numeric_rank(np.column_stack(cols))
+    cols = [tangent_anchor(z, [float(i == j) for i in range(q)], chart_i) for j in range(q)]
+    return numeric_rank(list(zip(*cols)))

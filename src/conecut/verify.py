@@ -198,12 +198,12 @@ def suite_sphere(samples, seed, tol):
         v /= np.linalg.norm(v)
         if min(abs(v[0]), abs(v[1]), abs(1 - v[2]), abs(1 + v[2])) < 1e-2:
             continue
-        z = bl.SphereBody(v)
+        z = bl.SphereBody(tuple(v.tolist()))
         for which in (1, 2, 3, 4):
             w = bl.sphere_chart(which, z)
             closed = bl.sphere_local_expression(which, w)
             direct = bl.sphere_local_expression_direct(which, w)
-            worst = max(worst, float(np.max(np.abs(closed - direct))))
+            worst = max(worst, float(np.max(np.abs(np.subtract(closed, direct)))))
         # round trip through the projective plane
         a = bl.sphere_rp2_map(z)
         back = bl.sphere_rp2_inv(a)
@@ -215,11 +215,11 @@ def suite_sphere(samples, seed, tol):
         xi = np.array([np.cos(ang), np.sin(ang)])
         if min(abs(xi[0]), abs(xi[1])) < 1e-2:
             continue
-        z = bl.SphereExceptional(xi)
+        z = bl.SphereExceptional(tuple(xi.tolist()))
         a = bl.sphere_rp2_map(z)
         back = bl.sphere_rp2_inv(a)
-        d = bl.canonical_direction(np.append(xi, 0.0)) - bl.canonical_direction(
-            np.append(back.xi, 0.0)
+        d = np.subtract(
+            bl.canonical_direction(np.append(xi, 0.0)), bl.canonical_direction(np.append(back.xi, 0.0))
         )
         worst = max(worst, float(np.max(np.abs(d))))
     return worst <= tol, worst, {"points": checked}
@@ -294,8 +294,8 @@ def suite_dnc(samples, seed, tol):
     for name in ("h_a", "h_b", "h_c"):
         m = maps[name]
         dm = dn.DncMap(m)
-        y0 = np.full(m.source.p, 0.3)
-        xi0 = np.full(m.source.q, 0.7)
+        y0 = (0.3,) * m.source.p
+        xi0 = (0.7,) * m.source.q
         base = dm(dn.DncPoint(y0, xi0, 0.0))
         ts = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
         res = []
@@ -303,8 +303,8 @@ def suite_dnc(samples, seed, tol):
             zt = dm(dn.DncPoint(y0, xi0, float(t)))
             res.append(
                 max(
-                    float(np.max(np.abs(zt.y - base.y))),
-                    float(np.max(np.abs(zt.xi - base.xi))),
+                    float(np.max(np.abs(np.subtract(zt.y, base.y)))),
+                    float(np.max(np.abs(np.subtract(zt.xi, base.xi)))),
                     1e-300,
                 )
             )
@@ -321,8 +321,8 @@ def suite_dnc(samples, seed, tol):
 
 def _dnc_dist(a: dn.DncPoint, b: dn.DncPoint) -> float:
     return max(
-        float(np.max(np.abs(a.y - b.y), initial=0.0)),
-        float(np.max(np.abs(a.xi - b.xi), initial=0.0)),
+        float(np.max(np.abs(np.subtract(a.y, b.y)), initial=0.0)),
+        float(np.max(np.abs(np.subtract(a.xi, b.xi)), initial=0.0)),
         abs(a.t - b.t),
     )
 
@@ -353,14 +353,12 @@ def _fiber_product_residual(rng, samples: int) -> float:
     for _ in range(samples):
         t = float(rng.uniform(-1.5, 1.5)) if rng.random() < 0.8 else 0.0
         xi = rng.uniform(-1.5, 1.5, size=3)
-        z = dn.DncPoint(np.zeros(0), xi, t)
+        z = dn.DncPoint((), tuple(xi.tolist()), t)
         z1, z2 = dp1(z), dp2(z)
         # the image satisfies the fiber-product constraint
         worst = max(worst, _dnc_dist(dsrc(z1), dtgt(z2)))
         # and the inverse reassembles the triple
-        back = dn.DncPoint(
-            np.zeros(0), np.array([z1.xi[0], z1.xi[1], z2.xi[1]]), z1.t
-        )
+        back = dn.DncPoint((), (z1.xi[0], z1.xi[1], z2.xi[1]), z1.t)
         worst = max(worst, _dnc_dist(back, z))
     return worst
 
@@ -377,7 +375,7 @@ def suite_normal_derivative(samples, seed, tol):
     for m in maps.values():
         for _ in range(samples):
             point = rng.uniform(-1.0, 1.0, size=m.source.n)
-            jac_ad = jet_eval(m.f, point).jacobian
+            jac_ad = np.array(jet_eval(m.f, point).jacobian)
             jac_fd = finite_diff_jacobian(m.f, point)
             worst_fd = max(
                 worst_fd,
@@ -426,13 +424,13 @@ def suite_vb(samples, seed, tol):
         u = rng.uniform(-1.0, 1.0, size=3)
         if abs(u[1]) < 1e-2:
             continue
-        body = bl.Body(u, base)
+        body = bl.Body(tuple(u.tolist()), base)
         rep = vb.fiber_linearity_check(model, 1, body, samples=2, seed=int(rng.integers(1 << 30)))
         worst = max(worst, rep.max_violation)
         xi = bl.canonical_direction(rng.normal(size=2))
         if abs(xi[0]) < 1e-2:
             continue
-        exc = bl.Exceptional(u[:1], xi, base)
+        exc = bl.Exceptional(body.x[:1], xi, base)
         rep = vb.fiber_linearity_check(model, 1, exc, samples=2, seed=int(rng.integers(1 << 30)))
         worst = max(worst, rep.max_violation)
     # anchor: kernel and rank at exceptional points over a point center
@@ -445,7 +443,7 @@ def suite_vb(samples, seed, tol):
         i = int(np.argmax(np.abs(xi))) + 1
         lam = float(rng.uniform(-2.0, 2.0))
         kernel_worst = max(
-            kernel_worst, float(np.max(np.abs(vb.tangent_anchor(z, lam * xi, i))))
+            kernel_worst, float(np.max(np.abs(vb.tangent_anchor(z, lam * np.array(xi), i))))
         )
         if vb.tangent_anchor_rank(z, i) != dims3.q - 1:
             ranks_ok = False
@@ -476,7 +474,7 @@ def suite_euler(samples, seed, tol):
     report = eu.is_euler_like(sigma)
     worst_closed = 0.0
     for xi in (0.1, 0.2, 0.3):
-        chi = eu.tubular_from_euler(sigma, [0.0], [xi])
+        chi = np.array(eu.tubular_from_euler(sigma, [0.0], [xi]))
         worst_closed = max(worst_closed, abs(chi[1] - xi / (1.0 - xi)))
     # slice restriction and normal derivative
     chi0 = eu.tubular_from_euler(sigma, [0.5], [0.0])

@@ -388,10 +388,19 @@ def test_strict_transform_matches_cones_with_known_rational_roots():
         assert strict_transform_curve(g, 1)[1] == sorted((float(r), m) for r, m in want.items())
 
 
+# The point kernels and the helpers they call compute on Python floats.
+NUMPY_FREE = (
+    "strict_transform_curve", "canonicalize", "from_ambient", "chart_phi", "chart_phi_inv",
+    "transition", "blowdown", "canonical_direction", "canonical_polar", "to_polar", "from_polar",
+    "product_split", "product_join", "_rounded", "_unit", "_direction", "_body", "_leading_is_negative",
+)
+
+
 def test_strict_transform_curve_uses_no_numpy():
     source = Path(blowup.__file__).read_text()
-    (fn,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == "strict_transform_curve"]
-    assert "np" not in {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    for name in NUMPY_FREE:
+        assert "np" not in {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}, name
 
 
 # -- the blown-up sphere ----------------------------------------------
@@ -467,8 +476,17 @@ def test_representatives_never_carry_negative_zero():
 
 
 def _reference_round(a):
-    """The rounding _round replaced, kept as its oracle."""
+    """The numpy rounding that _rounded replaced, kept as its oracle."""
     return np.round(np.asarray(a, dtype=float), 14) + 0.0
+
+
+def _rounded_array(a):
+    """blowup._rounded on the entries of a scalar or an array, as an array
+    of its shape."""
+    a = np.asarray(a, dtype=float)
+    got = blowup._rounded(a.ravel().tolist())
+    assert all(type(c) is float for c in got)
+    return np.array(got).reshape(a.shape)[()]
 
 
 def _same_bits(got, want):
@@ -484,30 +502,30 @@ def test_round_matches_numpy_round_bit_for_bit():
         with np.errstate(over="ignore"):
             want = _reference_round(a)
         finite = np.isfinite(want)
-        _same_bits(blowup._round(a[finite]), want[finite])
+        _same_bits(_rounded_array(a[finite]), want[finite])
     halves = (np.arange(-50, 50) + 0.5) * 1e-14
     for a in (halves, [2.5e-14, -2.5e-14, 0.5, 1.5, -2.5, 1e-15], [0.0, -0.0, -1e-16, 1e-300]):
-        _same_bits(blowup._round(a), _reference_round(a))
+        _same_bits(_rounded_array(a), _reference_round(a))
     for a in (2.5e-14, -0.0, 0.3, np.float64(-1e-15), np.array(7.125), np.zeros(0), np.zeros((0, 3))):
-        _same_bits(blowup._round(a), _reference_round(a))
-    assert not np.signbit(blowup._round(-0.0))
+        _same_bits(_rounded_array(a), _reference_round(a))
+    assert not np.signbit(blowup._rounded([-0.0])[0])
 
 
 def test_round_keeps_coordinates_too_large_to_scale():
     with np.errstate(over="ignore"):
-        got = blowup._round([1e300, -1e295, 0.1 + 1e-16])
-    assert got.tolist() == [1e300, -1e295, 0.1]
+        got = blowup._rounded([1e300, -1e295, 0.1 + 1e-16])
+    assert got == (1e300, -1e295, 0.1)
     with np.errstate(over="ignore"):
-        assert blowup._round(-1e300) == -1e300
-        assert from_ambient([1e300, 1.0], PairDims(2, 1)).x.tolist() == [1e300, 1.0]
-        assert canonicalize([1e295], [1.0], 1.0, PairDims(2, 1)).x.tolist() == [1e295, 1.0]
-        assert canonical_polar([1e300], [1.0], 2.0).x.tolist() == [1e300]
+        assert blowup._rounded([-1e300]) == (-1e300,)
+        assert from_ambient([1e300, 1.0], PairDims(2, 1)).x == (1e300, 1.0)
+        assert canonicalize([1e295], [1.0], 1.0, PairDims(2, 1)).x == (1e295, 1.0)
+        assert canonical_polar([1e300], [1.0], 2.0).x == (1e300,)
 
 
 def test_round_rejects_non_finite_coordinates():
     for a in ([0.1, np.nan], [np.inf], -np.inf):
         with pytest.raises(DomainViolation):
-            blowup._round(a)
+            _rounded_array(a)
     with pytest.raises(DomainViolation):
         canonicalize([0.1], [np.nan], 1.0, PairDims(2, 1))
     with pytest.raises(DomainViolation):
@@ -518,15 +536,15 @@ def test_directions_survive_norm_overflow_and_underflow():
     with np.errstate(over="ignore", under="ignore"):
         _same_bits(canonical_direction([1e200, 1e200]), canonical_direction([1.0, 1.0]))
         _same_bits(canonical_direction([-1e200, 1e200]), canonical_direction([-1.0, 1.0]))
-        assert canonical_direction([1e-320, 0.0]).tolist() == [1.0, 0.0]
+        assert canonical_direction([1e-320, 0.0]) == (1.0, 0.0)
         # a norm whose square is subnormal has lost digits
-        assert canonical_direction([1e-160, 0.0]).tolist() == [1.0, 0.0]
-        assert canonical_direction([3e-160, -4e-160]).tolist() == [0.6, -0.8]
+        assert canonical_direction([1e-160, 0.0]) == (1.0, 0.0)
+        assert canonical_direction([3e-160, -4e-160]) == (0.6, -0.8)
         pp = canonical_polar([0.1], [1e200, -1e200], -1.0)
-        assert pp.theta.tolist() == canonical_direction([1.0, -1.0]).tolist()
+        assert pp.theta == canonical_direction([1.0, -1.0])
         assert pp.t == pytest.approx(-1e200 * np.sqrt(2.0), rel=1e-15)
         pp = to_polar(from_ambient([0.5, -1e300], PairDims(2, 1)))
-        assert (pp.x.tolist(), pp.theta.tolist(), pp.t) == ([0.5], [1.0], -1e300)
+        assert (pp.x, pp.theta, pp.t) == ((0.5,), (1.0,), -1e300)
         # math.hypot returns inf once the norm itself exceeds DBL_MAX
         _same_bits(canonical_direction([1.5e308, 1.5e308]), canonical_direction([1.0, 1.0]))
         _same_bits(canonical_direction([-1.5e308, 1e308, 1e308]), canonical_direction([-1.5, 1.0, 1.0]))
@@ -560,19 +578,19 @@ def test_non_finite_directions_are_rejected():
 def test_from_ambient_rejects_a_point_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint, match="ambient point lies on the center"):
         from_ambient([0.5, 1e-15], PairDims(2, 1))
-    assert from_ambient([0.5, 1e-15, 1e-13], PairDims(3, 1)).x.tolist() == [0.5, 0.0, 1e-13]
+    assert from_ambient([0.5, 1e-15, 1e-13], PairDims(3, 1)).x == (0.5, 0.0, 1e-13)
 
 
 def test_canonicalize_rejects_an_orbit_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint, match="orbit meets the center"):
         canonicalize([0.5], [1e-15], 1.0, PairDims(2, 1))
-    assert canonicalize([0.5], [1e-15], 10.0, PairDims(2, 1)).x.tolist() == [0.5, 1e-14]
+    assert canonicalize([0.5], [1e-15], 10.0, PairDims(2, 1)).x == (0.5, 1e-14)
 
 
 def test_chart_phi_inv_rejects_a_chart_point_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint, match="rounds onto the center"):
         chart_phi_inv(1, [0.5, 1e-15], PairDims(2, 1))
-    assert chart_phi_inv(1, [0.5, 1e-14], PairDims(2, 1)).x.tolist() == [0.5, 1e-14]
+    assert chart_phi_inv(1, [0.5, 1e-14], PairDims(2, 1)).x == (0.5, 1e-14)
 
 
 # Every other way of naming an orbit goes through canonicalize or

@@ -34,7 +34,6 @@ from conecut.blowup import (
     PolarPoint,
     SphereBody,
     SphereExceptional,
-    _round,
     canonical_direction,
     canonical_polar,
     canonicalize,
@@ -69,30 +68,30 @@ def np_split(dims: PairDims, point):
 
 def old_from_polar(pp: PolarPoint, dims: PairDims):
     if pp.t == 0.0:
-        return Exceptional(_round(pp.x), canonical_direction(pp.theta), dims)
-    return Body(_round(np.concatenate([pp.x, pp.t * pp.theta])), dims)
+        return Exceptional(np_round(pp.x), canonical_direction(pp.theta), dims)
+    return Body(np_round(np.concatenate([pp.x, pp.t * np.asarray(pp.theta)])), dims)
 
 
 def old_dnc_as_open_subset(z: DncPoint):
     dims = PairDims(z.dims.n + 1, z.dims.p)
     if z.t == 0.0:
         return Exceptional(
-            _round(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
+            np_round(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
         )
-    return Body(_round(np.concatenate([z.y, z.t * z.xi, [z.t]])), dims)
+    return Body(np_round(np.concatenate([z.y, z.t * np.asarray(z.xi), [z.t]])), dims)
 
 
 def old_from_algebraic(a: AlgebraicPoint, dims: PairDims):
     if float(np.linalg.norm(a.x)) == 0.0:
         return Exceptional(np.zeros(0), canonical_direction(a.line), dims)
-    return Body(_round(np.asarray(a.x, dtype=float)), dims)
+    return Body(np_round(np.asarray(a.x, dtype=float)), dims)
 
 
 def old_rotate_blowup_point(angle: float, z):
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     if isinstance(z, Body):
-        return Body(_round(rot @ z.x), z.dims)
+        return Body(np_round(rot @ z.x), z.dims)
     return Exceptional(z.y, canonical_direction(rot @ z.xi_dir), z.dims)
 
 
@@ -193,14 +192,14 @@ def old_vb_chart(model, r: int, z) -> np.ndarray:
         if xb[k] == 0.0:
             raise OutsideChart(f"base point has x-component {r} = 0")
         base_coords = chart_phi(r, Body(np.asarray(z.u, float), dims))
-        fe = model.frame_value(z.u, z.upsilon)
+        fe = np.asarray(model.frame_value(z.u, z.upsilon))
         f_part = fe[: model.rank_f]
         e_part = fe[model.rank_f :] / xb[k]
         return np.concatenate([base_coords, f_part, e_part])
     if abs(z.xi[k]) <= CHART_TOL:
         raise OutsideChart(f"exceptional direction has component {r} ~ 0")
     base_coords = chart_phi(r, Exceptional(z.y, z.xi, dims))
-    return np.concatenate([base_coords, z.phi, z.eps / z.xi[k]])
+    return np.concatenate([base_coords, z.phi, np.asarray(z.eps) / z.xi[k]])
 
 
 # -- the numpy point kernels, verbatim ---------------------------------
@@ -293,7 +292,7 @@ def np_chart_phi(i: int, z) -> np.ndarray:
         raise OutsideChart(f"chart index {i} out of range 1..{dims.q}")
     k = i - 1
     if isinstance(z, Exceptional):
-        xi = z.xi_dir
+        xi = np.asarray(z.xi_dir)
         if abs(xi[k]) <= CHART_TOL:
             raise OutsideChart(f"exceptional direction has component {i} ~ 0")
         w = xi / xi[k]
@@ -336,7 +335,10 @@ def np_transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
 
 
 def _bits(value):
-    """A hashable picture of a point: its class and the bytes of every field."""
+    """A hashable picture of a point: its class and the bytes of every
+    field.  A tuple of floats is pictured as the array of its floats."""
+    if isinstance(value, tuple):
+        value = np.array(value, dtype=float)
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, (float, np.floating)):
@@ -379,7 +381,8 @@ def norm_gap_bound(old: float) -> float:
 def _coords(value):
     """The kind of an outcome (class and field shapes, or the exception
     type) and its coordinates, field by field."""
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (tuple, np.ndarray)):
+        value = np.asarray(value, dtype=float)
         return ("array", value.shape), value.tolist()
     fields = vars(value)
     arrays = [np.atleast_1d(fields[k]) for k in sorted(fields) if not isinstance(fields[k], PairDims)]
@@ -517,7 +520,7 @@ def test_sphere_chart_now_refuses_a_nearly_tangent_direction_as_the_plane_does()
     with pytest.raises(OutsideChart):
         sphere_chart(1, z)
     assert old_sphere_chart(1, z).tolist() == [0.0, 1e13]
-    assert sphere_chart(2, z).tobytes() == old_sphere_chart(2, z).tobytes()
+    assert np.asarray(sphere_chart(2, z)).tobytes() == old_sphere_chart(2, z).tobytes()
 
 
 def test_sphere_chart_inv_matches_the_stereographic_formulas():
@@ -541,7 +544,7 @@ def test_vb_chart_matches_the_old_formula():
         if rng.random() < 0.2:
             u[1 + rng.integers(2)] = 0.0
         body = VbBody(u, rng.uniform(-2.0, 2.0, 3))
-        xi = canonical_direction(rng.normal(size=2))
+        xi = np.array(canonical_direction(rng.normal(size=2)))
         if rng.random() < 0.2:
             xi[rng.integers(2)] = 1e-13
         exc = VbExceptional(rng.uniform(-2.0, 2.0, 1), xi, rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 2))

@@ -19,7 +19,7 @@ from conecut.dnc import (
     rx_action,
 )
 from conecut import expr as expr_module
-from conecut.errors import DomainViolation, NotAdapted, NotVanishing, SamplingFailure
+from conecut.errors import ArityMismatch, DomainViolation, NotAdapted, NotVanishing, SamplingFailure
 from conecut.expr import Exp, Guard, SmoothMapExpr, Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
 
@@ -41,6 +41,16 @@ def test_psi_two_branches():
     image0 = psi(z0)
     assert isinstance(image0, NormalSlice)
     assert np.allclose(image0.xi, [2.0])
+
+
+def test_dnc_point_of_reads_numbers_and_flat_sequences():
+    for block in (0.5, np.float64(0.5), np.array(0.5), [0.5], (0.5,), np.array([0.5])):
+        z = DncPoint.of(block, block, np.float64(2.0))
+        assert z == DncPoint((0.5,), (0.5,), 2.0) and type(z.t) is float
+        assert all(type(c) is float for c in z.y + z.xi)
+    assert DncPoint.of([], [1, 2], 0).dims == PairDims(2, 0)
+    with pytest.raises(ArityMismatch):
+        DncPoint.of([[0.5]], [1.0], 0.0)
 
 
 def test_psi_round_trip():

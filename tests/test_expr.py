@@ -35,17 +35,26 @@ def _poly_map():
 def test_value_and_jacobian_shapes():
     m = _poly_map()
     jet = jet_eval(m, [0.5, -0.3])
-    assert jet.value.shape == (3,)
-    assert jet.jacobian.shape == (3, 2)
+    assert np.shape(jet.value) == (3,)
+    assert np.shape(jet.jacobian) == (3, 2)
+    # values, Jacobians and their rows are tuples of floats at every output_dim
+    for output_dim in (0, 1, 2, 3):
+        part = from_components(2, m.body[:output_dim])
+        value, jet = eval_map(part, (0.5, -0.3)), jet_eval(part, np.array([0.5, -0.3]))
+        assert type(value) is tuple and type(jet.value) is tuple and jet.value == value
+        assert type(jet.jacobian) is tuple and len(jet.jacobian) == len(value) == output_dim
+        assert all(type(row) is tuple and len(row) == 2 for row in jet.jacobian)
+        assert all(type(c) is float for c in value + sum(jet.jacobian, ()))
 
 
 def test_jacobian_matches_hand_derivative():
     x, y = Var(0), Var(1)
     m = from_components(2, (x * y + x**3,))
     jet = jet_eval(m, [2.0, 3.0])
+    jac = np.asarray(jet.jacobian)
     assert jet.value[0] == pytest.approx(2.0 * 3.0 + 8.0)
-    assert jet.jacobian[0, 0] == pytest.approx(3.0 + 3 * 4.0)
-    assert jet.jacobian[0, 1] == pytest.approx(2.0)
+    assert jac[0, 0] == pytest.approx(3.0 + 3 * 4.0)
+    assert jac[0, 1] == pytest.approx(2.0)
 
 
 @given(
@@ -54,7 +63,7 @@ def test_jacobian_matches_hand_derivative():
 @settings(max_examples=50, deadline=None)
 def test_ad_matches_finite_differences(point):
     m = _poly_map()
-    jac_ad = jet_eval(m, point).jacobian
+    jac_ad = np.asarray(jet_eval(m, point).jacobian)
     jac_fd = finite_diff_jacobian(m, point)
     assert np.max(np.abs(jac_ad - jac_fd)) < 1e-6 * (1 + np.max(np.abs(jac_ad)))
 
@@ -62,10 +71,10 @@ def test_ad_matches_finite_differences(point):
 def test_transcendental_derivatives():
     x = Var(0)
     m = from_components(1, (Sqrt(x), Log(x), Cos(x)))
-    jet = jet_eval(m, [0.49])
-    assert jet.jacobian[0, 0] == pytest.approx(0.5 / 0.7)
-    assert jet.jacobian[1, 0] == pytest.approx(1.0 / 0.49)
-    assert jet.jacobian[2, 0] == pytest.approx(-np.sin(0.49))
+    jac = np.asarray(jet_eval(m, [0.49]).jacobian)
+    assert jac[0, 0] == pytest.approx(0.5 / 0.7)
+    assert jac[1, 0] == pytest.approx(1.0 / 0.49)
+    assert jac[2, 0] == pytest.approx(-np.sin(0.49))
 
 
 def test_norm_value_and_gradient():
@@ -133,7 +142,7 @@ def test_compose_chain_rule():
     jet_g = jet_eval(g, jet_f.value)
     jet_gf = jet_eval(gf, point)
     assert np.allclose(jet_gf.value, jet_g.value, atol=1e-12)
-    assert np.allclose(jet_gf.jacobian, jet_g.jacobian @ jet_f.jacobian, atol=1e-10)
+    assert np.allclose(jet_gf.jacobian, np.asarray(jet_g.jacobian) @ np.asarray(jet_f.jacobian), atol=1e-10)
 
 
 def test_compose_arity_mismatch():

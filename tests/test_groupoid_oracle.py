@@ -56,25 +56,25 @@ def ref_check_axioms(spec, samples: int, seed: int) -> AxiomReport:
         gh = spec.m(g, h)
         hk = spec.m(h, k)
         rep.source_of_product = max(
-            rep.source_of_product, float(np.max(np.abs(spec.s(gh) - spec.s(h))))
+            rep.source_of_product, float(np.max(np.abs(np.asarray(spec.s(gh)) - spec.s(h))))
         )
         rep.target_of_product = max(
-            rep.target_of_product, float(np.max(np.abs(spec.t(gh) - spec.t(g))))
+            rep.target_of_product, float(np.max(np.abs(np.asarray(spec.t(gh)) - spec.t(g))))
         )
         rep.associativity = max(
             rep.associativity,
-            float(np.max(np.abs(spec.m(gh, k) - spec.m(g, hk)))),
+            float(np.max(np.abs(np.asarray(spec.m(gh, k)) - spec.m(g, hk)))),
         )
         rep.unit_laws = max(
             rep.unit_laws,
-            float(np.max(np.abs(spec.m(g, spec.u(spec.s(g))) - g))),
-            float(np.max(np.abs(spec.m(spec.u(spec.t(g)), g) - g))),
+            float(np.max(np.abs(np.asarray(spec.m(g, spec.u(spec.s(g)))) - g))),
+            float(np.max(np.abs(np.asarray(spec.m(spec.u(spec.t(g)), g)) - g))),
         )
         rep.inverse_laws = max(
             rep.inverse_laws,
-            float(np.max(np.abs(spec.m(g, spec.i(g)) - spec.u(spec.t(g))))),
-            float(np.max(np.abs(spec.m(spec.i(g), g) - spec.u(spec.s(g))))),
-            float(np.max(np.abs(spec.s(spec.i(g)) - spec.t(g)))),
+            float(np.max(np.abs(np.asarray(spec.m(g, spec.i(g))) - spec.u(spec.t(g))))),
+            float(np.max(np.abs(np.asarray(spec.m(spec.i(g), g)) - spec.u(spec.s(g))))),
+            float(np.max(np.abs(np.asarray(spec.s(spec.i(g))) - spec.t(g)))),
         )
         rep.samples += 1
     return rep

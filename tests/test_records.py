@@ -4,7 +4,9 @@ For every record class of the package, the test builds an oracle with
 ``dataclasses.make_dataclass`` from the class's field list and
 frozenness, as the ``@dataclass`` declarations gave them, and checks on
 sample instances that ``repr``, ``==`` and ``hash`` (or the lack of a
-hash) come out the same, exceptions included.
+hash) come out the same, exceptions included.  The point records and
+``Jet``, as their kernels build them, hold tuples of floats, so they
+also compare and hash by value and cannot be changed in place.
 """
 
 import copy
@@ -251,3 +253,97 @@ def test_defaults_are_kept():
     spec = GroupoidSpec(1, 1, m, m, m, m, m, _partner)
     assert (spec.tol, spec.arrow_sampler) == (COMPOSABILITY_TOL, None)
     assert m.guards == ()
+
+
+def _kernel_points() -> dict:
+    """Each point record and Jet as its own kernel builds it: a function
+    that makes a fresh instance on each call, and one of another value."""
+    from conecut import blowup as bl
+    from conecut import dnc
+    from conecut.expr import Sin, from_components, jet_eval
+    from conecut.vb import section_blowup, trivial_model
+
+    d31, d20 = PairDims(3, 1), PairDims(2, 0)
+    model = trivial_model(d31, 1, 2)
+    section = from_components(3, (Var(0), Var(1), Var(2)))
+
+    def body():
+        return bl.from_ambient([0.5, 1.0, 2.0], d31)
+
+    def exceptional():
+        return bl.canonicalize([0.5], [1.0, 2.0], 0.0, d31)
+
+    def dnc_point(t):
+        return dnc.DncPoint.of(np.array([0.5, 0.25]), [1.0, -2.0], t)
+
+    return {
+        "blowup.Exceptional": (exceptional, lambda: bl.canonicalize([0.5], [2.0, 1.0], 0.0, d31)),
+        "blowup.Body": (body, lambda: bl.from_ambient([0.5, 1.0, 3.0], d31)),
+        "blowup.PolarPoint": (lambda: bl.to_polar(body()), lambda: bl.to_polar(exceptional())),
+        "blowup.AlgebraicPoint": (
+            lambda: bl.to_algebraic(bl.from_ambient([1.0, 2.0], d20)),
+            lambda: bl.to_algebraic(bl.canonicalize([], [1.0, 2.0], 0.0, d20)),
+        ),
+        "blowup.SphereBody": (
+            lambda: bl.sphere_chart_inv(1, [0.5, 0.25]),
+            lambda: bl.sphere_chart_inv(3, [0.5, 0.25]),
+        ),
+        "blowup.SphereExceptional": (
+            lambda: bl.sphere_chart_inv(1, [0.0, 0.5]),
+            lambda: bl.sphere_chart_inv(2, [0.5, 0.0]),
+        ),
+        "dnc.DncPoint": (
+            lambda: dnc.DncMap(_swap_pair())(dnc_point(0.5)),
+            lambda: dnc.rx_action(2.0, dnc_point(0.5)),
+        ),
+        "dnc.NormalSlice": (
+            lambda: dnc.psi(dnc_point(0.0)),
+            lambda: dnc.psi(dnc.rx_action(2.0, dnc_point(0.0))),
+        ),
+        "dnc.Body": (lambda: dnc.psi(dnc_point(0.5)), lambda: dnc.psi(dnc_point(-0.5))),
+        "vb.VbBody": (
+            lambda: section_blowup(model, section, body()),
+            lambda: section_blowup(model, section, bl.from_ambient([1.0, 1.0, 2.0], d31)),
+        ),
+        "vb.VbExceptional": (
+            lambda: section_blowup(model, section, exceptional()),
+            lambda: section_blowup(model, section, bl.canonicalize([0.25], [1.0, 2.0], 0.0, d31)),
+        ),
+        "expr.Jet": (
+            lambda: jet_eval(from_components(2, (Var(0) * Var(1), Sin(Var(1)))), np.array([0.5, 2.0])),
+            lambda: jet_eval(from_components(2, (Var(0) * Var(1), Sin(Var(1)))), [0.5, 3.0]),
+        ),
+    }
+
+
+def _swap_pair():
+    from conecut.expr import from_components
+    from conecut.pairs import MapOfPairs
+
+    dims = PairDims(4, 2)
+    return MapOfPairs(from_components(4, (Var(1), Var(0), Var(3), Var(2))), dims, dims)
+
+
+def _vectors(value):
+    """The tuples of floats in a field value, rows of a Jacobian included."""
+    if isinstance(value, tuple):
+        return [value] + [row for row in value if isinstance(row, tuple)]
+    return []
+
+
+@pytest.mark.parametrize("name", list(_kernel_points()))
+def test_point_records_compare_hash_and_stay_frozen(name):
+    make, make_other = _kernel_points()[name]
+    point, twin, other = make(), make(), make_other()
+    assert type(point) is type(twin) is type(other) is _class(name)
+    assert point == twin and hash(point) == hash(twin) and not point != twin
+    assert point != other and other != point
+    assert len({point, twin, other}) == 2
+    for field in DECLARED[name][0]:
+        value = getattr(point, field)
+        assert isinstance(value, (tuple, float, PairDims)), (field, value)
+        for vector in _vectors(value):
+            assert all(type(c) in (float, tuple) for c in vector), (field, vector)
+            with pytest.raises(TypeError):
+                vector[0] = 0.0
+    assert point == make()

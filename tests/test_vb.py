@@ -112,8 +112,8 @@ def _wrapper_section_eps(model, alpha, z):
             f"section does not take sub-bundle values on the slice "
             f"(worst violation {report.worst_violation:.3e})"
         )
-    jac = jet_eval(e_along, dims.join(z.y, np.zeros(dims.q))).jacobian
-    return jac[:, dims.p :] @ z.xi_dir
+    jac = np.asarray(jet_eval(e_along, dims.join(z.y, np.zeros(dims.q))).jacobian)
+    return jac[:, dims.p :] @ np.asarray(z.xi_dir)
 
 
 def test_section_blowup_matches_the_wrapper_construction():
@@ -143,7 +143,7 @@ def test_section_blowup_matches_the_wrapper_construction():
                     outcomes.append("rejected")
                     continue
                 eps = section_blowup(model, alpha, z).eps
-                assert eps.tobytes() == expected.tobytes(), (alpha, z)
+                assert np.asarray(eps).tobytes() == expected.tobytes(), (alpha, z)
                 outcomes.append("blown up")
     assert outcomes.count("rejected") == 36 and outcomes.count("blown up") == 54
 
@@ -171,7 +171,7 @@ def test_tangent_anchor_kernel_is_radial():
     xi = canonical_direction([1.0, 2.0, -0.5])
     z = Exceptional(np.zeros(0), xi, dims)
     i = int(np.argmax(np.abs(xi))) + 1
-    assert np.allclose(tangent_anchor(z, 3.7 * xi, i), 0.0, atol=1e-14)
+    assert np.allclose(tangent_anchor(z, 3.7 * np.asarray(xi), i), 0.0, atol=1e-14)
 
 
 def test_tangent_anchor_rank_is_q_minus_one():
