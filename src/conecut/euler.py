@@ -5,9 +5,9 @@ vanishes on the slice and its normal-block linearization there is the
 identity.  The associated field on the deformation space is
 W = (1/t) sigma + d/dt; it is integrated directly from this ODE by RK4
 (the time component is exact since tdot = 1).  The stepper evaluates
-sigma with ``expr.eval_map``, which checks each stage's domain and
-finiteness, and does its own arithmetic on Python floats, bit-identical
-to the same steps on numpy arrays.  The time-1
+each stage on sigma's value tape, checks its domain and finiteness with
+the errors of ``expr.eval_map``, and does its own arithmetic on Python
+floats, bit-identical to the same steps on numpy arrays.  The time-1
 slice map chi built from the flow, extrapolated from small starting
 parameters, is the tubular-neighborhood embedding: chi restricted to
 the slice is the identity, its normal derivative is the identity, and
@@ -87,20 +87,31 @@ def _rk4(sigma: VectorField, x, grid) -> tuple:
     operations of the array form in the same order: k = sigma(x)/t,
     the stage points x + (h/2) k and x + h k, and the update
     x + (h/6) (((k1 + 2 k2) + 2 k3) + k4).  It raises DomainViolation
-    if the trajectory leaves the chart or sigma is not finite on it."""
+    if the trajectory leaves the chart or sigma is not finite on it.
+
+    Only the start point is checked as ``eval_map`` checks a point; the
+    stage points it builds are lists of n floats, which go straight to
+    sigma's value tape.  A stage whose values are not finite goes
+    through ``eval_map``, which raises its error."""
     f = sigma.components
     x = as_floats(x)
     if len(x) != f.input_dim:
         raise ArityMismatch(f"start point of length {len(x)} for a field on R^{f.input_dim}")
+    run = f.value_tape
+
+    def value(point: list) -> tuple:
+        vals = run(point)
+        return vals if all(map(math.isfinite, vals)) else eval_map(f, point)
+
     for t, t_next in zip(grid[:-1], grid[1:]):
         h = t_next - t
         half = 0.5 * h
         mid = t + half
         end = t + h
-        k1 = [v / t for v in eval_map(f, x)]
-        k2 = [v / mid for v in eval_map(f, [a + half * k for a, k in zip(x, k1)])]
-        k3 = [v / mid for v in eval_map(f, [a + half * k for a, k in zip(x, k2)])]
-        k4 = [v / end for v in eval_map(f, [a + h * k for a, k in zip(x, k3)])]
+        k1 = [v / t for v in value(x)]
+        k2 = [v / mid for v in value([a + half * k for a, k in zip(x, k1)])]
+        k3 = [v / mid for v in value([a + half * k for a, k in zip(x, k2)])]
+        k4 = [v / end for v in value([a + h * k for a, k in zip(x, k3)])]
         sixth = h / 6.0
         x = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
     return tuple(x)

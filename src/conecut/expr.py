@@ -675,7 +675,11 @@ class SmoothMapExpr(Record, frozen=True):
         return eval_map(self, point)
 
     @cached_property
-    def _values(self):
+    def value_tape(self):
+        """run(coordinates) -> the body's values, for a list of
+        ``input_dim`` floats that the caller has checked.  It raises what
+        ``eval_map`` raises at that point, except where a value is not
+        finite, which it returns."""
         return _value_tape(self.input_dim, self.guards, self.body)
 
     @cached_property
@@ -729,7 +733,7 @@ def eval_map(m: SmoothMapExpr, point) -> tuple:
     sequence of ``input_dim`` numbers; raises DomainViolation outside the
     domain, which includes the points where a component is not finite."""
     coords = _check_coords(m, point)
-    vals = m._values(coords)
+    vals = m.value_tape(coords)
     if not all(map(math.isfinite, vals)):
         raise _not_finite(m, coords, vals, ())
     return vals
@@ -741,7 +745,7 @@ def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:
     Raises what ``eval_map`` raises at the first row where it raises,
     and a DomainViolation names that row."""
     rows = _check_points(m, points).tolist()
-    run = m._values
+    run = m.value_tape
     vals: list = []
     append = vals.append
     try:

@@ -99,6 +99,34 @@ def test_verify_exit_codes():
     assert usage.returncode == 2
 
 
+# The usage error for an unknown suite, at 80 columns, as the parser
+# wrote it when it read its suite names from verify.SUITES.
+UNKNOWN_SUITE_STDERR = """\
+usage: conecut verify [-h]
+                      [--suite {models,atlas,sphere,groupoid,dnc,normal_derivative,vb,euler,ring,curve}]
+                      [--seed SEED] [--out OUT] [--format {json,csv}]
+                      [--samples SAMPLES] [--tol TOL] [--tol.models TOL]
+                      [--tol.atlas TOL] [--tol.sphere TOL]
+                      [--tol.groupoid TOL] [--tol.dnc TOL]
+                      [--tol.normal_derivative TOL] [--tol.vb TOL]
+                      [--tol.euler TOL] [--tol.ring TOL] [--tol.curve TOL]
+conecut verify: error: argument --suite: invalid choice: 'nope' (choose from \
+'models', 'atlas', 'sphere', 'groupoid', 'dnc', 'normal_derivative', 'vb', 'euler', 'ring', 'curve')
+"""
+
+
+def test_parser_suite_names_are_the_registry_in_order():
+    from conecut import cli, verify
+
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_unknown_suite_usage_error_is_unchanged():
+    out = run_cli("verify", "--suite", "nope", env_extra={"COLUMNS": "80"})
+    assert out.returncode == 2
+    assert out.stderr == UNKNOWN_SUITE_STDERR
+
+
 def test_dotted_tolerance_flag_rejects_unknown_suite():
     out = run_cli("verify", "--tol.bogus", "1e-3")
     assert out.returncode == 2

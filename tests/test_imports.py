@@ -18,9 +18,10 @@ dependency loads it on the CLI's cold start either.
 ``test_no_module_imports_numpy_at_module_level`` keeps numpy's
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
-running its exact subcommands and ``check-map`` load no part of numpy, and that
-``import conecut.cli`` still loads every module the benchmark's tracer
-patches.
+running its exact subcommands and ``check-map`` load no part of numpy,
+that each subcommand executes only the suite modules it uses, and that
+``import conecut.cli`` still registers every module the benchmark's
+tracer patches.
 """
 
 import ast
@@ -236,6 +237,37 @@ def test_numpy_references_finds_every_kind():
 
 def test_draws_module_never_names_numpy():
     assert numpy_references((PACKAGE / "pcg64.py").read_text()) == []
+
+
+SUITE_MODULES = ("verify", "blowup", "dnc", "euler", "groupoid", "vb")
+
+
+def test_subcommands_execute_only_the_suite_modules_they_use():
+    """``conecut.cli`` binds the suite modules through ``lazy_import``:
+    each is in ``sys.modules``, but its code runs only when a subcommand
+    first reads one of its attributes, and ``verify`` runs all six."""
+    code = (
+        "import contextlib, io, sys, conecut.cli\n"
+        f"names = {SUITE_MODULES!r}\n"
+        "print(all('conecut.' + n in sys.modules for n in names))\n"
+        "def executed():\n"
+        "    return [n for n in names if type(sys.modules['conecut.' + n]).__name__ != '_LazyModule']\n"
+        "print('import', executed())\n"
+        "for argv in (['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8'],\n"
+        "             ['dnc-ring-demo'], ['resolve-curve', '--poly', 'y^2 - x^3'],\n"
+        "             ['verify', '--suite', 'models', '--samples', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = conecut.cli.main(argv)\n"
+        "    print(argv[0], code, executed())\n"
+    )
+    assert _run_python(code).splitlines() == [
+        "True",
+        "import []",
+        "check-map 0 []",
+        "dnc-ring-demo 0 []",
+        "resolve-curve 0 ['blowup']",
+        "verify 0 ['verify', 'blowup', 'dnc', 'euler', 'groupoid', 'vb']",
+    ]
 
 
 def test_cli_import_loads_every_module_the_tracer_patches():
