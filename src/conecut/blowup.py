@@ -18,11 +18,13 @@ and hash alike.  Every vector norm comes from the correctly rounded
 ``math.hypot``, so no representative depends on the BLAS build.
 
 Also here: the q projective charts with their transitions, the
-blow-down, induced maps of blow-ups, strict transforms of plane curves,
-product splitting, the open inclusion of the deformation space into a
-one-higher blow-up, and the identification of the blown-up two-sphere
-with the projective plane.  The sphere's four charts are the plane's
-two projective charts read through the two stereographic charts.
+blow-down, induced maps of blow-ups, product splitting, the open
+inclusion of the deformation space into a one-higher blow-up, and the
+identification of the blown-up two-sphere with the projective plane.
+The sphere's four charts are the plane's two projective charts read
+through the two stereographic charts.  Strict transforms of plane
+curves are exact and live in ``conecut.ring``; ``strict_transform_curve``
+stays importable from here, where the benchmark's span names it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from .errors import (
     ArityMismatch,
     CenterPoint,
-    DegenerateCurve,
     DomainViolation,
     NotImmersive,
     OutsideBlupF,
@@ -42,7 +43,7 @@ from .expr import as_floats
 from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted, singular_values
 from .record import Record
-from .ring import MultiPoly, real_roots, squarefree_factors
+from .ring import strict_transform_curve as strict_transform_curve
 
 # Representatives are rounded at this many decimals so that orbit
 # equality becomes bitwise equality.
@@ -363,70 +364,6 @@ def dnc_as_open_subset(z):
     (y, (xi, 1), t): at t = 0 it lands on the exceptional divisor with
     direction (xi, 1), otherwise at ((y, t xi), t)."""
     return canonicalize(z.y, (*z.xi, 1.0), z.t, PairDims(z.dims.n + 1, z.dims.p))
-
-
-# -- strict transform of plane curves ---------------------------------
-
-
-def strict_transform_curve(g: MultiPoly, chart: int = 1):
-    """Resolve a plane curve through the origin in one blow-up chart.
-
-    ``g`` is a polynomial in (x, y) as a MultiPoly with p = 0, q = 2.
-    Chart 1 has coordinates (u, s) with x = u, y = u s and exceptional
-    coordinate u; chart 2 has (u, s) with x = u s, y = s and exceptional
-    coordinate s.  The total transform is divided by the maximal power of the
-    exceptional coordinate.
-
-    Returns the strict transform and the real roots of its restriction
-    to the exceptional divisor, as ascending (root, multiplicity) pairs.
-    The restriction is split exactly into square-free factors, and
-    ``ring.real_roots`` bisects each one exactly, so each root is the
-    float nearest to it (ties to even) and no tolerance is involved.  A
-    root that rounds past the float range raises ``DomainViolation``.
-    """
-    if g.is_zero():
-        raise DegenerateCurve("the zero polynomial has no strict transform")
-    if (g.p, g.q) != (0, 2):
-        raise ArityMismatch("plane curves use two x-block variables")
-    if g.evaluate([0, 0]) != 0:
-        raise DegenerateCurve("the curve must pass through the origin")
-    if chart not in (1, 2):
-        raise OutsideChart("plane-curve charts are 1 and 2")
-    u = MultiPoly.var(0, 2, 0)
-    s = MultiPoly.var(0, 2, 1)
-    if chart == 1:
-        # (x, y) -> (u, u*s): exceptional coordinate is u (variable 0).
-        total = g.substitute([u, u * s])
-        exc_index = 0
-    else:
-        # (x, y) -> (u*s, s): exceptional coordinate is s (variable 1).
-        total = g.substitute([u * s, s])
-        exc_index = 1
-    m = min(e[exc_index] for e in total.terms)
-    strict = MultiPoly(
-        0,
-        2,
-        {
-            tuple(e - m if i == exc_index else e for i, e in enumerate(exps)): c
-            for exps, c in total.terms.items()
-        },
-    )
-    # Restriction to the exceptional divisor {exceptional coordinate = 0},
-    # a univariate polynomial in the remaining coordinate.  It is split
-    # exactly into square-free factors, which are pairwise coprime, so
-    # each factor has simple roots, no two factors share one, and its
-    # index in the decomposition is their multiplicity.
-    other = 1 - exc_index
-    restricted = {exps[other]: c for exps, c in strict.terms.items() if exps[exc_index] == 0}
-    degree = max(restricted)
-    if degree == 0:
-        return strict, []
-    coeffs = [restricted.get(k, 0) for k in range(degree + 1)]
-    return strict, sorted(
-        (root, multiplicity)
-        for multiplicity, factor in enumerate(squarefree_factors(coeffs), start=1)
-        for root in real_roots(factor)
-    )
 
 
 # -- the blown-up two-sphere and the projective plane ------------------

@@ -14,12 +14,12 @@ Subcommands, with the flags each takes besides --seed, --out and
 
 Output is deterministic: the same arguments and seed produce the same
 bytes.  Floats are printed with 17 significant digits.  resolve-curve,
-dnc-ring-demo and check-map never load numpy.  The suite modules
-(verify, blowup, dnc, euler, groupoid, vb) are loaded on first use:
-check-map and dnc-ring-demo execute none of them, resolve-curve only
-blowup, verify and the demos all six.  Exit code 0
-means all requested checks passed, 1 means a check failed, 2 means the
-invocation or an input could not be parsed.
+dnc-ring-demo and check-map never load numpy.  Each subcommand runs
+only the modules it uses: resolve-curve and dnc-ring-demo the parser,
+the expression nodes and the exact ring; check-map the parser, the
+float tapes and the pair checks; verify and the demos every suite
+module.  Exit code 0 means all requested checks passed, 1 means a check
+failed, 2 means the invocation or an input could not be parsed.
 
 A suite's tolerance is overridden with a dotted flag after the
 subcommand, e.g. ``verify --tol.atlas 1e-9``; it beats ``--tol`` for
@@ -33,18 +33,15 @@ import os
 import sys
 from fractions import Fraction
 
+from . import SUBMODULES
 from .errors import ConecutError, ParseError
-from .expr import finite_diff_jacobian, jet_eval
 from .lazy_numpy import lazy_import
-from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
-from .parse import pair_var_names, parse_expr, parse_laurent, parse_map
-from .ring import LaurentElement, char_xs, char_yxi, expr_to_poly, vanishing_order
 
-# Each suite module's code runs at its first attribute access.  All six
-# are registered, so that ``import conecut.cli`` still puts every module
-# of the package in sys.modules, as perfbench's tracer expects.
-vf = lazy_import("conecut.verify")
-for _name in ("blowup", "dnc", "euler", "groupoid", "vb"):
+# Each handler imports the modules it runs.  Every module of the package
+# is registered here, its code to run at its first attribute access, so
+# that ``import conecut.cli`` still puts the whole package in
+# sys.modules, as perfbench's tracer expects.
+for _name in SUBMODULES:
     lazy_import(f"conecut.{_name}")
 
 # The names of verify.SUITES in registration order, so that building
@@ -165,13 +162,15 @@ def _to_csv(payload) -> str:
 
 def _cmd_verify(args) -> int:
     """Run the requested suites; a demo runs its one suite and emits its row."""
-    names = args.suite or sorted(vf.SUITES)
+    from .verify import DEFAULT_SUITE_SAMPLES, SUITES
+
+    names = args.suite or sorted(SUITES)
     results = []
     for name in sorted(names):
-        samples = args.samples if args.samples is not None else vf.DEFAULT_SUITE_SAMPLES[name]
+        samples = args.samples if args.samples is not None else DEFAULT_SUITE_SAMPLES[name]
         override = getattr(args, f"tol.{name}")
         tol = args.tol if override is None else override
-        results.append(vf.SUITES[name](samples=samples, seed=args.seed, tol=tol))
+        results.append(SUITES[name](samples=samples, seed=args.seed, tol=tol))
     all_ok = all(r.ok for r in results)
     if args.command == "verify":
         payload = {"seed": args.seed, "suites": [r.as_dict() for r in results], "all_ok": all_ok}
@@ -182,7 +181,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_resolve_curve(args) -> int:
-    from .blowup import strict_transform_curve
+    from .parse import parse_expr
+    from .ring import expr_to_poly, strict_transform_curve
 
     poly = expr_to_poly(parse_expr(args.poly, ["x", "y"]), 0, 2)
     strict, roots = strict_transform_curve(poly, args.chart)
@@ -198,16 +198,21 @@ def _cmd_resolve_curve(args) -> int:
     return EXIT_OK
 
 
-def _parse_dims(text: str) -> PairDims:
+def _parse_dims(text: str) -> tuple:
+    """The (n, p) of a pair, from 'n,p'."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError(f"dims must be 'n,p': {text}", 0)
-    return PairDims(int(parts[0]), int(parts[1]))
+    return int(parts[0]), int(parts[1])
 
 
 def _cmd_check_map(args) -> int:
-    source = _parse_dims(args.source_dims)
-    target = _parse_dims(args.target_dims) if args.target_dims else source
+    from .expr import finite_diff_jacobian, jet_eval
+    from .pairs import MapOfPairs, PairDims, check_adapted, check_rank_conditions, normal_derivative
+    from .parse import pair_var_names, parse_map
+
+    source = PairDims(*_parse_dims(args.source_dims))
+    target = PairDims(*_parse_dims(args.target_dims)) if args.target_dims else source
     f = parse_map(args.map, source.n, pair_var_names(source.p, source.q))
     if f.output_dim != target.n:
         print(
@@ -242,6 +247,9 @@ def _cmd_check_map(args) -> int:
 
 
 def _cmd_ring_demo(args) -> int:
+    from .parse import parse_laurent
+    from .ring import LaurentElement, char_xs, char_yxi, vanishing_order
+
     p, q = args.p, args.q
     element = parse_laurent(args.element, p, q)
     x_point = [Fraction(1, 2)] * (p + q)

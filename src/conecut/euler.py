@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
-from .expr import SmoothMapExpr, Var, as_floats, eval_map, from_components, jet_eval
+from .expr import SmoothMapExpr, as_floats, eval_map, from_components, jet_eval
 from .lazy_numpy import np
+from .nodes import Var
 from .pairs import PairDims, sample_slice_points
 from .record import Record
 

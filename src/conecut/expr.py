@@ -1,10 +1,10 @@
 """Immutable expression trees with forward-mode automatic differentiation.
 
-An ``Expr`` is a closed scalar expression over the primitives
-{constant, coordinate projection, +, -, *, /, integer power, sqrt, exp,
-log, sin, cos, euclidean norm}.  A ``SmoothMapExpr`` bundles a tuple of
-scalar expressions into a map R^n -> R^m together with explicit domain
-guards.  Evaluation never returns NaN or infinity: division by zero,
+The scalar expression nodes (``Expr`` and ``Const`` … ``Norm``) are
+defined in ``conecut.nodes``, so that the exact code, which only builds
+and reads trees, runs without this module.  A ``SmoothMapExpr`` bundles
+a tuple of scalar expressions into a map R^n -> R^m together with
+explicit domain guards.  Evaluation never returns NaN or infinity: division by zero,
 log/sqrt of a bad argument, a failing guard, an overflow, and a value
 or partial derivative that is not finite all raise ``DomainViolation``.
 ``in_domain`` is False at every point with a non-finite coordinate.
@@ -35,162 +35,8 @@ from itertools import chain
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
 from .lazy_numpy import np
+from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr
 from .record import Record
-
-
-class Expr:
-    """Base class for scalar expression nodes.  Immutable after construction."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("only integer powers are supported")
-        return Pow(self, k)
-
-    def __neg__(self):
-        return Sub(Const(0.0), self)
-
-
-def as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot coerce {value!r} to an expression")
-
-
-class Const(Expr, Record, frozen=True):
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
-    def __str__(self):
-        return repr(self.value)
-
-
-class Var(Expr, Record, frozen=True):
-    def __init__(self, index: int):  # 0-based input coordinate
-        object.__setattr__(self, "index", index)
-
-    def __str__(self):
-        return f"x{self.index + 1}"
-
-
-class Add(Expr, Record, frozen=True):
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
-
-class Sub(Expr, Record, frozen=True):
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} - {self.right})"
-
-
-class Mul(Expr, Record, frozen=True):
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
-
-
-class Div(Expr, Record, frozen=True):
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} / {self.right})"
-
-
-class Pow(Expr, Record, frozen=True):
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __str__(self):
-        return f"({self.base})^{self.exponent}"
-
-
-class Sqrt(Expr, Record, frozen=True):
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"sqrt({self.arg})"
-
-
-class Exp(Expr, Record, frozen=True):
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"exp({self.arg})"
-
-
-class Log(Expr, Record, frozen=True):
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"log({self.arg})"
-
-
-class Sin(Expr, Record, frozen=True):
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"sin({self.arg})"
-
-
-class Cos(Expr, Record, frozen=True):
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"cos({self.arg})"
-
-
-class Norm(Expr, Record, frozen=True):
-    def __init__(self, args: tuple):  # tuple[Expr, ...]
-        object.__setattr__(self, "args", args)
-
-    def __str__(self):
-        return "norm(" + ", ".join(str(a) for a in self.args) + ")"
 
 
 # -- tapes ------------------------------------------------------------------

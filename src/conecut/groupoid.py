@@ -19,8 +19,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import SamplingFailure
-from .expr import Guard, SmoothMapExpr, Var, eval_batch, eval_map, from_components, jet_eval
+from .expr import Guard, SmoothMapExpr, eval_batch, eval_map, from_components, jet_eval
 from .lazy_numpy import np
+from .nodes import Var
 from .pairs import numeric_rank
 from .record import Record
 from .blowup import (

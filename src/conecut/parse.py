@@ -12,20 +12,7 @@ more variable.
 from __future__ import annotations
 
 from .errors import ParseError
-from .expr import (
-    Const,
-    Cos,
-    Exp,
-    Expr,
-    Log,
-    Norm,
-    Pow,
-    Sin,
-    SmoothMapExpr,
-    Sqrt,
-    Var,
-)
-from .ring import LaurentElement, expr_to_laurent
+from .nodes import Const, Cos, Exp, Expr, Log, Norm, Pow, Sin, Sqrt, Var
 
 _FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "log": Log, "sin": Sin, "cos": Cos}
 
@@ -220,6 +207,8 @@ def parse_expr(text: str, var_names: list[str]) -> Expr:
 
 def parse_map(text: str, input_dim: int, var_names: list[str] | None = None) -> SmoothMapExpr:
     """Parse a comma-separated component list into a SmoothMapExpr."""
+    from .expr import SmoothMapExpr
+
     if var_names is None:
         var_names = default_var_names(input_dim)
     exprs = _Parser(text, var_names).parse_expr_list()
@@ -229,5 +218,8 @@ def parse_map(text: str, input_dim: int, var_names: list[str] | None = None) -> 
 def parse_laurent(text: str, p: int, q: int) -> LaurentElement:
     """Parse an element of the exact Laurent model: a polynomial in
     y1..yp, x1..xq and t with integer powers of t."""
+    from .ring import LaurentElement, check_blocks, expr_to_laurent
+
+    check_blocks(p, q)
     e = parse_expr(text, pair_var_names(p, q) + ["t"])
     return LaurentElement(p, q, expr_to_laurent(e, p, q, t_index=p + q))

@@ -15,6 +15,11 @@ invariant every MultiPoly keeps: exponent tuples of length p + q with
 nonnegative ints, and exact nonzero coefficients.  Only the public
 constructors validate every term, coerce and merge; plain ints and
 Fractions pass unconverted, and an all-int point is its own numerators.
+
+Also here, on exact univariate polynomials: square-free factors, real
+roots each correctly rounded by one Sturm bisection, and with them the
+strict transform of a plane curve through the origin in one blow-up
+chart, with the roots of its restriction to the exceptional divisor.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from itertools import zip_longest
 from numbers import Rational
 from operator import add
 
-from .errors import ArityMismatch, DomainViolation, InvariantBreach
-from .expr import Add, Const, Div, Expr, Mul, Pow, SmoothMapExpr, Sub, Var
+from .errors import ArityMismatch, DegenerateCurve, DomainViolation, InvariantBreach, OutsideChart
+from .nodes import Add, Const, Div, Expr, Mul, Pow, Sub, Var
 
 _INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
 _SCALARS = (float, Rational)  # the scalars _frac reads; ints are Rational
@@ -58,6 +63,12 @@ def _exponents(values) -> tuple:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ArityMismatch(f"non-integer exponent or power of t in {values!r}")
+
+
+def check_blocks(p: int, q: int) -> None:
+    """ArityMismatch for a negative block size."""
+    if p < 0 or q < 0:
+        raise ArityMismatch(f"negative block size in a {p}+{q} variable split")
 
 
 def _split(point, n: int):
@@ -100,6 +111,7 @@ class MultiPoly:
     __slots__ = ("p", "q", "terms", "_order")
 
     def __init__(self, p: int, q: int, terms=None):
+        check_blocks(p, q)
         self.p = p
         self.q = q
         self._order = None
@@ -130,11 +142,15 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(p: int, q: int, value) -> "MultiPoly":
+        check_blocks(p, q)
         value = _frac(value)
         return MultiPoly._trusted(p, q, {(0,) * (p + q): value} if value else {})
 
     @staticmethod
     def var(p: int, q: int, index: int) -> "MultiPoly":
+        check_blocks(p, q)
+        if not 0 <= index < p + q:
+            raise ArityMismatch(f"variable {index} out of range for {p}+{q} variables")
         exps = [0] * (p + q)
         exps[index] = 1
         return MultiPoly(p, q, {tuple(exps): Fraction(1)})
@@ -281,6 +297,7 @@ class LaurentElement:
     __slots__ = ("p", "q", "coeffs")
 
     def __init__(self, p: int, q: int, coeffs=None):
+        check_blocks(p, q)
         self.p = p
         self.q = q
         clean = {}
@@ -542,9 +559,75 @@ def real_roots(f: list) -> list:
     return roots
 
 
+# -- strict transform of plane curves ---------------------------------
+
+
+def strict_transform_curve(g: MultiPoly, chart: int = 1):
+    """Resolve a plane curve through the origin in one blow-up chart.
+
+    ``g`` is a polynomial in (x, y) as a MultiPoly with p = 0, q = 2.
+    Chart 1 has coordinates (u, s) with x = u, y = u s and exceptional
+    coordinate u; chart 2 has (u, s) with x = u s, y = s and exceptional
+    coordinate s.  The total transform is divided by the maximal power of the
+    exceptional coordinate.
+
+    Returns the strict transform and the real roots of its restriction
+    to the exceptional divisor, as ascending (root, multiplicity) pairs.
+    The restriction is split exactly into square-free factors, and
+    ``real_roots`` bisects each one exactly, so each root is the
+    float nearest to it (ties to even) and no tolerance is involved.  A
+    root that rounds past the float range raises ``DomainViolation``.
+    """
+    if g.is_zero():
+        raise DegenerateCurve("the zero polynomial has no strict transform")
+    if (g.p, g.q) != (0, 2):
+        raise ArityMismatch("plane curves use two x-block variables")
+    if g.evaluate([0, 0]) != 0:
+        raise DegenerateCurve("the curve must pass through the origin")
+    if chart not in (1, 2):
+        raise OutsideChart("plane-curve charts are 1 and 2")
+    u = MultiPoly.var(0, 2, 0)
+    s = MultiPoly.var(0, 2, 1)
+    if chart == 1:
+        # (x, y) -> (u, u*s): exceptional coordinate is u (variable 0).
+        total = g.substitute([u, u * s])
+        exc_index = 0
+    else:
+        # (x, y) -> (u*s, s): exceptional coordinate is s (variable 1).
+        total = g.substitute([u * s, s])
+        exc_index = 1
+    m = min(e[exc_index] for e in total.terms)
+    strict = MultiPoly(
+        0,
+        2,
+        {
+            tuple(e - m if i == exc_index else e for i, e in enumerate(exps)): c
+            for exps, c in total.terms.items()
+        },
+    )
+    # Restriction to the exceptional divisor {exceptional coordinate = 0},
+    # a univariate polynomial in the remaining coordinate.  It is split
+    # exactly into square-free factors, which are pairwise coprime, so
+    # each factor has simple roots, no two factors share one, and its
+    # index in the decomposition is their multiplicity.
+    other = 1 - exc_index
+    restricted = {exps[other]: c for exps, c in strict.terms.items() if exps[exc_index] == 0}
+    degree = max(restricted)
+    if degree == 0:
+        return strict, []
+    coeffs = [restricted.get(k, 0) for k in range(degree + 1)]
+    return strict, sorted(
+        (root, multiplicity)
+        for multiplicity, factor in enumerate(squarefree_factors(coeffs), start=1)
+        for root in real_roots(factor)
+    )
+
+
 def poly_to_expr(f: MultiPoly) -> SmoothMapExpr:
     """Float expression tree for the geometric boundary; DomainViolation
     for a coefficient past the float range."""
+    from .expr import SmoothMapExpr
+
     e: Expr = Const(0.0)
     for exps, coeff in sorted(f.terms.items()):
         try:

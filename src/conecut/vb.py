@@ -16,8 +16,9 @@ from __future__ import annotations
 
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
-from .expr import SmoothMapExpr, Var, as_floats, compose, eval_map, from_components
+from .expr import SmoothMapExpr, as_floats, compose, eval_map, from_components
 from .lazy_numpy import np
+from .nodes import Var
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
 from .record import Record
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi

@@ -18,17 +18,9 @@ from . import groupoid as gr
 from . import ring as rg
 from . import vb
 from .errors import OutsideChart
-from .expr import (
-    Exp,
-    Sin,
-    SmoothMapExpr,
-    Var,
-    compose,
-    finite_diff_jacobian,
-    from_components,
-    jet_eval,
-)
+from .expr import SmoothMapExpr, compose, finite_diff_jacobian, from_components, jet_eval
 from .lazy_numpy import np
+from .nodes import Exp, Sin, Var
 from .pairs import MapOfPairs, PairDims, normal_derivative
 from .record import Record
 
@@ -607,9 +599,9 @@ def suite_curve(samples, seed, tol):
     nodal = y**2 - x**2 * (x + 1)
     cusp = y**2 - x**3
     line = y
-    strict_n, roots_n = bl.strict_transform_curve(nodal, 1)
-    strict_c, roots_c = bl.strict_transform_curve(cusp, 1)
-    strict_l, roots_l = bl.strict_transform_curve(line, 1)
+    strict_n, roots_n = rg.strict_transform_curve(nodal, 1)
+    strict_c, roots_c = rg.strict_transform_curve(cusp, 1)
+    strict_l, roots_l = rg.strict_transform_curve(line, 1)
     s = rg.MultiPoly.var(0, 2, 1)
     xv = rg.MultiPoly.var(0, 2, 0)
     ok = (

@@ -45,7 +45,7 @@ from conecut.blowup import (
 )
 from conecut.dnc import DncPoint
 from conecut.groupoid import rotate_blowup_point
-from conecut import blowup, pairs
+from conecut import blowup, pairs, ring
 from conecut.errors import CenterPoint, DomainViolation, NotAdapted, NotImmersive, OutsideBlupF, OutsideChart
 from conecut.expr import Var, from_components
 from conecut.pairs import MapOfPairs, PairDims
@@ -388,19 +388,28 @@ def test_strict_transform_matches_cones_with_known_rational_roots():
         assert strict_transform_curve(g, 1)[1] == sorted((float(r), m) for r, m in want.items())
 
 
-# The point kernels and the helpers they call compute on Python floats.
-NUMPY_FREE = (
-    "strict_transform_curve", "canonicalize", "from_ambient", "chart_phi", "chart_phi_inv",
-    "transition", "blowdown", "canonical_direction", "canonical_polar", "to_polar", "from_polar",
-    "product_split", "product_join", "_rounded", "_unit", "_direction", "_body", "_leading_is_negative",
-)
+# The point kernels and the helpers they call compute on Python floats;
+# the strict transform of a plane curve, which ``ring`` defines, is exact.
+NUMPY_FREE = {
+    blowup: (
+        "canonicalize", "from_ambient", "chart_phi", "chart_phi_inv", "transition", "blowdown",
+        "canonical_direction", "canonical_polar", "to_polar", "from_polar", "product_split",
+        "product_join", "_rounded", "_unit", "_direction", "_body", "_leading_is_negative",
+    ),
+    ring: ("strict_transform_curve",),
+}
 
 
 def test_strict_transform_curve_uses_no_numpy():
-    source = Path(blowup.__file__).read_text()
-    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
-    for name in NUMPY_FREE:
-        assert "np" not in {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}, name
+    for module, names in NUMPY_FREE.items():
+        source = Path(module.__file__).read_text()
+        functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            assert "np" not in {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}, name
+
+
+def test_blowup_reexports_the_strict_transform_of_ring():
+    assert blowup.strict_transform_curve is ring.strict_transform_curve
 
 
 # -- the blown-up sphere ----------------------------------------------

@@ -276,6 +276,14 @@ def test_ring_demo_rejects_invalid_filtration():
     assert out.returncode == 2
 
 
+def test_ring_demo_rejects_negative_block_sizes():
+    for flags in (("--p", "1", "--q", "-1", "--element", "t"), ("--p", "-1", "--q", "2")):
+        out = run_cli("dnc-ring-demo", *flags)
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert out.stderr == "error: negative block size in a {}+{} variable split\n".format(*flags[1:4:2])
+
+
 def test_demo_subcommands_run():
     for name in ("sphere-demo", "dnc-demo"):
         out = run_cli(name, "--samples", "20")

@@ -2,9 +2,10 @@
 imports another's private names.
 
 No linter ships with the package, so ``test_no_unused_module_imports``
-parses each module of ``src/conecut`` other than ``__init__`` (which
-re-exports) and lists the names its module-level ``import`` statements
-bind but its code never references.  ``test_no_private_cross_module_imports``
+parses each module of ``src/conecut`` other than ``__init__`` and lists
+the names its module-level ``import`` statements bind but its code never
+references; ``from .m import a as a`` is an explicit re-export and
+counts as used.  ``test_no_private_cross_module_imports``
 lists every underscore name a module of ``src/conecut`` imports from a
 conecut module: a helper shared across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
@@ -19,9 +20,10 @@ dependency loads it on the CLI's cold start either.
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
 running its exact subcommands and ``check-map`` load no part of numpy,
-that each subcommand executes only the suite modules it uses, and that
-``import conecut.cli`` still registers every module the benchmark's
-tracer patches.
+that each subcommand executes only the modules it uses, that the
+package ``__getattr__`` hands out only modules whose code has run, and
+that ``import conecut.cli`` still registers every module the
+benchmark's tracer patches.
 """
 
 import ast
@@ -37,14 +39,20 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list:
-    """Names bound by module-level imports and never loaded, in source order."""
+    """Names bound by module-level imports and never loaded, in source
+    order.  An import that renames a name to itself (``from .m import a
+    as a``) is an explicit re-export, as mypy and pyright read it, and
+    counts as used."""
     tree = ast.parse(source)
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
-            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+            names = [(a, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+            names = [(a, a.asname or a.name) for a in node.names]
+        else:
+            continue
+        bound += [(name, node.lineno) for a, name in names if a.asname != a.name]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"line {line}: {name}" for name, line in bound if name not in used]
 
@@ -52,6 +60,11 @@ def unused_imports(source: str) -> list:
 def test_unused_imports_finds_a_dead_import():
     source = "from __future__ import annotations\nimport os, sys as system\nfrom .x import a, b as c\nprint(a)\n"
     assert unused_imports(source) == ["line 2: os", "line 2: system", "line 3: c"]
+
+
+def test_unused_imports_keeps_only_explicit_reexports():
+    source = "import os as os, os.path as path\nfrom .x import a as a, b as c, d\nimport e.f as e\n"
+    assert unused_imports(source) == ["line 1: path", "line 2: c", "line 2: d", "line 3: e"]
 
 
 def test_no_unused_module_imports():
@@ -239,34 +252,68 @@ def test_draws_module_never_names_numpy():
     assert numpy_references((PACKAGE / "pcg64.py").read_text()) == []
 
 
-SUITE_MODULES = ("verify", "blowup", "dnc", "euler", "groupoid", "vb")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+def test_package_lists_every_module():
+    assert sorted(conecut.SUBMODULES) == MODULES
+
+
+def _executed_after(argv) -> list:
+    """The conecut modules whose code has run in a fresh interpreter
+    after ``import conecut.cli`` and, given an argv, ``main(argv)``."""
+    code = (
+        "import contextlib, io, sys, conecut.cli\n"
+        f"names = {MODULES!r}\n"
+        "assert all('conecut.' + n in sys.modules for n in names)\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert conecut.cli.main(argv) == 0\n"
+        "print(' '.join(n for n in names if type(sys.modules['conecut.' + n]).__name__ != '_LazyModule'))\n"
+    )
+    return _run_python(code).split()
 
 
 def test_subcommands_execute_only_the_suite_modules_they_use():
-    """``conecut.cli`` binds the suite modules through ``lazy_import``:
-    each is in ``sys.modules``, but its code runs only when a subcommand
-    first reads one of its attributes, and ``verify`` runs all six."""
+    """``conecut.cli`` registers every module of the package through
+    ``lazy_import``: each is in ``sys.modules``, but its code runs only
+    when a subcommand first reads one of its attributes.  The exact
+    subcommands run neither the float tapes nor the chart kernels."""
+    exact = ["cli", "errors", "lazy_numpy", "nodes", "parse", "record", "ring"]
+    assert _executed_after(None) == ["cli", "errors", "lazy_numpy"]
+    assert _executed_after(["check-map", "--map", "y1, x1", "--source-dims", "2,1", "--samples", "8"]) == [
+        "cli", "errors", "expr", "lazy_numpy", "nodes", "pairs", "parse", "pcg64", "record"
+    ]
+    assert _executed_after(["dnc-ring-demo"]) == exact
+    assert _executed_after(["resolve-curve", "--poly", "y^2 - x^3"]) == exact
+    assert _executed_after(["verify", "--suite", "models", "--samples", "4"]) == [
+        m for m in MODULES if m != "parse"
+    ]
+
+
+def test_package_resolves_names_and_runs_lazily_registered_modules():
+    """The package ``__getattr__`` runs a module that ``conecut.cli``
+    registered lazily before it hands it out, and binds it from then on;
+    ``verify``'s own imports therefore run every suite module with it."""
     code = (
-        "import contextlib, io, sys, conecut.cli\n"
-        f"names = {SUITE_MODULES!r}\n"
-        "print(all('conecut.' + n in sys.modules for n in names))\n"
-        "def executed():\n"
-        "    return [n for n in names if type(sys.modules['conecut.' + n]).__name__ != '_LazyModule']\n"
-        "print('import', executed())\n"
-        "for argv in (['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8'],\n"
-        "             ['dnc-ring-demo'], ['resolve-curve', '--poly', 'y^2 - x^3'],\n"
-        "             ['verify', '--suite', 'models', '--samples', '4']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = conecut.cli.main(argv)\n"
-        "    print(argv[0], code, executed())\n"
+        "import sys, conecut\n"
+        "print(sorted(m for m in sys.modules if m.startswith('conecut')))\n"
+        "import conecut.cli, conecut.dnc, conecut.expr\n"
+        "print(conecut.dnc.DncMap.__name__, conecut.expr.eval_map.__name__, conecut.ring.MultiPoly.__name__)\n"
+        "print(conecut.eval_map is conecut.expr.eval_map, conecut.Var is conecut.nodes.Var)\n"
+        "from conecut import verify\n"
+        "print(sorted(type(m).__name__ for m in (verify.bl, verify.dn, verify.eu, verify.gr, verify.rg, verify.vb)))\n"
+        "print(hasattr(conecut, 'no_such_name'), hasattr(conecut, 'no.such.module'))\n"
+        "print([n for n in conecut.__all__ if getattr(conecut, n) is None])\n"
     )
     assert _run_python(code).splitlines() == [
-        "True",
-        "import []",
-        "check-map 0 []",
-        "dnc-ring-demo 0 []",
-        "resolve-curve 0 ['blowup']",
-        "verify 0 ['verify', 'blowup', 'dnc', 'euler', 'groupoid', 'vb']",
+        "['conecut']",
+        "DncMap eval_map MultiPoly",
+        "True True",
+        "['module', 'module', 'module', 'module', 'module', 'module']",
+        "False False",
+        "[]",
     ]
 
 

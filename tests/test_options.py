@@ -20,7 +20,6 @@ from conecut import verify
 PACKAGE = Path(conecut.__file__).parent
 
 ALLOWED = {
-    "blowup.strict_transform_curve(chart)",
     "cli.to_json(indent)",
     "cli.main(argv)",
     "dnc.psi_inv(dims)",
@@ -53,6 +52,7 @@ ALLOWED = {
     "ring.LaurentElement.__init__(coeffs)",
     "ring.LaurentElement.from_poly(k)",
     "ring.expr_to_laurent(t_index)",
+    "ring.strict_transform_curve(chart)",
     "vb.fiber_linearity_check(samples)",
     "vb.fiber_linearity_check(seed)",
     "verify.SuiteResult.__init__(details)",

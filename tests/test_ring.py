@@ -627,3 +627,19 @@ _NON_FINITE_USES = {
 def test_non_finite_floats_raise_arity_mismatch(use, value):
     with pytest.raises(ArityMismatch, match="non-finite"):
         _NON_FINITE_USES[use](MultiPoly.var(0, 1, 0), value)
+
+
+def test_negative_block_sizes_are_rejected():
+    for p, q in ((-1, 2), (1, -1), (-1, -1)):
+        with pytest.raises(ArityMismatch, match="negative block size"):
+            MultiPoly(p, q)
+        with pytest.raises(ArityMismatch, match="negative block size"):
+            MultiPoly.const(p, q, 1)
+        with pytest.raises(ArityMismatch, match="negative block size"):
+            MultiPoly.var(p, q, 0)
+        with pytest.raises(ArityMismatch, match="negative block size"):
+            LaurentElement(p, q, {})
+    for index in (-1, 3):
+        with pytest.raises(ArityMismatch, match="out of range"):
+            MultiPoly.var(1, 2, index)
+    assert MultiPoly(0, 0).is_zero() and str(LaurentElement(0, 0, {0: MultiPoly.const(0, 0, 2)})) == "(2)"
