@@ -4,10 +4,15 @@ A vector field sigma on the local pair (R^n, R^p) is Euler-like when it
 vanishes on the slice and its normal-block linearization there is the
 identity.  The associated field on the deformation space is
 W = (1/t) sigma + d/dt; it is integrated directly from this ODE by RK4
-(the time component is exact since tdot = 1).  The stepper evaluates
-each stage on sigma's value tape, checks its domain and finiteness with
-the errors of ``expr.eval_map``, and does its own arithmetic on Python
-floats, bit-identical to the same steps on numpy arrays.  The time-1
+(the time component is exact since tdot = 1).  Each VectorField
+compiles its own RK4 stepper on first use, with ``expr.compile_source``:
+one loop over the time grid whose stage arithmetic is unrolled into a
+scalar local per component, so each stage is one call of sigma's value
+tape and n float operations per step of the array form, in the same
+order and bit-identical to the same steps on numpy arrays.  A stage
+whose values are not finite goes through ``expr.eval_map``, which raises
+its error.  The flow refuses a non-finite time and a grid finer than
+MAX_FLOW_STEPS steps before it builds one.  The time-1
 slice map chi built from the flow, extrapolated from small starting
 parameters, is the tubular-neighborhood embedding: chi restricted to
 the slice is the identity, its normal derivative is the identity, and
@@ -17,9 +22,10 @@ it carries the fiberwise scaling generator to sigma.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
-from .expr import SmoothMapExpr, as_floats, eval_map, from_components, jet_eval
+from .expr import SmoothMapExpr, as_floats, compile_source, eval_map, from_components, jet_eval
 from .lazy_numpy import np
 from .nodes import Var
 from .pairs import PairDims, sample_slice_points
@@ -37,6 +43,12 @@ class VectorField(Record, frozen=True):
 
     def __call__(self, x) -> tuple:
         return eval_map(self.components, x)
+
+    @cached_property
+    def stepper(self):
+        """run(x, grid): ``_rk4`` from a checked start point x, a list
+        of n floats; compiled on first use."""
+        return _stepper(self.components)
 
 
 def euler_field(dims: PairDims) -> VectorField:
@@ -98,24 +110,38 @@ def _rk4(sigma: VectorField, x, grid) -> tuple:
     x = as_floats(x)
     if len(x) != f.input_dim:
         raise ArityMismatch(f"start point of length {len(x)} for a field on R^{f.input_dim}")
-    run = f.value_tape
+    return sigma.stepper(x, grid)
 
-    def value(point: list) -> tuple:
-        vals = run(point)
-        return vals if all(map(math.isfinite, vals)) else eval_map(f, point)
 
-    for t, t_next in zip(grid[:-1], grid[1:]):
-        h = t_next - t
-        half = 0.5 * h
-        mid = t + half
-        end = t + h
-        k1 = [v / t for v in value(x)]
-        k2 = [v / mid for v in value([a + half * k for a, k in zip(x, k1)])]
-        k3 = [v / mid for v in value([a + half * k for a, k in zip(x, k2)])]
-        k4 = [v / end for v in value([a + h * k for a, k in zip(x, k3)])]
-        sixth = h / 6.0
-        x = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-    return tuple(x)
+def _stepper(f: SmoothMapExpr):
+    """run(x, grid): the loop of ``_rk4`` for the field f, compiled with
+    its n components unrolled into scalar locals."""
+    n = f.input_dim
+    xs = [f"x{i}" for i in range(n)]
+    values = f"[{''.join(f'f{i}, ' for i in range(n))}]"
+    finite = " and ".join(f"isfinite(f{i})" for i in range(n)) or "True"
+    loop = ["h = t_next - t", "half = one_half * h", "mid = t + half", "end = t + h"]
+    for k, (point, t) in enumerate(
+        ((xs, "t"), ([f"x{i} + half * k1_{i}" for i in range(n)], "mid"),
+         ([f"x{i} + half * k2_{i}" for i in range(n)], "mid"), ([f"x{i} + h * k3_{i}" for i in range(n)], "end")),
+        start=1,
+    ):
+        loop += [f"p = [{', '.join(point)}]", f"{values} = run(p)", f"if not ({finite}): {values} = values(p)"]
+        loop += [f"k{k}_{i} = f{i} / {t}" for i in range(n)]
+    loop.append("sixth = h / six")
+    loop += [f"x{i} = x{i} + sixth * (((k1_{i} + two * k2_{i}) + two * k3_{i}) + k4_{i})" for i in range(n)]
+    lines = [f"[{''.join(x + ', ' for x in xs)}] = x", "for t, t_next in zip(grid[:-1], grid[1:]):"]
+    lines += ["    " + line for line in loop] + [f"return ({''.join(x + ', ' for x in xs)})"]
+    bound = {
+        "run": f.value_tape, "values": lambda point: eval_map(f, point), "isfinite": math.isfinite,
+        "one_half": 0.5, "two": 2.0, "six": 6.0,
+    }
+    return compile_source("x, grid", lines, bound)
+
+
+# Most RK4 steps w_sigma_flow takes: its uniform grid gets finer as the
+# flow starts or ends nearer t = 0.
+MAX_FLOW_STEPS = 10**6
 
 
 def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
@@ -123,27 +149,38 @@ def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
 
     Integrates xdot = sigma(x)/t with t(tau') = s + tau' exact on a
     uniform grid whose step is at most 1/20 of the smaller of |s| and
-    |s + tau|; the sign of t may not change along the way."""
+    |s + tau|; the sign of t may not change along the way.  Raises
+    DomainViolation unless s, tau and s + tau are finite, and
+    NonConvergence when the grid would need more than MAX_FLOW_STEPS
+    steps."""
     x = tuple(as_floats(x))
     s = float(s)
     tau = float(tau)
+    s_end = s + tau
+    if not (math.isfinite(s) and math.isfinite(tau) and math.isfinite(s_end)):
+        raise DomainViolation(f"the flow needs a finite start time and duration, not s = {s}, tau = {tau}")
     if s == 0.0:
         raise SliceCrossing("the flow must start off the t = 0 slice")
-    s_end = s + tau
     if s_end == 0.0 or (s > 0) != (s_end > 0):
         raise SliceCrossing("the requested time crosses the t = 0 slice")
     if tau == 0.0:
         return x, s
     step = min(abs(s), abs(s_end)) / 20.0
+    if step == 0.0 or not abs(tau) / step <= MAX_FLOW_STEPS:
+        raise NonConvergence(
+            f"the flow from t = {s} to {s_end} needs more than {MAX_FLOW_STEPS} steps of at most {step:.3e}"
+        )
     nsteps = max(1, math.ceil(abs(tau) / step))
     return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1).tolist()), s_end
 
 
 def _geometric_grid(t_start: float, t_end: float) -> list:
-    """Times from t_start up to t_end (same sign), 120 steps per decade.
+    """Times from t_start > 0 up to t_end, 120 steps per decade.
 
     Near t = 0 the ODE is stiff in wall-clock time but perfectly tame on
     a grid whose spacing shrinks with t."""
+    if not t_start > 0.0:
+        raise DomainViolation(f"a geometric grid starts at a positive time, not {t_start}")
     ratio = 10.0 ** (1.0 / 120)
     grid = [float(t_start)]
     while grid[-1] < t_end:

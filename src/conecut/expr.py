@@ -9,57 +9,59 @@ log/sqrt of a bad argument, a failing guard, an overflow, and a value
 or partial derivative that is not finite all raise ``DomainViolation``.
 ``in_domain`` is False at every point with a non-finite coordinate.
 
-A map is compiled on first use into tapes that are cached on it: flat
-lists of steps, one per distinct node (shared subtrees once), children
-first.  ``eval_map`` replays the value tape, which checks the guards and
-then computes the body, and returns the values as a tuple of floats.
-``eval_batch`` replays the same tape once per row of an (N, n) array of
+A map is compiled on first use into two tapes cached on it: Python
+functions whose straight-line source this module writes, one statement
+or short block per distinct node (shared subtrees once), children
+first, and compiles once (see the comment block at ``# -- tapes``).
+``eval_map`` runs the value tape, which checks the guards and then
+computes the body, and returns the values as a tuple of floats.
+``eval_batch`` runs the same tape once per row of an (N, n) array of
 points; it saves the conversions ``eval_map`` makes on each call, but
 none of the arithmetic, so every row is bit-identical to ``eval_map`` at
-that row.  ``jet_eval`` replays the jet tape, which checks the guards and
-then carries each body node's value together with its n partial
-derivatives (forward mode), and returns the values and the Jacobian rows
-as tuples of floats.  Each step does its node's float arithmetic, in the
-same order on both tapes, so the value component of ``jet_eval`` agrees
-exactly with ``eval_map``.  Only ``eval_batch`` and ``linear_map`` use
-numpy; every other function takes any flat sequence of numbers and
-returns plain floats.
+that row.  ``jet_eval`` runs the jet tape, which checks the guards and
+then computes each body node's value together with its n partial
+derivatives (forward mode), each in a local of its own, and returns the
+values and the Jacobian rows as tuples of floats.  A node's value is the
+same float arithmetic on both tapes, so the value component of
+``jet_eval`` agrees exactly with ``eval_map``.  The tape builder walks a
+tree with a stack of its own, so a tree deeper than Python's recursion
+limit compiles and evaluates.  ``compile_source`` compiles all generated
+code, the tapes and ``conecut.euler``'s RK4 steppers.  Only
+``eval_batch`` and ``linear_map`` use numpy; every other function takes
+any flat sequence of numbers and returns plain floats.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import cached_property
 from itertools import chain
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
 from .lazy_numpy import np
-from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr
+from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr, children
 from .record import Record
 
 
 # -- tapes ------------------------------------------------------------------
-# A tape replays trees on a register list: the n input coordinates, then
-# one register per distinct non-Var node (by id), in post-order.  A
-# constant's register is filled when the list is made; every other node
-# has one step that reads its children's registers, runs the node's
-# domain check and writes its own register.  A jet step also writes the
-# node's n partial derivatives, as a list of floats, at the same index
-# of a gradient list.  Steps do the tree's arithmetic in the order the
-# dual-number rules give it, with math functions on floats, so every
-# value and partial is exactly the one the tree defines.
+# A tape is a function compiled from straight-line Python, once per map.
+# It unpacks the n input coordinates into the locals x0 ... x{n-1}; then
+# each distinct node (by id) of its trees, children first, gets one
+# statement, or a short block with the node's domain check, that assigns
+# the node's value to a local v<k>.  A jet tape also assigns the node's n
+# partial derivatives to the locals v<k>_0 ... v<k>_{n-1}.  The statements
+# do the tree's float operations in the order the dual-number rules give
+# them, with math functions on floats, so every value and partial is
+# exactly the one the tree defines: nothing is folded or simplified, and
+# x*0.0 stays a multiply.
 #
-# Each step binds its registers as default arguments: such a function is
-# cheaper both to make and to call than one that closes over them.
-
-
-def _overflow(node) -> DomainViolation:
-    return DomainViolation(f"overflow in {node}")
-
-
-def _non_finite(node) -> DomainViolation:
-    return DomainViolation(f"non-finite argument in {node}")
+# The source holds only generated names and operators.  Constants,
+# exponents, nodes (for the error messages) and guards, like the math
+# functions and the numbers the rules use, are bound by name as default
+# arguments of the compiled function, so each is a fast local and no
+# value is ever printed into the text.
 
 
 def _over_zero(x: float) -> float:
@@ -67,360 +69,172 @@ def _over_zero(x: float) -> float:
     return math.copysign(math.inf, x) if x == x and x != 0.0 else math.nan
 
 
-def _v_add(node, k, a, b):
-    def step(r, k=k, a=a, b=b):
-        r[k] = r[a] + r[b]
-
-    return step
-
-
-def _v_sub(node, k, a, b):
-    def step(r, k=k, a=a, b=b):
-        r[k] = r[a] - r[b]
-
-    return step
-
-
-def _v_mul(node, k, a, b):
-    def step(r, k=k, a=a, b=b):
-        r[k] = r[a] * r[b]
-
-    return step
-
-
-def _v_div(node, k, a, b):
-    def step(r, k=k, a=a, b=b, node=node):
-        y = r[b]
-        if y == 0.0:
-            raise DomainViolation(f"division by zero in {node}")
-        r[k] = r[a] / y
-
-    return step
-
-
-def _v_pow(node, k, a):
-    def step(r, k=k, a=a, e=node.exponent, node=node):
-        x = r[a]
-        if e < 0 and x == 0.0:
-            raise DomainViolation(f"zero base with negative power in {node}")
-        try:
-            r[k] = float(x**e)
-        except OverflowError:
-            raise _overflow(node) from None
-
-    return step
-
-
-def _v_sqrt(node, k, a):
-    def step(r, k=k, a=a, node=node):
-        x = r[a]
-        if x < 0.0:
-            raise DomainViolation(f"sqrt of nonpositive argument in {node}")
-        r[k] = math.sqrt(x)
-
-    return step
-
-
-def _v_exp(node, k, a):
-    def step(r, k=k, a=a, node=node):
-        try:
-            r[k] = math.exp(r[a])
-        except OverflowError:
-            raise _overflow(node) from None
-
-    return step
-
-
-def _v_log(node, k, a):
-    def step(r, k=k, a=a, node=node):
-        x = r[a]
-        if x <= 0.0:
-            raise DomainViolation(f"log of nonpositive argument in {node}")
-        r[k] = math.log(x)
-
-    return step
-
-
-def _v_sin(node, k, a):
-    def step(r, k=k, a=a, node=node):
-        try:
-            r[k] = math.sin(r[a])
-        except ValueError:
-            raise _non_finite(node) from None
-
-    return step
-
-
-def _v_cos(node, k, a):
-    def step(r, k=k, a=a, node=node):
-        try:
-            r[k] = math.cos(r[a])
-        except ValueError:
-            raise _non_finite(node) from None
-
-    return step
-
-
-def _norm(node, r, args) -> float:
-    try:
-        return math.sqrt(math.fsum([r[i] * r[i] for i in args]))
-    except OverflowError:
-        raise _overflow(node) from None
-
-
-def _v_norm(node, k, *args):
-    def step(r, k=k, args=args, node=node):
-        r[k] = _norm(node, r, args)
-
-    return step
-
-
-def _j_add(node, k, a, b):
-    def step(r, g, k=k, a=a, b=b):
-        r[k] = r[a] + r[b]
-        g[k] = list(map(operator.add, g[a], g[b]))
-
-    return step
-
-
-def _j_sub(node, k, a, b):
-    def step(r, g, k=k, a=a, b=b):
-        r[k] = r[a] - r[b]
-        g[k] = list(map(operator.sub, g[a], g[b]))
-
-    return step
-
-
-def _j_mul(node, k, a, b):
-    def step(r, g, k=k, a=a, b=b):
-        x = r[a]
-        y = r[b]
-        r[k] = x * y
-        g[k] = [u * y + x * v for u, v in zip(g[a], g[b])]
-
-    return step
-
-
-def _j_div(node, k, a, b):
-    def step(r, g, k=k, a=a, b=b, node=node):
-        x = r[a]
-        y = r[b]
-        if y == 0.0:
-            raise DomainViolation(f"division by zero in {node}")
-        r[k] = x / y
-        yy = y * y
-        if yy == 0.0:
-            g[k] = [_over_zero(u * y - x * v) for u, v in zip(g[a], g[b])]
-        else:
-            g[k] = [(u * y - x * v) / yy for u, v in zip(g[a], g[b])]
-
-    return step
-
-
-def _j_pow(node, k, a):
-    e = node.exponent
-    if e == 0:
-
-        def step(r, g, k=k, a=a, value=_v_pow(node, k, a)):
-            value(r)
-            g[k] = [0.0] * len(g[a])
-
-        return step
-
-    def step(r, g, k=k, a=a, e=e, value=_v_pow(node, k, a), node=node):
-        value(r)
-        try:
-            c = e * (r[a] ** (e - 1))
-        except OverflowError:
-            raise _overflow(node) from None
-        g[k] = [c * u for u in g[a]]
-
-    return step
-
-
-def _j_sqrt(node, k, a):
-    def step(r, g, k=k, a=a, node=node):
-        x = r[a]
-        if x <= 0.0:
-            raise DomainViolation(f"sqrt of nonpositive argument in {node}")
-        v = r[k] = math.sqrt(x)
-        d = 2.0 * v
-        g[k] = [u / d for u in g[a]]
-
-    return step
-
-
-def _j_exp(node, k, a):
-    def step(r, g, k=k, a=a, value=_v_exp(node, k, a)):
-        value(r)
-        v = r[k]
-        g[k] = [v * u for u in g[a]]
-
-    return step
-
-
-def _j_log(node, k, a):
-    def step(r, g, k=k, a=a, value=_v_log(node, k, a)):
-        value(r)
-        x = r[a]
-        g[k] = [u / x for u in g[a]]
-
-    return step
-
-
-def _j_sin(node, k, a):
-    def step(r, g, k=k, a=a, value=_v_sin(node, k, a)):
-        value(r)
-        c = math.cos(r[a])
-        g[k] = [c * u for u in g[a]]
-
-    return step
-
-
-def _j_cos(node, k, a):
-    def step(r, g, k=k, a=a, value=_v_cos(node, k, a)):
-        value(r)
-        c = -math.sin(r[a])
-        g[k] = [c * u for u in g[a]]
-
-    return step
-
-
-def _j_norm(node, k, *args):
-    def step(r, g, k=k, args=args, node=node):
-        v = r[k] = _norm(node, r, args)
-        if v == 0.0:
-            raise DomainViolation(f"norm not differentiable at zero in {node}")
-        total = [0.0] * len(g[args[0]])
-        for i in args:
-            c = r[i] / v
-            total = [t + c * u for t, u in zip(total, g[i])]
-        g[k] = total
-
-    return step
-
-
-_VALUE_STEPS = {
-    Add: _v_add, Sub: _v_sub, Mul: _v_mul, Div: _v_div, Pow: _v_pow, Sqrt: _v_sqrt,
-    Exp: _v_exp, Log: _v_log, Sin: _v_sin, Cos: _v_cos, Norm: _v_norm,
+def _domain_error(what: str):
+    return lambda node: DomainViolation(f"{what} in {node}")
+
+
+# The names any tape may use besides its own constants, nodes and guards.
+_RUNTIME = {
+    "zero": 0.0, "one": 1.0, "two": 2.0, "float": float, "sqrt": math.sqrt, "exp": math.exp,
+    "log": math.log, "sin": math.sin, "cos": math.cos, "fsum": math.fsum, "over_zero": _over_zero,
+    "div0": _domain_error("division by zero"), "pow0": _domain_error("zero base with negative power"),
+    "overflow": _domain_error("overflow"), "non_finite": _domain_error("non-finite argument"),
+    "sqrt_neg": _domain_error("sqrt of nonpositive argument"),
+    "log_neg": _domain_error("log of nonpositive argument"),
+    "norm0": _domain_error("norm not differentiable at zero"),
+    "guard_fails": lambda guard, coords: DomainViolation(f"guard {guard.kind}({guard.expr}) fails at {coords}"),
 }
-_JET_STEPS = {
-    Add: _j_add, Sub: _j_sub, Mul: _j_mul, Div: _j_div, Pow: _j_pow, Sqrt: _j_sqrt,
-    Exp: _j_exp, Log: _j_log, Sin: _j_sin, Cos: _j_cos, Norm: _j_norm,
+
+# The statements of a node's value, over {v} (its local), {a} and {b} (its
+# children's), {N} (the node) and {e} (its exponent; {e1} is e - 1).  A
+# Norm's {a} is the list of its arguments' squares.
+_OVERFLOW = "except OverflowError: raise overflow({N}) from None"
+_VALUE = {
+    Add: ("{v} = {a} + {b}",),
+    Sub: ("{v} = {a} - {b}",),
+    Mul: ("{v} = {a} * {b}",),
+    Div: ("if {b} == zero: raise div0({N})", "{v} = {a} / {b}"),
+    Pow: ("try: {v} = float({a} ** {e})", _OVERFLOW),
+    Sqrt: ("if {a} < zero: raise sqrt_neg({N})", "{v} = sqrt({a})"),
+    Exp: ("try: {v} = exp({a})", _OVERFLOW),
+    Log: ("if {a} <= zero: raise log_neg({N})", "{v} = log({a})"),
+    Sin: ("try: {v} = sin({a})", "except ValueError: raise non_finite({N}) from None"),
+    Cos: ("try: {v} = cos({a})", "except ValueError: raise non_finite({N}) from None"),
+    Norm: ("try: {v} = sqrt(fsum(({a})))", _OVERFLOW),
 }
-_BINARY = frozenset((Add, Sub, Mul, Div))
-_UNARY = frozenset((Sqrt, Exp, Log, Sin, Cos))
+_JET_VALUE = {**_VALUE, Sqrt: ("if {a} <= zero: raise sqrt_neg({N})", "{v} = sqrt({a})")}
+# A jet node's statements after its value's, then partial j of it over
+# {da} and {db} (partial j of its children) and the scratch local w.
+_JET = {
+    Add: ((), "{da} + {db}"),
+    Sub: ((), "{da} - {db}"),
+    Mul: ((), "{da} * {b} + {a} * {db}"),
+    Div: (("w = {b} * {b}",), "({da} * {b} - {a} * {db}) / w"),
+    Pow: (("try: w = {e} * ({a} ** {e1})", _OVERFLOW), "w * {da}"),
+    Sqrt: (("w = two * {v}",), "{da} / w"),
+    Exp: ((), "{v} * {da}"),
+    Log: ((), "{da} / {a}"),
+    Sin: (("w = cos({a})",), "w * {da}"),
+    Cos: (("w = -sin({a})",), "w * {da}"),
+}
 
 
-def _out_of_range(node: Var, n: int):
-    def step(*registers, node=node, n=n):
-        raise ArityMismatch(f"variable x{node.index + 1} out of range for input dimension {n}")
+def compile_source(params: str, lines: list, bound: dict):
+    """The function ``run(params)`` whose body is ``lines``.  Each name of
+    ``bound`` that the lines use is bound to its object as a default
+    argument."""
+    body = "\n    ".join(lines)
+    used = frozenset(re.findall(r"\w+", body))
+    names = [name for name in bound if name in used]
+    source = f"def run({params}, {''.join(f'{k}={k}, ' for k in names)}):\n    {body}\n"
+    namespace = {name: bound[name] for name in names}
+    exec(compile(source, "<conecut tape>", "exec"), namespace)
+    return namespace["run"]
 
-    return step
+
+def _bind(bound: dict, prefix: str, obj) -> str:
+    name = f"{prefix}{len(bound)}"
+    bound[name] = obj
+    return name
 
 
-def _record(node, n: int, tail: list, steps: list, make: dict, seen: dict) -> int:
-    """The register of ``node``.  Appends to ``steps`` the steps of the
-    nodes under it that are not in ``seen``, children first, allocating
-    their registers in ``tail``."""
+def _record(code: list, bound: dict, root, n: int, seen: dict, jet: bool) -> tuple:
+    """The locals of ``root``'s value and, on a jet tape, of its n partials.
+    Appends to ``code`` the statements of the nodes under it that are not
+    in ``seen``, children first.  The walk keeps its own stack, so a tree
+    may be deeper than Python's recursion limit."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        args = children(node)
+        todo = [a for a in args if id(a) not in seen]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        seen[id(node)] = _emit(code, bound, node, [seen[id(a)] for a in args], n, jet)
+    return seen[id(root)]
+
+
+def _emit(code: list, bound: dict, node, args: list, n: int, jet: bool) -> tuple:
+    """Append the statements of ``node``, whose children's locals are
+    ``args``; return its own."""
     cls = type(node)
-    if cls is Var and node.index < n:
-        return node.index  # callers check this case inline, to save a call
-    key = id(node)
-    slot = seen.get(key)
-    if slot is not None:
-        return slot
+    zeros = ("zero",) * n
     if cls is Const:
-        slot = n + len(tail)
-        tail.append(node.value)
+        return _bind(bound, "c", node.value), zeros
+    if cls is Var:
+        i = node.index
+        if i < n:
+            return f"x{i}", tuple("one" if j == i else "zero" for j in range(n))
+        message = f"variable x{i + 1} out of range for input dimension {n}"
+        code.append(f"raise {_bind(bound, 'o', lambda: ArityMismatch(message))}()")
+        return "zero", zeros
+    v = f"v{len(code)}"
+    (a, da), (b, db) = (args[0], args[-1]) if args else (("", ()),) * 2  # Norm(()) has none
+    names = {"v": v, "a": a, "b": b, "N": _bind(bound, "n", node) if cls not in (Add, Sub, Mul) else ""}
+    if cls is Pow:
+        names["e"], names["e1"] = _bind(bound, "e", node.exponent), _bind(bound, "e", node.exponent - 1)
+        if node.exponent < 0:
+            code.append("if {a} == zero: raise pow0({N})".format(**names))
+    elif cls is Norm:
+        names["a"] = "".join(f"{x} * {x}, " for x, _ in args)
+    code += [line.format(**names) for line in (_JET_VALUE if jet else _VALUE)[cls]]
+    if not jet:
+        return v, None
+    partials = tuple(f"{v}_{j}" for j in range(n))
+    if cls is Norm:
+        code.append(f"if {v} == zero: raise norm0({names['N']})")
+        for k, (x, dx) in enumerate(args):
+            code.append(f"w = {x} / {v}")
+            code += [f"{p} = {'zero' if k == 0 else p} + w * {u}" for p, u in zip(partials, dx)]
+        return v, partials
+    if cls is Pow and node.exponent == 0:
+        return v, zeros
+    after, partial = _JET[cls]
+    code += [line.format(**names) for line in after]
+    rows = [f"{p} = {partial.format(da=u, db=t, **names)}" for p, u, t in zip(partials, da, db)]
+    if cls is Div and rows:
+        # A partial over a zero b*b is x / +0.0, which Python refuses.
+        code.append("if w == zero: " + "; ".join(
+            f"{p} = over_zero({u} * {b} - {a} * {t})" for p, u, t in zip(partials, da, db)))
+        code.append("else: " + "; ".join(rows))
     else:
-        if cls in _BINARY:
-            a, b = node.left, node.right
-            a = a.index if type(a) is Var and a.index < n else _record(a, n, tail, steps, make, seen)
-            b = b.index if type(b) is Var and b.index < n else _record(b, n, tail, steps, make, seen)
-            slot = n + len(tail)
-            step = make[cls](node, slot, a, b)
-        elif cls in _UNARY or cls is Pow:
-            a = node.base if cls is Pow else node.arg
-            a = a.index if type(a) is Var and a.index < n else _record(a, n, tail, steps, make, seen)
-            slot = n + len(tail)
-            step = make[cls](node, slot, a)
-        elif cls is Norm:
-            args = [_record(e, n, tail, steps, make, seen) for e in node.args]
-            slot = n + len(tail)
-            step = make[cls](node, slot, *args)
-        elif cls is Var:
-            slot = n + len(tail)
-            step = _out_of_range(node, n)
-        else:
-            raise TypeError(f"unknown expression node {node!r}")
-        tail.append(0.0)
-        steps.append(step)
-    seen[key] = slot
-    return slot
+        code += rows
+    return v, partials
 
 
-def _guard_step(guard, slot: int, n: int):
-    def step(r, slot=slot, test=_GUARD_TESTS[guard.kind], guard=guard):
-        if not test(r[slot], 0.0):
-            raise DomainViolation(f"guard {guard.kind}({guard.expr}) fails at {r[:n]}")
-
-    return step
-
-
-def _picker(slots: list):
-    """A function of the registers that returns those in ``slots``, in
-    order, as a tuple."""
-    if len(slots) == 1:
-        return lambda r, slot=slots[0]: (r[slot],)
-    return operator.itemgetter(*slots) if slots else lambda r: ()
+def _tape(n: int, guards: tuple, body: tuple, jet: bool):
+    code = [f"[{''.join(f'x{i}, ' for i in range(n))}] = coords"]
+    bound = dict(_RUNTIME)
+    seen: dict = {}
+    for guard in guards:
+        v, _ = _record(code, bound, guard.expr, n, seen, False)
+        g = _bind(bound, "g", guard)
+        code.append(f"if not {v} {_GUARD_OPS[guard.kind]} zero: raise guard_fails({g}, coords)")
+    if jet:
+        seen = {}  # a body node that is also in a guard needs a jet block of its own
+    out = [_record(code, bound, e, n, seen, jet) for e in body]
+    values = "".join(f"{v}, " for v, _ in out)
+    if jet:
+        rows = "".join(f"({''.join(f'{p}, ' for p in partials)}), " for _, partials in out)
+        values += f"), ({rows}"
+    code.append(f"return ({values})")
+    return compile_source("coords", code, bound)
 
 
 def _value_tape(n: int, guards: tuple, body: tuple):
     """run(coordinates) -> the body's values, after checking every guard."""
-    tail: list = []
-    steps: list = []
-    seen: dict = {}
-    for guard in guards:
-        slot = _record(guard.expr, n, tail, steps, _VALUE_STEPS, seen)
-        steps.append(_guard_step(guard, slot, n))
-    pick = _picker([_record(e, n, tail, steps, _VALUE_STEPS, seen) for e in body])
-
-    def run(coords: list, tail=tail, steps=steps, pick=pick):
-        r = coords + tail
-        for step in steps:
-            step(r)
-        return pick(r)
-
-    return run
+    return _tape(n, guards, body, False)
 
 
 def _jet_tape(n: int, guards: tuple, body: tuple):
     """run(coordinates) -> (values, gradients) of the body, after checking
     every guard; guards are evaluated without derivatives."""
-    tail: list = []
-    checks: list = []
-    steps: list = []
-    seen: dict = {}
-    for guard in guards:
-        slot = _record(guard.expr, n, tail, checks, _VALUE_STEPS, seen)
-        checks.append(_guard_step(guard, slot, n))
-    seen = {}  # a body node that is also in a guard needs a jet step of its own
-    pick = _picker([_record(e, n, tail, steps, _JET_STEPS, seen) for e in body])
-    # Var(i) has the unit gradient e_i, a constant the zero gradient; every
-    # run shares these rows, so they are tuples.
-    gradients = [tuple(float(i == j) for j in range(n)) for i in range(n)] + [(0.0,) * n] * len(tail)
-
-    def run(coords: list, tail=tail, checks=checks, steps=steps, gradients=gradients, pick=pick):
-        r = coords + tail
-        for step in checks:
-            step(r)
-        g = gradients.copy()
-        for step in steps:
-            step(r, g)
-        return pick(r), pick(g)
-
-    return run
+    return _tape(n, guards, body, True)
 
 
 def substitute(node: Expr, replacements: tuple) -> Expr:
@@ -460,6 +274,7 @@ def substitute(node: Expr, replacements: tuple) -> Expr:
 # positive, or nonnegative at a point for the point to be in the domain.
 GUARD_KINDS = ("nonzero", "positive", "nonnegative")
 _GUARD_TESTS = dict(zip(GUARD_KINDS, (operator.ne, operator.gt, operator.ge)))
+_GUARD_OPS = dict(zip(GUARD_KINDS, ("!=", ">", ">=")))
 
 
 class Guard(Record, frozen=True):
@@ -624,7 +439,7 @@ def jet_eval(m: SmoothMapExpr, point) -> Jet:
     vals, rows = m._jets(coords)
     if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
         raise _not_finite(m, coords, vals, rows)
-    return Jet(vals, tuple(map(tuple, rows)))
+    return Jet(vals, rows)
 
 
 def _fma_norm(coords: list) -> float:

@@ -167,3 +167,23 @@ class Norm(Expr, Record, frozen=True):
 
     def __str__(self):
         return "norm(" + ", ".join(str(a) for a in self.args) + ")"
+
+
+_BINARY = (Add, Sub, Mul, Div)
+_UNARY = (Sqrt, Exp, Log, Sin, Cos)
+
+
+def children(node: Expr) -> tuple:
+    """The operands of a node, left to right; () for a leaf."""
+    cls = type(node)
+    if cls in _BINARY:
+        return node.left, node.right
+    if cls in _UNARY:
+        return (node.arg,)
+    if cls is Pow:
+        return (node.base,)
+    if cls is Norm:
+        return node.args
+    if cls is Const or cls is Var:
+        return ()
+    raise TypeError(f"unknown expression node {node!r}")

@@ -5,6 +5,8 @@ exponents, parentheses, function calls sqrt/exp/log/sin/cos/norm
 (norm takes any number of arguments), numeric literals, and named
 variables.  Variables default to `x1..xn`; callers may supply their own
 name list (e.g. `x, y` for plane curves).  Errors carry the position.
+An expression deeper than MAX_DEPTH operations, or whose parentheses
+nest deeper than that, is refused with a ParseError.
 Elements of the exact Laurent model parse the same way, with `t` as one
 more variable.
 """
@@ -12,7 +14,13 @@ more variable.
 from __future__ import annotations
 
 from .errors import ParseError
-from .nodes import Const, Cos, Exp, Expr, Log, Norm, Pow, Sin, Sqrt, Var
+from .nodes import Const, Cos, Exp, Expr, Log, Norm, Pow, Sin, Sqrt, Var, children
+
+# The deepest expression the parser accepts, in operations from the root
+# to a leaf and in nested parentheses: the largest depth that every
+# subcommand handled before the parser and the tapes bounded it, when
+# deeper text failed with a RecursionError.
+MAX_DEPTH = 196
 
 _FUNCTIONS = {"sqrt": Sqrt, "exp": Exp, "log": Log, "sin": Sin, "cos": Cos}
 
@@ -83,15 +91,20 @@ class _Tokenizer:
 
 
 class _Parser:
+    """Recursive descent over the tokens: a sum of products (``expr``) of
+    signed powers (``factor``) of atoms.  Only a parenthesis or a call
+    recurses, three frames deep, and ``nesting`` counts how deep."""
+
     def __init__(self, text: str, var_names: list[str]):
         self.toks = _Tokenizer(text)
         self.var_index = {name: i for i, name in enumerate(var_names)}
+        self.nesting = 0
 
     def parse_expr_list(self) -> list[Expr]:
-        exprs = [self.expr()]
+        exprs = [self.checked_expr()]
         while self.toks.peek()[0] == ",":
             self.toks.next()
-            exprs.append(self.expr())
+            exprs.append(self.checked_expr())
         tok = self.toks.peek()
         if tok[0] != "end":
             raise ParseError(
@@ -99,39 +112,52 @@ class _Parser:
             )
         return exprs
 
+    def checked_expr(self) -> Expr:
+        """An expression no deeper than MAX_DEPTH."""
+        position = self.toks.peek()[2]
+        node = self.expr()
+        if depth(node) > MAX_DEPTH:
+            raise ParseError(
+                f"expression at position {position} is deeper than {MAX_DEPTH} operations", position
+            )
+        return node
+
     def expr(self) -> Expr:
-        node = self.term()
-        while self.toks.peek()[0] in ("+", "-"):
+        """Products joined by + and -, then factors by * and /, each left
+        to right."""
+        node = None
+        op = "+"
+        while True:
+            term = self.factor()
+            while self.toks.peek()[0] in ("*", "/"):
+                mul = self.toks.next()[0]
+                rhs = self.factor()
+                term = term * rhs if mul == "*" else term / rhs
+            node = term if node is None else node + term if op == "+" else node - term
+            if self.toks.peek()[0] not in ("+", "-"):
+                return node
             op = self.toks.next()[0]
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.toks.peek()[0] in ("*", "/"):
-            op = self.toks.next()[0]
-            rhs = self.unary()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def unary(self) -> Expr:
-        tok = self.toks.peek()
-        if tok[0] == "-":
-            self.toks.next()
-            return Const(0.0) - self.unary()
-        if tok[0] == "+":
-            self.toks.next()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
+    def factor(self) -> Expr:
+        """Signs, then an atom with an optional integer power: a sign
+        binds below the power, so -x^2 is 0 - x^2."""
+        signs = []
+        while self.toks.peek()[0] in ("-", "+"):
+            signs.append(self.toks.next()[0])
+        node = self.atom()
         if self.toks.peek()[0] == "^":
             self.toks.next()
-            exponent = self._integer()
-            return Pow(base, exponent)
-        return base
+            node = Pow(node, self._integer())
+        for sign in reversed(signs):
+            if sign == "-":
+                node = Const(0.0) - node
+        return node
+
+    def _nest(self, tok) -> None:
+        """Enter the parenthesis or call that opens at ``tok``."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} at position {tok[2]}", tok[2])
 
     def _integer(self) -> int:
         sign = 1
@@ -142,9 +168,10 @@ class _Parser:
                 sign = -1
             tok = self.toks.peek()
         if tok[0] == "(":
-            self.toks.next()
+            self._nest(self.toks.next())
             value = self._integer()
             self.toks.expect(")")
+            self.nesting -= 1
             return sign * value
         tok = self.toks.expect("num")
         if "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
@@ -159,18 +186,21 @@ class _Parser:
         if tok[0] == "num":
             return Const(float(tok[1]))
         if tok[0] == "(":
+            self._nest(tok)
             node = self.expr()
             self.toks.expect(")")
+            self.nesting -= 1
             return node
         if tok[0] == "name":
             name = tok[1]
             if self.toks.peek()[0] == "(":
-                self.toks.next()
+                self._nest(self.toks.next())
                 args = [self.expr()]
                 while self.toks.peek()[0] == ",":
                     self.toks.next()
                     args.append(self.expr())
                 self.toks.expect(")")
+                self.nesting -= 1
                 if name == "norm":
                     return Norm(tuple(args))
                 if name in _FUNCTIONS:
@@ -186,6 +216,18 @@ class _Parser:
         raise ParseError(
             f"unexpected {tok[1] or 'end of input'!r} at position {tok[2]}", tok[2]
         )
+
+
+def depth(e: Expr) -> int:
+    """The number of operations on the longest path from e down to a
+    leaf (0 for a constant or a variable), counted without recursion."""
+    deepest = 0
+    stack = [(e, 0)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack += [(a, d + 1) for a in children(node)]
+    return deepest
 
 
 def default_var_names(n: int) -> list[str]:
@@ -220,6 +262,6 @@ def parse_laurent(text: str, p: int, q: int) -> LaurentElement:
     y1..yp, x1..xq and t with integer powers of t."""
     from .ring import LaurentElement, check_blocks, expr_to_laurent
 
-    check_blocks(p, q)
+    p, q = check_blocks(p, q)
     e = parse_expr(text, pair_var_names(p, q) + ["t"])
     return LaurentElement(p, q, expr_to_laurent(e, p, q, t_index=p + q))

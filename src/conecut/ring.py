@@ -65,10 +65,17 @@ def _exponents(values) -> tuple:
     raise ArityMismatch(f"non-integer exponent or power of t in {values!r}")
 
 
-def check_blocks(p: int, q: int) -> None:
-    """ArityMismatch for a negative block size."""
+def check_blocks(p: int, q: int) -> tuple:
+    """The block sizes (p, q) as ints, read by the rule of exponents;
+    ArityMismatch for one that is not an integer or is negative."""
+    if type(p) is not int or type(q) is not int:
+        try:
+            p, q = _exponents((p, q))
+        except ArityMismatch:
+            raise ArityMismatch(f"non-integer block size in {(p, q)!r}") from None
     if p < 0 or q < 0:
         raise ArityMismatch(f"negative block size in a {p}+{q} variable split")
+    return p, q
 
 
 def _split(point, n: int):
@@ -111,7 +118,7 @@ class MultiPoly:
     __slots__ = ("p", "q", "terms", "_order")
 
     def __init__(self, p: int, q: int, terms=None):
-        check_blocks(p, q)
+        p, q = check_blocks(p, q)
         self.p = p
         self.q = q
         self._order = None
@@ -142,13 +149,13 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(p: int, q: int, value) -> "MultiPoly":
-        check_blocks(p, q)
+        p, q = check_blocks(p, q)
         value = _frac(value)
         return MultiPoly._trusted(p, q, {(0,) * (p + q): value} if value else {})
 
     @staticmethod
     def var(p: int, q: int, index: int) -> "MultiPoly":
-        check_blocks(p, q)
+        p, q = check_blocks(p, q)
         if not 0 <= index < p + q:
             raise ArityMismatch(f"variable {index} out of range for {p}+{q} variables")
         exps = [0] * (p + q)
@@ -297,7 +304,7 @@ class LaurentElement:
     __slots__ = ("p", "q", "coeffs")
 
     def __init__(self, p: int, q: int, coeffs=None):
-        check_blocks(p, q)
+        p, q = check_blocks(p, q)
         self.p = p
         self.q = q
         clean = {}

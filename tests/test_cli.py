@@ -284,6 +284,28 @@ def test_ring_demo_rejects_negative_block_sizes():
         assert out.stderr == "error: negative block size in a {}+{} variable split\n".format(*flags[1:4:2])
 
 
+def test_subcommands_take_trees_of_max_depth_and_refuse_deeper_ones():
+    from conecut.parse import MAX_DEPTH
+
+    def nested(v, d):
+        return f"{v} + (" * d + v + ")" * d
+
+    commands = {
+        "check-map": lambda text: ("check-map", "--map", f"y1, {text}", "--source-dims", "2,1", "--samples", "8"),
+        "resolve-curve": lambda text: ("resolve-curve", "--poly", f"y - {text}"),
+        "dnc-ring-demo": lambda text: ("dnc-ring-demo", "--element", text),
+    }
+    for name, args in commands.items():
+        v = "x" if name == "resolve-curve" else "x1"
+        out = run_cli(*args(nested(v, MAX_DEPTH - 1)))
+        assert out.returncode == 0, (name, out.stderr)
+        out = run_cli(*args(" + ".join([v] * 1500)))
+        assert out.returncode == 2 and out.stdout == "", (name, out.stderr)
+        assert out.stderr.startswith("error: expression at position ") and out.stderr.endswith(
+            f" is deeper than {MAX_DEPTH} operations\n"
+        ), out.stderr
+
+
 def test_demo_subcommands_run():
     for name in ("sphere-demo", "dnc-demo"):
         out = run_cli(name, "--samples", "20")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conecut.errors import SamplingFailure, SliceCrossing
+from conecut.errors import DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from conecut.euler import (
+    MAX_FLOW_STEPS,
     VectorField,
+    _geometric_grid,
     chi_relatedness_residual,
     euler_field,
     is_euler_like,
@@ -66,6 +68,34 @@ def test_flow_refuses_to_cross_the_slice():
         w_sigma_flow(sigma, [0.0, 1.0], 0.5, -1.0)
     with pytest.raises(SliceCrossing):
         w_sigma_flow(sigma, [0.0, 1.0], 0.0, 1.0)
+
+
+def test_flow_refuses_non_finite_times():
+    sigma = _perturbed_field()
+    for s, tau in ((float("nan"), 0.5), (0.5, float("inf")), (0.5, float("nan")), (float("-inf"), 1.0), (1e308, 1e308)):
+        with pytest.raises(DomainViolation, match="finite start time and duration"):
+            w_sigma_flow(sigma, [0.0, 0.1], s, tau)
+
+
+def test_flow_refuses_a_grid_too_fine_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    sigma = _perturbed_field()
+    # 20 steps per |s| over a unit of time: about 2e301 steps at s = 1e-300;
+    # the third flow ends at t = -2^-54
+    for s, tau in ((1e-300, 0.5), (5e-324, 1.0), (-0.5, 0.5 - 2.0**-54), (1.0, 20.0 * MAX_FLOW_STEPS)):
+        with pytest.raises(NonConvergence, match=f"more than {MAX_FLOW_STEPS} steps"):
+            w_sigma_flow(sigma, [0.0, 0.1], s, tau)
+
+
+def test_geometric_grid_needs_a_positive_start():
+    for start in (0.0, -0.0, -1e-2, float("nan")):
+        with pytest.raises(DomainViolation, match="positive time"):
+            _geometric_grid(start, 1.0)
+    grid = _geometric_grid(1e-2, 1.0)
+    assert grid[0] == 1e-2 and grid[-1] == 1.0 and len(grid) == 241
 
 
 def test_flow_is_reversible():

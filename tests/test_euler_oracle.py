@@ -17,6 +17,7 @@ from conecut import euler
 from conecut.errors import ArityMismatch, ConecutError
 from conecut.euler import EPS_SCHEDULE, VectorField, _geometric_grid, _rk4, euler_field, w_sigma_flow
 from conecut.expr import Guard, Var, from_components
+from conecut.nodes import Norm, Sqrt
 from conecut.pairs import PairDims
 
 DIMS = PairDims(2, 1)
@@ -130,6 +131,33 @@ def test_leaving_a_guarded_domain_raises_what_numpy_raised():
     expected = _outcome(ref_rk4, guarded, [0.2, 1e-2 * 0.6], grid)
     assert expected[1].startswith("guard positive(")
     assert _outcome(_rk4, guarded, [0.2, 1e-2 * 0.6], grid) == expected
+
+
+def _guarded_3d_field():
+    # Div, Sqrt and Norm in the components; the domain is |x| < 1/2
+    y, x1, x2 = Var(0), Var(1), Var(2)
+    r = Norm((x1, x2))
+    body = (y * 0.0, x1 + x1 * x2 / Sqrt(1.0 + y * y), x2 + r * x2 / (2.0 - y))
+    return VectorField(from_components(3, body, guards=[Guard(0.5 - r, "positive")]), PairDims(3, 1))
+
+
+def test_guarded_3d_field_leaving_its_domain_mid_grid_raises_what_numpy_raised():
+    field = _guarded_3d_field()
+    grid = _geometric_grid(1e-2, 1.0)
+    inside = [0.3, 1e-2 * 0.1, 1e-2 * 0.1]
+    expected = _outcome(ref_rk4, field, inside, grid)
+    assert isinstance(expected, bytes)
+    assert _outcome(_rk4, field, inside, grid) == expected
+    # From xi = (0.5, 0.6) the trajectory crosses |x| = 1/2 at step 203 of 240.
+    leaving = [0.3, 1e-2 * 0.5, 1e-2 * 0.6]
+    assert field.components.in_domain(leaving)
+    first = grid[:201]
+    expected = _outcome(ref_rk4, field, leaving, first)
+    assert isinstance(expected, bytes)
+    assert _outcome(_rk4, field, leaving, first) == expected
+    expected = _outcome(ref_rk4, field, leaving, grid)
+    assert expected[1].startswith("guard positive((0.5 - norm(x2, x3))) fails at [0.3, ")
+    assert _outcome(_rk4, field, leaving, grid) == expected
 
 
 def test_overflowing_trajectories_raise_what_numpy_raised():

@@ -11,6 +11,7 @@ coordinate.  ``eval_batch`` must reproduce ``eval_map`` row by row.
 
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from conecut.expr import (
     Div,
     Exp,
     Guard,
+    Jet,
     Log,
     Mul,
     Norm,
@@ -39,7 +41,10 @@ from conecut.expr import (
     from_components,
     jet_eval,
 )
+from conecut import euler
 from conecut import expr as expr_module
+from conecut.pairs import PairDims
+from conecut.parse import depth
 from conecut.verify import SUITES
 
 
@@ -418,3 +423,44 @@ def test_each_distinct_node_is_evaluated_once_per_call():
     assert time.perf_counter() - start < 0.010
     assert value[0] == 1.0
     assert np.asarray(jet.jacobian)[0, 0] == 2.0**40
+
+
+def test_tapes_compile_once_per_map_and_the_stepper_once_per_field(monkeypatch):
+    """Repeated calls compile each map's value tape and jet tape, and each
+    VectorField's RK4 stepper, once; every compile is one source text."""
+    compiled = []
+    for module, name in ((expr_module, "_value_tape"), (expr_module, "_jet_tape"), (euler, "_stepper")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, original=original: compiled.append(name) or original(*a))
+    sources = []
+    monkeypatch.setattr(expr_module, "compile", lambda *a: sources.append(a[0]) or compile(*a), raising=False)
+    x = Var(1)
+    m = from_components(2, (Var(0) * 0.0, x + x**2), guards=[Guard(0.9 - x, "positive")])
+    sigma = euler.VectorField(m, PairDims(2, 1))
+    for _ in range(3):
+        eval_map(m, [0.1, 0.2])
+        eval_batch(m, [[0.1, 0.2], [0.3, 0.1]])
+        jet_eval(m, [0.1, 0.2])
+        euler.tubular_from_euler(sigma, [0.0], [0.2])
+    assert sorted(compiled) == ["_jet_tape", "_stepper", "_value_tape"]
+    # a second field over the same map compiles only its own stepper
+    euler.tubular_from_euler(euler.VectorField(m, PairDims(2, 1)), [0.0], [0.2])
+    assert sorted(compiled) == ["_jet_tape", "_stepper", "_stepper", "_value_tape"]
+    assert len(sources) == 4
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_evaluated():
+    """A 4,000-deep tree compiles and evaluates to the bits of the same
+    float operations done in a loop."""
+    x, half = Var(0), Const(0.5)
+    e, value, partial = x, 0.3, 1.0
+    for _ in range(2000):
+        e = (e + x) * half
+        total = value + 0.3
+        value, partial = total * 0.5, (partial + 1.0) * 0.5 + total * 0.0
+    assert depth(e) == 4000 > sys.getrecursionlimit()
+    m = from_components(1, (e,), guards=[Guard(e, "positive")])
+    assert eval_map(m, [0.3]) == (value,)
+    assert jet_eval(m, [0.3]) == Jet((value,), ((partial,),))
+    assert eval_batch(m, [[0.3], [0.3]]).tolist() == [[value], [value]]
+    assert m.in_domain([0.3]) and not m.in_domain([-0.3])

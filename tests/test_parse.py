@@ -7,7 +7,7 @@ import pytest
 
 from conecut.errors import ArityMismatch, InvariantBreach, ParseError
 from conecut.expr import eval_map, from_components
-from conecut.parse import default_var_names, parse_expr, parse_laurent, parse_map
+from conecut.parse import MAX_DEPTH, default_var_names, depth, parse_expr, parse_laurent, parse_map
 from conecut.ring import LaurentElement, MultiPoly
 
 
@@ -74,3 +74,31 @@ def test_parse_laurent_keys_coefficients_by_filtration():
         parse_laurent("x1/y1", 1, 2)
     with pytest.raises(ArityMismatch):
         parse_laurent("x1*(t + 1)^-1", 1, 2)
+
+
+# Texts of depth d in each way the grammar nests: the tree's depth, the
+# parentheses' nesting, or both.
+DEEP_FORMS = {
+    "sum": (lambda d: " + ".join(["x"] * (d + 1)), True),
+    "right-nested sum": (lambda d: "x + (" * d + "x" + ")" * d, True),
+    "parentheses": (lambda d: "(" * d + "x" + ")" * d, False),
+    "signs": (lambda d: "-" * d + "x", True),
+    "calls": (lambda d: "exp(" * d + "x" + ")" * d, True),
+    "powers": (lambda d: "(" * d + "x" + ")^1" * d, True),
+    "exponent": (lambda d: "x^" + "(" * d + "2" + ")" * d, False),
+}
+
+
+@pytest.mark.parametrize("form", DEEP_FORMS)
+def test_parse_accepts_max_depth_and_refuses_deeper(form):
+    make, tree_deep = DEEP_FORMS[form]
+    e = parse_expr(make(MAX_DEPTH), ["x"])
+    assert depth(e) == (MAX_DEPTH if tree_deep else int(form == "exponent"))
+    assert parse_map("x, " + make(MAX_DEPTH), 1, ["x"]).output_dim == 2
+    for d in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse_expr(make(d), ["x"])
+
+
+def test_depth_counts_operations():
+    assert [depth(parse_expr(t, ["x"])) for t in ("x", "2", "-x", "x*x + 1", "norm(x, exp(x))")] == [0, 0, 1, 2, 2]

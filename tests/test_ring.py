@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conecut.errors import ArityMismatch, DomainViolation, InvariantBreach
 from conecut.expr import Const, Mul, Var, eval_map
+from conecut.parse import parse_laurent
 from conecut.ring import (
     LaurentElement,
     MultiPoly,
@@ -643,3 +644,17 @@ def test_negative_block_sizes_are_rejected():
         with pytest.raises(ArityMismatch, match="out of range"):
             MultiPoly.var(1, 2, index)
     assert MultiPoly(0, 0).is_zero() and str(LaurentElement(0, 0, {0: MultiPoly.const(0, 0, 2)})) == "(2)"
+
+
+def test_non_integer_block_sizes_are_rejected():
+    for p, q in ((1.5, 2), (0.5, 1), (0.5, 0.5), (1, float("nan")), (1, "2")):
+        for make in (lambda: MultiPoly(p, q), lambda: MultiPoly.const(p, q, 1), lambda: MultiPoly.var(p, q, 0),
+                     lambda: LaurentElement(p, q, {})):
+            with pytest.raises(ArityMismatch, match="non-integer block size"):
+                make()
+        with pytest.raises(ArityMismatch, match="non-integer block size"):
+            parse_laurent("t", p, q)
+    # An integral float reads as its int, as an integral exponent does.
+    for poly in (MultiPoly(2.0, 1), MultiPoly.const(2.0, 1.0, 3), MultiPoly.var(np.int64(2), 1, 0)):
+        assert (poly.p, poly.q) == (2, 1) and type(poly.p) is int and type(poly.q) is int
+    assert LaurentElement(1.0, 2.0, {}).p == 1 and MultiPoly(2.0, 1) == MultiPoly(2, 1)
