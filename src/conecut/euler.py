@@ -189,6 +189,7 @@ def _geometric_grid(t_start: float, t_end: float) -> list:
 
 
 EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
+_GRIDS = tuple(tuple(_geometric_grid(eps, 1.0)) for eps in EPS_SCHEDULE)  # built once per process
 
 
 def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
@@ -202,8 +203,8 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
     if float(np.linalg.norm(xi)) == 0.0:
         return tuple(dims.join(y, [0.0] * dims.q))
     flows = [
-        (eps, np.array(_rk4(sigma, dims.join(y, eps * xi), _geometric_grid(eps, 1.0))))
-        for eps in EPS_SCHEDULE
+        (eps, np.array(_rk4(sigma, dims.join(y, eps * xi), grid)))
+        for eps, grid in zip(EPS_SCHEDULE, _GRIDS)
     ]
     extrapolants = [
         (e1 * v2 - e2 * v1) / (e1 - e2) for (e1, v1), (e2, v2) in zip(flows, flows[1:])

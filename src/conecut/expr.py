@@ -24,11 +24,12 @@ derivatives (forward mode), each in a local of its own, and returns the
 values and the Jacobian rows as tuples of floats.  A node's value is the
 same float arithmetic on both tapes, so the value component of
 ``jet_eval`` agrees exactly with ``eval_map``.  The tape builder walks a
-tree with a stack of its own, so a tree deeper than Python's recursion
-limit compiles and evaluates.  ``compile_source`` compiles all generated
-code, the tapes and ``conecut.euler``'s RK4 steppers.  Only
-``eval_batch`` and ``linear_map`` use numpy; every other function takes
-any flat sequence of numbers and returns plain floats.
+tree with ``conecut.nodes.walk``, whose stack is its own, so a tree
+deeper than Python's recursion limit compiles and evaluates.
+``compile_source`` compiles all generated code, the tapes and
+``conecut.euler``'s RK4 steppers.  Only ``eval_batch`` and
+``linear_map`` use numpy; every other function takes any flat sequence
+of numbers and returns plain floats.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
 from .lazy_numpy import np
-from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr, children
+from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr, walk
 from .record import Record
 
 
@@ -138,27 +139,6 @@ def _bind(bound: dict, prefix: str, obj) -> str:
     return name
 
 
-def _record(code: list, bound: dict, root, n: int, seen: dict, jet: bool) -> tuple:
-    """The locals of ``root``'s value and, on a jet tape, of its n partials.
-    Appends to ``code`` the statements of the nodes under it that are not
-    in ``seen``, children first.  The walk keeps its own stack, so a tree
-    may be deeper than Python's recursion limit."""
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
-            continue
-        args = children(node)
-        todo = [a for a in args if id(a) not in seen]
-        if todo:
-            stack += reversed(todo)
-            continue
-        stack.pop()
-        seen[id(node)] = _emit(code, bound, node, [seen[id(a)] for a in args], n, jet)
-    return seen[id(root)]
-
-
 def _emit(code: list, bound: dict, node, args: list, n: int, jet: bool) -> tuple:
     """Append the statements of ``node``, whose children's locals are
     ``args``; return its own."""
@@ -212,12 +192,12 @@ def _tape(n: int, guards: tuple, body: tuple, jet: bool):
     bound = dict(_RUNTIME)
     seen: dict = {}
     for guard in guards:
-        v, _ = _record(code, bound, guard.expr, n, seen, False)
+        v, _ = walk(guard.expr, partial(_emit, code, bound, n=n, jet=False), seen)
         g = _bind(bound, "g", guard)
         code.append(f"if not {v} {_GUARD_OPS[guard.kind]} zero: raise guard_fails({g}, coords)")
     if jet:
         seen = {}  # a body node that is also in a guard needs a jet block of its own
-    out = [_record(code, bound, e, n, seen, jet) for e in body]
+    out = [walk(e, partial(_emit, code, bound, n=n, jet=jet), seen) for e in body]
     values = "".join(f"{v}, " for v, _ in out)
     if jet:
         rows = "".join(f"({''.join(f'{p}, ' for p in partials)}), " for _, partials in out)
@@ -239,35 +219,20 @@ def _jet_tape(n: int, guards: tuple, body: tuple):
 
 def substitute(node: Expr, replacements: tuple) -> Expr:
     """Replace every Var(i) by replacements[i]; used for composition."""
-    cache: dict = {}
 
-    def go(e: Expr) -> Expr:
-        key = id(e)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(e, Const):
-            out = e
-        elif isinstance(e, Var):
+    def visit(e: Expr, args: list) -> Expr:
+        cls = type(e)
+        if cls is Var:
             if e.index >= len(replacements):
-                raise ArityMismatch(
-                    f"variable x{e.index + 1} out of range in substitution"
-                )
-            out = replacements[e.index]
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            out = type(e)(go(e.left), go(e.right))
-        elif isinstance(e, Pow):
-            out = Pow(go(e.base), e.exponent)
-        elif isinstance(e, (Sqrt, Exp, Log, Sin, Cos)):
-            out = type(e)(go(e.arg))
-        elif isinstance(e, Norm):
-            out = Norm(tuple(go(a) for a in e.args))
-        else:
-            raise TypeError(f"unknown expression node {e!r}")
-        cache[key] = out
-        return out
+                raise ArityMismatch(f"variable x{e.index + 1} out of range in substitution")
+            return replacements[e.index]
+        if cls is Const:
+            return e
+        if cls is Pow:
+            return Pow(args[0], e.exponent)
+        return Norm(tuple(args)) if cls is Norm else cls(*args)
 
-    return go(node)
+    return walk(node, visit, {})
 
 
 # Guard kinds: the guard expression must be respectively nonzero, strictly

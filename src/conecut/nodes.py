@@ -7,6 +7,12 @@ build new nodes, and ``as_expr`` reads a number as a constant.  The
 nodes only describe an expression: ``conecut.expr`` compiles them into
 tapes and evaluates them, ``conecut.parse`` reads them from text, and
 ``conecut.ring`` converts polynomial ones to exact form.
+
+Every pass over a tree is a call of ``walk``: its own stack lets a tree
+be deeper than Python's recursion limit, and it visits each distinct
+node once, so shared subtrees cost their nodes, not their paths.  Text
+is built by one walk from the format strings of ``_TEXT``.  A node
+hashes its field tuple once, at construction, in O(1).
 """
 
 from __future__ import annotations
@@ -18,6 +24,31 @@ class Expr:
     """Base class for scalar expression nodes.  Immutable after construction."""
 
     __slots__ = ()
+
+    def _store(self, *fields):
+        """Set the fields in the order of ``__init__``, and their hash."""
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        """Record equality: equal hashes, then one number for both roots from
+        a table of shapes (class, ``_DATA`` fields, operands' numbers)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        shapes, done = {}, {}
+
+        def number(node, args):
+            shape = (type(node), *[getattr(node, name) for name in _DATA.get(type(node), ())], *args)
+            return shapes.setdefault(shape, len(shapes))
+
+        return self._hash == other._hash and walk(self, number, done) == walk(other, number, done)
+
+    def __str__(self):
+        return walk(self, _text, {})
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -44,7 +75,7 @@ class Expr:
         return Div(as_expr(other), self)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError("only integer powers are supported")
         return Pow(self, k)
 
@@ -62,115 +93,88 @@ def as_expr(value) -> Expr:
 
 class Const(Expr, Record, frozen=True):
     def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
-    def __str__(self):
-        return repr(self.value)
+        self._store(value)
 
 
 class Var(Expr, Record, frozen=True):
     def __init__(self, index: int):  # 0-based input coordinate
-        object.__setattr__(self, "index", index)
-
-    def __str__(self):
-        return f"x{self.index + 1}"
+        self._store(index)
 
 
 class Add(Expr, Record, frozen=True):
     def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} + {self.right})"
+        self._store(left, right)
 
 
 class Sub(Expr, Record, frozen=True):
     def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} - {self.right})"
+        self._store(left, right)
 
 
 class Mul(Expr, Record, frozen=True):
     def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
+        self._store(left, right)
 
 
 class Div(Expr, Record, frozen=True):
     def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __str__(self):
-        return f"({self.left} / {self.right})"
+        self._store(left, right)
 
 
 class Pow(Expr, Record, frozen=True):
     def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __str__(self):
-        return f"({self.base})^{self.exponent}"
+        self._store(base, exponent)
 
 
 class Sqrt(Expr, Record, frozen=True):
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"sqrt({self.arg})"
+        self._store(arg)
 
 
 class Exp(Expr, Record, frozen=True):
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"exp({self.arg})"
+        self._store(arg)
 
 
 class Log(Expr, Record, frozen=True):
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"log({self.arg})"
+        self._store(arg)
 
 
 class Sin(Expr, Record, frozen=True):
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"sin({self.arg})"
+        self._store(arg)
 
 
 class Cos(Expr, Record, frozen=True):
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __str__(self):
-        return f"cos({self.arg})"
+        self._store(arg)
 
 
 class Norm(Expr, Record, frozen=True):
     def __init__(self, args: tuple):  # tuple[Expr, ...]
-        object.__setattr__(self, "args", args)
-
-    def __str__(self):
-        return "norm(" + ", ".join(str(a) for a in self.args) + ")"
+        self._store(args)
 
 
 _BINARY = (Add, Sub, Mul, Div)
 _UNARY = (Sqrt, Exp, Log, Sin, Cos)
+# The fields of a node that are not operands.
+_DATA = {Const: ("value",), Var: ("index",), Pow: ("exponent",)}  # fields that are not operands
+# A node's text over its children's ({0}, {1}) and the node itself.
+_TEXT = {
+    Const: "{node.value!r}", Pow: "({0})^{node.exponent}",
+    Add: "({0} + {1})", Sub: "({0} - {1})", Mul: "({0} * {1})", Div: "({0} / {1})",
+    Sqrt: "sqrt({0})", Exp: "exp({0})", Log: "log({0})", Sin: "sin({0})", Cos: "cos({0})",
+}
+
+
+def _text(node: Expr, args: list) -> str:
+    cls = type(node)
+    if cls is Var:
+        return f"x{node.index + 1}"
+    if cls is Norm:
+        return f"norm({', '.join(args)})"
+    return _TEXT[cls].format(*args, node=node)
 
 
 def children(node: Expr) -> tuple:
@@ -187,3 +191,23 @@ def children(node: Expr) -> tuple:
     if cls is Const or cls is Var:
         return ()
     raise TypeError(f"unknown expression node {node!r}")
+
+
+def walk(root: Expr, visit, done: dict):
+    """Return ``visit(root, [its children's results, in order])``.  Each
+    distinct node (by id) under root is visited once, children first,
+    unless ``done``, which maps visited nodes' ids to results, has it."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        args = children(node)
+        todo = [a for a in args if id(a) not in done]
+        if todo:
+            stack += reversed(todo)
+            continue
+        stack.pop()
+        done[id(node)] = visit(node, [done[id(a)] for a in args])
+    return done[id(root)]

@@ -14,7 +14,7 @@ more variable.
 from __future__ import annotations
 
 from .errors import ParseError
-from .nodes import Const, Cos, Exp, Expr, Log, Norm, Pow, Sin, Sqrt, Var, children
+from .nodes import Const, Cos, Exp, Expr, Log, Norm, Pow, Sin, Sqrt, Var, walk
 
 # The deepest expression the parser accepts, in operations from the root
 # to a leaf and in nested parentheses: the largest depth that every
@@ -160,25 +160,24 @@ class _Parser:
             raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} at position {tok[2]}", tok[2])
 
     def _integer(self) -> int:
-        sign = 1
-        tok = self.toks.peek()
-        if tok[0] in ("-", "+"):
-            self.toks.next()
-            if tok[0] == "-":
-                sign = -1
-            tok = self.toks.peek()
-        if tok[0] == "(":
+        """A literal, or an integer in parentheses, after an optional sign."""
+        sign, opened = 1, 0
+        while True:
+            if self.toks.peek()[0] in ("-", "+"):
+                sign = -sign if self.toks.next()[0] == "-" else sign
+            if self.toks.peek()[0] != "(":
+                break
             self._nest(self.toks.next())
-            value = self._integer()
-            self.toks.expect(")")
-            self.nesting -= 1
-            return sign * value
+            opened += 1
         tok = self.toks.expect("num")
         if "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
             raise ParseError(
                 f"exponent must be an integer, got {tok[1]!r} at position {tok[2]}",
                 tok[2],
             )
+        for _ in range(opened):
+            self.toks.expect(")")
+            self.nesting -= 1
         return sign * int(tok[1])
 
     def atom(self) -> Expr:
@@ -220,14 +219,8 @@ class _Parser:
 
 def depth(e: Expr) -> int:
     """The number of operations on the longest path from e down to a
-    leaf (0 for a constant or a variable), counted without recursion."""
-    deepest = 0
-    stack = [(e, 0)]
-    while stack:
-        node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack += [(a, d + 1) for a in children(node)]
-    return deepest
+    leaf (0 for a constant or a variable)."""
+    return walk(e, lambda node, args: 1 + max(args) if args else 0, {})
 
 
 def default_var_names(n: int) -> list[str]:

@@ -8,7 +8,8 @@ record by subclassing ``Record`` with ``frozen=True`` or
 - the repr ``Name(field=value, ...)``;
 - field-wise ``==`` between instances of the same class, and
   ``NotImplemented`` against anything else;
-- if frozen, the hash of its field tuple, and an ``AttributeError`` on
+- if frozen, the hash of its field tuple, unless a base before ``Record``
+  gives one (``conecut.nodes.Expr`` does), and an ``AttributeError`` on
   assignment to or deletion of any attribute (``__init__`` sets fields
   with ``object.__setattr__``; ``functools.cached_property`` writes to
   the instance ``__dict__`` and is unaffected);
@@ -32,7 +33,7 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         if frozen:
-            cls.__hash__ = _hash_fields
+            cls.__hash__ = cls.__hash__ or _hash_fields
             cls.__setattr__ = _refuse_assignment
             cls.__delattr__ = _refuse_deletion
         else:

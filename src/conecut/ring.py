@@ -31,7 +31,7 @@ from numbers import Rational
 from operator import add
 
 from .errors import ArityMismatch, DegenerateCurve, DomainViolation, InvariantBreach, OutsideChart
-from .nodes import Add, Const, Div, Expr, Mul, Pow, Sub, Var
+from .nodes import Add, Const, Div, Expr, Mul, Pow, Sub, Var, walk
 
 _INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
 _SCALARS = (float, Rational)  # the scalars _frac reads; ints are Rational
@@ -682,32 +682,48 @@ def expr_to_laurent(e: Expr, p: int, q: int, t_index: int | None = None) -> dict
             )
         return {k * exponent: MultiPoly.const(p, q, f.terms[const_key] ** exponent)}
 
-    def go(e: Expr) -> dict:
-        if isinstance(e, Const):
-            return {0: MultiPoly.const(p, q, e.value)}
-        if isinstance(e, Var):
-            if e.index == t_index:
-                return {-1: MultiPoly.const(p, q, 1)}
-            return {0: MultiPoly.var(p, q, e.index)}
-        if isinstance(e, Add):
-            return add(go(e.left), go(e.right))
-        if isinstance(e, Sub):
-            return add(go(e.left), {k: -f for k, f in go(e.right).items()})
-        if isinstance(e, Mul):
-            return mul(go(e.left), go(e.right))
-        if isinstance(e, Div):
-            return mul(go(e.left), monomial_power(go(e.right), -1))
-        if isinstance(e, Pow):
-            base = go(e.base)
+    # Failures are results and the root's is raised: a non-polynomial node
+    # fails before all below it, any other after its operands (the leftmost
+    # failed one first), and no node converts after a failure.
+    done, failed = {}, False
+
+    def refuse(node: Expr, args: list):
+        if type(node) not in (Const, Var, Add, Sub, Mul, Div, Pow):
+            done[id(node)] = ArityMismatch(f"non-polynomial node {type(node).__name__} in conversion")
+
+    walk(e, refuse, {})
+
+    def visit(e: Expr, args: list):
+        nonlocal failed
+        failure = next((a for a in args if not isinstance(a, dict)), None)
+        if failure is not None or failed:
+            return failure
+        cls = type(e)
+        try:
+            if cls is Const:
+                return {0: MultiPoly.const(p, q, e.value)}
+            if cls is Var:
+                if e.index == t_index:
+                    return {-1: MultiPoly.const(p, q, 1)}
+                return {0: MultiPoly.var(p, q, e.index)}
+            if cls is Add or cls is Sub:
+                return add(args[0], args[1] if cls is Add else {k: -f for k, f in args[1].items()})
+            if cls is Mul or cls is Div:
+                return mul(args[0], args[1] if cls is Mul else monomial_power(args[1], -1))
             if e.exponent < 0:
-                return monomial_power(base, e.exponent)
+                return monomial_power(args[0], e.exponent)
             out = {0: MultiPoly.const(p, q, 1)}
             for _ in range(e.exponent):
-                out = mul(out, base)
+                out = mul(out, args[0])
             return out
-        raise ArityMismatch(f"non-polynomial node {type(e).__name__} in conversion")
+        except ArityMismatch as exc:
+            failed = True
+            return exc
 
-    return go(e)
+    out = walk(e, visit, done)
+    if isinstance(out, ArityMismatch):
+        raise out
+    return out
 
 
 def expr_to_poly(e: Expr, p: int, q: int) -> MultiPoly:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from conecut import euler
 from conecut.errors import DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from conecut.euler import (
+    EPS_SCHEDULE,
     MAX_FLOW_STEPS,
     VectorField,
     _geometric_grid,
@@ -96,6 +98,18 @@ def test_geometric_grid_needs_a_positive_start():
             _geometric_grid(start, 1.0)
     grid = _geometric_grid(1e-2, 1.0)
     assert grid[0] == 1e-2 and grid[-1] == 1.0 and len(grid) == 241
+
+
+def test_tubular_embedding_builds_no_grid_per_call(monkeypatch):
+    """The grids of EPS_SCHEDULE are built once, as the module loads."""
+    sigma = _perturbed_field()
+    first = tubular_from_euler(sigma, [0.3], [0.5])
+    built = []
+    monkeypatch.setattr(euler, "_geometric_grid", lambda *args: built.append(args))
+    assert tubular_from_euler(sigma, [0.3], [0.5]) == first
+    tubular_from_euler(sigma, [0.2], [-0.25])
+    assert built == []
+    assert [list(grid) for grid in euler._GRIDS] == [_geometric_grid(eps, 1.0) for eps in EPS_SCHEDULE]
 
 
 def test_flow_is_reversible():

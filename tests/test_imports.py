@@ -16,6 +16,10 @@ same for ``dataclasses``, whose decorator compiles every generated
 method at import (records subclass ``conecut.record.Record`` instead),
 and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
 dependency loads it on the CLI's cold start either.
+``test_no_second_tree_walk`` keeps ``conecut.nodes.walk`` the only
+caller of ``nodes.children`` and keeps ``nodes``, ``expr``, ``parse``
+and ``ring`` free of functions that call themselves, so no second,
+recursive tree walk comes back.
 ``test_no_module_imports_numpy_at_module_level`` keeps numpy's
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
@@ -156,6 +160,62 @@ def test_no_module_imports_dataclasses():
     source = "from dataclasses import dataclass, field\nimport dataclasses as dc\nfrom .dataclasses import x\n"
     assert module_imports("dataclasses", source) == ["line 1: dataclasses", "line 2: dataclasses"]
     assert _package_imports("dataclasses") == {}
+
+
+# The modules that read expression trees; none of their functions recurses.
+TREE_MODULES = ("nodes", "expr", "parse", "ring")
+
+
+def _called_name(call: ast.Call):
+    """The name a call is made by: ``f(...)``, ``x.f(...)``; None otherwise."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def tree_walk_violations(source: str, module: str) -> list:
+    """Calls of ``children`` outside ``walk`` of ``nodes``, and, in the
+    tree modules, calls a function makes of itself, by name or through
+    ``self`` or ``cls``, in source order."""
+    tree = ast.parse(source)
+    functions = [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]
+    walks = [f for f in tree.body if module == "nodes" and isinstance(f, _FUNCTIONS) and f.name == "walk"]
+    allowed = {id(n) for f in walks for n in ast.walk(f)}
+    found = [
+        (n.lineno, "children outside walk")
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and _called_name(n) == "children" and id(n) not in allowed
+    ]
+    for f in functions if module in TREE_MODULES else ():
+        for n in ast.walk(f):
+            if not isinstance(n, ast.Call) or _called_name(n) != f.name:
+                continue
+            if isinstance(n.func, ast.Name) or getattr(n.func.value, "id", None) in ("self", "cls"):
+                found.append((n.lineno, f"{f.name} calls itself"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_tree_walk_violations_finds_a_second_walk_and_self_calls():
+    source = (
+        "def walk(root):\n    return children(root)\n"
+        "def depth(e):\n    return 1 + max(depth(a) for a in nodes.children(e))\n"
+        "class P:\n    def atom(self):\n        return self.atom() + other.atom()\n"
+        "    def expr(self):\n        return self.atom()\n"
+    )
+    assert tree_walk_violations(source, "nodes") == [
+        "line 4: children outside walk", "line 4: depth calls itself", "line 7: atom calls itself"
+    ]
+    assert tree_walk_violations(source, "verify") == [
+        "line 2: children outside walk", "line 4: children outside walk"
+    ]
+
+
+def test_no_second_tree_walk():
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := tree_walk_violations(path.read_text(), path.stem))
+    }
+    assert found == {}
 
 
 def _run_python(code: str) -> str:
