@@ -470,7 +470,7 @@ def linear_map(matrix) -> SmoothMapExpr:
         e: Expr = Const(0.0)
         for j in range(n):
             if a[i, j] != 0.0:
-                e = e + Const(a[i, j]) * Var(j)
+                e = e + Const(float(a[i, j])) * Var(j)
         body.append(e)
     return SmoothMapExpr(n, m, tuple(body))
 

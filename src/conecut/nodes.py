@@ -11,8 +11,9 @@ tapes and evaluates them, ``conecut.parse`` reads them from text, and
 Every pass over a tree is a call of ``walk``: its own stack lets a tree
 be deeper than Python's recursion limit, and it visits each distinct
 node once, so shared subtrees cost their nodes, not their paths.  Text
-is built by one walk from the format strings of ``_TEXT``.  A node
-hashes its field tuple once, at construction, in O(1).
+is built by one walk from the format strings of ``_TEXT``, and the
+record repr ``Name(field=value, ...)`` by another.  A node hashes its
+field tuple once, at construction, in O(1).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class Expr:
 
     def __str__(self):
         return walk(self, _text, {})
+
+    def __repr__(self):
+        return walk(self, _repr, {})
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -175,6 +179,19 @@ def _text(node: Expr, args: list) -> str:
     if cls is Norm:
         return f"norm({', '.join(args)})"
     return _TEXT[cls].format(*args, node=node)
+
+
+def _repr(node: Expr, args: list) -> str:
+    """The record repr ``Name(field=value, ...)`` of a node over its
+    children's reprs."""
+    cls = type(node)
+    if cls is Norm:
+        args = [f"({', '.join(args)}{',' * (len(args) == 1)})"]
+    operands, data = iter(args), _DATA.get(cls, ())
+    fields = ", ".join(
+        f"{name}={repr(getattr(node, name)) if name in data else next(operands)}" for name in node._fields
+    )
+    return f"{cls.__qualname__}({fields})"
 
 
 def children(node: Expr) -> tuple:

@@ -7,14 +7,23 @@ every monomial of f_k has x-block total degree >= k.  Two character
 families evaluate elements at body points (x, s) with s != 0 and at
 normal vectors (y, xi); both are exact ring homomorphisms.
 
+A MultiPoly runs on Python ints: integer numerators over one positive
+common denominator, with gcd(den, every numerator) = 1, so ``==`` and
+``hash`` are structural.  Its +, - and * work on the numerators and
+reduce each result with one ``math.gcd``, skipped when den = 1 (after
+Knuth, TAOCP vol. 2, 4.5.1).  ``terms`` is the exact view, a new dict
+from exponent tuple to Fraction.  Internal results are built by
+``MultiPoly._trusted``, which relies on the invariant every MultiPoly
+keeps: exponent tuples of length p + q with nonnegative ints, and
+nonzero int numerators.  Only the public constructors validate every
+term, coerce and merge; a plain int coefficient is taken as it is.
+
 Evaluation splits the point once into integer numerators and
-denominators, accumulates each sum as an unreduced integer pair
-(num, den) and builds a single Fraction per result.  Internal +, - and
-* build results through ``MultiPoly._trusted``, which relies on the
-invariant every MultiPoly keeps: exponent tuples of length p + q with
-nonnegative ints, and exact nonzero coefficients.  Only the public
-constructors validate every term, coerce and merge; plain ints and
-Fractions pass unconverted, and an all-int point is its own numerators.
+denominators and accumulates each sum as an unreduced integer pair
+(num, den).  The pair cores ``char_xs_pair`` and ``char_yxi_pair``
+return that pair; ``char_xs``, ``char_yxi`` and ``MultiPoly.evaluate``
+build a single Fraction from it.  An all-int point is its own
+numerators.
 
 Also here, on exact univariate polynomials: square-free factors, real
 roots each correctly rounded by one Sturm bisection, and with them the
@@ -34,25 +43,34 @@ from .errors import ArityMismatch, DegenerateCurve, DomainViolation, InvariantBr
 from .nodes import Add, Const, Div, Expr, Mul, Pow, Sub, Var, walk
 
 _INTS = frozenset((int,))  # _INTS.issuperset(map(type, v)): all plain ints
-_SCALARS = (float, Rational)  # the scalars _frac reads; ints are Rational
+_SCALARS = (float, Rational)  # the scalars _ratio reads; ints are Rational
 
 
-def _frac(value) -> Fraction:
-    """``value`` as a Fraction whose numerator and denominator are ints."""
+def _ratio(value) -> tuple:
+    """``value`` as an int pair (num, den) in lowest terms with den > 0."""
     if type(value) is Fraction:
         num, den = value.as_integer_ratio()
         if type(num) is int and type(den) is int:
-            return value
+            return num, den
     elif isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ArityMismatch(f"non-finite coefficient or operand {value!r}")
-        return Fraction(value)
+        return value.as_integer_ratio()
     # numpy integers, and Fractions of them, whose own products would wrap
     if isinstance(value, Rational):
-        return Fraction(int(value.numerator), int(value.denominator))
+        return Fraction(int(value.numerator), int(value.denominator)).as_integer_ratio()
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def _lowest(nums: dict, den: int) -> tuple:
+    """Int numerators over den > 0 with gcd(den, *nums) divided out."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            return {e: c // g for e, c in nums.items()}, den // g
+    return nums, den
 
 
 def _exponents(values) -> tuple:
@@ -79,20 +97,32 @@ def check_blocks(p: int, q: int) -> tuple:
 
 
 def _split(point, n: int):
-    """Integer numerators and denominators of an exact point of length n."""
+    """Integer numerators and denominators of an exact point of length n;
+    the denominators are None for a point of plain ints."""
     point = list(point)
     if len(point) != n:
         raise ArityMismatch("evaluation point has the wrong length")
     if _INTS.issuperset(map(type, point)):
-        return point, [1] * n
-    return tuple(zip(*(_frac(v).as_integer_ratio() for v in point)))
+        return point, None
+    return tuple(zip(*map(_ratio, point)))
 
 
-def _eval_pair(terms, nums, dens, num: int, den: int):
-    """Add the (exponents, coefficient) ``terms`` at the point nums/dens to
-    num/den; returns the sum as an unreduced integer pair."""
-    for exps, coeff in terms:
-        n, d = coeff.as_integer_ratio()
+def _eval_pair(terms, nums, dens):
+    """Sum the (exponents, int coefficient) ``terms`` at the point
+    nums/dens; returns the sum as an unreduced integer pair."""
+    if dens is None:
+        num = 0
+        for exps, n in terms:
+            for v, e in zip(nums, exps):
+                if e == 1:
+                    n *= v
+                elif e:
+                    n *= v**e
+            num += n
+        return num, 1
+    num, den = 0, 1
+    for exps, n in terms:
+        d = 1
         for vn, vd, e in zip(nums, dens, exps):
             if e == 1:
                 n *= vn
@@ -108,50 +138,72 @@ def _eval_pair(terms, nums, dens, num: int, den: int):
 
 
 class MultiPoly:
-    """A multivariate polynomial with Fraction coefficients.
+    """A multivariate polynomial with exact rational coefficients.
 
     Variables are split into a y-block of size p followed by an x-block
-    of size q; monomial keys are exponent tuples of length p + q.
-    Values are immutable: ``terms`` is never changed after construction.
+    of size q; monomial keys are exponent tuples of length p + q.  The
+    coefficients are the int numerators ``nums`` over the common
+    denominator ``den`` > 0, in lowest terms: gcd(den, *nums) = 1, and
+    den = 1 for the zero polynomial.  Values are immutable: ``nums`` is
+    never changed after construction.
     """
 
-    __slots__ = ("p", "q", "terms", "_order")
+    __slots__ = ("p", "q", "nums", "den", "_order")
 
     def __init__(self, p: int, q: int, terms=None):
         p, q = check_blocks(p, q)
         self.p = p
         self.q = q
         self._order = None
-        clean: dict = {}
+        nums: dict = {}
+        den = 1  # the lcm of the denominators so far
+        merged = False  # without a merge, that lcm leaves gcd(den, *nums) = 1
         for exps, coeff in (terms or {}).items():
             if type(exps) is not tuple or not _INTS.issuperset(map(type, exps)):
                 exps = _exponents(exps)
             if len(exps) != p + q or exps and min(exps) < 0:
                 raise ArityMismatch(f"bad monomial {exps} for {p}+{q} variables")
-            coeff = _frac(coeff)
-            if exps in clean:
-                coeff += clean.pop(exps)
+            if type(coeff) is int:
+                coeff *= den
+            else:
+                coeff, d = _ratio(coeff)
+                if den % d:
+                    scale = d // math.gcd(den, d)
+                    if nums:
+                        nums = {e: c * scale for e, c in nums.items()}
+                    den *= scale
+                coeff *= den // d
+            if exps in nums:
+                coeff += nums.pop(exps)
+                merged = True
             if coeff:
-                clean[exps] = coeff
-        self.terms = clean
+                nums[exps] = coeff
+        self.nums, self.den = _lowest(nums, den) if merged else (nums, den)
 
     @classmethod
-    def _trusted(cls, p: int, q: int, terms: dict) -> "MultiPoly":
-        """Wrap ``terms`` that already keep the class invariant; the
-        result owns the dict."""
+    def _trusted(cls, p: int, q: int, nums: dict, den: int) -> "MultiPoly":
+        """Wrap nonzero int numerators over ``den`` > 0 whose exponents
+        keep the class invariant, dividing out gcd(den, *nums); the result
+        owns the dict."""
         self = object.__new__(cls)
         self.p = p
         self.q = q
-        self.terms = terms
+        self.nums, self.den = _lowest(nums, den)
         self._order = None
         return self
+
+    @property
+    def terms(self) -> dict:
+        """The exact view: a new dict from exponent tuple to Fraction."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def const(p: int, q: int, value) -> "MultiPoly":
         p, q = check_blocks(p, q)
-        value = _frac(value)
-        return MultiPoly._trusted(p, q, {(0,) * (p + q): value} if value else {})
+        num, den = _ratio(value)
+        return MultiPoly._trusted(p, q, {(0,) * (p + q): num} if num else {}, den)
 
     @staticmethod
     def var(p: int, q: int, index: int) -> "MultiPoly":
@@ -160,7 +212,7 @@ class MultiPoly:
             raise ArityMismatch(f"variable {index} out of range for {p}+{q} variables")
         exps = [0] * (p + q)
         exps[index] = 1
-        return MultiPoly(p, q, {tuple(exps): Fraction(1)})
+        return MultiPoly(p, q, {tuple(exps): 1})
 
     # -- ring structure ----------------------------------------------
     def _check_like(self, other: "MultiPoly"):
@@ -168,7 +220,7 @@ class MultiPoly:
             raise ArityMismatch("polynomials over different variable splits")
 
     def _const(self, value):
-        """A scalar ``_frac`` reads, as a constant over this split; None
+        """A scalar ``_ratio`` reads, as a constant over this split; None
         for any other value."""
         return MultiPoly.const(self.p, self.q, value) if isinstance(value, _SCALARS) else None
 
@@ -176,22 +228,28 @@ class MultiPoly:
         if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
             return NotImplemented
         self._check_like(other)
-        terms = self.terms.copy()
-        for e, c in other.terms.items():
-            if e in terms:
-                c += terms[e]
+        den, scale = self.den, 1
+        if other.den == den:
+            nums = self.nums.copy()
+        else:
+            nums = {e: c * other.den for e, c in self.nums.items()}
+            den, scale = den * other.den, den
+        for e, c in other.nums.items():
+            c *= scale
+            if e in nums:
+                c += nums[e]
                 if c:
-                    terms[e] = c
+                    nums[e] = c
                 else:
-                    del terms[e]
+                    del nums[e]
             else:
-                terms[e] = c
-        return MultiPoly._trusted(self.p, self.q, terms)
+                nums[e] = c
+        return MultiPoly._trusted(self.p, self.q, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.p, self.q, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.p, self.q, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
@@ -205,22 +263,23 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not isinstance(other, _SCALARS):
                 return NotImplemented
-            other = _frac(other)
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return MultiPoly._trusted(self.p, self.q, terms)
+            num, den = _ratio(other)
+            nums = {e: c * num for e, c in self.nums.items()} if num else {}
+            return MultiPoly._trusted(self.p, self.q, nums, self.den * den)
         self._check_like(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        nums: dict = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 key = tuple(map(add, e1, e2))
-                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+                nums[key] = nums[key] + c1 * c2 if key in nums else c1 * c2
         return MultiPoly._trusted(
-            self.p, self.q, {e: c for e, c in terms.items() if c}
+            self.p, self.q, {e: c for e, c in nums.items() if c}, self.den * other.den
         )
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
+    def __pow__(self, k):
+        (k,) = _exponents((k,))
         if k < 0:
             raise ArityMismatch("negative polynomial powers are not defined")
         out = MultiPoly.const(self.p, self.q, 1)
@@ -231,19 +290,19 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
             return NotImplemented
-        return (self.p, self.q) == (other.p, other.q) and self.terms == other.terms
+        return (self.p, self.q, self.den) == (other.p, other.q, other.den) and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.p, self.q, frozenset(self.terms.items())))
+        return hash((self.p, self.q, self.den, frozenset(self.nums.items())))
 
     # -- queries ------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def evaluate(self, point) -> Fraction:
         nums, dens = _split(point, self.p + self.q)
-        num, den = _eval_pair(self.terms.items(), nums, dens, 0, 1)
-        return Fraction(num) if den == 1 else Fraction(num, den)
+        num, den = _eval_pair(self.nums.items(), nums, dens)
+        return Fraction(num, den * self.den)
 
     def substitute(self, replacements) -> "MultiPoly":
         """Substitute one polynomial per variable; result in their variables."""
@@ -254,22 +313,23 @@ class MultiPoly:
             raise ArityMismatch("substitution needs at least one variable")
         model = replacements[0]
         out = MultiPoly(model.p, model.q, {})
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.nums.items():
             term = MultiPoly.const(model.p, model.q, coeff)
             for repl, e in zip(replacements, exps):
                 term = term * repl**e
             out = out + term
-        return out
+        return out * Fraction(1, self.den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = [f"y{i + 1}" for i in range(self.p)] + [
             f"x{i + 1}" for i in range(self.q)
         ]
+        terms = self.terms
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=lambda e: (sum(e), e)):
+            coeff = terms[exps]
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"
                 for i, e in enumerate(exps)
@@ -294,7 +354,7 @@ def vanishing_order(f: MultiPoly):
     Computed once per polynomial, which never changes."""
     if f._order is None:
         p = f.p
-        f._order = min(sum(e[p:]) for e in f.terms) if f.terms else float("inf")
+        f._order = min(sum(e[p:]) for e in f.nums) if f.nums else float("inf")
     return f._order
 
 
@@ -309,7 +369,7 @@ class LaurentElement:
         self.q = q
         clean = {}
         for k, poly in (coeffs or {}).items():
-            if not poly.terms:
+            if not poly.nums:
                 continue
             if (poly.p, poly.q) != (p, q):
                 raise ArityMismatch("coefficient over the wrong variable split")
@@ -376,27 +436,31 @@ class LaurentElement:
     __repr__ = __str__
 
 
-def char_xs(a: LaurentElement, x, s) -> Fraction:
-    """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
+def char_xs_pair(a: LaurentElement, x, s) -> tuple:
+    """``char_xs`` as an unreduced integer pair (num, den), den != 0."""
     nums, dens = _split(x, a.p + a.q)
-    sn, sd = _frac(s).as_integer_ratio()
+    sn, sd = _ratio(s)
     if sn == 0:
         raise ArityMismatch("body characters need s != 0")
     num, den = 0, 1
     for k, poly in a.coeffs.items():
-        n, d = _eval_pair(poly.terms.items(), nums, dens, 0, 1)
+        n, d = _eval_pair(poly.nums.items(), nums, dens)
+        d *= poly.den
         if k > 0:
             n, d = n * sd**k, d * sn**k
         elif k < 0:
             n, d = n * sn**-k, d * sd**-k
         num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return num, den
 
 
-def char_yxi(a: LaurentElement, y, xi) -> Fraction:
-    """Evaluation at a normal vector: the degree-k x-homogeneous part of
-    f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0.
-    ``y`` has the p slice coordinates and ``xi`` the q normal ones."""
+def char_xs(a: LaurentElement, x, s) -> Fraction:
+    """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
+    return Fraction(*char_xs_pair(a, x, s))
+
+
+def char_yxi_pair(a: LaurentElement, y, xi) -> tuple:
+    """``char_yxi`` as an unreduced integer pair (num, den), den > 0."""
     p = a.p
     if len(y) != p:
         raise ArityMismatch(f"slice block of length {len(y)} for p = {p}")
@@ -404,9 +468,18 @@ def char_yxi(a: LaurentElement, y, xi) -> Fraction:
     num, den = 0, 1
     for k, poly in a.coeffs.items():
         if k >= 0:
-            part = [(e, c) for e, c in poly.terms.items() if sum(e[p:]) == k]
-            num, den = _eval_pair(part, nums, dens, num, den)
-    return Fraction(num) if den == 1 else Fraction(num, den)
+            part = [(e, c) for e, c in poly.nums.items() if sum(e[p:]) == k]
+            n, d = _eval_pair(part, nums, dens)
+            d *= poly.den
+            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+    return num, den
+
+
+def char_yxi(a: LaurentElement, y, xi) -> Fraction:
+    """Evaluation at a normal vector: the degree-k x-homogeneous part of
+    f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0.
+    ``y`` has the p slice coordinates and ``xi`` the q normal ones."""
+    return Fraction(*char_yxi_pair(a, y, xi))
 
 
 # -- exact univariate polynomials --------------------------------------
@@ -603,14 +676,15 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
         # (x, y) -> (u*s, s): exceptional coordinate is s (variable 1).
         total = g.substitute([u * s, s])
         exc_index = 1
-    m = min(e[exc_index] for e in total.terms)
-    strict = MultiPoly(
+    m = min(e[exc_index] for e in total.nums)
+    strict = MultiPoly._trusted(
         0,
         2,
         {
             tuple(e - m if i == exc_index else e for i, e in enumerate(exps)): c
-            for exps, c in total.terms.items()
+            for exps, c in total.nums.items()
         },
+        total.den,
     )
     # Restriction to the exceptional divisor {exceptional coordinate = 0},
     # a univariate polynomial in the remaining coordinate.  It is split
@@ -618,7 +692,8 @@ def strict_transform_curve(g: MultiPoly, chart: int = 1):
     # each factor has simple roots, no two factors share one, and its
     # index in the decomposition is their multiplicity.
     other = 1 - exc_index
-    restricted = {exps[other]: c for exps, c in strict.terms.items() if exps[exc_index] == 0}
+    # The numerators: the common denominator moves no root.
+    restricted = {exps[other]: c for exps, c in strict.nums.items() if exps[exc_index] == 0}
     degree = max(restricted)
     if degree == 0:
         return strict, []
@@ -676,11 +751,11 @@ def expr_to_laurent(e: Expr, p: int, q: int, t_index: int | None = None) -> dict
             raise ArityMismatch("division by zero constant")
         const_key = (0,) * (p + q)
         (k, f), *rest = nonzero
-        if rest or set(f.terms) != {const_key}:
+        if rest or set(f.nums) != {const_key}:
             raise ArityMismatch(
                 "division and negative powers need a constant times a power of t"
             )
-        return {k * exponent: MultiPoly.const(p, q, f.terms[const_key] ** exponent)}
+        return {k * exponent: MultiPoly.const(p, q, Fraction(f.nums[const_key], f.den) ** exponent)}
 
     # Failures are results and the root's is raised: a non-polynomial node
     # fails before all below it, any other after its operands (the leftmost

@@ -25,6 +25,7 @@ from conecut.expr import (
     linear_map,
     substitute,
 )
+from conecut.parse import parse_map
 
 
 def _poly_map():
@@ -168,6 +169,13 @@ def test_identity_and_linear_maps():
     v = np.array([0.7, 0.3])
     assert np.allclose(eval_map(lin, v), mat @ v, atol=1e-14)
     assert np.allclose(jet_eval(lin, v).jacobian, mat, atol=1e-14)
+
+
+def test_a_linear_map_prints_text_that_parses_back():
+    lin = linear_map(np.array([[2.0, 0.0], [0.5, 1.0]]))
+    assert str(lin) == "((0.0 + (2.0 * x1)), ((0.0 + (0.5 * x1)) + (1.0 * x2)))"
+    back = parse_map(", ".join(str(e) for e in lin.body), 2)
+    assert back == lin and str(back) == str(lin)
 
 
 def test_wrong_input_dimension_raises():

@@ -7,7 +7,9 @@ the names its module-level ``import`` statements bind but its code never
 references; ``from .m import a as a`` is an explicit re-export and
 counts as used.  ``test_no_private_cross_module_imports``
 lists every underscore name a module of ``src/conecut`` imports from a
-conecut module: a helper shared across modules is public.
+conecut module, and every underscore attribute it reaches through a
+name imported from one (``rg.MultiPoly._trusted``): a helper shared
+across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
 ``random`` module, so every suite draws from a numpy ``Generator``
 seeded by its ``seed`` (``pairs`` draws from ``conecut.pcg64``, which
@@ -80,22 +82,48 @@ def test_no_unused_module_imports():
     assert found == {}
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_imports(source: str) -> list:
-    """Underscore names imported from a conecut module, anywhere in the
-    source (function-level imports included)."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        origin = node.module or ""
-        if node.level or origin.split(".")[0] == "conecut":
-            found += [f"line {node.lineno}: {origin}.{a.name}" for a in node.names if a.name.startswith("_")]
-    return found
+    """Underscore names imported from a conecut module, and underscore
+    attributes reached through a name that an import from conecut binds
+    (``rg.MultiPoly._trusted``), anywhere in the source (function-level
+    imports included), by line.  Dunder names are not private."""
+    tree = ast.parse(source)
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or "conecut" for a in node.names if a.name.split(".")[0] == "conecut"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "conecut"):
+            origin = node.module or ""
+            found += [(node.lineno, 0, f"{origin}.{a.name}") for a in node.names if _is_private(a.name)]
+            bound |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {name}" for line, _, name in sorted(found)]
 
 
 def test_private_imports_finds_an_underscore_name():
     source = "from .blowup import Body, _round\nfrom conecut.expr import _ev\nfrom numpy import _x\n"
     assert private_imports(source) == ["line 1: blowup._round", "line 2: conecut.expr._ev"]
+
+
+def test_private_imports_finds_an_underscore_attribute_of_an_imported_name():
+    source = (
+        "from . import ring as rg\nfrom .ring import MultiPoly\nimport conecut.expr, numpy.linalg as la\n"
+        "def f(x):\n    return rg.MultiPoly._trusted(1, 2, {}, 1), MultiPoly._order, conecut.expr._ev\n"
+        "def g(x):\n    return la._umath, x._y, rg.__name__, rg.MultiPoly.const\n"
+    )
+    assert private_imports(source) == [
+        "line 5: rg.MultiPoly._trusted", "line 5: MultiPoly._order", "line 5: conecut.expr._ev"
+    ]
 
 
 def test_no_private_cross_module_imports():

@@ -43,6 +43,10 @@ def test_a_tree_deeper_than_the_recursion_limit_is_hashed_compared_printed_and_c
     for _ in range(2000):
         text = f"(({text} + x1) * 0.5)"
     assert str(e) == text
+    record = "Var(index=0)"
+    for _ in range(2000):
+        record = f"Mul(left=Add(left={record}, right=Var(index=0)), right=Const(value=0.5))"
+    assert repr(e) == record
     m = from_components(1, (e,))
     assert hash(m) == hash(from_components(1, (twin,)))
     assert compose(m, identity_map(1)).body[0] == e

@@ -16,7 +16,9 @@ from conecut.ring import (
     LaurentElement,
     MultiPoly,
     char_xs,
+    char_xs_pair,
     char_yxi,
+    char_yxi_pair,
     expr_to_poly,
     geometric_consistency,
     poly_to_expr,
@@ -658,3 +660,134 @@ def test_non_integer_block_sizes_are_rejected():
     for poly in (MultiPoly(2.0, 1), MultiPoly.const(2.0, 1.0, 3), MultiPoly.var(np.int64(2), 1, 0)):
         assert (poly.p, poly.q) == (2, 1) and type(poly.p) is int and type(poly.q) is int
     assert LaurentElement(1.0, 2.0, {}).p == 1 and MultiPoly(2.0, 1) == MultiPoly(2, 1)
+
+
+# -- the integer form: numerators over one denominator ------------------
+
+
+def _oracle_poly(rnd, n_terms):
+    """A dict of Fraction coefficients on random monomials, some of them
+    repeated, and the pairs it is built from."""
+    pairs = []
+    for _ in range(n_terms):
+        exps = (rnd.randint(0, 2), rnd.randint(0, 2), rnd.randint(0, 1))
+        pairs.append((exps, Fraction(rnd.randint(-9, 9), rnd.choice((1, 2, 3, 4, 6, 9, 10)))))
+    terms: dict = {}
+    for exps, c in pairs:
+        terms[exps] = terms.get(exps, 0) + c
+    return {e: c for e, c in terms.items() if c}, pairs
+
+
+def _oracle_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(f: MultiPoly, want: dict):
+    assert f.terms == want and all(type(c) is Fraction for c in f.terms.values())
+    assert all(type(n) is int and n for n in f.nums.values()) and type(f.den) is int and f.den > 0
+    assert math.gcd(f.den, *f.nums.values()) == 1
+    assert f == MultiPoly(P, Q, want) and hash(f) == hash(MultiPoly(P, Q, want))
+
+
+def test_integer_form_matches_a_fraction_dict_oracle():
+    rnd = random.Random(22)
+    for _ in range(300):
+        (ta, pairs_a), (tb, _) = _oracle_poly(rnd, rnd.randint(0, 4)), _oracle_poly(rnd, rnd.randint(0, 4))
+        a, b = MultiPoly(P, Q, _Pairs(pairs_a)), MultiPoly(P, Q, tb)
+        _assert_canonical(a, ta)
+        _assert_canonical(a + b, _oracle_add(ta, tb))
+        _assert_canonical(a - b, _oracle_add(ta, tb, -1))
+        _assert_canonical(a * b, _oracle_mul(ta, tb))
+        c = Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+        _assert_canonical(a * c, {e: v * c for e, v in ta.items() if v * c})
+        _assert_canonical(c * b - b * c, {})
+        point = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(P + Q)]
+        assert a.evaluate(point) == _naive_value(MultiPoly(P, Q, ta), point)
+    # one value from several routes: the same numerators, denominator and hash
+    f = MultiPoly(P, Q, {(0, 1, 0): Fraction(1, 2), (1, 0, 0): Fraction(2, 3)})
+    routes = [
+        (f * Fraction(1, 3)) * 3,
+        (f + f) * Fraction(1, 2),
+        f * 6 * Fraction(1, 6),
+        MultiPoly(P, Q, {(1, 0, 0): Fraction(4, 6), (0, 1, 0): 0.5}),
+        MultiPoly(P, Q, _Pairs([((0, 1, 0), 1), ((1, 0, 0), Fraction(2, 3)), ((0, 1, 0), Fraction(-1, 2))])),
+        MultiPoly.var(P, Q, 1) * Fraction(1, 2) + MultiPoly.const(P, Q, Fraction(2, 3)) * MultiPoly.var(P, Q, 0),
+        (f * f - f * f) + f,
+    ]
+    for g in routes:
+        assert (g.nums, g.den) == ({(0, 1, 0): 3, (1, 0, 0): 4}, 6)
+        assert g == f and hash(g) == hash(f)
+    half = MultiPoly.var(P, Q, 1) * Fraction(1, 2)
+    assert half + half == MultiPoly.var(P, Q, 1) and (half + half).den == 1
+    assert (f - f).nums == {} and (f - f).den == 1 and f - f == MultiPoly(P, Q)
+
+
+def test_pair_cores_give_the_public_characters():
+    rnd = random.Random(11)
+    for _ in range(200):
+        a = _seeded_element(rnd)
+        x = [_seeded_rational(rnd) for _ in range(P + Q)]
+        s = _seeded_rational(rnd) or Fraction(3, 2)
+        y, xi = x[:P], x[P:]
+        num, den = char_xs_pair(a, x, s)
+        assert type(num) is int and type(den) is int and den != 0
+        assert Fraction(num, den) == char_xs(a, x, s) == _naive_xs(a, x, s)
+        num, den = char_yxi_pair(a, y, xi)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == char_yxi(a, y, xi) == _naive_yxi(a, y, xi)
+
+
+def test_ring_suite_notices_a_character_that_is_wrong_on_products(monkeypatch):
+    from conecut import ring, verify
+
+    assert verify.SUITES["ring"](samples=40, seed=0).details["homomorphism_exact"]
+    products = []
+    multiply, core = ring.LaurentElement.__mul__, ring.char_xs_pair
+
+    def recorded(a, b):
+        products.append(multiply(a, b))
+        return products[-1]
+
+    def off_by_one(a, x, s):
+        num, den = core(a, x, s)
+        return (num + den, den) if any(a is p for p in products) else (num, den)
+
+    monkeypatch.setattr(ring.LaurentElement, "__mul__", recorded)
+    monkeypatch.setattr(ring, "char_xs_pair", off_by_one)
+    result = verify.SUITES["ring"](samples=40, seed=0)
+    assert products and not result.ok
+    assert result.details == {"homomorphism_exact": False, "grading_exact": True}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ring_suite_passes_at_every_seed(seed):
+    from conecut.verify import SUITES
+
+    result = SUITES["ring"](samples=150, seed=seed)
+    assert result.ok and result.details == {"homomorphism_exact": True, "grading_exact": True}
+    assert result.max_residual <= result.tol
+
+
+def test_polynomial_powers_follow_the_rule_of_exponents():
+    y, x1, _ = _vars()
+    f = x1 + y
+    for two in (2, 2.0, np.int64(2), np.float64(2.0), Fraction(2)):
+        assert f**two == f * f
+    assert f**0 == MultiPoly.const(P, Q, 1)
+    for bad in (2.5, float("nan"), Fraction(1, 2), "2"):
+        with pytest.raises(ArityMismatch, match="non-integer"):
+            f**bad
+    with pytest.raises(ArityMismatch, match="negative"):
+        f**-1
