@@ -39,7 +39,7 @@ from .errors import (
     OutsideBlupF,
     OutsideChart,
 )
-from .expr import as_floats
+from .expr import as_floats, max_abs_diff
 from .lazy_numpy import np
 from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted, singular_values
 from .record import Record
@@ -145,14 +145,15 @@ def canonicalize(y, xi, t, dims: PairDims):
 
 
 def point_dist(z, w) -> float:
-    """Max-norm distance of two points of one kind; inf across kinds."""
+    """Max-norm distance of two points of one kind, by ``max_abs_diff``
+    (inf where a coordinate difference is not a number); inf across kinds."""
     if isinstance(z, Body) and isinstance(w, Body):
         a, b = z.x, w.x
     elif isinstance(z, Exceptional) and isinstance(w, Exceptional):
         a, b = (*z.y, *z.xi_dir), (*w.y, *w.xi_dir)
     else:
         return float("inf")
-    return max([abs(u - v) for u, v in zip(a, b, strict=True)], default=0.0)
+    return max_abs_diff(a, b)
 
 
 def from_ambient(x, dims: PairDims) -> Body:

@@ -25,7 +25,7 @@ import math
 from functools import cached_property
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
-from .expr import SmoothMapExpr, as_floats, compile_source, eval_map, from_components, jet_eval
+from .expr import SmoothMapExpr, as_floats, compile_source, eval_map, from_components, jet_eval, max_abs_diff
 from .lazy_numpy import np
 from .nodes import Var
 from .pairs import PairDims, sample_slice_points
@@ -80,13 +80,12 @@ def is_euler_like(sigma: VectorField) -> EulerLikeReport:
     points = [x for x in sample_slice_points(dims, 64, 0) if sigma.components.in_domain(x)]
     if not points:
         raise SamplingFailure("no sampled slice point lies in the vector field's domain")
+    identity = [float(i == j) for i in range(dims.q) for j in range(dims.q)]
     for point in points:
         jet = jet_eval(sigma.components, point)
-        worst_vanish = max(worst_vanish, float(np.max(np.abs(jet.value), initial=0.0)))
-        block = np.array(jet.jacobian)[dims.p :, dims.p :]
-        worst_lin = max(
-            worst_lin, float(np.max(np.abs(block - np.eye(dims.q)), initial=0.0))
-        )
+        worst_vanish = max(worst_vanish, max_abs_diff(jet.value, [0.0] * dims.n))
+        block = [c for row in jet.jacobian[dims.p :] for c in row[dims.p :]]
+        worst_lin = max(worst_lin, max_abs_diff(block, identity))
     return EulerLikeReport(
         worst_vanish <= 1e-10, worst_lin <= 1e-10, max(worst_vanish, worst_lin)
     )
@@ -202,17 +201,15 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if float(np.linalg.norm(xi)) == 0.0:
         return tuple(dims.join(y, [0.0] * dims.q))
-    flows = [
-        (eps, np.array(_rk4(sigma, dims.join(y, eps * xi), grid)))
-        for eps, grid in zip(EPS_SCHEDULE, _GRIDS)
-    ]
+    flows = [(eps, _rk4(sigma, dims.join(y, eps * xi), grid)) for eps, grid in zip(EPS_SCHEDULE, _GRIDS)]
     extrapolants = [
-        (e1 * v2 - e2 * v1) / (e1 - e2) for (e1, v1), (e2, v2) in zip(flows, flows[1:])
+        [(e1 * b - e2 * a) / (e1 - e2) for a, b in zip(v1, v2)]
+        for (e1, v1), (e2, v2) in zip(flows, flows[1:])
     ]
-    drift = float(np.max(np.abs(extrapolants[-1] - extrapolants[-2])))
+    drift = max_abs_diff(extrapolants[-1], extrapolants[-2])
     if drift > 1e-4:
         raise NonConvergence(f"extrapolants differ by {drift:.3e} > 1.0e-04")
-    return tuple(extrapolants[-1].tolist())
+    return tuple(extrapolants[-1])
 
 
 def normal_derivative_of_chi(sigma: VectorField, y) -> np.ndarray:
@@ -237,9 +234,7 @@ def chi_relatedness_residual(sigma: VectorField, y, xi) -> float:
     h = 1e-4
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     chi = tubular_from_euler(sigma, y, xi)
-    lhs = np.array(sigma(chi))
     # directional derivative of chi along (0, xi) at (y, xi)
-    hi = np.array(tubular_from_euler(sigma, y, xi * (1.0 + h)))
-    lo = np.array(tubular_from_euler(sigma, y, xi * (1.0 - h)))
-    rhs = (hi - lo) / (2.0 * h)
-    return float(np.max(np.abs(lhs - rhs)))
+    hi = tubular_from_euler(sigma, y, xi * (1.0 + h))
+    lo = tubular_from_euler(sigma, y, xi * (1.0 - h))
+    return max_abs_diff(sigma(chi), [(a - b) / (2.0 * h) for a, b in zip(hi, lo)])

@@ -325,6 +325,18 @@ def as_floats(point) -> list:
         raise ArityMismatch(f"{point!r} is not a flat sequence of numbers") from None
 
 
+def max_abs_diff(a, b) -> float:
+    """max |a_i - b_i| over two flat sequences of equal length, 0.0 for
+    empty ones; ValueError for unequal lengths.  A difference that is not
+    a number gives inf, where a bare ``max`` would drop it."""
+    worst = 0.0
+    for u, v in zip(a, b, strict=True):
+        d = abs(u - v)
+        if not d <= worst:
+            worst = d if d == d else math.inf
+    return worst
+
+
 def _check_coords(m: SmoothMapExpr, point) -> list:
     coords = as_floats(point)
     if len(coords) != m.input_dim:

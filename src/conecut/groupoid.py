@@ -16,10 +16,11 @@ documented fact, not a test.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import SamplingFailure
-from .expr import Guard, SmoothMapExpr, eval_batch, eval_map, from_components, jet_eval
+from .expr import Guard, SmoothMapExpr, eval_batch, eval_map, from_components, jet_eval, max_abs_diff
 from .lazy_numpy import np
 from .nodes import Var
 from .pairs import numeric_rank
@@ -39,6 +40,18 @@ COMPOSABILITY_TOL = 1e-10
 # Samples per eval_batch call in the axiom checks: enough rows to spread
 # the cost of each call, few enough to keep the batch's arrays small.
 BATCH_ROWS = 256
+
+
+def random_sign(rng) -> float:
+    """-1.0 or 1.0, drawn as rng.choice([-1.0, 1.0]) draws it: the same
+    value, and the same generator state after it."""
+    return (-1.0, 1.0)[rng.integers(0, 2)]
+
+
+def _unit_circle(rng) -> tuple:
+    """(cos a, sin a) at an angle a drawn uniformly from [0, 2 pi)."""
+    angle = rng.uniform(0.0, 2 * math.pi)
+    return (math.cos(angle), math.sin(angle))
 
 
 class GroupoidSpec(Record, frozen=True):
@@ -86,7 +99,7 @@ class GroupoidSpec(Record, frozen=True):
     def m(self, g, h):
         if float(np.linalg.norm(np.subtract(self.s(g), self.t(h)))) > self.tol:
             raise SamplingFailure("arrows are not composable")
-        return eval_map(self.mult, np.concatenate([g, h]))
+        return eval_map(self.mult, [*g, *h])
 
     def i(self, g):
         return eval_map(self.inv, g)
@@ -125,7 +138,10 @@ def _products(spec: GroupoidSpec, left, right, s_left, t_right) -> np.ndarray:
 
 
 def _worst(diff) -> float:
-    return float(np.max(np.abs(diff), initial=0.0))
+    """The largest |entry| of an array of differences; inf if one is nan,
+    as ``max_abs_diff`` reads it."""
+    worst = float(abs(diff).max(initial=0.0))
+    return worst if worst == worst else math.inf
 
 
 class AxiomReport(Record, frozen=False):
@@ -228,8 +244,7 @@ def pair_groupoid(base_dim: int = 1) -> GroupoidSpec:
     unit = from_components(d, tuple(Var(i) for i in range(d)) * 2)
 
     def partner(rng, g):
-        c = rng.uniform(-2.0, 2.0, size=d)
-        return np.concatenate([g[d:], c])
+        return (*g[d:], *rng.uniform(-2.0, 2.0, size=d).tolist())
 
     return GroupoidSpec(2 * d, d, source, target, mult, inv, unit, composable_partner=partner)
 
@@ -256,28 +271,28 @@ def action_groupoid_rx() -> GroupoidSpec:
         return np.column_stack([lams, aas])
 
     def partner(rng, g):
-        lam2 = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
-        return np.array([lam2, g[1] / lam2])
+        lam2 = rng.uniform(0.2, 2.0) * random_sign(rng)
+        return (lam2, float(g[1]) / lam2)
 
     return GroupoidSpec(
         2, 1, source, target, mult, inv, unit, arrow_sampler=sampler, composable_partner=partner
     )
 
 
-def polar_arrow_to_action(theta, t) -> np.ndarray:
+def polar_arrow_to_action(theta, t) -> tuple:
     """Convert a polar arrow [theta, t] to (lambda, a) = (theta1/theta2, t*theta2)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta[1] == 0.0:
+    theta1, theta2 = float(theta[0]), float(theta[1])
+    if theta2 == 0.0:
         raise SamplingFailure("conversion needs theta2 != 0")
-    return np.array([theta[0] / theta[1], t * theta[1]])
+    return (theta1 / theta2, float(t) * theta2)
 
 
 def polar_source(theta, t) -> float:
-    return float(t * np.asarray(theta, dtype=float)[1])
+    return float(t) * float(theta[1])
 
 
 def polar_target(theta, t) -> float:
-    return float(t * np.asarray(theta, dtype=float)[0])
+    return float(t) * float(theta[0])
 
 
 def _polar_of_pair_arrow(a: float, b: float):
@@ -312,26 +327,24 @@ def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
     worst = 0.0
     done = 0
     while done < samples:
-        ang = rng.uniform(0.0, 2 * np.pi)
-        theta = np.array([np.cos(ang), np.sin(ang)])
-        t = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
+        theta = _unit_circle(rng)
+        t = rng.uniform(0.2, 2.0) * random_sign(rng)
         if abs(theta[0]) < 1e-2 or abs(theta[1]) < 1e-2:
             continue
         # flip to the other fundamental-domain representative at random
         if rng.random() < 0.5:
-            theta, t = -theta, -t
+            theta, t = (-theta[0], -theta[1]), -t
         g = polar_arrow_to_action(theta, t)
         arrows.append(g)
         polar_st.append((polar_source(theta, t), polar_target(theta, t)))
         # composable polar partner: target of h must equal source of g = t*theta2
-        ang2 = rng.uniform(0.0, 2 * np.pi)
-        theta2 = np.array([np.cos(ang2), np.sin(ang2)])
+        theta2 = _unit_circle(rng)
         if abs(theta2[0]) < 1e-2 or abs(theta2[1]) < 1e-2:
             continue
         t2 = t * theta[1] / theta2[0]
         h = polar_arrow_to_action(theta2, t2)
         prod = polar_mult((t, theta), (t2, theta2))
-        if float(np.min(np.abs(prod.theta))) < 1e-2:
+        if min(map(abs, prod.theta)) < 1e-2:
             # near a coordinate axis the conversion ratio theta1/theta2
             # amplifies representative rounding; resample
             continue
@@ -405,10 +418,16 @@ class ActionReport(Record, frozen=False):
         self.samples = samples
 
 
+def _rotation(angle: float) -> np.ndarray:
+    """The rotation matrix; products with it stay numpy's, whose rounding
+    a plain sum c*x - s*y does not always reproduce."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
 def rotate_blowup_point(angle: float, z):
     """Induced rotation action on the blown-up plane."""
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
+    rot = _rotation(angle)
     if isinstance(z, Body):
         return from_ambient(rot @ z.x, z.dims)
     if isinstance(z, Exceptional):
@@ -433,16 +452,13 @@ def saturated_action_blowup(samples: int = 500, seed: int = 0) -> ActionReport:
                 continue
             z = Body(tuple(x.tolist()), dims)
         else:
-            ang0 = rng.uniform(0.0, 2 * np.pi)
-            z = canonicalize(np.zeros(0), np.array([np.cos(ang0), np.sin(ang0)]), 0.0, dims)
-        a1 = float(rng.uniform(0.0, 2 * np.pi))
-        a2 = float(rng.uniform(0.0, 2 * np.pi))
+            z = canonicalize((), _unit_circle(rng), 0.0, dims)
+        a1 = rng.uniform(0.0, 2 * math.pi)
+        a2 = rng.uniform(0.0, 2 * math.pi)
         id_v = max(id_v, point_dist(rotate_blowup_point(0.0, z), z))
         twice = rotate_blowup_point(a1, rotate_blowup_point(a2, z))
         comp_v = max(comp_v, point_dist(twice, rotate_blowup_point(a1 + a2, z)))
-        c, s = np.cos(a1), np.sin(a1)
-        rot = np.array([[c, -s], [s, c]])
-        bd_direct = rot @ blowdown(z)
+        bd_direct = _rotation(a1) @ blowdown(z)
         bd_lifted = blowdown(rotate_blowup_point(a1, z))
-        bd_v = max(bd_v, float(np.max(np.abs(bd_direct - bd_lifted))))
+        bd_v = max(bd_v, max_abs_diff(bd_direct.tolist(), bd_lifted))
     return ActionReport(id_v, comp_v, bd_v, samples)

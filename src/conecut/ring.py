@@ -9,7 +9,8 @@ normal vectors (y, xi); both are exact ring homomorphisms.
 
 A MultiPoly runs on Python ints: integer numerators over one positive
 common denominator, with gcd(den, every numerator) = 1, so ``==`` and
-``hash`` are structural.  Its +, - and * work on the numerators and
+``hash`` are structural; a constant also equals its scalar value, and
+hashes like it.  Its +, - and * work on the numerators and
 reduce each result with one ``math.gcd``, skipped when den = 1 (after
 Knuth, TAOCP vol. 2, 4.5.1).  ``terms`` is the exact view, a new dict
 from exponent tuple to Fraction.  Internal results are built by
@@ -293,6 +294,10 @@ class MultiPoly:
         return (self.p, self.q, self.den) == (other.p, other.q, other.den) and self.nums == other.nums
 
     def __hash__(self):
+        # A constant equals its scalar value, so it hashes like that value.
+        one = (0,) * (self.p + self.q)
+        if self.nums.keys() <= {one}:
+            return hash(Fraction(self.nums.get(one, 0), self.den))
         return hash((self.p, self.q, self.den, frozenset(self.nums.items())))
 
     # -- queries ------------------------------------------------------

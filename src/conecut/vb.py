@@ -16,7 +16,7 @@ from __future__ import annotations
 
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
-from .expr import SmoothMapExpr, as_floats, compose, eval_map, from_components
+from .expr import SmoothMapExpr, as_floats, compose, eval_map, from_components, max_abs_diff
 from .lazy_numpy import np
 from .nodes import Var
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
@@ -124,23 +124,32 @@ def fiber_linearity_check(
 
     for _ in range(samples):
         if isinstance(base_point, Body):
-            a = rng.uniform(-1.0, 1.0, size=total)
-            b = rng.uniform(-1.0, 1.0, size=total)
-            lam = float(rng.uniform(-2.0, 2.0))
-            points = [VbBody(base_point.x, tuple(v.tolist())) for v in (a, b, a + b, lam * a)]
+            a = rng.uniform(-1.0, 1.0, size=total).tolist()
+            b = rng.uniform(-1.0, 1.0, size=total).tolist()
+            lam = rng.uniform(-2.0, 2.0)
+            points = [VbBody(base_point.x, v) for v in _sum_and_scale(a, b, lam)]
         elif isinstance(base_point, Exceptional):
-            pa, pb = rng.uniform(-1.0, 1.0, size=(2, model.rank_f))
-            ea, eb = rng.uniform(-1.0, 1.0, size=(2, model.rank_e))
-            lam = float(rng.uniform(-2.0, 2.0))
+            pa, pb = rng.uniform(-1.0, 1.0, size=(2, model.rank_f)).tolist()
+            ea, eb = rng.uniform(-1.0, 1.0, size=(2, model.rank_e)).tolist()
+            lam = rng.uniform(-2.0, 2.0)
             points = [
-                VbExceptional(base_point.y, base_point.xi_dir, tuple(p.tolist()), tuple(e.tolist()))
-                for p, e in ((pa, ea), (pb, eb), (pa + pb, ea + eb), (lam * pa, lam * ea))
+                VbExceptional(base_point.y, base_point.xi_dir, p, e)
+                for p, e in zip(_sum_and_scale(pa, pb, lam), _sum_and_scale(ea, eb, lam))
             ]
         else:
             raise TypeError(f"not a blow-up base point: {base_point!r}")
-        fa, fb, fsum, fscale = [np.array(vb_chart(model, r, z)[model.base.n :]) for z in points]
-        worst = max(worst, float(np.max(np.abs(fsum - fa - fb))), float(np.max(np.abs(fscale - lam * fa))))
+        fa, fb, fsum, fscale = [vb_chart(model, r, z)[model.base.n :] for z in points]
+        worst = max(
+            worst,
+            max_abs_diff([s - c for s, c in zip(fsum, fa)], fb),
+            max_abs_diff(fscale, [lam * c for c in fa]),
+        )
     return LinearityReport(worst, worst <= 1e-11)
+
+
+def _sum_and_scale(a: list, b: list, lam: float) -> tuple:
+    """The fiber vectors a, b, a + b and lam * a, as tuples."""
+    return tuple(a), tuple(b), tuple([u + v for u, v in zip(a, b)]), tuple([lam * u for u in a])
 
 
 def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):

@@ -76,6 +76,12 @@ def test_canonicalize_body_and_exceptional():
         canonicalize([], [0.0, 0.0], 1.0, DIMS20)
 
 
+def test_point_dist_reports_a_nan_coordinate_as_inf():
+    dims = PairDims(2, 0)
+    assert blowup.point_dist(Body((1.0, math.nan), dims), Body((5.0, 0.0), dims)) == math.inf
+    assert blowup.point_dist(Body((1.0, 2.0), dims), Body((1.5, 2.0), dims)) == 0.5
+
+
 def test_canonicalize_is_scale_invariant():
     a = canonicalize([0.5], [2.0, -1.0], 0.5, DIMS31)
     b = canonicalize([0.5], [4.0, -2.0], 0.25, DIMS31)

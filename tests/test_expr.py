@@ -1,5 +1,7 @@
 """Forward-mode differentiation of expression trees."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,23 @@ from conecut.expr import (
     identity_map,
     jet_eval,
     linear_map,
+    max_abs_diff,
     substitute,
 )
 from conecut.parse import parse_map
+
+
+def test_max_abs_diff_reads_a_nan_difference_as_inf():
+    """A bare max(worst, nan) is worst, so a residual would drop a NaN;
+    max_abs_diff reports inf for it, wherever it stands."""
+    assert max_abs_diff((1.0, 2.0, -3.0), [1.5, 2.0, -1.0]) == 2.0
+    assert max_abs_diff([], ()) == 0.0
+    assert max_abs_diff([math.nan, 1.0], [0.0, 5.0]) == math.inf
+    assert max_abs_diff([1.0, math.nan], [5.0, 0.0]) == math.inf
+    assert max_abs_diff([math.inf, 0.0], [math.inf, 1.0]) == math.inf  # inf - inf is nan
+    assert max_abs_diff([math.inf], [0.0]) == math.inf
+    with pytest.raises(ValueError):
+        max_abs_diff([1.0], [1.0, 2.0])
 
 
 def _poly_map():

@@ -3,15 +3,23 @@
 Each case runs ``conecut.cli.main(argv)`` in-process with ``CONECUT_SEED``
 unset, so the seed is the default 42.  The files under ``tests/golden/``
 are regenerated only by a change whose purpose is to change the output.
+
+``float-suites-seeds-0-4.json`` holds the verdict, the repr of the worst
+residual and the details of each of the seven float suites of the
+benchmark's verify-float workload at seeds 0 to 4 and default samples,
+keyed "<suite> <seed>"; ``test_float_suite_results_at_seeds_0_to_4``
+asserts that each run reproduces them exactly.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from conecut.cli import main
+from conecut.verify import SUITES
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -43,3 +51,14 @@ def test_golden_transcript(name, code, argv, monkeypatch):
     got_code, got = run_main(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text()
+
+
+FLOAT_RESULTS = json.loads((GOLDEN / "float-suites-seeds-0-4.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted({key.split()[0] for key in FLOAT_RESULTS}))
+def test_float_suite_results_at_seeds_0_to_4(name):
+    for seed in range(5):
+        r = SUITES[name](seed=seed)
+        got = {"ok": r.ok, "max_residual": repr(r.max_residual), "details": r.details}
+        assert got == FLOAT_RESULTS[f"{name} {seed}"], seed

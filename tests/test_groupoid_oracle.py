@@ -3,8 +3,10 @@
 ``ref_check_axioms``, ``ref_sample_arrows`` and ``ref_polar_groupoid_check``
 below are the loops that checked the groupoid axioms one sampled arrow at
 a time, through the single-point structure maps ``GroupoidSpec.s/t/m/i/u``,
-kept verbatim as the reference.  The batched checks must report exactly
-the same numbers for the same seed.
+kept verbatim as the reference, except that they subtract with
+``np.subtract`` the tuples the polar conversion and the structure maps
+return.  The batched checks must report exactly the same numbers for
+the same seed.
 """
 
 import numpy as np
@@ -110,11 +112,11 @@ def ref_polar_groupoid_check(samples: int, seed: int) -> PolarCheckReport:
             # amplifies representative rounding; resample
             continue
         prod_action = polar_arrow_to_action(prod.theta, prod.t)
-        worst = max(worst, float(np.max(np.abs(prod_action - spec.m(g, h)))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(prod_action, spec.m(g, h))))))
         # inversion: the pair-groupoid flip (a, b) -> (b, a)
         inv_polar = _polar_of_pair_arrow(t * theta[1], t * theta[0])
         inv_action = polar_arrow_to_action(inv_polar.theta, inv_polar.t)
-        worst = max(worst, float(np.max(np.abs(inv_action - spec.i(g)))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(inv_action, spec.i(g))))))
         done += 1
     return PolarCheckReport(worst, done)
 
@@ -149,7 +151,7 @@ def test_polar_check_counts_the_arrows_of_rejected_samples(monkeypatch):
     target made 1 too large at exactly the rejected arrows, the batched
     check must report that error, as the loop does."""
     seen = []
-    monkeypatch.setattr(GroupoidSpec, "s", lambda self, g: seen.append(g.tobytes()) or eval_map(self.source, g))
+    monkeypatch.setattr(GroupoidSpec, "s", lambda self, g: seen.append(np.asarray(g).tobytes()) or eval_map(self.source, g))
     ref_polar_groupoid_check(200, 0)
     monkeypatch.undo()
     # An accepted g comes right back for the composability test of g . h.
@@ -162,7 +164,7 @@ def test_polar_check_counts_the_arrows_of_rejected_samples(monkeypatch):
     assert rejected
 
     def off_at_rejected(theta, t, target=polar_target):
-        off = polar_arrow_to_action(theta, t).tobytes() in rejected
+        off = np.asarray(polar_arrow_to_action(theta, t)).tobytes() in rejected
         return target(theta, t) + (1.0 if off else 0.0)
 
     monkeypatch.setattr(groupoid, "polar_target", off_at_rejected)
@@ -202,7 +204,7 @@ def test_non_composable_partner_raises_sampling_failure():
     spec = pair_groupoid(1)
     skewed = GroupoidSpec(
         2, 1, spec.source, spec.target, spec.mult, spec.inv, spec.unit,
-        composable_partner=lambda rng, g: spec.composable_partner(rng, g) + [1e-9, 0.0],
+        composable_partner=lambda rng, g: np.add(spec.composable_partner(rng, g), [1e-9, 0.0]),
     )
     with pytest.raises(SamplingFailure, match="not composable"):
         check_axioms(skewed, samples=20, seed=0)

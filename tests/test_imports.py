@@ -22,6 +22,9 @@ dependency loads it on the CLI's cold start either.
 caller of ``nodes.children`` and keeps ``nodes``, ``expr``, ``parse``
 and ``ring`` free of functions that call themselves, so no second,
 recursive tree walk comes back.
+``test_suites_take_no_numpy_reductions`` keeps ``np.max``, ``np.min``
+and ``np.abs`` (and their aliases) out of the suite modules, whose
+per-sample residuals go through ``expr.max_abs_diff`` on Python floats.
 ``test_no_module_imports_numpy_at_module_level`` keeps numpy's
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
@@ -188,6 +191,40 @@ def test_no_module_imports_dataclasses():
     source = "from dataclasses import dataclass, field\nimport dataclasses as dc\nfrom .dataclasses import x\n"
     assert module_imports("dataclasses", source) == ["line 1: dataclasses", "line 2: dataclasses"]
     assert _package_imports("dataclasses") == {}
+
+
+# The modules whose sample loops compute residuals; none calls a numpy
+# reduction or abs on a short vector.
+SUITE_MODULES = ("verify", "groupoid", "vb", "euler")
+NUMPY_REDUCTIONS = {"max", "amax", "min", "amin", "abs", "absolute", "fabs"}
+
+
+def numpy_reductions(source: str) -> list:
+    """Every ``np.max``, ``np.min`` and ``np.abs`` (or an alias of one)
+    that the source names, by line."""
+    found = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in NUMPY_REDUCTIONS
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+    ]
+    return [f"line {line}: np.{name}" for line, _, name in sorted(found)]
+
+
+def test_numpy_reductions_finds_max_min_and_abs():
+    source = "x = np.max(np.abs(a - b))\ny = float(np.min(v)) + np.amax(v)\nz = abs(a).max() + max(v)\n"
+    assert numpy_reductions(source) == ["line 1: np.max", "line 1: np.abs", "line 2: np.min", "line 2: np.amax"]
+
+
+def test_suites_take_no_numpy_reductions():
+    found = {
+        module: names
+        for module in SUITE_MODULES
+        if (names := numpy_reductions((PACKAGE / f"{module}.py").read_text()))
+    }
+    assert found == {}
 
 
 # The modules that read expression trees; none of their functions recurses.

@@ -255,6 +255,16 @@ def test_integer_pair_kernel_matches_naive_fraction_sums():
     assert char_yxi(t, [Fraction(1, 3)], [-2, 0.5]) == 0
 
 
+def test_a_constant_polynomial_hashes_like_its_value():
+    """A constant equals its scalar (``MultiPoly.const(0, 1, 2) == 2``),
+    so it hashes like it, and a set or dict key holds the two as one."""
+    two, half = MultiPoly.const(0, 1, 2), MultiPoly.const(P, Q, Fraction(1, 2))
+    assert two == 2 and hash(two) == hash(2) and len({two, 2}) == 1
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2)) == hash(0.5)
+    assert len({half, Fraction(1, 2), 0.5}) == 1
+    assert MultiPoly(P, Q) == 0 and hash(MultiPoly(P, Q)) == hash(0)
+
+
 def test_cancelled_terms_are_not_stored():
     y, x1, x2 = _vars()
     one = MultiPoly.const(P, Q, 1)
