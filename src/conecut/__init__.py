@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Guard", "Jet", "SmoothMapExpr", "compose", "eval_batch", "eval_map",
+            "Guard", "Jet", "SmoothMapExpr", "compose", "eval_map",
             "finite_diff_jacobian", "from_components", "identity_map", "jet_eval",
             "linear_map",
         ),

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .expr import as_floats, max_abs_diff
 from .lazy_numpy import np
-from .pairs import MapOfPairs, PairDims, normal_derivative, require_adapted, singular_values
+from .pairs import MapOfPairs, PairDims, normal_derivative, normal_image, require_adapted, singular_values
 from .record import Record
 from .ring import strict_transform_curve as strict_transform_curve
 
@@ -231,10 +231,9 @@ def blowup_map(f: MapOfPairs, z):
             raise OutsideBlupF("body point maps into the target submanifold")
         return from_ambient(value, f.target)
     if isinstance(z, Exceptional):
-        dn = normal_derivative(f, z.y)
-        image = np.array(dn) @ z.xi_dir
-        scale = singular_values(dn)[0] * math.hypot(*z.xi_dir)
-        if math.hypot(*image.tolist()) <= BLUP_F_RTOL * max(scale, 1e-300):
+        image = normal_image(f, z.y, z.xi_dir)
+        scale = singular_values(normal_derivative(f, z.y))[0] * math.hypot(*z.xi_dir)
+        if math.hypot(*image) <= BLUP_F_RTOL * max(scale, 1e-300):
             raise OutsideBlupF("normal derivative kills the exceptional direction")
         return canonicalize(f.slice_image(z.y), image, 0.0, f.target)
     raise TypeError(f"not a blow-up point: {z!r}")
@@ -311,11 +310,11 @@ def polar_map(h: MapOfPairs, z: PolarPoint) -> PolarPoint:
     if not h.normal_derivative_injective:
         raise NotImmersive("normal derivative has a kernel on the slice")
     if z.t == 0.0:
-        image = np.array(normal_derivative(h, z.x)) @ z.theta
-        norm = math.hypot(*image.tolist())
+        image = normal_image(h, z.x, z.theta)
+        norm = math.hypot(*image)
         if norm == 0.0:
             raise NotImmersive("normal derivative kills the polar direction")
-        return canonical_polar(h.slice_image(z.x), image / norm, 0.0)
+        return canonical_polar(h.slice_image(z.x), [c / norm for c in image], 0.0)
     value = h(h.source.join(z.x, [z.t * c for c in z.theta]))
     y2, h2 = h.target.split(value)
     norm = math.hypot(*h2)

@@ -25,8 +25,7 @@ import numbers
 import sys
 
 from .errors import ArityMismatch, DomainViolation, NotVanishing
-from .lazy_numpy import np
-from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, require_adapted
+from .pairs import MapOfPairs, PairDims, check_adapted, normal_image, require_adapted
 from .expr import SmoothMapExpr, as_floats
 from .record import Record
 
@@ -130,21 +129,15 @@ class DncMap:
     def __call__(self, z: DncPoint) -> DncPoint:
         h = self.h
         if z.t == 0.0:
-            return DncPoint(h.slice_image(z.y), _normal_image(h, z), 0.0)
+            return DncPoint(h.slice_image(z.y), normal_image(h, z.y, z.xi), 0.0)
         t = z.t
         value = h.f(z.ambient())
         y2, x2 = value[: h.target.p], value[h.target.p :]
         # Once t*xi leaves the normal float range, h2(y, t*xi)/t has lost
         # its precision; the jet branch is then exact to rounding.
         if any(c != 0.0 and abs(t * c) < sys.float_info.min for c in z.xi):
-            return DncPoint(y2, _normal_image(h, z), t)
+            return DncPoint(y2, normal_image(h, z.y, z.xi), t)
         return DncPoint(y2, tuple([c / t for c in x2]), t)
-
-
-def _normal_image(h: MapOfPairs, z: DncPoint) -> tuple:
-    """d_N h(y) xi, a numpy product; the block keeps its q' x q shape when q' is 0."""
-    dn = np.array(normal_derivative(h, z.y), dtype=float).reshape(h.target.q, h.source.q)
-    return tuple((dn @ np.array(z.xi, dtype=float)).tolist())
 
 
 _KINDS = ("hat_f0", "dnc_f1", "hat_t")

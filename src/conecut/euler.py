@@ -9,9 +9,9 @@ compiles its own RK4 stepper on first use, with ``expr.compile_source``:
 one loop over the time grid whose stage arithmetic is unrolled into a
 scalar local per component, so each stage is one call of sigma's value
 tape and n float operations per step of the array form, in the same
-order and bit-identical to the same steps on numpy arrays.  A stage
-whose values are not finite goes through ``expr.eval_map``, which raises
-its error.  The flow refuses a non-finite time and a grid finer than
+order and bit-identical to the same steps on numpy arrays.  The value
+tape itself raises ``eval_map``'s error at a stage whose values are not
+finite.  The flow refuses a non-finite time and a grid finer than
 MAX_FLOW_STEPS steps before it builds one.  The time-1
 slice map chi built from the flow, extrapolated from small starting
 parameters, is the tubular-neighborhood embedding: chi restricted to
@@ -103,8 +103,7 @@ def _rk4(sigma: VectorField, x, grid) -> tuple:
 
     Only the start point is checked as ``eval_map`` checks a point; the
     stage points it builds are lists of n floats, which go straight to
-    sigma's value tape.  A stage whose values are not finite goes
-    through ``eval_map``, which raises its error."""
+    sigma's value tape, which raises ``eval_map``'s error."""
     f = sigma.components
     x = as_floats(x)
     if len(x) != f.input_dim:
@@ -118,23 +117,19 @@ def _stepper(f: SmoothMapExpr):
     n = f.input_dim
     xs = [f"x{i}" for i in range(n)]
     values = f"[{''.join(f'f{i}, ' for i in range(n))}]"
-    finite = " and ".join(f"isfinite(f{i})" for i in range(n)) or "True"
     loop = ["h = t_next - t", "half = one_half * h", "mid = t + half", "end = t + h"]
     for k, (point, t) in enumerate(
         ((xs, "t"), ([f"x{i} + half * k1_{i}" for i in range(n)], "mid"),
          ([f"x{i} + half * k2_{i}" for i in range(n)], "mid"), ([f"x{i} + h * k3_{i}" for i in range(n)], "end")),
         start=1,
     ):
-        loop += [f"p = [{', '.join(point)}]", f"{values} = run(p)", f"if not ({finite}): {values} = values(p)"]
+        loop += [f"p = [{', '.join(point)}]", f"{values} = run(p)"]
         loop += [f"k{k}_{i} = f{i} / {t}" for i in range(n)]
     loop.append("sixth = h / six")
     loop += [f"x{i} = x{i} + sixth * (((k1_{i} + two * k2_{i}) + two * k3_{i}) + k4_{i})" for i in range(n)]
     lines = [f"[{''.join(x + ', ' for x in xs)}] = x", "for t, t_next in zip(grid[:-1], grid[1:]):"]
     lines += ["    " + line for line in loop] + [f"return ({''.join(x + ', ' for x in xs)})"]
-    bound = {
-        "run": f.value_tape, "values": lambda point: eval_map(f, point), "isfinite": math.isfinite,
-        "one_half": 0.5, "two": 2.0, "six": 6.0,
-    }
+    bound = {"run": f.value_tape, "one_half": 0.5, "two": 2.0, "six": 6.0}
     return compile_source("x, grid", lines, bound)
 
 
@@ -197,11 +192,12 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
     a first-order model; raises NonConvergence when the last two
     extrapolants differ by more than 1e-4."""
     dims = sigma.dims
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if float(np.linalg.norm(xi)) == 0.0:
+    y, xi = as_floats(y), as_floats(xi)
+    if not any(xi):
         return tuple(dims.join(y, [0.0] * dims.q))
-    flows = [(eps, _rk4(sigma, dims.join(y, eps * xi), grid)) for eps, grid in zip(EPS_SCHEDULE, _GRIDS)]
+    flows = [
+        (eps, _rk4(sigma, dims.join(y, [eps * c for c in xi]), grid)) for eps, grid in zip(EPS_SCHEDULE, _GRIDS)
+    ]
     extrapolants = [
         [(e1 * b - e2 * a) / (e1 - e2) for a, b in zip(v1, v2)]
         for (e1, v1), (e2, v2) in zip(flows, flows[1:])
@@ -212,19 +208,18 @@ def tubular_from_euler(sigma: VectorField, y, xi) -> tuple:
     return tuple(extrapolants[-1])
 
 
-def normal_derivative_of_chi(sigma: VectorField, y) -> np.ndarray:
+def normal_derivative_of_chi(sigma: VectorField, y) -> list:
     """Central finite difference of chi in the xi directions at xi = 0,
-    with step 1e-3."""
+    with step 1e-3, as q rows of q floats."""
     h = 1e-3
-    dims = sigma.dims
-    out = np.empty((dims.q, dims.q))
-    for j in range(dims.q):
-        e = np.zeros(dims.q)
-        e[j] = h
-        hi = np.array(tubular_from_euler(sigma, y, e))
-        lo = np.array(tubular_from_euler(sigma, y, -e))
-        out[:, j] = (hi - lo)[dims.p :] / (2.0 * h)
-    return out
+    p, q = sigma.dims.p, sigma.dims.q
+    cols = []
+    for j in range(q):
+        e = [h if i == j else 0.0 for i in range(q)]
+        hi = tubular_from_euler(sigma, y, e)
+        lo = tubular_from_euler(sigma, y, [-c for c in e])
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(hi[p:], lo[p:])])
+    return [list(row) for row in zip(*cols)]
 
 
 def chi_relatedness_residual(sigma: VectorField, y, xi) -> float:
@@ -232,9 +227,9 @@ def chi_relatedness_residual(sigma: VectorField, y, xi) -> float:
     the fiberwise scaling generator (0, xi); d(chi) by central FD with
     relative step 1e-4."""
     h = 1e-4
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = as_floats(xi)
     chi = tubular_from_euler(sigma, y, xi)
     # directional derivative of chi along (0, xi) at (y, xi)
-    hi = tubular_from_euler(sigma, y, xi * (1.0 + h))
-    lo = tubular_from_euler(sigma, y, xi * (1.0 - h))
+    hi = tubular_from_euler(sigma, y, [c * (1.0 + h) for c in xi])
+    lo = tubular_from_euler(sigma, y, [c * (1.0 - h) for c in xi])
     return max_abs_diff(sigma(chi), [(a - b) / (2.0 * h) for a, b in zip(hi, lo)])

@@ -13,32 +13,30 @@ A map is compiled on first use into two tapes cached on it: Python
 functions whose straight-line source this module writes, one statement
 or short block per distinct node (shared subtrees once), children
 first, and compiles once (see the comment block at ``# -- tapes``).
-``eval_map`` runs the value tape, which checks the guards and then
-computes the body, and returns the values as a tuple of floats.
-``eval_batch`` runs the same tape once per row of an (N, n) array of
-points; it saves the conversions ``eval_map`` makes on each call, but
-none of the arithmetic, so every row is bit-identical to ``eval_map`` at
-that row.  ``jet_eval`` runs the jet tape, which checks the guards and
-then computes each body node's value together with its n partial
+Each tape checks the guards, computes the body, and ends with one test
+that its results are finite, so a tape raises everything evaluation
+raises and is the one place that decides it.  ``eval_map`` checks a
+point and runs the value tape, which returns the values as a tuple of
+floats.  ``jet_eval`` checks a point and runs the jet tape, which
+computes each body node's value together with its n partial
 derivatives (forward mode), each in a local of its own, and returns the
 values and the Jacobian rows as tuples of floats.  A node's value is the
 same float arithmetic on both tapes, so the value component of
-``jet_eval`` agrees exactly with ``eval_map``.  The tape builder walks a
-tree with ``conecut.nodes.walk``, whose stack is its own, so a tree
-deeper than Python's recursion limit compiles and evaluates.
+``jet_eval`` agrees exactly with ``eval_map``.  A guard compiles a tape
+of its own check for ``in_domain``.  A tape's source is written by a
+walk of the tree with ``conecut.nodes.walk``, whose stack is its own, so
+a tree deeper than Python's recursion limit compiles and evaluates.
 ``compile_source`` compiles all generated code, the tapes and
-``conecut.euler``'s RK4 steppers.  Only ``eval_batch`` and
-``linear_map`` use numpy; every other function takes any flat sequence
-of numbers and returns plain floats.
+``conecut.euler``'s RK4 steppers.  Only ``linear_map`` uses numpy;
+every other function takes any flat sequence of numbers and returns
+plain floats.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from functools import cached_property, partial
-from itertools import chain
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
 from .lazy_numpy import np
@@ -57,6 +55,9 @@ from .record import Record
 # them, with math functions on floats, so every value and partial is
 # exactly the one the tree defines: nothing is folded or simplified, and
 # x*0.0 stays a multiply.
+#
+# The last statement before the return tests that every result is
+# finite, and raises the error that names the first one that is not.
 #
 # The source holds only generated names and operators.  Constants,
 # exponents, nodes (for the error messages) and guards, like the math
@@ -77,7 +78,8 @@ def _domain_error(what: str):
 # The names any tape may use besides its own constants, nodes and guards.
 _RUNTIME = {
     "zero": 0.0, "one": 1.0, "two": 2.0, "float": float, "sqrt": math.sqrt, "exp": math.exp,
-    "log": math.log, "sin": math.sin, "cos": math.cos, "fsum": math.fsum, "over_zero": _over_zero,
+    "log": math.log, "sin": math.sin, "cos": math.cos, "fsum": math.fsum, "isfinite": math.isfinite,
+    "over_zero": _over_zero,
     "div0": _domain_error("division by zero"), "pow0": _domain_error("zero base with negative power"),
     "overflow": _domain_error("overflow"), "non_finite": _domain_error("non-finite argument"),
     "sqrt_neg": _domain_error("sqrt of nonpositive argument"),
@@ -187,9 +189,20 @@ def _emit(code: list, bound: dict, node, args: list, n: int, jet: bool) -> tuple
     return v, partials
 
 
+def _not_finite(body: tuple, coords, vals: tuple, rows: tuple) -> DomainViolation:
+    """The error for the first component whose value, or one of whose
+    partial derivatives, is not finite."""
+    for e, v in zip(body, vals):
+        if not math.isfinite(v):
+            return DomainViolation(f"value of {e} is not finite at {coords}")
+    for e, row in zip(body, rows):
+        if not all(map(math.isfinite, row)):
+            return DomainViolation(f"derivative of {e} is not finite at {coords}")
+
+
 def _tape(n: int, guards: tuple, body: tuple, jet: bool):
     code = [f"[{''.join(f'x{i}, ' for i in range(n))}] = coords"]
-    bound = dict(_RUNTIME)
+    bound = {**_RUNTIME, "not_finite": partial(_not_finite, body)}
     seen: dict = {}
     for guard in guards:
         v, _ = walk(guard.expr, partial(_emit, code, bound, n=n, jet=False), seen)
@@ -199,21 +212,28 @@ def _tape(n: int, guards: tuple, body: tuple, jet: bool):
         seen = {}  # a body node that is also in a guard needs a jet block of its own
     out = [walk(e, partial(_emit, code, bound, n=n, jet=jet), seen) for e in body]
     values = "".join(f"{v}, " for v, _ in out)
+    results = [v for v, _ in out]
+    rows = ""
     if jet:
         rows = "".join(f"({''.join(f'{p}, ' for p in partials)}), " for _, partials in out)
-        values += f"), ({rows}"
-    code.append(f"return ({values})")
+        results += [p for _, partials in out for p in partials]
+    tests = [f"isfinite({v})" for v in dict.fromkeys(results) if v not in ("zero", "one")]
+    if tests:
+        code.append(f"if not ({' and '.join(tests)}): raise not_finite(coords, ({values}), ({rows}))")
+    code.append(f"return ({values}), ({rows})" if jet else f"return ({values})")
     return compile_source("coords", code, bound)
 
 
 def _value_tape(n: int, guards: tuple, body: tuple):
-    """run(coordinates) -> the body's values, after checking every guard."""
+    """run(coordinates) -> the body's values, after checking every guard;
+    DomainViolation where one is not finite."""
     return _tape(n, guards, body, False)
 
 
 def _jet_tape(n: int, guards: tuple, body: tuple):
     """run(coordinates) -> (values, gradients) of the body, after checking
-    every guard; guards are evaluated without derivatives."""
+    every guard; guards are evaluated without derivatives.  DomainViolation
+    where a value or a partial derivative is not finite."""
     return _tape(n, guards, body, True)
 
 
@@ -238,7 +258,6 @@ def substitute(node: Expr, replacements: tuple) -> Expr:
 # Guard kinds: the guard expression must be respectively nonzero, strictly
 # positive, or nonnegative at a point for the point to be in the domain.
 GUARD_KINDS = ("nonzero", "positive", "nonnegative")
-_GUARD_TESTS = dict(zip(GUARD_KINDS, (operator.ne, operator.gt, operator.ge)))
 _GUARD_OPS = dict(zip(GUARD_KINDS, ("!=", ">", ">=")))
 
 
@@ -246,21 +265,26 @@ class Guard(Record, frozen=True):
     def __init__(self, expr: Expr, kind: str):  # kind: one of GUARD_KINDS
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "kind", kind)
-        if kind not in _GUARD_TESTS:
+        if kind not in _GUARD_OPS:
             raise UnknownGuardKind(f"unknown guard kind {kind!r}; expected one of {GUARD_KINDS}")
 
     def holds(self, coords: list) -> bool:
-        """Whether the guard holds at a point given as a list of floats."""
+        """Whether the guard holds at a point given as a list of floats;
+        False also where its expression cannot be evaluated."""
         n = len(coords)
         run = self._tapes.get(n)
         if run is None:
-            run = self._tapes[n] = _value_tape(n, (), (self.expr,))
-        (v,) = run(coords)
-        return _GUARD_TESTS[self.kind](v, 0.0)
+            run = self._tapes[n] = _tape(n, (self,), (), False)
+        try:
+            run(coords)
+        except DomainViolation:
+            return False
+        return True
 
     @cached_property
     def _tapes(self) -> dict:
-        """The guard's value tape for each input dimension it was used at."""
+        """The tape of the guard's own check for each input dimension it
+        was used at."""
         return {}
 
 
@@ -290,22 +314,16 @@ class SmoothMapExpr(Record, frozen=True):
         non-finite coordinate, or at which a guard cannot be evaluated,
         is outside the domain."""
         coords = _check_coords(self, point)
-        if not all(map(math.isfinite, coords)):
-            return False
-        try:
-            return all(g.holds(coords) for g in self.guards)
-        except DomainViolation:
-            return False
+        return all(map(math.isfinite, coords)) and all(g.holds(coords) for g in self.guards)
 
     def __call__(self, point) -> tuple:
         return eval_map(self, point)
 
     @cached_property
     def value_tape(self):
-        """run(coordinates) -> the body's values, for a list of
+        """run(coordinates) -> the body's values, for a sequence of
         ``input_dim`` floats that the caller has checked.  It raises what
-        ``eval_map`` raises at that point, except where a value is not
-        finite, which it returns."""
+        ``eval_map`` raises at that point."""
         return _value_tape(self.input_dim, self.guards, self.body)
 
     @cached_property
@@ -346,64 +364,11 @@ def _check_coords(m: SmoothMapExpr, point) -> list:
     return coords
 
 
-def _check_points(m: SmoothMapExpr, points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != m.input_dim:
-        raise ArityMismatch(
-            f"points of shape {points.shape} for map with input_dim {m.input_dim}"
-        )
-    return points
-
-
-def _not_finite(m: SmoothMapExpr, coords: list, vals, rows) -> DomainViolation:
-    """The error for the first component whose value, or one of whose
-    partial derivatives, is not finite."""
-    for e, v in zip(m.body, vals):
-        if not math.isfinite(v):
-            return DomainViolation(f"value of {e} is not finite at {coords}")
-    for e, row in zip(m.body, rows):
-        if not all(map(math.isfinite, row)):
-            return DomainViolation(f"derivative of {e} is not finite at {coords}")
-
-
 def eval_map(m: SmoothMapExpr, point) -> tuple:
     """The map's values, as a tuple of ``output_dim`` floats, at a flat
     sequence of ``input_dim`` numbers; raises DomainViolation outside the
     domain, which includes the points where a component is not finite."""
-    coords = _check_coords(m, point)
-    vals = m.value_tape(coords)
-    if not all(map(math.isfinite, vals)):
-        raise _not_finite(m, coords, vals, ())
-    return vals
-
-
-def eval_batch(m: SmoothMapExpr, points) -> np.ndarray:
-    """Evaluate the map at each row of an (N, n) array of points; row i
-    of the (N, m) result is ``eval_map(m, points[i])``, bit for bit.
-    Raises what ``eval_map`` raises at the first row where it raises,
-    and a DomainViolation names that row."""
-    rows = _check_points(m, points).tolist()
-    run = m.value_tape
-    vals: list = []
-    append = vals.append
-    try:
-        for coords in rows:
-            append(run(coords))
-    except DomainViolation as exc:
-        # A row before this one may already hold a non-finite value.
-        raise _first_not_finite(m, rows, vals) or DomainViolation(f"row {len(vals)}: {exc}") from None
-    out = np.array(vals, dtype=float).reshape(len(rows), m.output_dim)
-    if not np.isfinite(out).all():
-        raise _first_not_finite(m, rows, vals)
-    return out
-
-
-def _first_not_finite(m: SmoothMapExpr, rows: list, vals: list) -> DomainViolation | None:
-    """The error for the first of the evaluated rows with a non-finite value."""
-    for i, v in enumerate(vals):
-        if not all(map(math.isfinite, v)):
-            return DomainViolation(f"row {i}: {_not_finite(m, rows[i], v, ())}")
-    return None
+    return m.value_tape(_check_coords(m, point))
 
 
 def jet_eval(m: SmoothMapExpr, point) -> Jet:
@@ -412,11 +377,7 @@ def jet_eval(m: SmoothMapExpr, point) -> Jet:
     ``output_dim`` floats, the Jacobian a tuple of as many rows, each a
     tuple of ``input_dim`` floats.  Raises DomainViolation outside the
     domain and where a value or a partial derivative is not finite."""
-    coords = _check_coords(m, point)
-    vals, rows = m._jets(coords)
-    if not (all(map(math.isfinite, vals)) and all(map(math.isfinite, chain.from_iterable(rows)))):
-        raise _not_finite(m, coords, vals, rows)
-    return Jet(vals, rows)
+    return Jet(*m._jets(_check_coords(m, point)))
 
 
 def _fma_norm(coords: list) -> float:

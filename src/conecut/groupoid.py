@@ -2,11 +2,13 @@
 
 Structure maps are smooth expressions; the five axioms (source/target
 of products, associativity, unit laws, inverse laws) are checked on
-seeded samples of composable tuples.  Built-in instances: the pair
-groupoid, the scaling action groupoid on the line, the blow-up of the
-pair groupoid of the plane at the origin (in both the action-groupoid
-coordinates (lambda, a) and the polar presentation), and the induced
-rotation action on the blown-up plane.
+seeded samples of composable tuples, arrow by arrow: each arrow is a
+list of floats, each structure map runs its value tape on it, and each
+axiom keeps the largest ``max_abs_diff`` over the samples.  Built-in
+instances: the pair groupoid, the scaling action groupoid on the line,
+the blow-up of the pair groupoid of the plane at the origin (in both the
+action-groupoid coordinates (lambda, a) and the polar presentation), and
+the induced rotation action on the blown-up plane.
 
 Isotropy statements are certified at the level of dimensions plus
 sampled closure under multiplication and inversion; the identification
@@ -17,10 +19,11 @@ documented fact, not a test.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
-from .errors import SamplingFailure
-from .expr import Guard, SmoothMapExpr, eval_batch, eval_map, from_components, jet_eval, max_abs_diff
+from .errors import ArityMismatch, SamplingFailure
+from .expr import Guard, SmoothMapExpr, as_floats, eval_map, from_components, jet_eval, max_abs_diff
 from .lazy_numpy import np
 from .nodes import Var
 from .pairs import numeric_rank
@@ -37,9 +40,6 @@ from .blowup import (
 )
 
 COMPOSABILITY_TOL = 1e-10
-# Samples per eval_batch call in the axiom checks: enough rows to spread
-# the cost of each call, few enough to keep the batch's arrays small.
-BATCH_ROWS = 256
 
 
 def random_sign(rng) -> float:
@@ -97,9 +97,7 @@ class GroupoidSpec(Record, frozen=True):
         return eval_map(self.target, g)
 
     def m(self, g, h):
-        if float(np.linalg.norm(np.subtract(self.s(g), self.t(h)))) > self.tol:
-            raise SamplingFailure("arrows are not composable")
-        return eval_map(self.mult, [*g, *h])
+        return _product(self, partial(eval_map, self.mult), g, h, self.s(g), self.t(h))
 
     def i(self, g):
         return eval_map(self.inv, g)
@@ -108,40 +106,52 @@ class GroupoidSpec(Record, frozen=True):
         return eval_map(self.unit, np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def _sample_arrows(spec: GroupoidSpec, rng, count: int) -> np.ndarray:
-    """Up to ``count`` arrows, one per row.  Uniform draws come in blocks
-    of the number still missing, so the generator yields the same arrows
-    and ends in the same state as drawing them one at a time, and at
-    most 10 * count are drawn."""
-    if spec.arrow_sampler is not None:
-        return np.asarray(spec.arrow_sampler(rng, count), dtype=float).reshape(-1, spec.arrow_dim)
-    blocks = []
-    kept = drawn = 0
-    while kept < count and drawn < count * 10:
-        block = rng.uniform(-2.0, 2.0, size=(min(count - kept, count * 10 - drawn), spec.arrow_dim))
-        drawn += len(block)
-        block = block[[spec.source.in_domain(g) and spec.target.in_domain(g) for g in block]]
-        kept += len(block)
-        blocks.append(block)
-    if not kept:
-        raise SamplingFailure("no valid arrows found")
-    return np.concatenate(blocks)
-
-
-def _products(spec: GroupoidSpec, left, right, s_left, t_right) -> np.ndarray:
-    """The product of each row of ``left`` with the same row of
-    ``right``, given their sources and targets; raises SamplingFailure
-    if any pair is not composable."""
-    if np.any(np.linalg.norm(s_left - t_right, axis=1) > spec.tol):
+def _product(spec: GroupoidSpec, run, g, h, source_g, target_h) -> tuple:
+    """run([*g, *h]), the product of g and h by the multiplication ``run``,
+    given the source of g and the target of h; SamplingFailure unless
+    those are within the composability tolerance of each other."""
+    if math.dist(source_g, target_h) > spec.tol:
         raise SamplingFailure("arrows are not composable")
-    return eval_batch(spec.mult, np.hstack([left, right]))
+    return run([*g, *h])
 
 
-def _worst(diff) -> float:
-    """The largest |entry| of an array of differences; inf if one is nan,
-    as ``max_abs_diff`` reads it."""
-    worst = float(abs(diff).max(initial=0.0))
-    return worst if worst == worst else math.inf
+def _value_tapes(spec: GroupoidSpec) -> tuple:
+    """The value tapes of source, target, mult, inv and unit; ArityMismatch
+    unless each map has the dimensions its role gives it."""
+    a, b = spec.arrow_dim, spec.base_dim
+    maps = (spec.source, spec.target, spec.mult, spec.inv, spec.unit)
+    for m, (n_in, n_out) in zip(maps, ((a, b), (a, b), (2 * a, a), (a, a), (b, a))):
+        if (m.input_dim, m.output_dim) != (n_in, n_out):
+            raise ArityMismatch(
+                f"structure map {m} goes R^{m.input_dim} -> R^{m.output_dim}, not R^{n_in} -> R^{n_out}"
+            )
+    return tuple(m.value_tape for m in maps)
+
+
+def _arrow(spec: GroupoidSpec, a) -> list:
+    """An arrow as a list of ``arrow_dim`` floats; ArityMismatch otherwise."""
+    g = as_floats(a)
+    if len(g) != spec.arrow_dim:
+        raise ArityMismatch(f"arrow of length {len(g)} for arrow_dim {spec.arrow_dim}")
+    return g
+
+
+def _sample_arrows(spec: GroupoidSpec, rng, count: int) -> list:
+    """Up to ``count`` arrows, each a list of floats.  Uniform draws come
+    in blocks of the number still missing, so the generator yields the
+    same arrows and ends in the same state as drawing them one at a
+    time, and at most 10 * count are drawn."""
+    if spec.arrow_sampler is not None:
+        return [_arrow(spec, a) for a in spec.arrow_sampler(rng, count)]
+    arrows: list = []
+    drawn = 0
+    while len(arrows) < count and drawn < count * 10:
+        block = rng.uniform(-2.0, 2.0, size=(min(count - len(arrows), count * 10 - drawn), spec.arrow_dim))
+        drawn += len(block)
+        arrows += [g for g in block.tolist() if spec.source.in_domain(g) and spec.target.in_domain(g)]
+    if not arrows:
+        raise SamplingFailure("no valid arrows found")
+    return arrows
 
 
 class AxiomReport(Record, frozen=False):
@@ -184,51 +194,33 @@ class AxiomReport(Record, frozen=False):
 def check_axioms(spec: GroupoidSpec, samples: int = 200, seed: int = 0) -> AxiomReport:
     """Sampled verification of the five groupoid axioms.
 
-    The arrows g are sampled first.  Then, BATCH_ROWS arrows at a time,
-    the partners h (composable with g) and k (composable with h) of each
-    arrow are drawn in turn, and each structure map is evaluated once on
-    the batch with ``eval_batch``.  Every pair is tested for
-    composability before its product is evaluated, and each axiom's
-    violation is the largest over all rows."""
+    The arrows g are sampled first.  Then, arrow by arrow, a partner h
+    composable with g and a partner k composable with h are drawn, each
+    read once as a list of floats, and the structure maps' value tapes
+    are run on them.  Every pair is tested for composability right
+    before its product is evaluated, and each axiom's violation is the
+    largest ``max_abs_diff`` over all samples."""
     rng = np.random.default_rng(seed)
     arrows = _sample_arrows(spec, rng, samples)
-    rep = AxiomReport(samples=len(arrows))
-    for start in range(0, len(arrows), BATCH_ROWS):
-        _check_batch(spec, rng, arrows[start : start + BATCH_ROWS], rep)
-    return rep
+    s, t, mult, inv, unit = _value_tapes(spec)
+    m = partial(_product, spec, mult)
 
-
-def _check_batch(spec: GroupoidSpec, rng, g: np.ndarray, rep: AxiomReport):
-    """Draw the partners of the arrows ``g`` and raise each violation in
-    ``rep`` to the largest on these rows."""
-    h, k = np.empty_like(g), np.empty_like(g)
-    for i, row in enumerate(g):
-        h[i] = spec.composable_partner(rng, row)
-        k[i] = spec.composable_partner(rng, h[i])
-    s, t = spec.source, spec.target
-    sg, tg, sh, th, tk = eval_batch(s, g), eval_batch(t, g), eval_batch(s, h), eval_batch(t, h), eval_batch(t, k)
-    gh = _products(spec, g, h, sg, th)
-    hk = _products(spec, h, k, sh, tk)
-    sgh = eval_batch(s, gh)
-    us, ut, ig = eval_batch(spec.unit, sg), eval_batch(spec.unit, tg), eval_batch(spec.inv, g)
-    sig = eval_batch(s, ig)
-    rep.source_of_product = max(rep.source_of_product, _worst(sgh - sh))
-    rep.target_of_product = max(rep.target_of_product, _worst(eval_batch(t, gh) - tg))
-    rep.associativity = max(
-        rep.associativity,
-        _worst(_products(spec, gh, k, sgh, tk) - _products(spec, g, hk, sg, eval_batch(t, hk))),
-    )
-    rep.unit_laws = max(
-        rep.unit_laws,
-        _worst(_products(spec, g, us, sg, eval_batch(t, us)) - g),
-        _worst(_products(spec, ut, g, eval_batch(s, ut), tg) - g),
-    )
-    rep.inverse_laws = max(
-        rep.inverse_laws,
-        _worst(_products(spec, g, ig, sg, eval_batch(t, ig)) - ut),
-        _worst(_products(spec, ig, g, sig, tg) - us),
-        _worst(sig - tg),
-    )
+    src = tgt = assoc = units = invs = 0.0
+    for g in arrows:
+        h = _arrow(spec, spec.composable_partner(rng, g))
+        k = _arrow(spec, spec.composable_partner(rng, h))
+        sg, tg, sh, tk = s(g), t(g), s(h), t(k)
+        gh = m(g, h, sg, t(h))
+        hk = m(h, k, sh, tk)
+        sgh = s(gh)
+        us, ut, ig = unit(sg), unit(tg), inv(g)
+        sig = s(ig)
+        src = max(src, max_abs_diff(sgh, sh))
+        tgt = max(tgt, max_abs_diff(t(gh), tg))
+        assoc = max(assoc, max_abs_diff(m(gh, k, sgh, tk), m(g, hk, sg, t(hk))))
+        units = max(units, max_abs_diff((*m(g, us, sg, t(us)), *m(ut, g, s(ut), tg)), (*g, *g)))
+        invs = max(invs, max_abs_diff((*m(g, ig, sg, t(ig)), *m(ig, g, sig, tg), *sig), (*ut, *us, *tg)))
+    return AxiomReport(src, tgt, assoc, units, invs, len(arrows))
 
 
 def pair_groupoid(base_dim: int = 1) -> GroupoidSpec:
@@ -315,15 +307,14 @@ class PolarCheckReport(Record, frozen=False):
 def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
     """The conversion to (lambda, a) intertwines all structure maps.
 
-    The sampling loop converts each polar arrow g and computes the polar
-    side; after every BATCH_ROWS accepted samples, and after the last,
-    the action side is evaluated, one batch per structure map.  The
-    source and target of every converted g count, also of those whose
-    partner or product is then rejected."""
+    Each sample converts a polar arrow g and compares the polar side with
+    the action side, whose structure maps run their value tapes: the
+    source and target of every converted g, also of those whose partner
+    or product is then rejected, and the product and the inverse of
+    every accepted sample."""
     rng = np.random.default_rng(seed)
     spec = action_groupoid_rx()
-    arrows, polar_st = [], []  # every converted g, with its polar source and target
-    kept, partners, polar_prod, polar_inv = [], [], [], []  # the accepted samples
+    source, target, mult, inv, _ = _value_tapes(spec)
     worst = 0.0
     done = 0
     while done < samples:
@@ -335,8 +326,8 @@ def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
         if rng.random() < 0.5:
             theta, t = (-theta[0], -theta[1]), -t
         g = polar_arrow_to_action(theta, t)
-        arrows.append(g)
-        polar_st.append((polar_source(theta, t), polar_target(theta, t)))
+        sg = source(g)
+        worst = max(worst, max_abs_diff((polar_source(theta, t), polar_target(theta, t)), (*sg, *target(g))))
         # composable polar partner: target of h must equal source of g = t*theta2
         theta2 = _unit_circle(rng)
         if abs(theta2[0]) < 1e-2 or abs(theta2[1]) < 1e-2:
@@ -348,34 +339,13 @@ def polar_groupoid_check(samples: int = 500, seed: int = 0) -> PolarCheckReport:
             # near a coordinate axis the conversion ratio theta1/theta2
             # amplifies representative rounding; resample
             continue
-        polar_prod.append(polar_arrow_to_action(prod.theta, prod.t))
+        prod_action = _product(spec, mult, g, h, sg, target(h))
+        worst = max(worst, max_abs_diff(polar_arrow_to_action(prod.theta, prod.t), prod_action))
         # inversion: the pair-groupoid flip (a, b) -> (b, a)
         inv_polar = _polar_of_pair_arrow(t * theta[1], t * theta[0])
-        polar_inv.append(polar_arrow_to_action(inv_polar.theta, inv_polar.t))
-        kept.append(len(arrows) - 1)
-        partners.append(h)
+        worst = max(worst, max_abs_diff(polar_arrow_to_action(inv_polar.theta, inv_polar.t), inv(g)))
         done += 1
-        if len(kept) == BATCH_ROWS or done == samples:
-            batch = (arrows, polar_st, kept, partners, polar_prod, polar_inv)
-            worst = max(worst, _polar_batch_violation(spec, *batch))
-            for rows in batch:
-                rows.clear()
     return PolarCheckReport(worst, done)
-
-
-def _polar_batch_violation(spec, arrows, polar_st, kept, partners, polar_prod, polar_inv) -> float:
-    """The largest difference between the polar and the action side on
-    one batch of polar_groupoid_check's samples."""
-    g, h, st = np.array(arrows), np.array(partners), np.array(polar_st)
-    sg = eval_batch(spec.source, g)
-    gk = g[kept]
-    prod = _products(spec, gk, h, sg[kept], eval_batch(spec.target, h))
-    return max(
-        _worst(st[:, :1] - sg),
-        _worst(st[:, 1:] - eval_batch(spec.target, g)),
-        _worst(np.array(polar_prod) - prod),
-        _worst(np.array(polar_inv) - eval_batch(spec.inv, gk)),
-    )
 
 
 class IsotropyReport(Record, frozen=False):

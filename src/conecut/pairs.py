@@ -9,9 +9,11 @@ its Jacobian.
 
 Points, blocks and matrices here are lists of Python floats (a matrix
 is a list of rows), and every draw comes from ``pcg64``, so the checks
-of ``conecut check-map`` run without numpy.  Numeric ranks count the
-singular values of a one-sided Jacobi SVD (Demmel & Veselic, "Jacobi's
-method is more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).
+of ``conecut check-map`` run without numpy.  Only ``normal_image``
+multiplies with numpy, whose matmul sets the bits of d_N f(y) xi.
+Numeric ranks count the singular values of a one-sided Jacobi SVD
+(Demmel & Veselic, "Jacobi's method is more accurate than QR", SIAM J.
+Matrix Anal. Appl. 13, 1992).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from operator import mul
 
 from .errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
 from .expr import SmoothMapExpr, as_floats, eval_map, jet_eval
+from .lazy_numpy import np
 from .pcg64 import PCG64
 from .record import Record
 
@@ -165,6 +168,13 @@ def normal_derivative(m: MapOfPairs, y) -> list:
     Jacobian block at (y, 0)."""
     p = m.source.p
     return [list(row[p:]) for row in _jacobian_at_slice(m, y)[m.target.p :]]
+
+
+def normal_image(m: MapOfPairs, y, xi) -> tuple:
+    """d_N m(y) xi, as a tuple of q' floats: numpy's product of the
+    normal derivative block, kept q' x q when q' is 0, with xi."""
+    dn = np.array(normal_derivative(m, y), dtype=float).reshape(m.target.q, m.source.q)
+    return tuple((dn @ np.array(xi, dtype=float)).tolist())
 
 
 def tangential_derivative(m: MapOfPairs, y) -> list:

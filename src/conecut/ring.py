@@ -84,6 +84,19 @@ def _exponents(values) -> tuple:
     raise ArityMismatch(f"non-integer exponent or power of t in {values!r}")
 
 
+def _power(base, k: int, one, mul):
+    """base ** k for an int k >= 0 by square-and-multiply: about 2 log2(k)
+    products under ``mul`` instead of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
 def check_blocks(p: int, q: int) -> tuple:
     """The block sizes (p, q) as ints, read by the rule of exponents;
     ArityMismatch for one that is not an integer or is negative."""
@@ -283,10 +296,7 @@ class MultiPoly:
         (k,) = _exponents((k,))
         if k < 0:
             raise ArityMismatch("negative polynomial powers are not defined")
-        out = MultiPoly.const(self.p, self.q, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, MultiPoly.const(self.p, self.q, 1), MultiPoly.__mul__)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
@@ -792,10 +802,7 @@ def expr_to_laurent(e: Expr, p: int, q: int, t_index: int | None = None) -> dict
                 return mul(args[0], args[1] if cls is Mul else monomial_power(args[1], -1))
             if e.exponent < 0:
                 return monomial_power(args[0], e.exponent)
-            out = {0: MultiPoly.const(p, q, 1)}
-            for _ in range(e.exponent):
-                out = mul(out, args[0])
-            return out
+            return _power(args[0], e.exponent, {0: MultiPoly.const(p, q, 1)}, mul)
         except ArityMismatch as exc:
             failed = True
             return exc

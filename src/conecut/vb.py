@@ -19,7 +19,7 @@ from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, as_floats, compose, eval_map, from_components, max_abs_diff
 from .lazy_numpy import np
 from .nodes import Var
-from .pairs import MapOfPairs, PairDims, check_adapted, normal_derivative, numeric_rank
+from .pairs import MapOfPairs, PairDims, check_adapted, normal_image, numeric_rank
 from .record import Record
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
@@ -187,8 +187,7 @@ def section_blowup(model: VbPairModel, alpha: SmoothMapExpr, z):
     if isinstance(z, Exceptional):
         slice_point = dims.join(z.y, [0.0] * dims.q)
         phi = model.f_of(slice_point, eval_map(alpha, slice_point))
-        eps = np.array(normal_derivative(e_pair, z.y)) @ np.array(z.xi_dir)
-        return VbExceptional(z.y, z.xi_dir, phi, tuple(eps.tolist()))
+        return VbExceptional(z.y, z.xi_dir, phi, normal_image(e_pair, z.y, z.xi_dir))
     raise TypeError(f"not a blow-up point: {z!r}")
 
 

@@ -463,7 +463,8 @@ def suite_euler(samples, seed, tol):
     chi0 = eu.tubular_from_euler(sigma, [0.5], [0.0])
     worst_slice = max_abs_diff(chi0, (0.5, 0.0))
     dnchi = eu.normal_derivative_of_chi(sigma, [0.0])
-    worst_dn = max_abs_diff(dnchi.ravel().tolist(), np.eye(dims.q).ravel().tolist())
+    identity = [float(i == j) for i in range(dims.q) for j in range(dims.q)]
+    worst_dn = max_abs_diff([c for row in dnchi for c in row], identity)
     related = eu.chi_relatedness_residual(sigma, [0.0], [0.2])
     ok = (
         report.ok

@@ -1,10 +1,12 @@
 """Command-line interface: determinism, exit codes, output formats."""
 
+import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,18 @@ def test_resolve_curve_finds_roots_exactly(poly, roots):
     out = run_cli("resolve-curve", "--poly", poly)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["exceptional_roots"] == roots
+
+
+def test_resolve_curve_of_a_huge_power_takes_logarithmically_many_products():
+    """x^3000000 is built by square and multiply, not 3,000,000 products."""
+    from conecut.cli import main
+
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["resolve-curve", "--poly", "y - x^3000000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(out.getvalue())["exceptional_roots"] == [{"multiplicity": 1, "root": 0}]
 
 
 @pytest.mark.parametrize("poly", ["y - 10^400*x", "1e400*x + y"])

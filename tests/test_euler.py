@@ -135,6 +135,13 @@ def test_tubular_closed_form_for_perturbed_field():
         assert chi[1] == pytest.approx(xi / (1.0 - xi), abs=1e-4)
 
 
+def test_tubular_map_keeps_a_normal_vector_whose_norm_underflows():
+    """|xi|^2 underflows to 0 for xi = 1e-200, but xi is not zero, so the
+    scaling field carries it to itself rather than onto the slice."""
+    chi = tubular_from_euler(euler_field(PairDims(2, 1)), [0.3], [1e-200])
+    assert chi == pytest.approx((0.3, 1e-200), rel=1e-12, abs=0.0)
+
+
 def test_tubular_fixes_the_slice():
     sigma = _perturbed_field()
     chi = tubular_from_euler(sigma, [0.7], [0.0])

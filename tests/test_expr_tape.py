@@ -6,7 +6,8 @@ must reproduce it bit for bit, including signed zeros, and raise the same
 exception with the same message, except where the interpreter overflowed
 or returned a non-finite number: there the tapes raise DomainViolation.
 ``in_domain`` also says False at every point with a non-finite
-coordinate.  ``eval_batch`` must reproduce ``eval_map`` row by row.
+coordinate.  A map's value tape, called directly, must reproduce
+``eval_map`` at each point, errors and their messages included.
 """
 
 import math
@@ -36,7 +37,6 @@ from conecut.expr import (
     Sqrt,
     Sub,
     Var,
-    eval_batch,
     eval_map,
     from_components,
     jet_eval,
@@ -251,20 +251,17 @@ def check_against_reference(m, point) -> tuple:
     return tuple(out[2] if out[0] == "raised" else "" for out in (got, got_jet))
 
 
-def check_batch(m, points: list):
-    """eval_batch on the rows ``points`` against eval_map on each row."""
-    batch = _outcome(eval_batch, m, np.array(points).reshape(len(points), m.input_dim))
-    rows = [_outcome(eval_map, m, p) for p in points]
-    failed = [i for i, row in enumerate(rows) if row[0] == "raised"]
-    if not failed:
-        assert batch[0] == "ok", (m, points, batch)
-        assert _same_bits(batch[1], np.array([row[1] for row in rows]).reshape(len(points), m.output_dim))
-        return
-    i = failed[0]
-    kind, message = rows[i][1:]
-    if kind is DomainViolation:
-        message = f"row {i}: {message}"
-    assert batch == ("raised", kind, message), (m, points, batch)
+def check_tape(m, points: list):
+    """The map's value tape, called directly on each point as a list of
+    floats, against eval_map at that point: the same bits, or the same
+    error with the same message."""
+    for point in points:
+        tape = _outcome(m.value_tape, np.asarray(point, dtype=float).tolist())
+        ref = _outcome(eval_map, m, point)
+        if ref[0] == "ok":
+            assert tape[0] == "ok" and _same_bits(tape[1], ref[1]), (m, point, tape, ref)
+        else:
+            assert tape == ref, (m, point)
 
 
 # -- seeded random trees --------------------------------------------------
@@ -328,8 +325,7 @@ def test_tapes_match_the_interpreter_on_random_trees():
         points = [random_point(rnd, m.input_dim) for _ in range(8)]
         for point in points:
             messages.extend(check_against_reference(m, point))
-        check_batch(m, points)
-        check_batch(m, [p for p in points if _outcome(eval_map, m, p)[0] == "ok"])
+        check_tape(m, points)
     returned = sum(1 for msg in messages if not msg)
     assert returned > len(messages) // 10
     for text in DOMAIN_MESSAGES:
@@ -338,50 +334,40 @@ def test_tapes_match_the_interpreter_on_random_trees():
 
 @pytest.mark.parametrize("name", ["groupoid", "dnc", "vb", "euler"])
 def test_tapes_match_the_interpreter_on_suite_maps(name, monkeypatch):
-    """Every map a suite evaluates, at the points the suite evaluates it at
-    (up to 40 per map), and at a few boundary points."""
+    """Every map a suite evaluates, at the distinct points the suite
+    evaluates it at (up to 40 per map), and at a few boundary points.  A
+    point is recorded where it is checked, and where a value tape is
+    called directly, as the groupoid checks and the RK4 steppers do."""
     seen: dict = {}
     check_coords = expr_module._check_coords
-    check_points = expr_module._check_points
+    value_tape = SmoothMapExpr.value_tape
 
-    def record(m, rows):
-        points = seen.setdefault(id(m), (m, []))[1]
-        points.extend(np.array(row) for row in rows[: 40 - len(points)])
+    def record(m, coords):
+        points = seen.setdefault(id(m), (m, {}))[1]
+        if len(points) < 40:
+            point = np.array(coords, dtype=float)
+            points.setdefault(point.tobytes(), point)
 
     def recording(m, point):
         coords = check_coords(m, point)
-        record(m, [coords])
+        record(m, coords)
         return coords
 
-    def recording_rows(m, points):
-        points = check_points(m, points)
-        record(m, points)
-        return points
+    def recording_tape(m):
+        run = value_tape.__get__(m, SmoothMapExpr)
+        return lambda coords: record(m, coords) or run(coords)
 
     monkeypatch.setattr(expr_module, "_check_coords", recording)
-    monkeypatch.setattr(expr_module, "_check_points", recording_rows)
+    monkeypatch.setattr(SmoothMapExpr, "value_tape", property(recording_tape))
     SUITES[name](samples=20, seed=3)
     monkeypatch.undo()
     assert seen
     rnd = random.Random(5)
     for m, points in seen.values():
+        points = list(points.values())
         for point in points + [random_point(rnd, m.input_dim) for _ in range(3)]:
             check_against_reference(m, point)
-        check_batch(m, points)
-
-
-def test_eval_batch_shapes_and_failing_row():
-    m = from_components(2, (Var(0) / Var(1), Var(0) + Var(1), Var(1)))
-    assert eval_batch(m, np.empty((0, 2))).shape == (0, 3)
-    out = eval_batch(m, [[1.0, 2.0], [-0.0, 4.0]])
-    assert out.shape == (2, 3) and out[1, 0] == 0.0 and math.copysign(1.0, out[1, 0]) == -1.0
-    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
-        with pytest.raises(ArityMismatch, match="points of shape"):
-            eval_batch(m, bad)
-    with pytest.raises(DomainViolation, match=r"^row 2: division by zero in \(x1 / x2\)$"):
-        eval_batch(m, [[1.0, 2.0], [3.0, 4.0], [5.0, 0.0], [1.0, 1e-320]])
-    with pytest.raises(DomainViolation, match=r"^row 1: value of \(x1 / x2\) is not finite at \[1.0, 1e-320\]$"):
-        eval_batch(m, [[1.0, 2.0], [1.0, 1e-320], [5.0, 0.0]])
+        check_tape(m, points)
 
 
 @pytest.mark.parametrize(
@@ -394,10 +380,18 @@ def test_eval_batch_shapes_and_failing_row():
     ],
 )
 def test_overflow_and_non_finite_results_raise_domain_violation(component, at, message):
+    """eval_map, jet_eval, the value tape called directly, and an RK4
+    stepper whose first stage is at the point all raise the same error."""
     m = from_components(1, (component,))
-    for evaluate in (eval_map, jet_eval):
+    sigma = euler.VectorField(m, PairDims(1, 0))
+    for evaluate in (
+        lambda x: eval_map(m, x),
+        lambda x: jet_eval(m, x),
+        m.value_tape,
+        lambda x: euler.w_sigma_flow(sigma, x, 1.0, 1.0),
+    ):
         with pytest.raises(DomainViolation) as info:
-            evaluate(m, [at])
+            evaluate([at])
         assert str(info.value) == message
 
 
@@ -439,7 +433,6 @@ def test_tapes_compile_once_per_map_and_the_stepper_once_per_field(monkeypatch):
     sigma = euler.VectorField(m, PairDims(2, 1))
     for _ in range(3):
         eval_map(m, [0.1, 0.2])
-        eval_batch(m, [[0.1, 0.2], [0.3, 0.1]])
         jet_eval(m, [0.1, 0.2])
         euler.tubular_from_euler(sigma, [0.0], [0.2])
     assert sorted(compiled) == ["_jet_tape", "_stepper", "_value_tape"]
@@ -462,5 +455,5 @@ def test_a_tree_deeper_than_the_recursion_limit_is_evaluated():
     m = from_components(1, (e,), guards=[Guard(e, "positive")])
     assert eval_map(m, [0.3]) == (value,)
     assert jet_eval(m, [0.3]) == Jet((value,), ((partial,),))
-    assert eval_batch(m, [[0.3], [0.3]]).tolist() == [[value], [value]]
+    assert m.value_tape([0.3]) == (value,)
     assert m.in_domain([0.3]) and not m.in_domain([-0.3])

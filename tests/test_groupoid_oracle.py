@@ -1,19 +1,19 @@
-"""The batched groupoid checks against the per-sample loops they replaced.
+"""The groupoid checks against the per-sample reference loops.
 
 ``ref_check_axioms``, ``ref_sample_arrows`` and ``ref_polar_groupoid_check``
 below are the loops that checked the groupoid axioms one sampled arrow at
 a time, through the single-point structure maps ``GroupoidSpec.s/t/m/i/u``,
 kept verbatim as the reference, except that they subtract with
 ``np.subtract`` the tuples the polar conversion and the structure maps
-return.  The batched checks must report exactly the same numbers for
-the same seed.
+return.  The checks, which run the structure maps' value tapes on lists
+of floats, must report exactly the same numbers for the same seed.
 """
 
 import numpy as np
 import pytest
 
 from conecut import groupoid
-from conecut.errors import DomainViolation, SamplingFailure
+from conecut.errors import ArityMismatch, DomainViolation, SamplingFailure
 from conecut.expr import Guard, SmoothMapExpr, Var, eval_map
 from conecut.groupoid import (
     AxiomReport,
@@ -122,34 +122,25 @@ def ref_polar_groupoid_check(samples: int, seed: int) -> PolarCheckReport:
 
 
 SPECS = {"pair1": lambda: pair_groupoid(1), "pair2": lambda: pair_groupoid(2), "action": action_groupoid_rx}
-# The default batch size takes the 200 samples in one batch; 37 rows
-# split them into batches with a shorter last one.
-BATCHES = (groupoid.BATCH_ROWS, 37)
 
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_check_axioms_matches_the_per_sample_loop(name, seed, monkeypatch):
+def test_check_axioms_matches_the_per_sample_loop(name, seed):
     spec = SPECS[name]()
-    ref = ref_check_axioms(spec, 200, seed)
-    for rows in BATCHES:
-        monkeypatch.setattr(groupoid, "BATCH_ROWS", rows)
-        assert check_axioms(spec, samples=200, seed=seed) == ref, rows
+    assert check_axioms(spec, samples=200, seed=seed) == ref_check_axioms(spec, 200, seed)
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_polar_groupoid_check_matches_the_per_sample_loop(seed, monkeypatch):
-    ref = ref_polar_groupoid_check(200, seed)
-    for rows in BATCHES:
-        monkeypatch.setattr(groupoid, "BATCH_ROWS", rows)
-        assert polar_groupoid_check(samples=200, seed=seed) == ref, rows
+def test_polar_groupoid_check_matches_the_per_sample_loop(seed):
+    assert polar_groupoid_check(samples=200, seed=seed) == ref_polar_groupoid_check(200, seed)
 
 
 def test_polar_check_counts_the_arrows_of_rejected_samples(monkeypatch):
     """The per-sample loop compares the source and target of each
     converted arrow g before it may reject the sample.  With the polar
-    target made 1 too large at exactly the rejected arrows, the batched
-    check must report that error, as the loop does."""
+    target made 1 too large at exactly the rejected arrows, the check
+    must report that error, as the loop does."""
     seen = []
     monkeypatch.setattr(GroupoidSpec, "s", lambda self, g: seen.append(np.asarray(g).tobytes()) or eval_map(self.source, g))
     ref_polar_groupoid_check(200, 0)
@@ -191,7 +182,7 @@ def test_sampled_arrows_and_generator_state_match_the_per_arrow_draws(guard_expr
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     got = _sample_arrows(spec, rng, 50)
     ref = ref_sample_arrows(spec, ref_rng, 50)
-    assert got.shape == (len(ref), 2) and got.tobytes() == np.array(ref).tobytes()
+    assert np.array(got).shape == (len(ref), 2) and np.array(got).tobytes() == np.array(ref).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -210,6 +201,21 @@ def test_non_composable_partner_raises_sampling_failure():
         check_axioms(skewed, samples=20, seed=0)
 
 
+def test_malformed_maps_and_partners_raise_arity_mismatch():
+    """The axiom loop runs the value tapes without eval_map's point
+    checks, so it checks each structure map's dimensions once and each
+    partner's length as it reads it."""
+    spec = pair_groupoid(1)
+    wrong_mult = GroupoidSpec(2, 1, spec.source, spec.target, spec.inv, spec.inv, spec.unit, spec.composable_partner)
+    with pytest.raises(ArityMismatch, match="goes R\\^2 -> R\\^2, not R\\^4 -> R\\^2"):
+        check_axioms(wrong_mult, samples=20, seed=0)
+    short = GroupoidSpec(
+        2, 1, spec.source, spec.target, spec.mult, spec.inv, spec.unit, composable_partner=lambda rng, g: g[1:]
+    )
+    with pytest.raises(ArityMismatch, match="arrow of length 1 for arrow_dim 2"):
+        check_axioms(short, samples=20, seed=0)
+
+
 def test_out_of_domain_arrow_raises_domain_violation():
     spec = action_groupoid_rx()
 
@@ -222,5 +228,5 @@ def test_out_of_domain_arrow_raises_domain_violation():
         2, 1, spec.source, spec.target, spec.mult, spec.inv, spec.unit,
         composable_partner=spec.composable_partner, arrow_sampler=with_a_zero_scale,
     )
-    with pytest.raises(DomainViolation, match="^row 10: guard nonzero"):
+    with pytest.raises(DomainViolation, match=r"^guard nonzero\(x1\) fails at \[0.0, "):
         check_axioms(broken, samples=20, seed=0)

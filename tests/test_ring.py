@@ -19,6 +19,7 @@ from conecut.ring import (
     char_xs_pair,
     char_yxi,
     char_yxi_pair,
+    expr_to_laurent,
     expr_to_poly,
     geometric_consistency,
     poly_to_expr,
@@ -801,3 +802,16 @@ def test_polynomial_powers_follow_the_rule_of_exponents():
             f**bad
     with pytest.raises(ArityMismatch, match="negative"):
         f**-1
+
+
+def test_square_and_multiply_powers_equal_repeated_products():
+    """MultiPoly ** k and the Pow node of expr_to_laurent square and
+    multiply; exact arithmetic gives the k-fold product for k = 0 .. 12."""
+    y, x1, x2 = _vars()
+    f = Fraction(1, 3) * y - x1 * x2 + 2
+    e = Var(1) * Var(0) + Const(0.5) * Var(3) - Var(2)  # Var(3) is t
+    repeated, tree = MultiPoly.const(P, Q, 1), Const(1.0)
+    for k in range(13):
+        assert f**k == repeated
+        assert expr_to_laurent(e**k, P, Q, t_index=3) == expr_to_laurent(tree, P, Q, t_index=3)
+        repeated, tree = repeated * f, Mul(tree, e)
