@@ -19,12 +19,20 @@ keeps: exponent tuples of length p + q with nonnegative ints, and
 nonzero int numerators.  Only the public constructors validate every
 term, coerce and merge; a plain int coefficient is taken as it is.
 
-Evaluation splits the point once into integer numerators and
+A LaurentElement is one such table, not one polynomial per power of t:
+its exponent tuples carry k, the power of t^-1, as one more entry,
+which may be negative.  So its * is one double loop that adds exponent
+tuples, its + one merge, each with one gcd and a filtration check, and
+``coeffs`` is the exact view {k: f_k}.  ``LaurentElement(p, q, {k: f_k})``
+and ``LaurentElement.from_terms`` validate through the same path.
+
+Evaluation reads the point once into integer numerators and
 denominators and accumulates each sum as an unreduced integer pair
-(num, den).  The pair cores ``char_xs_pair`` and ``char_yxi_pair``
-return that pair; ``char_xs``, ``char_yxi`` and ``MultiPoly.evaluate``
-build a single Fraction from it.  An all-int point is its own
-numerators.
+(num, den).  ``char_xs_pairs`` and ``char_yxi_pairs`` evaluate several
+elements at one point, one loop over each table, and return the pairs;
+``char_xs``, ``char_yxi`` and ``MultiPoly.evaluate`` build a single
+Fraction from one.  A point that is not a flat sequence of numbers
+raises ArityMismatch.
 
 Also here, on exact univariate polynomials: square-free factors, real
 roots each correctly rounded by one Sturm bisection, and with them the
@@ -84,6 +92,72 @@ def _exponents(values) -> tuple:
     raise ArityMismatch(f"non-integer exponent or power of t in {values!r}")
 
 
+def _table(items, p: int, q: int, t: int) -> tuple:
+    """Validate, coerce and merge (exponents, coefficient) ``items`` into
+    nonzero int numerators over one denominator > 0, in lowest terms.
+    An exponent tuple holds p + q ints >= 0, then t more ints (t = 1 for
+    the power k of t^-1 in a Laurent term), which may be negative.  A
+    plain int coefficient is taken as it is, any other read by ``_ratio``."""
+    n = p + q
+    nums: dict = {}
+    den = 1  # the lcm of the denominators so far
+    merged = False  # without a merge, that lcm leaves gcd(den, *nums) = 1
+    for exps, coeff in items:
+        if type(exps) is not tuple or not _INTS.issuperset(map(type, exps)):
+            exps = _exponents(exps)
+        if len(exps) != n + t or n and min(exps[:n]) < 0:
+            raise ArityMismatch(f"bad monomial {exps} for {p}+{q} variables" + " and t" * t)
+        if type(coeff) is int:
+            coeff *= den
+        else:
+            coeff, d = _ratio(coeff)
+            if den % d:
+                scale = d // math.gcd(den, d)
+                if nums:
+                    nums = {e: c * scale for e, c in nums.items()}
+                den *= scale
+            coeff *= den // d
+        if exps in nums:
+            coeff += nums.pop(exps)
+            merged = True
+        if coeff:
+            nums[exps] = coeff
+    return _lowest(nums, den) if merged else (nums, den)
+
+
+def _merge(nums1: dict, den1: int, nums2: dict, den2: int) -> tuple:
+    """The sum of two numerator tables over their denominators, as a new
+    table over den1 (when den2 = den1) or den1 * den2; cancelled keys go."""
+    den, scale = den1, 1
+    if den2 == den1:
+        nums = nums1.copy()
+    else:
+        nums = {e: c * den2 for e, c in nums1.items()}
+        den, scale = den1 * den2, den1
+    for e, c in nums2.items():
+        c *= scale
+        if e in nums:
+            c += nums[e]
+            if c:
+                nums[e] = c
+            else:
+                del nums[e]
+        else:
+            nums[e] = c
+    return nums, den
+
+
+def _product(nums1: dict, nums2: dict) -> dict:
+    """The numerators of the product of two tables, over the product of
+    their denominators: exponent tuples add entrywise; cancelled keys go."""
+    nums: dict = {}
+    for e1, c1 in nums1.items():
+        for e2, c2 in nums2.items():
+            key = tuple(map(add, e1, e2))
+            nums[key] = nums[key] + c1 * c2 if key in nums else c1 * c2
+    return {e: c for e, c in nums.items() if c}
+
+
 def _power(base, k: int, one, mul):
     """base ** k for an int k >= 0 by square-and-multiply: about 2 log2(k)
     products under ``mul`` instead of k."""
@@ -110,45 +184,55 @@ def check_blocks(p: int, q: int) -> tuple:
     return p, q
 
 
-def _split(point, n: int):
-    """Integer numerators and denominators of an exact point of length n;
-    the denominators are None for a point of plain ints."""
-    point = list(point)
-    if len(point) != n:
+def _coords(point) -> list:
+    """The coordinates of an exact point, read once, as a new list;
+    ArityMismatch for a scalar."""
+    try:
+        return list(point)
+    except TypeError:
+        raise ArityMismatch(f"evaluation point {point!r} is not a sequence") from None
+
+
+def _split(coords: list, n: int) -> tuple:
+    """Integer numerators and denominators of the coordinates of an exact
+    point of length n; ArityMismatch for a coordinate that is not a
+    number, a nested sequence among them."""
+    if len(coords) != n:
         raise ArityMismatch("evaluation point has the wrong length")
-    if _INTS.issuperset(map(type, point)):
-        return point, None
-    return tuple(zip(*map(_ratio, point)))
+    if _INTS.issuperset(map(type, coords)):
+        return coords, (1,) * n
+    try:
+        return tuple(zip(*map(_ratio, coords)))
+    except TypeError:
+        raise ArityMismatch(f"{coords!r} is not a flat sequence of numbers") from None
 
 
-def _eval_pair(terms, nums, dens):
-    """Sum the (exponents, int coefficient) ``terms`` at the point
-    nums/dens; returns the sum as an unreduced integer pair."""
-    if dens is None:
-        num = 0
+def _eval_pairs(tables, nums, dens) -> list:
+    """Sum each numerator table of ``tables``, given as (terms, den) with
+    terms the (exponents, int numerator) pairs, at the point nums/dens;
+    returns the sums as unreduced integer pairs.  Exponents past the
+    point's length are ignored, and an exponent may be negative."""
+    out = []
+    for terms, scale in tables:
+        num, den = 0, 1
         for exps, n in terms:
-            for v, e in zip(nums, exps):
+            d = 1
+            for vn, vd, e in zip(nums, dens, exps):
                 if e == 1:
-                    n *= v
+                    n *= vn
+                    d *= vd
+                elif e > 0:
+                    n *= vn**e
+                    d *= vd**e
                 elif e:
-                    n *= v**e
-            num += n
-        return num, 1
-    num, den = 0, 1
-    for exps, n in terms:
-        d = 1
-        for vn, vd, e in zip(nums, dens, exps):
-            if e == 1:
-                n *= vn
-                d *= vd
-            elif e:
-                n *= vn**e
-                d *= vd**e
-        if d == den:
-            num += n
-        else:
-            num, den = num * d + n * den, den * d
-    return num, den
+                    n *= vd**-e
+                    d *= vn**-e
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        out.append((num, den * scale))
+    return out
 
 
 class MultiPoly:
@@ -169,30 +253,7 @@ class MultiPoly:
         self.p = p
         self.q = q
         self._order = None
-        nums: dict = {}
-        den = 1  # the lcm of the denominators so far
-        merged = False  # without a merge, that lcm leaves gcd(den, *nums) = 1
-        for exps, coeff in (terms or {}).items():
-            if type(exps) is not tuple or not _INTS.issuperset(map(type, exps)):
-                exps = _exponents(exps)
-            if len(exps) != p + q or exps and min(exps) < 0:
-                raise ArityMismatch(f"bad monomial {exps} for {p}+{q} variables")
-            if type(coeff) is int:
-                coeff *= den
-            else:
-                coeff, d = _ratio(coeff)
-                if den % d:
-                    scale = d // math.gcd(den, d)
-                    if nums:
-                        nums = {e: c * scale for e, c in nums.items()}
-                    den *= scale
-                coeff *= den // d
-            if exps in nums:
-                coeff += nums.pop(exps)
-                merged = True
-            if coeff:
-                nums[exps] = coeff
-        self.nums, self.den = _lowest(nums, den) if merged else (nums, den)
+        self.nums, self.den = _table((terms or {}).items(), p, q, 0)
 
     @classmethod
     def _trusted(cls, p: int, q: int, nums: dict, den: int) -> "MultiPoly":
@@ -242,23 +303,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly) and (other := self._const(other)) is None:
             return NotImplemented
         self._check_like(other)
-        den, scale = self.den, 1
-        if other.den == den:
-            nums = self.nums.copy()
-        else:
-            nums = {e: c * other.den for e, c in self.nums.items()}
-            den, scale = den * other.den, den
-        for e, c in other.nums.items():
-            c *= scale
-            if e in nums:
-                c += nums[e]
-                if c:
-                    nums[e] = c
-                else:
-                    del nums[e]
-            else:
-                nums[e] = c
-        return MultiPoly._trusted(self.p, self.q, nums, den)
+        return MultiPoly._trusted(self.p, self.q, *_merge(self.nums, self.den, other.nums, other.den))
 
     __radd__ = __add__
 
@@ -281,14 +326,7 @@ class MultiPoly:
             nums = {e: c * num for e, c in self.nums.items()} if num else {}
             return MultiPoly._trusted(self.p, self.q, nums, self.den * den)
         self._check_like(other)
-        nums: dict = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                key = tuple(map(add, e1, e2))
-                nums[key] = nums[key] + c1 * c2 if key in nums else c1 * c2
-        return MultiPoly._trusted(
-            self.p, self.q, {e: c for e, c in nums.items() if c}, self.den * other.den
-        )
+        return MultiPoly._trusted(self.p, self.q, _product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -315,9 +353,9 @@ class MultiPoly:
         return not self.nums
 
     def evaluate(self, point) -> Fraction:
-        nums, dens = _split(point, self.p + self.q)
-        num, den = _eval_pair(self.nums.items(), nums, dens)
-        return Fraction(num, den * self.den)
+        nums, dens = _split(_coords(point), self.p + self.q)
+        [pair] = _eval_pairs([(self.nums.items(), self.den)], nums, dens)
+        return Fraction(*pair)
 
     def substitute(self, replacements) -> "MultiPoly":
         """Substitute one polynomial per variable; result in their variables."""
@@ -373,29 +411,76 @@ def vanishing_order(f: MultiPoly):
     return f._order
 
 
-class LaurentElement:
-    """An element sum_k f_k t^{-k} with f_k vanishing to order k for k >= 1."""
+def _check_filtration(p: int, nums: dict) -> None:
+    """InvariantBreach unless each Laurent term (y-exponents, x-exponents,
+    k) with k >= 1 has x-degree >= k, i.e. vanishing_order(f_k) >= k."""
+    for key in nums:
+        k = key[-1]
+        if k > 0 and sum(key[p:-1]) < k:
+            order = min(sum(e[p:-1]) for e in nums if e[-1] == k)
+            raise InvariantBreach(f"coefficient of t^-{k} vanishes only to order {order}")
 
-    __slots__ = ("p", "q", "coeffs")
+
+def _coefficients(p: int, q: int, coeffs: dict) -> list:
+    """The (k, f_k) items of {k: f_k}; ArityMismatch for a coefficient
+    that is not a MultiPoly over the split (p, q)."""
+    for k, poly in coeffs.items():
+        if not isinstance(poly, MultiPoly):
+            raise ArityMismatch(f"coefficient {poly!r} of t^-{k} is not a MultiPoly")
+        if (poly.p, poly.q) != (p, q):
+            raise ArityMismatch("coefficient over the wrong variable split")
+    return list(coeffs.items())
+
+
+class LaurentElement:
+    """An element sum_k f_k t^{-k} with f_k vanishing to order k for k >= 1.
+
+    One term table holds every coefficient: ``nums`` maps (y-exponents,
+    x-exponents, k) to a nonzero int numerator over one denominator
+    ``den`` > 0, in lowest terms, so ``==`` is structural.  ``coeffs`` is
+    the exact view {k: f_k}.  Values are immutable.
+    """
+
+    __slots__ = ("p", "q", "nums", "den")
 
     def __init__(self, p: int, q: int, coeffs=None):
         p, q = check_blocks(p, q)
+        polys = _coefficients(p, q, coeffs or {})
+        den = math.lcm(*(f.den for _, f in polys))  # every numerator is an int over it
+        nums, _ = _table((((*e, k), c * (den // f.den)) for k, f in polys for e, c in f.nums.items()), p, q, 1)
+        self._fill(p, q, *_lowest(nums, den))
+
+    @classmethod
+    def from_terms(cls, p: int, q: int, terms: dict) -> "LaurentElement":
+        """The element with coefficient c at y^a x^b t^-k for each item
+        ((*a, *b, k), c) of ``terms``; validated, coerced and merged as
+        the constructor does."""
+        p, q = check_blocks(p, q)
+        return cls._trusted(p, q, *_table(terms.items(), p, q, 1))
+
+    @classmethod
+    def _trusted(cls, p: int, q: int, nums: dict, den: int) -> "LaurentElement":
+        """Wrap a table that keeps the class invariant but for the common
+        factors, dividing out gcd(den, *nums); re-asserts the filtration."""
+        self = object.__new__(cls)
+        self._fill(p, q, *_lowest(nums, den))
+        return self
+
+    def _fill(self, p: int, q: int, nums: dict, den: int) -> None:
+        _check_filtration(p, nums)
         self.p = p
         self.q = q
-        clean = {}
-        for k, poly in (coeffs or {}).items():
-            if not poly.nums:
-                continue
-            if (poly.p, poly.q) != (p, q):
-                raise ArityMismatch("coefficient over the wrong variable split")
-            if type(k) is not int:
-                (k,) = _exponents((k,))
-            if k >= 1 and vanishing_order(poly) < k:
-                raise InvariantBreach(
-                    f"coefficient of t^-{k} vanishes only to order {vanishing_order(poly)}"
-                )
-            clean[k] = poly
-        self.coeffs = clean
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> dict:
+        """The exact view: a new dict {k: f_k}, each f_k a MultiPoly in
+        lowest terms, keyed in the order of the table."""
+        parts: dict = {}
+        for key, c in self.nums.items():
+            parts.setdefault(key[-1], {})[key[:-1]] = c
+        return {k: MultiPoly._trusted(self.p, self.q, nums, self.den) for k, nums in parts.items()}
 
     @staticmethod
     def from_poly(f: MultiPoly, k: int = 0) -> "LaurentElement":
@@ -414,87 +499,101 @@ class LaurentElement:
         if not isinstance(other, LaurentElement):
             return NotImplemented
         self._check_like(other)
-        coeffs = dict(self.coeffs)
-        for k, poly in other.coeffs.items():
-            coeffs[k] = coeffs[k] + poly if k in coeffs else poly
-        return LaurentElement(self.p, self.q, coeffs)
+        return LaurentElement._trusted(self.p, self.q, *_merge(self.nums, self.den, other.nums, other.den))
 
     def __mul__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
         self._check_like(other)
-        coeffs: dict = {}
-        for k1, f1 in self.coeffs.items():
-            for k2, f2 in other.coeffs.items():
-                k = k1 + k2
-                prod = f1 * f2
-                coeffs[k] = coeffs[k] + prod if k in coeffs else prod
-        return LaurentElement(self.p, self.q, coeffs)
+        return LaurentElement._trusted(self.p, self.q, _product(self.nums, other.nums), self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
-        return (self.p, self.q) == (other.p, other.q) and self.coeffs == other.coeffs
+        return (self.p, self.q, self.den) == (other.p, other.q, other.den) and self.nums == other.nums
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            poly = self.coeffs[k]
-            if k == 0:
-                parts.append(f"({poly})")
-            else:
-                parts.append(f"({poly})*t^{-k}")
-        return " + ".join(parts)
+        return " + ".join(f"({coeffs[k]})" if k == 0 else f"({coeffs[k]})*t^{-k}" for k in sorted(coeffs))
 
     __repr__ = __str__
 
 
-def char_xs_pair(a: LaurentElement, x, s) -> tuple:
-    """``char_xs`` as an unreduced integer pair (num, den), den != 0."""
-    nums, dens = _split(x, a.p + a.q)
-    sn, sd = _ratio(s)
+def _split_of(elements) -> tuple:
+    """The variable split (p, q) that a nonempty sequence of elements shares."""
+    if not elements:
+        raise ArityMismatch("characters need at least one element")
+    p, q = elements[0].p, elements[0].q
+    for a in elements:
+        if a.p != p or a.q != q:
+            raise ArityMismatch("characters of Laurent elements over different variable splits")
+    return p, q
+
+
+def char_xs_pairs(elements, x, s) -> list:
+    """``char_xs`` of each of a sequence of elements at one body point,
+    read once, as unreduced integer pairs (num, den) with den != 0.
+
+    The power k of t^-1 is the last exponent of a term, so each element
+    is one sum over its table at the point (x, 1/s)."""
+    p, q = _split_of(elements)
+    nums, dens = _split(_coords(x), p + q)
+    try:
+        sn, sd = _ratio(s)
+    except TypeError:
+        raise ArityMismatch(f"s = {s!r} is not a number") from None
     if sn == 0:
         raise ArityMismatch("body characters need s != 0")
-    num, den = 0, 1
-    for k, poly in a.coeffs.items():
-        n, d = _eval_pair(poly.nums.items(), nums, dens)
-        d *= poly.den
-        if k > 0:
-            n, d = n * sd**k, d * sn**k
-        elif k < 0:
-            n, d = n * sn**-k, d * sd**-k
-        num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
-    return num, den
+    nums, dens = [*nums, sd], [*dens, sn]
+    return _eval_pairs([(a.nums.items(), a.den) for a in elements], nums, dens)
 
 
 def char_xs(a: LaurentElement, x, s) -> Fraction:
     """Evaluation at a body point: sum_k f_k(x) s^{-k}; needs s != 0."""
-    return Fraction(*char_xs_pair(a, x, s))
+    return Fraction(*char_xs_pairs((a,), x, s)[0])
 
 
-def char_yxi_pair(a: LaurentElement, y, xi) -> tuple:
-    """``char_yxi`` as an unreduced integer pair (num, den), den > 0."""
-    p = a.p
+def char_yxi_pairs(elements, y, xi) -> list:
+    """``char_yxi`` of each of a sequence of elements at one normal vector,
+    read once, as unreduced integer pairs (num, den) with den > 0.
+
+    Each element is one sum over its table that picks the terms whose
+    x-degree is k: under the filtration, the degree-k parts of the f_k
+    with k >= 0, as no x-degree is negative."""
+    p, q = _split_of(elements)
+    y = _coords(y)
     if len(y) != p:
         raise ArityMismatch(f"slice block of length {len(y)} for p = {p}")
-    nums, dens = _split([*y, *xi], p + a.q)  # checks the length of xi
-    num, den = 0, 1
-    for k, poly in a.coeffs.items():
-        if k >= 0:
-            part = [(e, c) for e, c in poly.nums.items() if sum(e[p:]) == k]
-            n, d = _eval_pair(part, nums, dens)
-            d *= poly.den
-            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
-    return num, den
+    nums, dens = _split(y + _coords(xi), p + q)  # checks the length of xi
+    out = []
+    for a in elements:
+        num, den = 0, 1
+        for key, n in a.nums.items():
+            if sum(key[p:-1]) != key[-1]:
+                continue
+            d = 1
+            for vn, vd, e in zip(nums, dens, key):  # stops before k
+                if e == 1:
+                    n *= vn
+                    d *= vd
+                elif e:
+                    n *= vn**e
+                    d *= vd**e
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        out.append((num, den * a.den))
+    return out
 
 
 def char_yxi(a: LaurentElement, y, xi) -> Fraction:
     """Evaluation at a normal vector: the degree-k x-homogeneous part of
     f_k at (y, xi), summed over k >= 0; positive powers of t evaluate to 0.
     ``y`` has the p slice coordinates and ``xi`` the q normal ones."""
-    return Fraction(*char_yxi_pair(a, y, xi))
+    return Fraction(*char_yxi_pairs((a,), y, xi)[0])
 
 
 # -- exact univariate polynomials --------------------------------------

@@ -492,19 +492,19 @@ def suite_euler(samples, seed, tol):
 # -- 9: exact ring and characters -------------------------------------
 
 
-def _random_laurent(row, p, q) -> rg.LaurentElement:
-    """The element in a row's first 2p + 13 entries: a term count, then two terms
-    (k, y-exponents, extra, x-slots, coefficient) with max(k, 0) + extra slots used."""
-    coeffs: dict = {}
-    for i in range(row[0]):
-        k, *term, c = row[1 + i * (p + 6) : 7 + p + i * (p + 6)]
+def _random_laurent(row, start, p, q) -> rg.LaurentElement:
+    """The element in 2p + 13 entries of a row from ``start`` on: a term count,
+    then two terms (k, y-exponents, extra, three x-slots, coefficient) with
+    max(k, 0) + extra slots used."""
+    terms: dict = {}
+    for at in range(start + 1, start + 1 + row[start] * (p + 6), p + 6):
+        k, slots = row[at], at + p + 2
         x_exps = [0] * q
-        for j in term[p + 1 : p + 1 + max(k, 0) + term[p]]:
+        for j in row[slots : slots + max(k, 0) + row[slots - 1]]:
             x_exps[j] += 1
-        monomials = coeffs.setdefault(k, {})
-        key = (*term[:p], *x_exps)
-        monomials[key] = monomials.get(key, 0) + c
-    return rg.LaurentElement(p, q, {k: rg.MultiPoly(p, q, m) for k, m in coeffs.items()})
+        key = (*row[at + 1 : slots - 1], *x_exps, k)
+        terms[key] = terms.get(key, 0) + row[slots + 3]
+    return rg.LaurentElement.from_terms(p, q, terms)
 
 
 def _ring_samples(rng, samples, p, q):
@@ -517,16 +517,15 @@ def _ring_samples(rng, samples, p, q):
     for start in range(0, samples, 256):
         size = (min(256, samples - start), len(low))
         for row in rng.integers(low, high, size, endpoint=True).tolist():
-            a, b = _random_laurent(row, p, q), _random_laurent(row[n:], p, q)
+            a, b = _random_laurent(row, 0, p, q), _random_laurent(row, n, p, q)
             yield a, b, row[2 * n : m], Fraction(row[m], 3), row[m + 1 :]
 
 
-def _respects(core, a, b, ab, a_plus_b, *point) -> bool:
-    """Whether the character ``core``, which returns an integer pair
-    (num, den), takes ab and a_plus_b to the product and the sum of its
-    values at a and b; compared by cross-multiplying the pairs."""
-    (na, da), (nb, db) = core(a, *point), core(b, *point)
-    (n_ab, d_ab), (n_sum, d_sum) = core(ab, *point), core(a_plus_b, *point)
+def _respects(pairs) -> bool:
+    """Whether a character's integer pairs (num, den) at a, b, a*b and a+b
+    take the product and the sum to the product and the sum of its values
+    at a and b; compared by cross-multiplying the pairs."""
+    (na, da), (nb, db), (n_ab, d_ab), (n_sum, d_sum) = pairs
     return n_ab * da * db == na * nb * d_ab and n_sum * da * db == (na * db + nb * da) * d_sum
 
 
@@ -538,11 +537,10 @@ def suite_ring(samples, seed, tol):
     grading_ok = True
     one = rg.LaurentElement.from_poly(rg.MultiPoly.const(p, q, 1))
     for a, b, x_pt, s, xi_pt in _ring_samples(rng, samples, p, q):
-        ab = a * b  # constructor re-asserts the filtration
-        a_plus_b = a + b
+        elements = (a, b, a * b, a + b)  # the product and the sum re-assert the filtration
         if not (
-            _respects(rg.char_xs_pair, a, b, ab, a_plus_b, x_pt, s)
-            and _respects(rg.char_yxi_pair, a, b, ab, a_plus_b, x_pt[:p], xi_pt)
+            _respects(rg.char_xs_pairs(elements, x_pt, s))
+            and _respects(rg.char_yxi_pairs(elements, x_pt[:p], xi_pt))
         ):
             hom_ok = False
     if rg.char_xs(one, [0] * (p + q), 1) != 1 or rg.char_yxi(one, [0] * p, [0] * q) != 1:

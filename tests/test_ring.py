@@ -16,9 +16,9 @@ from conecut.ring import (
     LaurentElement,
     MultiPoly,
     char_xs,
-    char_xs_pair,
+    char_xs_pairs,
     char_yxi,
-    char_yxi_pair,
+    char_yxi_pairs,
     expr_to_laurent,
     expr_to_poly,
     geometric_consistency,
@@ -752,10 +752,10 @@ def test_pair_cores_give_the_public_characters():
         x = [_seeded_rational(rnd) for _ in range(P + Q)]
         s = _seeded_rational(rnd) or Fraction(3, 2)
         y, xi = x[:P], x[P:]
-        num, den = char_xs_pair(a, x, s)
+        [(num, den)] = char_xs_pairs([a], x, s)
         assert type(num) is int and type(den) is int and den != 0
         assert Fraction(num, den) == char_xs(a, x, s) == _naive_xs(a, x, s)
-        num, den = char_yxi_pair(a, y, xi)
+        [(num, den)] = char_yxi_pairs([a], y, xi)
         assert type(num) is int and type(den) is int and den > 0
         assert Fraction(num, den) == char_yxi(a, y, xi) == _naive_yxi(a, y, xi)
 
@@ -765,18 +765,20 @@ def test_ring_suite_notices_a_character_that_is_wrong_on_products(monkeypatch):
 
     assert verify.SUITES["ring"](samples=40, seed=0).details["homomorphism_exact"]
     products = []
-    multiply, core = ring.LaurentElement.__mul__, ring.char_xs_pair
+    multiply, core = ring.LaurentElement.__mul__, ring.char_xs_pairs
 
     def recorded(a, b):
         products.append(multiply(a, b))
         return products[-1]
 
-    def off_by_one(a, x, s):
-        num, den = core(a, x, s)
-        return (num + den, den) if any(a is p for p in products) else (num, den)
+    def off_by_one(elements, x, s):
+        return [
+            (num + den, den) if any(a is p for p in products) else (num, den)
+            for a, (num, den) in zip(elements, core(elements, x, s))
+        ]
 
     monkeypatch.setattr(ring.LaurentElement, "__mul__", recorded)
-    monkeypatch.setattr(ring, "char_xs_pair", off_by_one)
+    monkeypatch.setattr(ring, "char_xs_pairs", off_by_one)
     result = verify.SUITES["ring"](samples=40, seed=0)
     assert products and not result.ok
     assert result.details == {"homomorphism_exact": False, "grading_exact": True}
@@ -815,3 +817,183 @@ def test_square_and_multiply_powers_equal_repeated_products():
         assert f**k == repeated
         assert expr_to_laurent(e**k, P, Q, t_index=3) == expr_to_laurent(tree, P, Q, t_index=3)
         repeated, tree = repeated * f, Mul(tree, e)
+
+
+# -- the Laurent term table against the former dict of polynomials ------
+# _ref_* are the former LaurentElement arithmetic and characters, on a
+# dict {k: MultiPoly} with no zero coefficient, kept as the oracle.
+
+
+def _ref_clean(coeffs: dict) -> dict:
+    return {k: f for k, f in coeffs.items() if not f.is_zero()}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    coeffs = dict(a)
+    for k, f in b.items():
+        coeffs[k] = coeffs[k] + f if k in coeffs else f
+    return _ref_clean(coeffs)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    coeffs: dict = {}
+    for k1, f1 in a.items():
+        for k2, f2 in b.items():
+            k, prod = k1 + k2, f1 * f2
+            coeffs[k] = coeffs[k] + prod if k in coeffs else prod
+    return _ref_clean(coeffs)
+
+
+def _ref_xs(a: dict, x, s) -> Fraction:
+    return sum((_naive_value(f, x) * Fraction(s) ** -k for k, f in a.items()), Fraction(0))
+
+
+def _ref_yxi(a: dict, p, q, y, xi) -> Fraction:
+    total = Fraction(0)
+    for k, f in a.items():
+        if k >= 0:
+            part = {e: c for e, c in f.terms.items() if sum(e[p:]) == k}
+            total += _naive_value(MultiPoly(p, q, part), [*y, *xi])
+    return total
+
+
+def _ref_str(a: dict) -> str:
+    if not a:
+        return "0"
+    return " + ".join(f"({a[k]})" if k == 0 else f"({a[k]})*t^{-k}" for k in sorted(a))
+
+
+def _ref_coeffs(rnd, p, q) -> dict:
+    """{k: f_k} with Fraction coefficients, k from -2 to 2 (k <= 0 when
+    q = 0) and the filtration kept."""
+    coeffs = {}
+    for k in rnd.sample(range(-2, 3 if q else 1), rnd.randint(0, 3)):
+        terms = {}
+        for _ in range(rnd.randint(1, 3)):
+            x_exps = [0] * q
+            for _ in range(max(k, 0) + rnd.randint(0, 1) if q else 0):
+                x_exps[rnd.randrange(q)] += 1
+            y_exps = [rnd.randint(0, 2) for _ in range(p)]
+            terms[(*y_exps, *x_exps)] = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+        coeffs[k] = MultiPoly(p, q, terms)
+    return _ref_clean(coeffs)
+
+
+def _assert_matches_reference(elem, ref: dict):
+    assert elem.coeffs == ref and str(elem) == _ref_str(ref)
+    built = LaurentElement(elem.p, elem.q, ref)
+    assert elem == built and list(built.coeffs) == list(ref)  # the constructor keeps the order of k
+    terms = {(*e, k): c for k, f in ref.items() for e, c in f.terms.items()}
+    assert elem == LaurentElement.from_terms(elem.p, elem.q, terms)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (0, 2), (2, 1), (1, 0), (0, 0)])
+def test_term_table_matches_the_dict_of_polynomials(p, q):
+    rnd = random.Random(25 + 10 * p + q)
+    for i in range(150):
+        ra = _ref_coeffs(rnd, p, q)
+        if i % 5 == 0:  # cancellation: b negates some of a's coefficients
+            rb = _ref_add(_ref_coeffs(rnd, p, q), {k: -f for k, f in ra.items() if rnd.random() < 0.7})
+        else:
+            rb = _ref_coeffs(rnd, p, q)
+        a, b = LaurentElement(p, q, ra), LaurentElement(p, q, rb)
+        x = [_seeded_rational(rnd) for _ in range(p + q)]
+        s = _seeded_rational(rnd) or Fraction(5, 2)
+        y, xi = x[:p], [_seeded_rational(rnd) for _ in range(q)]
+        pairs = [(a, ra), (b, rb), (a * b, _ref_mul(ra, rb)), (a + b, _ref_add(ra, rb))]
+        assert list((a * b).coeffs) == list(pairs[2][1])  # a product keys its k as the dicts did
+        for elem, ref in pairs:
+            _assert_matches_reference(elem, ref)
+            assert char_xs(elem, x, s) == _ref_xs(ref, x, s)
+            assert char_yxi(elem, y, xi) == _ref_yxi(ref, p, q, y, xi)
+        elems, refs = zip(*pairs)
+        want = [_ref_xs(ref, x, s) for ref in refs]
+        assert [Fraction(*v) for v in char_xs_pairs(elems, x, s)] == want
+        want = [_ref_yxi(ref, p, q, y, xi) for ref in refs]
+        assert [Fraction(*v) for v in char_yxi_pairs(elems, y, xi)] == want
+    # a sum that cancels to zero, and a product whose cross terms cancel
+    y, x1 = MultiPoly.var(1, 1, 0), MultiPoly.var(1, 1, 1)
+    a = LaurentElement(1, 1, {1: x1 * Fraction(1, 3), 0: y})
+    assert a + LaurentElement(1, 1, {1: x1 * Fraction(-1, 3), 0: -y}) == LaurentElement(1, 1, {})
+    prod = a * LaurentElement(1, 1, {1: x1 * Fraction(1, 3), 0: -y})
+    _assert_matches_reference(prod, {2: x1 * x1 * Fraction(1, 9), 0: -y * y})
+
+
+_BAD_POINTS = {
+    "xs at a scalar": lambda a, f: char_xs(a, 3, 1),
+    "xs at a nested point": lambda a, f: char_xs(a, [1, [2], 3], 1),
+    "xs at a 2-D array": lambda a, f: char_xs(a, np.zeros((3, 1), dtype=np.int64), 1),
+    "xs at a string coordinate": lambda a, f: char_xs(a, [1, "2", 3], 1),
+    "xs at a string s": lambda a, f: char_xs(a, [1, 2, 3], "2"),
+    "yxi at a scalar y": lambda a, f: char_yxi(a, 1, [1, 2]),
+    "yxi at a scalar xi": lambda a, f: char_yxi(a, [1], 2),
+    "yxi at a None coordinate": lambda a, f: char_yxi(a, [None], [1, 2]),
+    "yxi at a nested xi": lambda a, f: char_yxi_pairs([a], [1], [[1, 2]]),
+    "evaluate at a None coordinate": lambda a, f: f.evaluate([None, 1, 2]),
+    "evaluate at a scalar": lambda a, f: f.evaluate(Fraction(1, 2)),
+    "evaluate at a complex coordinate": lambda a, f: f.evaluate([1j, 1, 2]),
+    "pairs of no element": lambda a, f: char_xs_pairs([], [1, 2, 3], 1),
+    "pairs over two splits": lambda a, f: char_yxi_pairs([a, LaurentElement(2, 1, {})], [1], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("use", list(_BAD_POINTS))
+def test_points_that_are_not_flat_sequences_of_numbers_raise_arity_mismatch(use):
+    with pytest.raises(ArityMismatch):
+        _BAD_POINTS[use](_ELEMENT, _ELEMENT.coeffs[1])
+
+
+def test_the_slice_block_is_read_once():
+    want = char_yxi(_ELEMENT, [Fraction(1, 2)], [1, 2])
+    assert char_yxi(_ELEMENT, (v for v in [Fraction(1, 2)]), iter([1, 2])) == want
+    assert char_xs(_ELEMENT, iter([1, 2, 3]), 2) == char_xs(_ELEMENT, [1, 2, 3], 2)
+
+
+@pytest.mark.parametrize("coefficient", [3, Fraction(1, 2), "x1", None, LaurentElement.t_element(P, Q)], ids=repr)
+def test_a_coefficient_that_is_not_a_polynomial_is_named(coefficient):
+    with pytest.raises(ArityMismatch, match="is not a MultiPoly") as info:
+        LaurentElement(1, 2, {0: coefficient})
+    assert repr(coefficient) in str(info.value)
+
+
+def test_the_coeffs_view_cannot_change_an_element():
+    y, x1, _ = _vars()
+    a = LaurentElement(P, Q, {0: x1, 1: x1 * Fraction(1, 2)})
+    view = a.coeffs
+    view[5] = x1  # (x1)*t^-5 breaks the filtration
+    view[0] = y
+    del view[1]
+    view = a.coeffs
+    view[1].nums[(1, 0, 0)] = 7
+    assert a.coeffs is not a.coeffs and a.coeffs == {0: x1, 1: x1 * Fraction(1, 2)}
+    assert str(a) == "(x1) + (1/2*x1)*t^-1" and a == LaurentElement(P, Q, {0: x1, 1: x1 * Fraction(1, 2)})
+    # each coefficient in lowest terms, though the table has one denominator
+    assert (a.nums, a.den) == ({(0, 1, 0, 0): 2, (0, 1, 0, 1): 1}, 2)
+    assert [(f.nums, f.den) for f in a.coeffs.values()] == [({(0, 1, 0): 1}, 1), ({(0, 1, 0): 1}, 2)]
+
+
+def test_the_ring_suite_builds_no_polynomial_per_sample(monkeypatch):
+    from conecut import verify
+
+    init, trusted = MultiPoly.__init__, MultiPoly._trusted.__func__
+
+    def constructions(samples) -> int:
+        count = 0
+
+        def counted_init(self, *args):
+            nonlocal count
+            count += 1
+            init(self, *args)
+
+        def counted_trusted(cls, *args):
+            nonlocal count
+            count += 1
+            return trusted(cls, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "__init__", counted_init)
+            patch.setattr(MultiPoly, "_trusted", classmethod(counted_trusted))
+            assert verify.SUITES["ring"](samples=samples, seed=3).ok
+        return count
+
+    assert constructions(50) == constructions(500) > 0
