@@ -56,7 +56,8 @@ _SCALARS = (float, Rational)  # the scalars _ratio reads; ints are Rational
 
 
 def _ratio(value) -> tuple:
-    """``value`` as an int pair (num, den) in lowest terms with den > 0."""
+    """``value`` as an int pair (num, den) in lowest terms with den > 0;
+    ArityMismatch for a value that is not a finite real number."""
     if type(value) is Fraction:
         num, den = value.as_integer_ratio()
         if type(num) is int and type(den) is int:
@@ -70,7 +71,7 @@ def _ratio(value) -> tuple:
     # numpy integers, and Fractions of them, whose own products would wrap
     if isinstance(value, Rational):
         return Fraction(int(value.numerator), int(value.denominator)).as_integer_ratio()
-    raise TypeError(f"cannot coerce {value!r} to an exact rational")
+    raise ArityMismatch(f"{value!r} is not a number")
 
 
 def _lowest(nums: dict, den: int) -> tuple:
@@ -201,10 +202,7 @@ def _split(coords: list, n: int) -> tuple:
         raise ArityMismatch("evaluation point has the wrong length")
     if _INTS.issuperset(map(type, coords)):
         return coords, (1,) * n
-    try:
-        return tuple(zip(*map(_ratio, coords)))
-    except TypeError:
-        raise ArityMismatch(f"{coords!r} is not a flat sequence of numbers") from None
+    return tuple(zip(*map(_ratio, coords)))
 
 
 def _eval_pairs(tables, nums, dens) -> list:
@@ -540,10 +538,7 @@ def char_xs_pairs(elements, x, s) -> list:
     is one sum over its table at the point (x, 1/s)."""
     p, q = _split_of(elements)
     nums, dens = _split(_coords(x), p + q)
-    try:
-        sn, sd = _ratio(s)
-    except TypeError:
-        raise ArityMismatch(f"s = {s!r} is not a number") from None
+    sn, sd = _ratio(s)
     if sn == 0:
         raise ArityMismatch("body characters need s != 0")
     nums, dens = [*nums, sd], [*dens, sn]

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from .errors import ArityMismatch, NotAdapted, OutsideChart
 from .expr import SmoothMapExpr, as_floats, compose, eval_map, from_components, max_abs_diff
-from .lazy_numpy import np
 from .nodes import Var
 from .pairs import MapOfPairs, PairDims, check_adapted, normal_image, numeric_rank
+from .pcg64 import PCG64
 from .record import Record
 from .blowup import CHART_TOL, Body, Exceptional, chart_phi
 
@@ -118,19 +118,19 @@ def fiber_linearity_check(
     ``base_point`` is either a Body/Exceptional of the base blow-up; the
     fiber is sampled accordingly.  ``ok`` means the worst violation is
     at most 1e-11."""
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     total = model.fiber_rank
     worst = 0.0
 
     for _ in range(samples):
         if isinstance(base_point, Body):
-            a = rng.uniform(-1.0, 1.0, size=total).tolist()
-            b = rng.uniform(-1.0, 1.0, size=total).tolist()
+            a = rng.uniform(-1.0, 1.0, size=total)
+            b = rng.uniform(-1.0, 1.0, size=total)
             lam = rng.uniform(-2.0, 2.0)
             points = [VbBody(base_point.x, v) for v in _sum_and_scale(a, b, lam)]
         elif isinstance(base_point, Exceptional):
-            pa, pb = rng.uniform(-1.0, 1.0, size=(2, model.rank_f)).tolist()
-            ea, eb = rng.uniform(-1.0, 1.0, size=(2, model.rank_e)).tolist()
+            pa, pb = rng.uniform(-1.0, 1.0, size=(2, model.rank_f))
+            ea, eb = rng.uniform(-1.0, 1.0, size=(2, model.rank_e))
             lam = rng.uniform(-2.0, 2.0)
             points = [
                 VbExceptional(base_point.y, base_point.xi_dir, p, e)

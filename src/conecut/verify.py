@@ -23,6 +23,7 @@ from .expr import SmoothMapExpr, compose, finite_diff_jacobian, from_components,
 from .lazy_numpy import np
 from .nodes import Exp, Sin, Var
 from .pairs import MapOfPairs, PairDims, normal_derivative
+from .pcg64 import PCG64
 from .record import Record
 
 
@@ -114,17 +115,17 @@ def _suite_maps():
 
 @_suite("models", samples=1000, tol=1e-12)
 def suite_models(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     worst = 0.0
     for n in (2, 3):
         dims = PairDims(n, 0)
         for _ in range(samples):
             use_body = rng.random() < 0.7
             while True:
-                t = float(rng.uniform(-2.0, 2.0)) if use_body else 0.0
+                t = rng.uniform(-2.0, 2.0) if use_body else 0.0
                 xi = rng.uniform(-2.0, 2.0, size=n)
-                if np.linalg.norm(xi) >= 1e-3 and (
-                    t == 0.0 or np.linalg.norm(t * xi) >= 1e-3
+                if math.hypot(*xi) >= 1e-3 and (
+                    t == 0.0 or math.hypot(*[t * c for c in xi]) >= 1e-3
                 ):
                     break
             z = bl.canonicalize((), xi, t, dims)
@@ -140,7 +141,7 @@ def suite_models(samples, seed, tol):
 
 @_suite("atlas", samples=1000, tol=1e-10)
 def suite_atlas(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     dims = PairDims(3, 1)
     q = dims.q
     worst = 0.0
@@ -148,7 +149,7 @@ def suite_atlas(samples, seed, tol):
     for i in range(1, q + 1):
         for j in range(1, q + 1):
             for _ in range(samples):
-                w = rng.uniform(-2.0, 2.0, size=dims.n).tolist()
+                w = rng.uniform(-2.0, 2.0, size=dims.n)
                 if abs(w[dims.p + j - 1]) < 1e-3:
                     # the slot coordinate divides; keep it well away
                     # from zero unless testing the exceptional locus
@@ -182,15 +183,18 @@ def suite_atlas(samples, seed, tol):
 
 @_suite("sphere", samples=500, tol=1e-10)
 def suite_sphere(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     worst = 0.0
     checked = 0
     while checked < samples:
         v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
+        # numpy's norm, a BLAS dot product: math.hypot differs in the last
+        # bit for about one draw in six, and would move the residuals.
+        norm = float(np.linalg.norm(v))
+        v = tuple(c / norm for c in v)
         if min(abs(v[0]), abs(v[1]), abs(1 - v[2]), abs(1 + v[2])) < 1e-2:
             continue
-        z = bl.SphereBody(tuple(v.tolist()))
+        z = bl.SphereBody(v)
         for which in (1, 2, 3, 4):
             w = bl.sphere_chart(which, z)
             closed = bl.sphere_local_expression(which, w)
@@ -260,7 +264,7 @@ def suite_groupoid(samples, seed, tol):
 
 @_suite("dnc", samples=500, tol=1e-10)
 def suite_dnc(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     maps = _suite_maps()
     worst = 0.0
     # functoriality and equivariance for a nonlinear composite
@@ -271,7 +275,7 @@ def suite_dnc(samples, seed, tol):
         z = dn.DncPoint.of(
             rng.uniform(-1.0, 1.0, 1),
             rng.uniform(-1.0, 1.0, 1),
-            float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.8 else 0.0,
+            rng.uniform(-1.0, 1.0) if rng.random() < 0.8 else 0.0,
         )
         w = df(z)
         worst = max(worst, _dnc_dist(dgf(z), dg(w)))
@@ -331,9 +335,8 @@ def _fiber_product_residual(rng, samples: int) -> float:
     dp1, dp2 = dn.DncMap(p1), dn.DncMap(p2)
     worst = 0.0
     for _ in range(samples):
-        t = float(rng.uniform(-1.5, 1.5)) if rng.random() < 0.8 else 0.0
-        xi = rng.uniform(-1.5, 1.5, size=3)
-        z = dn.DncPoint((), tuple(xi.tolist()), t)
+        t = rng.uniform(-1.5, 1.5) if rng.random() < 0.8 else 0.0
+        z = dn.DncPoint((), tuple(rng.uniform(-1.5, 1.5, size=3)), t)
         z1, z2 = dp1(z), dp2(z)
         # the image satisfies the fiber-product constraint
         worst = max(worst, _dnc_dist(dsrc(z1), dtgt(z2)))
@@ -349,12 +352,12 @@ def _fiber_product_residual(rng, samples: int) -> float:
 @_suite("normal_derivative", samples=100, tol=1e-6)
 def suite_normal_derivative(samples, seed, tol):
     chain_tol = 1e-10
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     maps = _suite_maps()
     worst_fd = 0.0
     for m in maps.values():
         for _ in range(samples):
-            point = rng.uniform(-1.0, 1.0, size=m.source.n).tolist()
+            point = rng.uniform(-1.0, 1.0, size=m.source.n)
             jac_ad = _flat(jet_eval(m.f, point).jacobian)
             jac_fd = _flat(finite_diff_jacobian(m.f, point))
             worst_fd = max(
@@ -388,7 +391,7 @@ def _flat(rows) -> list:
 
 @_suite("vb", samples=100, tol=1e-11)
 def suite_vb(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     base = PairDims(3, 1)
     # x-dependent frame mixing the two e-components
     u0, x1, x2 = Var(0), Var(1), Var(2)
@@ -408,14 +411,14 @@ def suite_vb(samples, seed, tol):
         u = rng.uniform(-1.0, 1.0, size=3)
         if abs(u[1]) < 1e-2:
             continue
-        body = bl.Body(tuple(u.tolist()), base)
-        rep = vb.fiber_linearity_check(model, 1, body, samples=2, seed=int(rng.integers(1 << 30)))
+        body = bl.Body(tuple(u), base)
+        rep = vb.fiber_linearity_check(model, 1, body, samples=2, seed=rng.integers(1 << 30))
         worst = max(worst, rep.max_violation)
         xi = bl.canonical_direction(rng.normal(size=2))
         if abs(xi[0]) < 1e-2:
             continue
         exc = bl.Exceptional(body.x[:1], xi, base)
-        rep = vb.fiber_linearity_check(model, 1, exc, samples=2, seed=int(rng.integers(1 << 30)))
+        rep = vb.fiber_linearity_check(model, 1, exc, samples=2, seed=rng.integers(1 << 30))
         worst = max(worst, rep.max_violation)
     # anchor: kernel and rank at exceptional points over a point center
     dims3 = PairDims(3, 0)

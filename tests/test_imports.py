@@ -11,9 +11,11 @@ conecut module, and every underscore attribute it reaches through a
 name imported from one (``rg.MultiPoly._trusted``): a helper shared
 across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
-``random`` module, so every suite draws from a numpy ``Generator``
-seeded by its ``seed`` (``pairs`` draws from ``conecut.pcg64``, which
-``test_draws_module_never_names_numpy`` keeps free of numpy).  ``test_no_module_imports_dataclasses`` does the
+``random`` module, so every suite draws from a generator seeded by its
+``seed``: ``conecut.pcg64``, which ``test_draws_module_never_names_numpy``
+keeps free of numpy, and, in the ring suite alone, numpy's
+``default_rng``, as ``test_only_the_ring_suite_draws_from_numpy_random``
+checks.  ``test_no_module_imports_dataclasses`` does the
 same for ``dataclasses``, whose decorator compiles every generated
 method at import (records subclass ``conecut.record.Record`` instead),
 and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
@@ -28,7 +30,8 @@ per-sample residuals go through ``expr.max_abs_diff`` on Python floats.
 ``test_no_module_imports_numpy_at_module_level`` keeps numpy's
 import behind ``conecut.lazy_numpy``, which loads it by name on first
 use.  The subprocess tests after it check that importing the CLI and
-running its exact subcommands and ``check-map`` load no part of numpy,
+running its exact subcommands, ``check-map`` and the models suite load
+no part of numpy, that the float suites load no ``numpy.random``,
 that each subcommand executes only the modules it uses, that the
 package ``__getattr__`` hands out only modules whose code has run, and
 that ``import conecut.cli`` still registers every module the
@@ -339,6 +342,9 @@ def test_cli_import_and_exact_subcommands_leave_numpy_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    conecut.cli.main(['verify', '--suite', 'models', '--samples', '4'])\n"
         "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    conecut.cli.main(['verify', '--suite', 'sphere', '--samples', '4'])\n"
+        "print(loaded())\n"
     )
     assert _run_python(code).splitlines() == [
         "False",
@@ -347,8 +353,81 @@ def test_cli_import_and_exact_subcommands_leave_numpy_unloaded():
         "check-map 0 False",
         "check-map 0 False",
         "check-map 0 False",
-        "True",  # a float suite does load it
+        "False",  # the models suite draws from conecut.pcg64 and computes on floats
+        "True",  # the sphere suite normalises with numpy.linalg.norm
     ]
+
+
+def test_float_suites_and_the_dnc_sweep_leave_numpy_random_unloaded():
+    """The float suites and the kernels they seed draw from
+    ``conecut.pcg64``; only the ring suite draws from numpy's
+    ``default_rng``."""
+    code = (
+        "import sys\n"
+        "from conecut import Var, dnc, from_components, verify\n"
+        "from conecut.pairs import MapOfPairs, PairDims\n"
+        "for name in ('models', 'atlas', 'sphere', 'groupoid', 'dnc', 'normal_derivative', 'vb', 'euler'):\n"
+        "    assert verify.SUITES[name](samples=20, seed=1).ok, name\n"
+        "y, x = Var(0), Var(1)\n"
+        "h = MapOfPairs(from_components(2, (y + x**2, y * x + x**3)), PairDims(2, 1), PairDims(2, 1))\n"
+        "m = dnc.DncMap(h)\n"
+        "for k in range(1, 13):\n"
+        "    m(dnc.DncPoint.of(0.3, 0.7, 10.0 ** -k))\n"
+        "print('numpy.random' in sys.modules)\n"
+        "verify.SUITES['ring'](samples=20, seed=1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _run_python(code).splitlines() == ["False", "True"]
+
+
+def rng_sites(source: str) -> list:
+    """Each call of ``default_rng`` and each import or attribute access of
+    ``numpy.random`` in the source, with the top-level function or class
+    it sits in ("<module>" outside one), in source order."""
+    tree = ast.parse(source)
+    owners = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            owners[id(node)] = top.name if isinstance(top, (*_FUNCTIONS, ast.ClassDef)) else "<module>"
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "default_rng":
+            what = "default_rng"
+        elif isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+            what = "numpy.random"
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names):
+            what = "import numpy.random"
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.random")
+            or node.module == "numpy" and any(a.name == "random" for a in node.names)
+        ):
+            what = "import numpy.random"
+        else:
+            continue
+        found.append((node.lineno, node.col_offset, f"{owners.get(id(node), '<module>')}: {what}"))
+    return [what for *_, what in sorted(found)]
+
+
+def test_rng_sites_finds_calls_attributes_and_imports():
+    source = (
+        "import numpy.random as npr\nfrom numpy import random\nfrom numpy.random import default_rng\n"
+        "def f(seed):\n    return np.random.default_rng(seed), default_rng(seed)\n"
+        "class G:\n    rng = numpy.random.Generator\n"
+        "def g(rng):\n    return rng.random(), random.random()\n"
+    )
+    assert rng_sites(source) == [
+        "<module>: import numpy.random", "<module>: import numpy.random", "<module>: import numpy.random",
+        "f: default_rng", "f: numpy.random", "f: default_rng", "G: numpy.random",
+    ]
+
+
+def test_only_the_ring_suite_draws_from_numpy_random():
+    found = {
+        path.stem: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := rng_sites(path.read_text()))
+    }
+    assert found == {"verify": ["suite_ring: default_rng", "suite_ring: numpy.random"] * 2}
 
 
 def numpy_references(source: str) -> list:

@@ -48,6 +48,7 @@ ALLOWED = {
     "pairs.check_rank_conditions(samples)",
     "pairs.check_rank_conditions(seed)",
     "parse.parse_map(var_names)",
+    "pcg64.PCG64.uniform(size)",
     "ring.MultiPoly.__init__(terms)",
     "ring.LaurentElement.__init__(coeffs)",
     "ring.LaurentElement.from_poly(k)",

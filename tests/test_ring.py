@@ -643,6 +643,22 @@ def test_non_finite_floats_raise_arity_mismatch(use, value):
         _NON_FINITE_USES[use](MultiPoly.var(0, 1, 0), value)
 
 
+_NON_NUMBER_USES = {
+    "coefficient": lambda v: MultiPoly(0, 1, {(1,): v}),
+    "constant": lambda v: MultiPoly.const(0, 1, v),
+    "laurent term": lambda v: LaurentElement.from_terms(1, 2, {(0, 1, 0, 1): v}),
+    "point": lambda v: MultiPoly.var(0, 1, 0).evaluate([v]),
+    "body parameter": lambda v: char_xs(LaurentElement.t_element(1, 2), [1, 2, 3], v),
+}
+
+
+@pytest.mark.parametrize("use", list(_NON_NUMBER_USES))
+@pytest.mark.parametrize("value", ["a", None, 1j, [1, 2]], ids=repr)
+def test_a_coefficient_that_is_not_a_number_raises_arity_mismatch_as_a_point_does(use, value):
+    with pytest.raises(ArityMismatch, match="is not a number"):
+        _NON_NUMBER_USES[use](value)
+
+
 def test_negative_block_sizes_are_rejected():
     for p, q in ((-1, 2), (1, -1), (-1, -1)):
         with pytest.raises(ArityMismatch, match="negative block size"):

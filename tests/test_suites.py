@@ -6,12 +6,13 @@ residual and every leaf of its details are built-in Python values, not
 numpy scalars (``np.float64`` subclasses ``float``, so the check is on
 the exact type).
 
-The sample loops draw a random sign with ``groupoid.random_sign`` and
-points on the unit circle with ``math.cos`` and ``math.sin``, where they
-once called ``rng.choice([-1.0, 1.0])``, ``np.cos`` and ``np.sin``.  The
-two draw tests pin that these give the same numbers and leave the
-generator in the same state, so a platform where they differ fails here,
-by name, before a golden result fails.
+The sample loops draw from ``conecut.pcg64`` a random sign with
+``groupoid.random_sign`` and points on the unit circle with ``math.cos``
+and ``math.sin``, where they once called numpy's
+``rng.choice([-1.0, 1.0])``, ``np.cos`` and ``np.sin``.  The two draw
+tests pin that these give the same numbers and leave the stream where
+numpy's leaves it, so a platform where they differ fails here, by name,
+before a golden result fails.
 """
 
 import math
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from conecut.groupoid import random_sign
+from conecut.pcg64 import PCG64
 from conecut.verify import SUITES
 
 BUILT_IN_LEAVES = (float, int, bool, str)
@@ -53,13 +55,18 @@ def test_every_suite_reports_built_in_scalars(name):
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_random_sign_draws_what_choice_draws(seed):
     """Interleaved with uniform draws, as the suites draw a signed
-    factor: the same values, and the same generator state after."""
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    factor: the same values as numpy's, and the same stream after; n
+    signs in a row are ``choice([-1.0, 1.0], size=n)``."""
+    got_rng, want_rng = PCG64(seed), np.random.default_rng(seed)
     got = [got_rng.uniform(0.2, 2.0) * random_sign(got_rng) for _ in range(5000)]
     want = [float(want_rng.uniform(0.2, 2.0) * want_rng.choice([-1.0, 1.0])) for _ in range(5000)]
     assert got == want
     assert {-1.0, 1.0} == {math.copysign(1.0, v) for v in got}
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for n in (1, 2, 7, 64):
+        assert [random_sign(got_rng) for _ in range(n)] == want_rng.choice([-1.0, 1.0], size=n).tolist()
+    want = want_rng.bit_generator.state
+    kept = want["uinteger"] if want["has_uint32"] else None  # numpy leaves a used half stale
+    assert (got_rng._state, got_rng._inc, got_rng._half) == (want["state"]["state"], want["state"]["inc"], kept)
 
 
 @pytest.mark.parametrize("seed", range(5))
