@@ -16,8 +16,8 @@ __version__ = "1.0.0"
 # Every module of the package; tests/test_imports.py checks the list
 # against the source files.
 SUBMODULES = (
-    "blowup", "cli", "dnc", "errors", "euler", "expr", "groupoid", "lazy_numpy",
-    "nodes", "pairs", "parse", "pcg64", "record", "ring", "vb", "verify",
+    "blowup", "cli", "dnc", "errors", "euler", "expr", "groupoid", "nodes",
+    "pairs", "parse", "pcg64", "record", "ring", "vb", "verify",
 )
 
 # Public name -> the module that defines it.

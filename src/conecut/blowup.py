@@ -39,8 +39,7 @@ from .errors import (
     OutsideBlupF,
     OutsideChart,
 )
-from .expr import as_floats, max_abs_diff
-from .lazy_numpy import np
+from .expr import as_floats, dot, max_abs_diff
 from .pairs import MapOfPairs, PairDims, normal_derivative, normal_image, require_adapted, singular_values
 from .record import Record
 from .ring import strict_transform_curve as strict_transform_curve
@@ -380,10 +379,7 @@ def _stereo(x, pole: float) -> tuple:
 
 
 def _stereo_inv(u, pole: float) -> tuple:
-    # |u|^2 is numpy's dot product, whose BLAS kernel may fuse a multiply-add
-    # that a plain sum of squares would round twice.
-    a = np.array(u, dtype=float)
-    r2 = float(a @ a)
+    r2 = dot(u, u)
     d = 1.0 + r2
     return (2 * u[0] / d, 2 * u[1] / d, (pole * r2 - pole) / d)
 

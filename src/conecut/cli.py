@@ -13,9 +13,9 @@ Subcommands, with the flags each takes besides --seed, --out and
   dnc-ring-demo  exact Laurent model and its two characters; --element, --p, --q
 
 Output is deterministic: the same arguments and seed produce the same
-bytes.  Floats are printed with 17 significant digits.  resolve-curve,
-dnc-ring-demo and check-map never load numpy.  Each subcommand runs
-only the modules it uses: resolve-curve and dnc-ring-demo the parser,
+bytes, on any machine.  Floats are printed with 17 significant digits.
+No subcommand loads numpy.  Each subcommand runs only the modules it
+uses: resolve-curve and dnc-ring-demo the parser,
 the expression nodes and the exact ring; check-map the parser, the
 float tapes and the pair checks; verify and the demos every suite
 module.  Exit code 0 means all requested checks passed, 1 means a check
@@ -29,17 +29,40 @@ that suite.  A demo takes the dotted flag of its own suite only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from fractions import Fraction
 
 from . import SUBMODULES
 from .errors import ConecutError, ParseError
-from .lazy_numpy import lazy_import
+
+
+def lazy_import(name: str):
+    """The module ``name``, whose code runs at the first attribute access:
+    the ``importlib.util.LazyLoader`` recipe of the standard library's
+    documentation.  A module that is already imported is returned as it is.
+
+    The module is registered in ``sys.modules``.  A submodule is not
+    bound as an attribute of its package, so ``from pkg import name``
+    runs its code, as an import does; ``conecut.__getattr__`` runs and
+    binds it on first access.  Bound here, the suite modules that
+    ``verify`` imports would stay unrun until a suite used them."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
 
 # Each handler imports the modules it runs.  Every module of the package
 # is registered here, its code to run at its first attribute access, so
-# that ``import conecut.cli`` still puts the whole package in
+# that a subcommand does not compile the modules whose code it never
+# runs, and ``import conecut.cli`` still puts the whole package in
 # sys.modules, as perfbench's tracer expects.
 for _name in SUBMODULES:
     lazy_import(f"conecut.{_name}")
@@ -72,9 +95,8 @@ def _fmt_float(x: float) -> str:
 def to_json(obj, indent: int = 0) -> str:
     """Minimal JSON emitter with sorted keys and %.17g floats.
 
-    numpy arrays and scalars are written as their ``tolist()``; the
-    plain types are tested first, so a payload without numpy values
-    never loads numpy."""
+    numpy arrays and scalars, which a caller may pass, are written as
+    their ``tolist()``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):

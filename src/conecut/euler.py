@@ -26,7 +26,6 @@ from functools import cached_property
 
 from .errors import ArityMismatch, DomainViolation, NonConvergence, SamplingFailure, SliceCrossing
 from .expr import SmoothMapExpr, as_floats, compile_source, eval_map, from_components, jet_eval, max_abs_diff
-from .lazy_numpy import np
 from .nodes import Var
 from .pairs import PairDims, sample_slice_points
 from .record import Record
@@ -165,7 +164,9 @@ def w_sigma_flow(sigma: VectorField, x, s: float, tau: float):
             f"the flow from t = {s} to {s_end} needs more than {MAX_FLOW_STEPS} steps of at most {step:.3e}"
         )
     nsteps = max(1, math.ceil(abs(tau) / step))
-    return _rk4(sigma, x, np.linspace(s, s_end, nsteps + 1).tolist()), s_end
+    # The grid numpy's linspace builds: s + i * dt, and s_end itself last.
+    dt = (s_end - s) / nsteps
+    return _rk4(sigma, x, [s + i * dt for i in range(nsteps)] + [s_end]), s_end
 
 
 def _geometric_grid(t_start: float, t_end: float) -> list:

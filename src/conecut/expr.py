@@ -27,9 +27,9 @@ of its own check for ``in_domain``.  A tape's source is written by a
 walk of the tree with ``conecut.nodes.walk``, whose stack is its own, so
 a tree deeper than Python's recursion limit compiles and evaluates.
 ``compile_source`` compiles all generated code, the tapes and
-``conecut.euler``'s RK4 steppers.  Only ``linear_map`` uses numpy;
-every other function takes any flat sequence of numbers and returns
-plain floats.
+``conecut.euler``'s RK4 steppers.  Every function takes any flat
+sequence of numbers and returns plain floats; ``dot`` is the package's
+one inner product, correctly rounded.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import re
 from functools import cached_property, partial
 
 from .errors import ArityMismatch, DomainViolation, UnknownGuardKind
-from .lazy_numpy import np
 from .nodes import Add, Const, Cos, Div, Exp, Expr, Log, Mul, Norm, Pow, Sin, Sqrt, Sub, Var, as_expr, walk
 from .record import Record
 
@@ -355,6 +354,41 @@ def max_abs_diff(a, b) -> float:
     return worst
 
 
+def dot(a, b) -> float:
+    """sum a_i * b_i over two flat sequences of equal length, correctly
+    rounded: the exact sum of the exact products, rounded once to the
+    nearest float (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005, take the same target).  Entries may
+    be floats, ints or Fractions, so the value does not depend on a BLAS
+    kernel or on the order of the terms.  An exact zero is -0.0 where
+    every product is -0.0, as IEEE sums give it; a sum past the float
+    range is an infinity.  With a non-finite entry the products are
+    summed in floats.  ValueError for unequal lengths."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of sequences of lengths {len(a)} and {len(b)}")
+    if len(a) == 1 and type(a[0]) is float and type(b[0]) is float:
+        return a[0] * b[0]  # one product, rounded once
+    num, den = 0, 1
+    try:
+        for u, v in zip(a, b):
+            un, ud = u.as_integer_ratio()
+            vn, vd = v.as_integer_ratio()
+            d = ud * vd
+            if d == den:
+                num += un * vn
+            else:
+                num, den = num * d + un * vn * den, den * d
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        return sum(u * v for u, v in zip(a, b))
+    if num == 0:
+        negative = len(a) > 0 and all(math.copysign(1.0, u * v) < 0 for u, v in zip(a, b))
+        return -0.0 if negative else 0.0
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _check_coords(m: SmoothMapExpr, point) -> list:
     coords = as_floats(point)
     if len(coords) != m.input_dim:
@@ -380,32 +414,12 @@ def jet_eval(m: SmoothMapExpr, point) -> Jet:
     return Jet(*m._jets(_check_coords(m, point)))
 
 
-def _fma_norm(coords: list) -> float:
-    """The euclidean norm as the square root of s = fl(s + c*c) over the
-    coordinates, one rounding per fused multiply-add: the bits of
-    ``numpy.linalg.norm`` of a short vector, whose BLAS dot product
-    accumulates that way."""
-    if not all(map(math.isfinite, coords)):
-        return math.sqrt(sum(c * c for c in coords))
-    s = 0.0
-    for c in coords:
-        # Both denominators are powers of two, and int / int rounds correctly.
-        num, den = s.as_integer_ratio()
-        c_num, c_den = c.as_integer_ratio()
-        c_den *= c_den
-        try:
-            s = (num * c_den + c_num * c_num * den) / (den * c_den)
-        except OverflowError:
-            return math.inf
-    return math.sqrt(s)
-
-
 def finite_diff_jacobian(m: SmoothMapExpr, point) -> list:
     """Central-difference Jacobian estimate, as ``output_dim`` rows of
     ``input_dim`` floats, with step 1e-6 (1 + |point|); O(step^2)
     accurate."""
     coords = _check_coords(m, point)
-    step = 1e-6 * (1.0 + _fma_norm(coords))
+    step = 1e-6 * (1.0 + math.hypot(*coords))
     jac = [[0.0] * m.input_dim for _ in range(m.output_dim)]
     for j in range(m.input_dim):
         hi = coords.copy()
@@ -435,17 +449,20 @@ def identity_map(n: int) -> SmoothMapExpr:
 
 
 def linear_map(matrix) -> SmoothMapExpr:
-    """The map x -> A x as an expression tree."""
-    a = np.asarray(matrix, dtype=float)
-    m, n = a.shape
+    """The map x -> A x as an expression tree, for A given as a sequence of
+    rows of numbers; ArityMismatch for rows of unequal lengths."""
+    rows = [as_floats(row) for row in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ArityMismatch("matrix rows of unequal lengths")
     body = []
-    for i in range(m):
+    for row in rows:
         e: Expr = Const(0.0)
-        for j in range(n):
-            if a[i, j] != 0.0:
-                e = e + Const(float(a[i, j])) * Var(j)
+        for j, c in enumerate(row):
+            if c != 0.0:
+                e = e + Const(c) * Var(j)
         body.append(e)
-    return SmoothMapExpr(n, m, tuple(body))
+    return SmoothMapExpr(n, len(rows), tuple(body))
 
 
 def from_components(n: int, components, guards=()) -> SmoothMapExpr:

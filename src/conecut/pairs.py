@@ -8,9 +8,9 @@ of an adapted map at a slice point is the x'-rows-by-x-columns block of
 its Jacobian.
 
 Points, blocks and matrices here are lists of Python floats (a matrix
-is a list of rows), and every draw comes from ``pcg64``, so the checks
-of ``conecut check-map`` run without numpy.  Only ``normal_image``
-multiplies with numpy, whose matmul sets the bits of d_N f(y) xi.
+is a list of rows), and every draw comes from ``pcg64``.  ``normal_image``
+takes each coordinate of d_N f(y) xi as one correctly rounded
+``expr.dot``.
 Numeric ranks count the singular values of a one-sided Jacobi SVD
 (Demmel & Veselic, "Jacobi's method is more accurate than QR", SIAM J.
 Matrix Anal. Appl. 13, 1992).
@@ -24,8 +24,7 @@ from itertools import chain, combinations
 from operator import mul
 
 from .errors import ArityMismatch, DomainViolation, NotAdapted, SamplingFailure
-from .expr import SmoothMapExpr, as_floats, eval_map, jet_eval
-from .lazy_numpy import np
+from .expr import SmoothMapExpr, as_floats, dot, eval_map, jet_eval
 from .pcg64 import PCG64
 from .record import Record
 
@@ -171,10 +170,9 @@ def normal_derivative(m: MapOfPairs, y) -> list:
 
 
 def normal_image(m: MapOfPairs, y, xi) -> tuple:
-    """d_N m(y) xi, as a tuple of q' floats: numpy's product of the
-    normal derivative block, kept q' x q when q' is 0, with xi."""
-    dn = np.array(normal_derivative(m, y), dtype=float).reshape(m.target.q, m.source.q)
-    return tuple((dn @ np.array(xi, dtype=float)).tolist())
+    """d_N m(y) xi, as a tuple of q' floats: the correctly rounded ``dot``
+    of each row of the normal derivative block with xi."""
+    return tuple([dot(row, xi) for row in normal_derivative(m, y)])
 
 
 def tangential_derivative(m: MapOfPairs, y) -> list:

@@ -20,7 +20,8 @@ draw needs numpy.  The steps are numpy's:
   kept for the next 32-bit draw, across draws of other kinds;
 - ``integers(n)`` bounds a 32-bit draw to [0, n) by Lemire's
   multiply-and-reject method (Lemire, "Fast random integer generation
-  in an interval", ACM TOMACS 29(1), 2019), for n up to 2^32;
+  in an interval", ACM TOMACS 29(1), 2019), for n up to 2^32, and a
+  64-bit word by the same method on 64-bit halves, for n up to 2^64;
 - ``normal(size)`` draws standard normals from numpy's 256-layer
   ziggurat (Marsaglia & Tsang, "The ziggurat method for generating
   random variables", J. Stat. Softw. 5(8), 2000), one 64-bit word per
@@ -189,21 +190,29 @@ class PCG64:
 
     def integers(self, n: int) -> int:
         """An integer drawn uniformly from [0, n); ValueError for n <= 0, or
-        for n > 2^32.  A 32-bit draw is bounded by Lemire's method: the
-        top half of draw * n, redrawn while the bottom half falls below
-        (2^32 - n) mod n.  numpy draws nothing for n = 1."""
+        for n > 2^64.  Up to 2^32 a 32-bit draw is bounded by Lemire's
+        method: the top half of draw * n, redrawn while the bottom half
+        falls below (2^32 - n) mod n.  Above 2^32 a 64-bit word is bounded
+        the same way, on 64-bit halves.  numpy draws nothing for n = 1."""
         if n <= 0:
             raise ValueError("high <= 0")
-        if n > 1 << 32:
-            raise ValueError("a range of more than 2^32 integers")
         if n == 1:
             return 0
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = ((1 << 32) - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return m >> 32
+        if n <= 1 << 32:
+            m = self._next32() * n
+            if m & _MASK32 < n:
+                threshold = ((1 << 32) - n) % n
+                while m & _MASK32 < threshold:
+                    m = self._next32() * n
+            return m >> 32
+        if n > 1 << 64:
+            raise ValueError("a range of more than 2^64 integers")
+        m = self._next64() * n
+        if m & _MASK64 < n:
+            threshold = ((1 << 64) - n) % n
+            while m & _MASK64 < threshold:
+                m = self._next64() * n
+        return m >> 64
 
     def normal(self, size: int) -> list:
         """A list of ``size`` standard normal draws."""

@@ -562,26 +562,18 @@ def char_yxi_pairs(elements, y, xi) -> list:
     if len(y) != p:
         raise ArityMismatch(f"slice block of length {len(y)} for p = {p}")
     nums, dens = _split(y + _coords(xi), p + q)  # checks the length of xi
-    out = []
+    # A plain loop, cheaper here than a comprehension per element; a term
+    # with k < 0 never qualifies.  The point holds no t, so _eval_pairs
+    # ignores each term's k.
+    tables = []
     for a in elements:
-        num, den = 0, 1
-        for key, n in a.nums.items():
-            if sum(key[p:-1]) != key[-1]:
-                continue
-            d = 1
-            for vn, vd, e in zip(nums, dens, key):  # stops before k
-                if e == 1:
-                    n *= vn
-                    d *= vd
-                elif e:
-                    n *= vn**e
-                    d *= vd**e
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-        out.append((num, den * a.den))
-    return out
+        terms = []
+        for item in a.nums.items():
+            e = item[0]
+            if e[-1] >= 0 and sum(e[p:-1]) == e[-1]:
+                terms.append(item)
+        tables.append((terms, a.den))
+    return _eval_pairs(tables, nums, dens)
 
 
 def char_yxi(a: LaurentElement, y, xi) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
 from . import blowup as bl
 from . import dnc as dn
@@ -19,8 +20,7 @@ from . import groupoid as gr
 from . import ring as rg
 from . import vb
 from .errors import OutsideChart
-from .expr import SmoothMapExpr, compose, finite_diff_jacobian, from_components, jet_eval, max_abs_diff
-from .lazy_numpy import np
+from .expr import SmoothMapExpr, compose, dot, finite_diff_jacobian, from_components, jet_eval, max_abs_diff
 from .nodes import Exp, Sin, Var
 from .pairs import MapOfPairs, PairDims, normal_derivative
 from .pcg64 import PCG64
@@ -188,9 +188,7 @@ def suite_sphere(samples, seed, tol):
     checked = 0
     while checked < samples:
         v = rng.normal(size=3)
-        # numpy's norm, a BLAS dot product: math.hypot differs in the last
-        # bit for about one draw in six, and would move the residuals.
-        norm = float(np.linalg.norm(v))
+        norm = math.hypot(*v)
         v = tuple(c / norm for c in v)
         if min(abs(v[0]), abs(v[1]), abs(1 - v[2]), abs(1 + v[2])) < 1e-2:
             continue
@@ -300,11 +298,20 @@ def suite_dnc(samples, seed, tol):
             # the deformed map is exactly t-independent here
             slopes[name] = "exact"
         else:
-            slopes[name] = float(np.polyfit(np.log(ts), np.log(res), 1)[0])
+            slopes[name] = _slope(list(map(math.log, ts)), list(map(math.log, res)))
     slopes_ok = all(s == "exact" or s >= 0.99 for s in slopes.values())
     # fiber products: the pair-groupoid source/target projections
     worst = max(worst, _fiber_product_residual(rng, samples=min(samples, 200)))
     return worst <= tol and slopes_ok, worst, {"continuity_slopes": slopes}
+
+
+def _slope(xs: list, ys: list) -> float:
+    """The least-squares slope of ys against xs, correctly rounded: the
+    closed form (n sum xy - sum x sum y) / (n sum x^2 - (sum x)^2),
+    computed exactly on the floats' binary values and rounded once."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    return float((n * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / (n * sum(x * x for x in xs) - sx * sx))
 
 
 def _dnc_dist(a: dn.DncPoint, b: dn.DncPoint) -> float:
@@ -372,8 +379,9 @@ def suite_normal_derivative(samples, seed, tol):
         y = rng.uniform(-1.0, 1.0, size=f.source.p)
         lhs = _flat(normal_derivative(gf, y))
         fy = f.slice_image(y)
-        rhs = np.array(normal_derivative(g, fy)) @ np.array(normal_derivative(f, y))
-        worst_chain = max(worst_chain, max_abs_diff(lhs, rhs.ravel().tolist()))
+        dn_f = normal_derivative(f, y)
+        rhs = [dot(row, col) for row in normal_derivative(g, fy) for col in zip(*dn_f)]
+        worst_chain = max(worst_chain, max_abs_diff(lhs, rhs))
     return (
         worst_fd <= tol and worst_chain <= chain_tol,
         max(worst_fd, worst_chain),
@@ -495,33 +503,49 @@ def suite_euler(samples, seed, tol):
 # -- 9: exact ring and characters -------------------------------------
 
 
-def _random_laurent(row, start, p, q) -> rg.LaurentElement:
-    """The element in 2p + 13 entries of a row from ``start`` on: a term count,
-    then two terms (k, y-exponents, extra, three x-slots, coefficient) with
-    max(k, 0) + extra slots used."""
-    terms: dict = {}
-    for at in range(start + 1, start + 1 + row[start] * (p + 6), p + 6):
-        k, slots = row[at], at + p + 2
+def _ring_terms(p, q) -> list:
+    """Every term a ring-suite draw can give, as (exponents, coefficient)
+    with the power k of t^-1 last, listed in the mixed-radix order of the
+    term's columns, the last varying fastest: k in -1..2, p y-exponents
+    and an extra x-degree in 0..1, three x-slots in 0..q-1 and a
+    coefficient in -5..5.  The first max(k, 0) + extra slots each add one
+    to the x-exponent they name, so the filtration holds."""
+    table = []
+    for k, *cols, c in product(range(-1, 3), *[range(2)] * (p + 1), *[range(q)] * 3, range(-5, 6)):
         x_exps = [0] * q
-        for j in row[slots : slots + max(k, 0) + row[slots - 1]]:
+        for j in cols[p + 1 : p + 1 + max(k, 0) + cols[p]]:
             x_exps[j] += 1
-        key = (*row[at + 1 : slots - 1], *x_exps, k)
-        terms[key] = terms.get(key, 0) + row[slots + 3]
-    return rg.LaurentElement.from_terms(p, q, terms)
+        table.append(((*cols[:p], *x_exps, k), c))
+    return table
 
 
 def _ring_samples(rng, samples, p, q):
-    """Yield ``samples`` draws (a, b, x, s, xi), in blocks of at most 256 rows
-    that are each one ``integers`` call with a bound per column."""
-    term = [(-1, 2)] + [(0, 1)] * (p + 1) + [(0, q - 1)] * 3 + [(-5, 5)]
-    laurent = [(1, 2)] + term * 2
-    n, m = len(laurent), 2 * len(laurent) + p + q
-    low, high = zip(*laurent, *laurent, *[(-3, 3)] * (p + q), (1, 4), *[(-3, 3)] * q)
-    for start in range(0, samples, 256):
-        size = (min(256, samples - start), len(low))
-        for row in rng.integers(low, high, size, endpoint=True).tolist():
-            a, b = _random_laurent(row, 0, p, q), _random_laurent(row, n, p, q)
-            yield a, b, row[2 * n : m], Fraction(row[m], 3), row[m + 1 :]
+    """Yield ``samples`` draws (a, b, x, s, xi), each one bounded 64-bit
+    ``integers`` draw read in mixed radix: xi in [-3, 3]^q, x in
+    [-3, 3]^(p+q), s in {1/3, ..., 4/3}, and for each of a and b a term
+    count of 1 or 2 and two indices into ``_ring_terms``."""
+    terms = _ring_terms(p, q)
+    n = len(terms)
+    xs = list(product(range(-3, 4), repeat=p + q))
+    xis = list(product(range(-3, 4), repeat=q))
+    span = (2 * n * n) ** 2 * 4 * len(xs) * len(xis)
+
+    def element(code: int) -> rg.LaurentElement:
+        pair, two = divmod(code, 2)
+        second, first = divmod(pair, n)
+        key, c = terms[first]
+        table = {key: c}
+        if two:
+            key, c = terms[second]
+            table[key] = table.get(key, 0) + c
+        return rg.LaurentElement.from_terms(p, q, table)
+
+    for _ in range(samples):
+        word, i = divmod(rng.integers(span), len(xis))
+        word, j = divmod(word, len(xs))
+        word, s = divmod(word, 4)
+        b, a = divmod(word, 2 * n * n)
+        yield element(a), element(b), xs[j], Fraction(s + 1, 3), xis[i]
 
 
 def _respects(pairs) -> bool:
@@ -534,7 +558,7 @@ def _respects(pairs) -> bool:
 
 @_suite("ring", samples=10000, tol=1e-12)
 def suite_ring(samples, seed, tol):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     p, q = 1, 2
     hom_ok = True
     grading_ok = True
@@ -550,7 +574,7 @@ def suite_ring(samples, seed, tol):
         hom_ok = False
     # grading: pure elements f_k t^-k are degree-k homogeneous in xi
     bounds = [(1, 3), (0, 1), (0, 1), (1, 4)] + [(0, q - 1)] * 4 + [(-3, 3)] * q
-    draws = rng.integers(*zip(*bounds), (200, len(bounds)), endpoint=True).tolist()
+    draws = [[low + rng.integers(high - low + 1) for low, high in bounds] for _ in range(200)]
     for k, extra, y_exp, lam, *rest in draws:
         x_exps = [0] * q
         for j in rest[: k + extra]:
@@ -565,16 +589,9 @@ def suite_ring(samples, seed, tol):
         if lhs != rhs:
             grading_ok = False
     # geometric consistency
-    frng = np.random.default_rng(seed + 1)
+    frng = PCG64(seed + 1).uniform
     f = rg.MultiPoly(p, q, {(1, 1, 0): Fraction(1), (0, 0, 3): Fraction(2)})
-    points = [
-        (
-            [float(frng.uniform(-1, 1))],
-            [float(frng.uniform(-1, 1)), float(frng.uniform(-1, 1))],
-            float(frng.uniform(0.2, 1.5)),
-        )
-        for _ in range(50)
-    ]
+    points = [([frng(-1.0, 1.0)], [frng(-1.0, 1.0), frng(-1.0, 1.0)], frng(0.2, 1.5)) for _ in range(50)]
     geo = rg.geometric_consistency(f, points)
     f1 = rg.MultiPoly(p, q, {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(1, 2)})
     geo1 = rg.geometric_consistency(f1, points)

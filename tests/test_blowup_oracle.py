@@ -18,9 +18,16 @@ which is correctly rounded, where ``np.linalg.norm`` could be 1 ulp off.
 A polar arrow must equal, bit for bit, the old formula evaluated at a
 norm within 1 ulp of ``np.linalg.norm``'s; a direction must agree with
 the numpy kernel to within ``norm_gap_bound``.
+
+The rotation and the inverse stereographic charts once took their
+products from numpy's ``@``, whose bits depend on the BLAS kernel.  They
+now take them from ``conecut.expr.dot``, the correctly rounded sum of
+products, so their references below replay each product with
+``exact_dot``: the exact sum in Fractions, rounded once.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,12 +94,21 @@ def old_from_algebraic(a: AlgebraicPoint, dims: PairDims):
     return Body(np_round(np.asarray(a.x, dtype=float)), dims)
 
 
+def exact_dot(a, b) -> float:
+    """sum a_i * b_i, summed exactly in Fractions and rounded once; -0.0
+    where every float product is -0.0, as an IEEE sum of them gives."""
+    total = sum(Fraction(u) * Fraction(v) for u, v in zip(a, b, strict=True))
+    if total == 0 and len(a) and all(math.copysign(1.0, u * v) < 0 for u, v in zip(a, b)):
+        return -0.0
+    return float(total)
+
+
 def old_rotate_blowup_point(angle: float, z):
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
+    rot = [[c, -s], [s, c]]
     if isinstance(z, Body):
-        return Body(np_round(rot @ z.x), z.dims)
-    return Exceptional(z.y, canonical_direction(rot @ z.xi_dir), z.dims)
+        return Body(np_round(np.array([exact_dot(row, z.x) for row in rot])), z.dims)
+    return Exceptional(z.y, canonical_direction(np.array([exact_dot(row, z.xi_dir) for row in rot])), z.dims)
 
 
 def old_polar_of_pair_arrow(a: float, b: float):
@@ -116,12 +132,12 @@ def _stereo_north(x: np.ndarray) -> np.ndarray:
 
 
 def _stereo_south_inv(u: np.ndarray) -> np.ndarray:
-    r2 = float(u @ u)
+    r2 = exact_dot(u, u)
     return np.array([2 * u[0], 2 * u[1], 1.0 - r2]) / (1.0 + r2)
 
 
 def _stereo_north_inv(u: np.ndarray) -> np.ndarray:
-    r2 = float(u @ u)
+    r2 = exact_dot(u, u)
     return np.array([2 * u[0], 2 * u[1], r2 - 1.0]) / (1.0 + r2)
 
 

@@ -185,6 +185,9 @@ def test_identity_and_linear_maps():
     v = np.array([0.7, 0.3])
     assert np.allclose(eval_map(lin, v), mat @ v, atol=1e-14)
     assert np.allclose(jet_eval(lin, v).jacobian, mat, atol=1e-14)
+    assert linear_map([[1, 2], (0.0, -1.0)]) == lin  # plain rows of numbers, read as floats
+    with pytest.raises(ArityMismatch):
+        linear_map([[1.0, 2.0], [3.0]])
 
 
 def test_a_linear_map_prints_text_that_parses_back():

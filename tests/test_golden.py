@@ -9,11 +9,18 @@ residual and the details of each of the seven float suites of the
 benchmark's verify-float workload at seeds 0 to 4 and default samples,
 keyed "<suite> <seed>"; ``test_float_suite_results_at_seeds_0_to_4``
 asserts that each run reproduces them exactly.
+
+``test_golden_transcripts_without_numpy`` replays every transcript in a
+child interpreter in which numpy cannot be imported: the package needs
+no numpy, and no output depends on a BLAS build.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +58,48 @@ def test_golden_transcript(name, code, argv, monkeypatch):
     got_code, got = run_main(argv)
     assert got_code == code
     assert got == (GOLDEN / f"{name}.out").read_text()
+
+
+# The child's preamble: a meta-path finder, first in line, that refuses
+# numpy and its submodules.
+NO_NUMPY = """
+import sys
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, NoNumpy())
+"""
+
+
+def test_golden_transcripts_without_numpy(tmp_path):
+    code = NO_NUMPY + (
+        "import contextlib, io, json\n"
+        "from conecut.cli import main\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('numpy was importable')\n"
+        "out = {}\n"
+        f"for name, argv in {[(name, argv) for name, _, argv in CASES]!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    out[name] = [code, buf.getvalue()]\n"
+        "print(json.dumps(out))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "CONECUT_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    for name, code, _ in CASES:
+        assert got[name] == [code, (GOLDEN / f"{name}.out").read_text()], name
 
 
 FLOAT_RESULTS = json.loads((GOLDEN / "float-suites-seeds-0-4.json").read_text())

@@ -76,6 +76,11 @@ def test_isotropy_and_orbit_dimensions():
     assert (away.isotropy_dim, away.orbit_dim) == (0, 1)
     at_origin = isotropy_orbit_report(spec, [0.0])
     assert (at_origin.isotropy_dim, at_origin.orbit_dim) == (1, 0)
+    # a base point may be one number; the pair groupoid of R^n is transitive
+    assert (isotropy_orbit_report(spec, -2.0).isotropy_dim, isotropy_orbit_report(spec, 0).orbit_dim) == (0, 0)
+    for n in (1, 2, 3):
+        report = isotropy_orbit_report(pair_groupoid(n), [0.5] * n)
+        assert (report.isotropy_dim, report.orbit_dim) == (0, n)
 
 
 def test_polar_presentation_structure_maps():

@@ -12,10 +12,7 @@ name imported from one (``rg.MultiPoly._trusted``): a helper shared
 across modules is public.
 ``test_no_module_imports_random`` lists every import of the standard
 ``random`` module, so every suite draws from a generator seeded by its
-``seed``: ``conecut.pcg64``, which ``test_draws_module_never_names_numpy``
-keeps free of numpy, and, in the ring suite alone, numpy's
-``default_rng``, as ``test_only_the_ring_suite_draws_from_numpy_random``
-checks.  ``test_no_module_imports_dataclasses`` does the
+``seed``: ``conecut.pcg64``.  ``test_no_module_imports_dataclasses`` does the
 same for ``dataclasses``, whose decorator compiles every generated
 method at import (records subclass ``conecut.record.Record`` instead),
 and ``test_cli_import_leaves_dataclasses_unloaded`` checks that no
@@ -24,16 +21,13 @@ dependency loads it on the CLI's cold start either.
 caller of ``nodes.children`` and keeps ``nodes``, ``expr``, ``parse``
 and ``ring`` free of functions that call themselves, so no second,
 recursive tree walk comes back.
-``test_suites_take_no_numpy_reductions`` keeps ``np.max``, ``np.min``
-and ``np.abs`` (and their aliases) out of the suite modules, whose
-per-sample residuals go through ``expr.max_abs_diff`` on Python floats.
-``test_no_module_imports_numpy_at_module_level`` keeps numpy's
-import behind ``conecut.lazy_numpy``, which loads it by name on first
-use.  The subprocess tests after it check that importing the CLI and
-running its exact subcommands, ``check-map`` and the models suite load
-no part of numpy, that the float suites load no ``numpy.random``,
-that each subcommand executes only the modules it uses, that the
-package ``__getattr__`` hands out only modules whose code has run, and
+``test_no_module_uses_numpy`` keeps numpy a test-only dependency: no
+module imports it, names ``np`` or multiplies with ``@``, so every
+product is ``expr.dot``'s and no result depends on a BLAS build.  The
+subprocess tests after it check that importing the CLI and running any
+of its subcommands, and running any suite, load no part of numpy, that
+each subcommand executes only the modules it uses, that the package
+``__getattr__`` hands out only modules whose code has run, and
 that ``import conecut.cli`` still registers every module the
 benchmark's tracer patches.
 """
@@ -158,18 +152,6 @@ def module_imports(module: str, source: str) -> list:
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def module_level_imports(module: str, source: str) -> list:
-    """Imports of the top-level ``module`` that run when the source is
-    imported: all but those inside a function body."""
-    imports, todo = [], [ast.parse(source)]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imports.append(node)
-        todo += [n for n in ast.iter_child_nodes(node) if not isinstance(n, _FUNCTIONS)]
-    return [line for node in sorted(imports, key=lambda n: n.lineno) for line in _imports_of(module, node)]
-
-
 def test_random_imports_finds_the_standard_module():
     source = (
         "import os, random as r\nimport numpy.random\nfrom .random import x\n"
@@ -194,40 +176,6 @@ def test_no_module_imports_dataclasses():
     source = "from dataclasses import dataclass, field\nimport dataclasses as dc\nfrom .dataclasses import x\n"
     assert module_imports("dataclasses", source) == ["line 1: dataclasses", "line 2: dataclasses"]
     assert _package_imports("dataclasses") == {}
-
-
-# The modules whose sample loops compute residuals; none calls a numpy
-# reduction or abs on a short vector.
-SUITE_MODULES = ("verify", "groupoid", "vb", "euler")
-NUMPY_REDUCTIONS = {"max", "amax", "min", "amin", "abs", "absolute", "fabs"}
-
-
-def numpy_reductions(source: str) -> list:
-    """Every ``np.max``, ``np.min`` and ``np.abs`` (or an alias of one)
-    that the source names, by line."""
-    found = [
-        (node.lineno, node.col_offset, node.attr)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and node.attr in NUMPY_REDUCTIONS
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "np"
-    ]
-    return [f"line {line}: np.{name}" for line, _, name in sorted(found)]
-
-
-def test_numpy_reductions_finds_max_min_and_abs():
-    source = "x = np.max(np.abs(a - b))\ny = float(np.min(v)) + np.amax(v)\nz = abs(a).max() + max(v)\n"
-    assert numpy_reductions(source) == ["line 1: np.max", "line 1: np.abs", "line 2: np.min", "line 2: np.amax"]
-
-
-def test_suites_take_no_numpy_reductions():
-    found = {
-        module: names
-        for module in SUITE_MODULES
-        if (names := numpy_reductions((PACKAGE / f"{module}.py").read_text()))
-    }
-    assert found == {}
 
 
 # The modules that read expression trees; none of their functions recurses.
@@ -286,6 +234,44 @@ def test_no_second_tree_walk():
     assert found == {}
 
 
+def numpy_references(source: str) -> list:
+    """Imports of numpy, names and attributes ``np`` or ``numpy``, and
+    matrix products ``@`` and ``@=`` anywhere in the source, in source
+    order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            names = ["@"]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
+        found += [(node.lineno, name) for name in names if name == "@" or {"np", "numpy"} & set(name.split("."))]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_numpy_references_finds_every_kind():
+    source = (
+        "import numpy.random\nfrom .arrays import np as a\ndef f(x):\n    return x.np + np\n"
+        "y = a @ b\ny @= a\nfrom numpy import linalg\nz = x * 2\n"
+    )
+    assert numpy_references(source) == [
+        "line 1: numpy.random", "line 2: np", "line 4: np", "line 4: np",
+        "line 5: @", "line 6: @", "line 7: numpy",
+    ]
+
+
+def test_no_module_uses_numpy():
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := numpy_references(path.read_text()))
+    }
+    assert found == {}
+
+
 def _run_python(code: str) -> str:
     """Run ``code`` in a fresh interpreter that imports this package; its stdout."""
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
@@ -305,63 +291,34 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert _run_python(code).strip() == "[]"
 
 
-def test_no_module_imports_numpy_at_module_level():
-    source = (
-        "import numpy as np\nfrom numpy.linalg import svd\nfrom .numpy import x\n"
-        "if x:\n    import numpy.random\nclass A:\n    import numpy\n"
-        "def f():\n    import numpy\n"
-    )
-    assert module_level_imports("numpy", source) == [
-        "line 1: numpy", "line 2: numpy.linalg", "line 5: numpy.random", "line 7: numpy"
-    ]
-    found = {
-        path.stem: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (names := module_level_imports("numpy", path.read_text()))
-    }
-    assert found == {}
-
-
 def test_cli_import_and_exact_subcommands_leave_numpy_unloaded():
-    """``sys.modules["numpy"]`` holds the lazy module of ``lazy_numpy``
-    from the package import on; numpy is loaded once its code has run,
-    which makes the module a plain one and imports numpy's submodules."""
+    """Importing the CLI and running each subcommand, the exact ones and
+    the float ones, one after another in one interpreter, loads no
+    module of numpy."""
     check_map = ["check-map", "--map", "y1, 0.5*x1*exp(y1), 3*x1", "--source-dims", "2,1", "--target-dims", "3,1"]
+    runs = [
+        ["resolve-curve", "--poly", "y^2 - 2*x^2 + x^3"], ["dnc-ring-demo"],
+        ["check-map", "--map", "y1, x1", "--source-dims", "2,1", "--samples", "8"],
+        check_map, check_map + ["--format", "csv"],
+        ["verify", "--samples", "4"], ["sphere-demo", "--samples", "4"], ["groupoid-demo", "--samples", "4"],
+        ["dnc-demo", "--samples", "4"], ["euler-demo"],
+    ]
     code = (
         "import contextlib, io, sys, conecut.cli\n"
         "def loaded():\n"
-        "    lazy = type(sys.modules['numpy']).__name__ == '_LazyModule'\n"
-        "    return not lazy or any(m.startswith('numpy.') for m in sys.modules)\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
         "print(loaded())\n"
-        "for argv in (['resolve-curve', '--poly', 'y^2 - 2*x^2 + x^3'], ['dnc-ring-demo'],\n"
-        "             ['check-map', '--map', 'y1, x1', '--source-dims', '2,1', '--samples', '8'],\n"
-        f"             {check_map!r}, {check_map + ['--format', 'csv']!r}):\n"
+        f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = conecut.cli.main(argv)\n"
         "    print(argv[0], code, loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    conecut.cli.main(['verify', '--suite', 'models', '--samples', '4'])\n"
-        "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    conecut.cli.main(['verify', '--suite', 'sphere', '--samples', '4'])\n"
-        "print(loaded())\n"
     )
-    assert _run_python(code).splitlines() == [
-        "False",
-        "resolve-curve 0 False",
-        "dnc-ring-demo 0 False",
-        "check-map 0 False",
-        "check-map 0 False",
-        "check-map 0 False",
-        "False",  # the models suite draws from conecut.pcg64 and computes on floats
-        "True",  # the sphere suite normalises with numpy.linalg.norm
-    ]
+    assert _run_python(code).splitlines() == ["[]"] + [f"{argv[0]} 0 []" for argv in runs]
 
 
 def test_float_suites_and_the_dnc_sweep_leave_numpy_random_unloaded():
-    """The float suites and the kernels they seed draw from
-    ``conecut.pcg64``; only the ring suite draws from numpy's
-    ``default_rng``."""
+    """Every suite, the ring suite too, and the kernels they seed draw
+    from ``conecut.pcg64`` and load no module of numpy."""
     code = (
         "import sys\n"
         "from conecut import Var, dnc, from_components, verify\n"
@@ -373,87 +330,11 @@ def test_float_suites_and_the_dnc_sweep_leave_numpy_random_unloaded():
         "m = dnc.DncMap(h)\n"
         "for k in range(1, 13):\n"
         "    m(dnc.DncPoint.of(0.3, 0.7, 10.0 ** -k))\n"
-        "print('numpy.random' in sys.modules)\n"
-        "verify.SUITES['ring'](samples=20, seed=1)\n"
-        "print('numpy.random' in sys.modules)\n"
+        "print([n for n in sys.modules if n.split('.')[0] == 'numpy'])\n"
+        "assert verify.SUITES['ring'](samples=20, seed=1).ok\n"
+        "print([n for n in sys.modules if n.split('.')[0] == 'numpy'])\n"
     )
-    assert _run_python(code).splitlines() == ["False", "True"]
-
-
-def rng_sites(source: str) -> list:
-    """Each call of ``default_rng`` and each import or attribute access of
-    ``numpy.random`` in the source, with the top-level function or class
-    it sits in ("<module>" outside one), in source order."""
-    tree = ast.parse(source)
-    owners = {}
-    for top in tree.body:
-        for node in ast.walk(top):
-            owners[id(node)] = top.name if isinstance(top, (*_FUNCTIONS, ast.ClassDef)) else "<module>"
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _called_name(node) == "default_rng":
-            what = "default_rng"
-        elif isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
-            what = "numpy.random"
-        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names):
-            what = "import numpy.random"
-        elif isinstance(node, ast.ImportFrom) and (
-            (node.module or "").startswith("numpy.random")
-            or node.module == "numpy" and any(a.name == "random" for a in node.names)
-        ):
-            what = "import numpy.random"
-        else:
-            continue
-        found.append((node.lineno, node.col_offset, f"{owners.get(id(node), '<module>')}: {what}"))
-    return [what for *_, what in sorted(found)]
-
-
-def test_rng_sites_finds_calls_attributes_and_imports():
-    source = (
-        "import numpy.random as npr\nfrom numpy import random\nfrom numpy.random import default_rng\n"
-        "def f(seed):\n    return np.random.default_rng(seed), default_rng(seed)\n"
-        "class G:\n    rng = numpy.random.Generator\n"
-        "def g(rng):\n    return rng.random(), random.random()\n"
-    )
-    assert rng_sites(source) == [
-        "<module>: import numpy.random", "<module>: import numpy.random", "<module>: import numpy.random",
-        "f: default_rng", "f: numpy.random", "f: default_rng", "G: numpy.random",
-    ]
-
-
-def test_only_the_ring_suite_draws_from_numpy_random():
-    found = {
-        path.stem: sites
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (sites := rng_sites(path.read_text()))
-    }
-    assert found == {"verify": ["suite_ring: default_rng", "suite_ring: numpy.random"] * 2}
-
-
-def numpy_references(source: str) -> list:
-    """Names, attributes and imports of ``np``, ``numpy`` or
-    ``lazy_numpy`` anywhere in the source, in source order."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [a.name for a in node.names]
-        else:
-            names = [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
-        found += [(node.lineno, name) for name in names if {"np", "numpy", "lazy_numpy"} & set(name.split("."))]
-    return [f"line {line}: {name}" for line, name in sorted(found)]
-
-
-def test_numpy_references_finds_every_kind():
-    source = "import numpy.random\nfrom .lazy_numpy import np as a\ndef f(x):\n    return x.np + np\n"
-    assert numpy_references(source) == [
-        "line 1: numpy.random", "line 2: lazy_numpy", "line 2: np", "line 4: np", "line 4: np"
-    ]
-
-
-def test_draws_module_never_names_numpy():
-    assert numpy_references((PACKAGE / "pcg64.py").read_text()) == []
+    assert _run_python(code).splitlines() == ["[]", "[]"]
 
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
@@ -484,10 +365,10 @@ def test_subcommands_execute_only_the_suite_modules_they_use():
     ``lazy_import``: each is in ``sys.modules``, but its code runs only
     when a subcommand first reads one of its attributes.  The exact
     subcommands run neither the float tapes nor the chart kernels."""
-    exact = ["cli", "errors", "lazy_numpy", "nodes", "parse", "record", "ring"]
-    assert _executed_after(None) == ["cli", "errors", "lazy_numpy"]
+    exact = ["cli", "errors", "nodes", "parse", "record", "ring"]
+    assert _executed_after(None) == ["cli", "errors"]
     assert _executed_after(["check-map", "--map", "y1, x1", "--source-dims", "2,1", "--samples", "8"]) == [
-        "cli", "errors", "expr", "lazy_numpy", "nodes", "pairs", "parse", "pcg64", "record"
+        "cli", "errors", "expr", "nodes", "pairs", "parse", "pcg64", "record"
     ]
     assert _executed_after(["dnc-ring-demo"]) == exact
     assert _executed_after(["resolve-curve", "--poly", "y^2 - x^3"]) == exact

@@ -90,6 +90,25 @@ def test_integers_carry_the_kept_half_across_other_draws(seed):
     assert same_state(gen, rng)
 
 
+# Bounds past 2^32: 64-bit words, where a bound just past a power of two
+# rejects a word about half the time.
+WIDE = (2**32 + 1, 3 * 2**40 + 5, 2**63 + 1, 1_057_330_000_000_000_000, 2**64 - 1, 2**64)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wide_integers_match_default_rng_on_64_bit_words(seed):
+    """A bound past 2^32 bounds a whole 64-bit word and leaves a kept
+    32-bit half as it is, as numpy's 64-bit path does."""
+    rng, gen = np.random.default_rng(seed), PCG64(seed)
+    for i in range(30):
+        for n in WIDE:
+            got = gen.integers(n)
+            assert type(got) is int and got == int(rng.integers(n, dtype=np.uint64))
+        if i % 3 == 0:
+            assert gen.integers(7) == rng.integers(7)
+        assert same_state(gen, rng)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_normal_matches_default_rng_bit_for_bit(seed):
     rng, gen = np.random.default_rng(seed), PCG64(seed)
@@ -177,8 +196,8 @@ def test_empty_and_too_wide_ranges_raise_and_one_value_draws_nothing():
             np.random.default_rng(0).integers(n)
         with pytest.raises(ValueError, match="high <= 0"):
             PCG64(0).integers(n)
-    with pytest.raises(ValueError, match="more than 2\\^32"):
-        PCG64(0).integers(2**32 + 1)
+    with pytest.raises(ValueError, match="more than 2\\^64"):
+        PCG64(0).integers(2**64 + 1)
     gen = PCG64(0)
     assert gen.integers(1) == 0 and same_state(gen, np.random.default_rng(0))
 

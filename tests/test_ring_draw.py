@@ -1,20 +1,24 @@
-"""The ring suite's numpy draw against the random.Random draw it replaced.
+"""The ring suite's draw against the random.Random draw it replaced.
 
 ``_old_random_laurent`` is the suite's former generator, kept verbatim
 as the oracle.  Over 20,000 seeded elements from each, every new element
 lies in the old support, and the frequencies of the monomial count, of
-the keys k and of the coefficients agree within FREQUENCY_TOL.
+the keys k and of the coefficients agree within FREQUENCY_TOL.  The
+suite decodes each term through a table, which
+``test_term_table_lists_each_column_draw_once`` checks against the
+per-column decoding of the suite's earlier block draws.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
-import numpy as np
 import pytest
 
 from conecut import ring as rg
 from conecut import verify as vf
+from conecut.pcg64 import PCG64
 
 P, Q = 1, 2
 DRAWS = 20_000
@@ -52,7 +56,7 @@ def old():
 
 @pytest.fixture(scope="module")
 def new():
-    samples = vf._ring_samples(np.random.default_rng(2021), DRAWS // 2, P, Q)
+    samples = vf._ring_samples(PCG64(2021), DRAWS // 2, P, Q)
     return [e for a, b, *_ in samples for e in (a, b)]
 
 
@@ -97,3 +101,28 @@ def test_new_draw_keeps_the_old_frequencies(old, new):
     old, new = _frequencies(old), _frequencies(new)
     for name in old:
         assert _largest_difference(old[name], new[name]) <= FREQUENCY_TOL, name
+
+
+# The columns of one term of the suite's earlier block draws, each an
+# inclusive range: k, the P y-exponents, the extra x-degree, three
+# x-slots and the coefficient.
+TERM_COLUMNS = [(-1, 2)] + [(0, 1)] * (P + 1) + [(0, Q - 1)] * 3 + [(-5, 5)]
+
+
+def _column_term(k, *rest):
+    """The term (exponents, coefficient) that one row of term columns drew:
+    the per-column decoding of the suite's earlier ``_random_laurent``."""
+    y_exps, extra, slots, coeff = rest[:P], rest[P], rest[P + 1 : P + 4], rest[-1]
+    x_exps = [0] * Q
+    for j in slots[: max(k, 0) + extra]:
+        x_exps[j] += 1
+    return (*y_exps, *x_exps, k), coeff
+
+
+def test_term_table_lists_each_column_draw_once():
+    """Entry i of the table is the term of the i-th row of term columns in
+    mixed radix, so each of the 1,408 rows the old draw could make is
+    listed once, and nothing else is."""
+    rows = list(product(*(range(low, high + 1) for low, high in TERM_COLUMNS)))
+    assert len(rows) == 1408
+    assert vf._ring_terms(P, Q) == [_column_term(*row) for row in rows]
