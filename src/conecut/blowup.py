@@ -11,11 +11,15 @@ Representatives are made by ``canonicalize`` from an orbit (y, xi, t)
 and by ``from_ambient`` from an off-center ambient point, never on the
 center.  Chart inverses, models, induced maps and the deformation space
 call them; the Body branch of ``chart_phi_inv`` calls their ``_body``.
-The point kernels take any flat sequences of numbers, compute on Python
-floats, and return tuples of floats: every field of a point and every
-chart value is a tuple, so two representatives of one orbit are ``==``
-and hash alike.  Every vector norm comes from the correctly rounded
-``math.hypot``, so no representative depends on the BLAS build.
+A representative keeps its computed floats (-0.0 made +0.0, a
+non-finite one refused), and each decision on it is exact: a direction's
+sign is that of its first nonzero component, and a point is on the
+center only when its x-block is exactly zero.  The point kernels take
+any flat sequences of numbers, compute on Python floats, and return
+tuples of floats, so ``==`` is equality of representatives and
+``point_dist`` decides whether two points are one orbit.  Every vector
+norm comes from the correctly rounded ``math.hypot``, so no
+representative depends on the BLAS build.
 
 Also here: the q projective charts with their transitions, the
 blow-down, induced maps of blow-ups, product splitting, the open
@@ -44,31 +48,23 @@ from .pairs import MapOfPairs, PairDims, normal_derivative, normal_image, requir
 from .record import Record
 from .ring import strict_transform_curve as strict_transform_curve
 
-# Representatives are rounded at this many decimals so that orbit
-# equality becomes bitwise equality.
-ROUND_DECIMALS = 14
 CHART_TOL = 1e-12
 BLUP_F_RTOL = 1e-10
-_SCALE = 10.0**ROUND_DECIMALS
 
 
-def _rounded(v) -> tuple:
-    """Each float of v rounded to ROUND_DECIMALS, half to even, bit for bit
-    as np.round(c, ROUND_DECIMALS) + 0.0.  A coordinate above about 1.8e294
-    (scaled, not finite) has no digits below 10^-ROUND_DECIMALS and is
-    kept; a non-finite one raises DomainViolation."""
-    try:
-        return tuple([round(c * _SCALE) / _SCALE + 0.0 for c in v])
-    except (OverflowError, ValueError):
-        if not all(map(math.isfinite, v)):
-            raise DomainViolation(f"representative has a non-finite coordinate: {v}") from None
-        return tuple([c if abs(c * _SCALE) == math.inf else round(c * _SCALE) / _SCALE + 0.0 for c in v])
+def _finite(v) -> tuple:
+    """The floats of v as a tuple, each -0.0 made +0.0; DomainViolation if
+    one is not finite."""
+    r = tuple([c + 0.0 for c in v])
+    if not all(map(math.isfinite, r)):
+        raise DomainViolation(f"representative has a non-finite coordinate: {v}")
+    return r
 
 
 def _leading_is_negative(u) -> bool:
-    """Whether the first component above 10^-ROUND_DECIMALS is negative."""
+    """Whether the first nonzero component of u is negative."""
     for v in u:
-        if abs(v) > 10.0**-ROUND_DECIMALS:
+        if v:
             return v < 0
     return False
 
@@ -92,11 +88,11 @@ def _unit(v, zero_message: str):
 
 def _direction(xi) -> tuple:
     u, _ = _unit(xi, "zero vector has no direction")
-    return _rounded([-c for c in u] if _leading_is_negative(u) else u)
+    return _finite([-c for c in u] if _leading_is_negative(u) else u)
 
 
 def canonical_direction(xi) -> tuple:
-    """Unit vector with first nonzero component positive, rounded."""
+    """Unit vector with first nonzero component positive."""
     return _direction(as_floats(xi))
 
 
@@ -139,20 +135,21 @@ def canonicalize(y, xi, t, dims: PairDims):
     coords, t = dims.join(y, xi), float(t)
     y, xi = coords[: dims.p], coords[dims.p :]
     if t == 0.0:
-        return Exceptional(_rounded(y), _direction(xi), dims)
+        return Exceptional(_finite(y), _direction(xi), dims)
     return _body(y + [t * c for c in xi], dims, "orbit meets the center: t != 0 with t*xi = 0")
 
 
 def point_dist(z, w) -> float:
     """Max-norm distance of two points of one kind, by ``max_abs_diff``
-    (inf where a coordinate difference is not a number); inf across kinds."""
+    (inf where a coordinate difference is not a number); inf across kinds.
+    Directions are compared as lines, by the nearer of +xi and -xi."""
     if isinstance(z, Body) and isinstance(w, Body):
-        a, b = z.x, w.x
-    elif isinstance(z, Exceptional) and isinstance(w, Exceptional):
-        a, b = (*z.y, *z.xi_dir), (*w.y, *w.xi_dir)
-    else:
-        return float("inf")
-    return max_abs_diff(a, b)
+        return max_abs_diff(z.x, w.x)
+    if isinstance(z, Exceptional) and isinstance(w, Exceptional):
+        u, v = z.xi_dir, w.xi_dir
+        line = min(max_abs_diff(u, v), max_abs_diff(u, [-c for c in v]))
+        return max(max_abs_diff(z.y, w.y), line)
+    return float("inf")
 
 
 def from_ambient(x, dims: PairDims) -> Body:
@@ -162,10 +159,10 @@ def from_ambient(x, dims: PairDims) -> Body:
 
 
 def _body(x: list, dims: PairDims, center_message: str) -> Body:
-    """The Body point at x, rounded; CenterPoint with ``center_message``
-    if the rounded x-block is zero, so a representative never lies on
-    the center."""
-    r = _rounded(x)
+    """The Body point at x; CenterPoint with ``center_message`` if the
+    x-block is exactly zero, so a representative never lies on the
+    center.  A nonzero block, however small, is off the center."""
+    r = _finite(x)
     if not any(r[dims.p :]):
         raise CenterPoint(center_message)
     return Body(r, dims)
@@ -212,7 +209,7 @@ def chart_phi_inv(i: int, w, dims: PairDims):
         return canonicalize(y, s, 0.0, dims)
     xb = [s[k] * c for c in s]
     xb[k] = s[k]
-    return _body(y + xb, dims, "chart point rounds onto the center")
+    return _body(y + xb, dims, "chart point lies on the center")
 
 
 def transition(i: int, j: int, w, dims: PairDims) -> tuple:
@@ -272,19 +269,18 @@ def algebraic_relations_residual(a: AlgebraicPoint) -> float:
 
 def canonical_polar(x, theta, t) -> PolarPoint:
     """Canonical representative under (x, theta, t) ~ (x, -theta, -t).
-    CenterPoint if t != 0 but the rounded block t*theta is zero, as
-    ``canonicalize`` of the same orbit raises, or the rounded block r*theta
-    of the result is zero, as ``from_polar`` of it would raise.  Either
-    needs r^2 < 4e-28 q, since some |theta_i| >= 1/sqrt(q)."""
+    CenterPoint if t != 0 but the block t*theta is exactly zero, as
+    ``canonicalize`` of the same orbit raises, or the block r*theta of the
+    result is, as ``from_polar`` of it would; the two differ only where
+    the products are subnormal."""
     given = as_floats(theta)
     theta, norm = _unit(given, "polar direction must be nonzero")
     sign = -1.0 if _leading_is_negative(theta) else 1.0
-    x, theta = _rounded(as_floats(x)), _rounded([sign * c for c in theta])
+    x, theta = _finite(as_floats(x)), _finite([sign * c for c in theta])
     t = float(t)
-    (r,) = _rounded([sign * t * norm])
-    if t != 0.0 and r * r < 4e-28 * len(theta):
-        if not any(_rounded([t * c for c in given])) or not any(_rounded([r * c for c in theta])):
-            raise CenterPoint("polar point rounds onto the center: t*theta rounds to 0")
+    (r,) = _finite([sign * t * norm])
+    if t != 0.0 and not (any([t * c for c in given]) and any([r * c for c in theta])):
+        raise CenterPoint("polar point rounds onto the center: t*theta rounds to 0")
     return PolarPoint(x, theta, r)
 
 
@@ -345,7 +341,7 @@ def product_split(z, factor_dims: PairDims, m_dim: int):
 
 def product_join(z, m, factor_dims: PairDims):
     """Inverse of product_split; m is a flat sequence of numbers."""
-    m = _rounded(as_floats(m))
+    m = _finite(as_floats(m))
     dims = PairDims(factor_dims.n + len(m), factor_dims.p + len(m))
     if isinstance(z, Exceptional):
         return Exceptional((*z.y, *m), z.xi_dir, dims)
@@ -460,8 +456,8 @@ def sphere_chart(which: int, z) -> tuple:
 
 
 def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
-    """Inverse of sphere_chart: the plane's chart inverse, unrounded, then
-    the inverse stereographic chart."""
+    """Inverse of sphere_chart: the plane's chart inverse on the raw
+    coordinates, signed zeros kept, then the inverse stereographic chart."""
     i, pole = _plane_chart_and_pole(which)
     s = as_floats(w)
     k = i - 1

@@ -80,6 +80,22 @@ def test_point_dist_reports_a_nan_coordinate_as_inf():
     dims = PairDims(2, 0)
     assert blowup.point_dist(Body((1.0, math.nan), dims), Body((5.0, 0.0), dims)) == math.inf
     assert blowup.point_dist(Body((1.0, 2.0), dims), Body((1.5, 2.0), dims)) == 0.5
+    nan_line = Exceptional((), (math.nan, 1.0), dims)
+    assert blowup.point_dist(nan_line, Exceptional((), (1.0, 0.0), dims)) == math.inf
+
+
+def test_point_dist_compares_exceptional_directions_as_lines():
+    # two lines 2e-17 apart whose leading components have opposite signs:
+    # the sign rule flips one of them, and only the line distance sees it
+    a = canonicalize([0.5], [1e-17, 1.0], 0.0, DIMS31)
+    b = canonicalize([0.5], [-1e-17, 1.0], 0.0, DIMS31)
+    assert (a.xi_dir, b.xi_dir) == ((1e-17, 1.0), (1e-17, -1.0))
+    assert blowup.point_dist(a, b) <= 1e-16
+    assert blowup.point_dist(a, b) == 2e-17
+    # the y-block still counts, and distinct lines stay apart
+    assert blowup.point_dist(a, canonicalize([0.75], [-1e-17, 1.0], 0.0, DIMS31)) == 0.25
+    assert blowup.point_dist(a, canonicalize([0.5], [1.0, 0.0], 0.0, DIMS31)) == 1.0
+    assert blowup.point_dist(a, from_ambient([0.5, 1e-17, 1.0], DIMS31)) == math.inf
 
 
 def test_canonicalize_is_scale_invariant():
@@ -103,6 +119,11 @@ def test_chart_round_trip_body():
         back = chart_phi_inv(i, w, DIMS31)
         assert isinstance(back, Body)
         assert np.allclose(back.x, z.x, atol=1e-12)
+
+
+def test_chart_round_trip_returns_its_input_bit_for_bit():
+    w = (0.5, 1 / 3, 0.4)
+    assert chart_phi(1, chart_phi_inv(1, w, DIMS31)) == w
 
 
 def test_chart_values_by_hand():
@@ -283,6 +304,23 @@ def test_product_split_join_round_trip():
     assert np.allclose(back.y, exc.y)
 
 
+def test_representatives_keep_finite_coordinates_bit_for_bit():
+    # 880.8481731919774 has no digits below 1e-14; a rounding to 14
+    # decimals moves it up by 1 ulp
+    dims = PairDims(2, 1)
+    rng = np.random.default_rng(64)
+    values = [880.8481731919774, 0.1 + 1e-16, 1e-15, -4e-15, 2.0**-1074, 1e300, -1e295, 1.5e308]
+    values += rng.uniform(64.0, 2e4, 2000).tolist() + (rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)).tolist()
+    for c in values:
+        assert from_ambient([c, 1.0], dims).x == (c, 1.0)
+        assert from_ambient([0.5, c], dims).x == (0.5, c)
+        assert canonicalize([c], [1.0], 1.0, dims).x == (c, 1.0)
+        assert canonicalize([c], [1.0], 0.0, dims).y == (c,)
+        assert product_join(Body((0.5, 1.0), dims), [c], dims).x == (0.5, c, 1.0)
+        assert product_join(Exceptional((0.5,), (1.0,), dims), [c], dims).y == (0.5, c)
+        assert canonical_polar([c], [1.0], 2.0).x == (c,)
+
+
 def test_dnc_as_open_subset():
     z = DncPoint.of([0.5], [2.0], 0.25)
     w = dnc_as_open_subset(z)
@@ -400,7 +438,7 @@ NUMPY_FREE = {
     blowup: (
         "canonicalize", "from_ambient", "chart_phi", "chart_phi_inv", "transition", "blowdown",
         "canonical_direction", "canonical_polar", "to_polar", "from_polar", "product_split",
-        "product_join", "_rounded", "_unit", "_direction", "_body", "_leading_is_negative",
+        "product_join", "_finite", "_unit", "_direction", "_body", "_leading_is_negative",
     ),
     ring: ("strict_transform_curve",),
 }
@@ -478,30 +516,29 @@ def test_sphere_local_expression_closed_forms():
 
 
 def test_representatives_never_carry_negative_zero():
-    # raw rounding would keep the sign bits of cos(pi) * 0 and of the
-    # t = 0 that the sign flip of theta negates
-    rotated = rotate_blowup_point(np.pi, Body(np.array([0.0, 1.0]), DIMS20))
-    assert not np.any(np.signbit(rotated.x[:1]))
-    assert rotated.x[1] == -1.0
+    # the sign bits of a given -0.0, of the 0.0 that the sign flip of a
+    # direction negates, and of the t = 0 that the flip of theta negates
     assert not np.signbit(canonical_polar([], [-1.0, 0.0], 0.0).t)
     assert not np.signbit(canonical_polar([], [1.0, 0.0], -0.0).t)
+    points = (
+        from_ambient([-0.0, 1.0], DIMS20).x,
+        canonicalize([-0.0], [-0.0, 1.0], 2.0, DIMS31).x,
+        canonicalize([-0.0], [-2.0, -0.0], 0.0, DIMS31).y,
+        canonical_direction([-2.0, -0.0]),
+        canonical_direction([-0.0, 2.0]),
+        canonical_polar([-0.0], [-0.0, -3.0], 1.0).x,
+        canonical_polar([-0.0], [-0.0, -3.0], 1.0).theta,
+        product_join(Body((1.0, 2.0), DIMS20), [-0.0], DIMS20).x,
+        rotate_blowup_point(0.0, Body((-0.0, 1.0), DIMS20)).x,
+    )
+    for x in points:
+        assert not np.any(np.signbit(x)), x
+    # rotation by pi leaves -sin(pi), a coordinate that is not zero
+    rotated = rotate_blowup_point(np.pi, Body(np.array([0.0, 1.0]), DIMS20))
+    assert rotated.x == (-math.sin(math.pi), -1.0)
 
 
-# -- rounding and normalisation at the ends of the float range -----------
-
-
-def _reference_round(a):
-    """The numpy rounding that _rounded replaced, kept as its oracle."""
-    return np.round(np.asarray(a, dtype=float), 14) + 0.0
-
-
-def _rounded_array(a):
-    """blowup._rounded on the entries of a scalar or an array, as an array
-    of its shape."""
-    a = np.asarray(a, dtype=float)
-    got = blowup._rounded(a.ravel().tolist())
-    assert all(type(c) is float for c in got)
-    return np.array(got).reshape(a.shape)[()]
+# -- normalisation at the ends of the float range --------------------------
 
 
 def _same_bits(got, want):
@@ -510,37 +547,17 @@ def _same_bits(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_round_matches_numpy_round_bit_for_bit():
-    rng = np.random.default_rng(2024)
-    for exponent in range(-20, 291, 5):
-        a = rng.normal(size=4000) * 10.0**exponent
-        with np.errstate(over="ignore"):
-            want = _reference_round(a)
-        finite = np.isfinite(want)
-        _same_bits(_rounded_array(a[finite]), want[finite])
-    halves = (np.arange(-50, 50) + 0.5) * 1e-14
-    for a in (halves, [2.5e-14, -2.5e-14, 0.5, 1.5, -2.5, 1e-15], [0.0, -0.0, -1e-16, 1e-300]):
-        _same_bits(_rounded_array(a), _reference_round(a))
-    for a in (2.5e-14, -0.0, 0.3, np.float64(-1e-15), np.array(7.125), np.zeros(0), np.zeros((0, 3))):
-        _same_bits(_rounded_array(a), _reference_round(a))
-    assert not np.signbit(blowup._rounded([-0.0])[0])
-
-
-def test_round_keeps_coordinates_too_large_to_scale():
-    with np.errstate(over="ignore"):
-        got = blowup._rounded([1e300, -1e295, 0.1 + 1e-16])
-    assert got == (1e300, -1e295, 0.1)
-    with np.errstate(over="ignore"):
-        assert blowup._rounded([-1e300]) == (-1e300,)
-        assert from_ambient([1e300, 1.0], PairDims(2, 1)).x == (1e300, 1.0)
-        assert canonicalize([1e295], [1.0], 1.0, PairDims(2, 1)).x == (1e295, 1.0)
-        assert canonical_polar([1e300], [1.0], 2.0).x == (1e300,)
-
-
 def test_round_rejects_non_finite_coordinates():
-    for a in ([0.1, np.nan], [np.inf], -np.inf):
-        with pytest.raises(DomainViolation):
-            _rounded_array(a)
+    dims = PairDims(2, 1)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainViolation, match="non-finite coordinate"):
+            from_ambient([c, 1.0], dims)
+        with pytest.raises(DomainViolation, match="non-finite coordinate"):
+            canonicalize([c], [1.0], 0.0, dims)
+        with pytest.raises(DomainViolation, match="non-finite coordinate"):
+            product_join(Body((0.5, 1.0), dims), [c], dims)
+        with pytest.raises(DomainViolation, match="non-finite coordinate"):
+            canonical_polar([c], [1.0], 1.0)
     with pytest.raises(DomainViolation):
         canonicalize([0.1], [np.nan], 1.0, PairDims(2, 1))
     with pytest.raises(DomainViolation):
@@ -585,27 +602,59 @@ def test_non_finite_directions_are_rejected():
         canonical_polar([0.1], [1.0], np.inf)
 
 
-# An x-block below half of 10^-14 rounds to zero: such a point is not an
-# off-center representative, so it raises instead of becoming a Body on
-# the center.  One x-coordinate that survives rounding keeps it off.
+# A representative lies on the center only when its x-block is exactly
+# zero.  A block of float products is zero where they underflow, so such
+# an orbit is refused; any nonzero block, however small, is off the
+# center and round-trips.
+
+
+@pytest.mark.parametrize("tiny", [1e-15, 2.0**-1074])
+def test_a_tiny_nonzero_block_is_accepted_and_round_trips(tiny):
+    dims = PairDims(2, 1)
+    body = from_ambient([0.5, tiny], dims)
+    assert body.x == (0.5, tiny)
+    assert from_ambient(blowdown(body), dims) == body
+    assert canonicalize([0.5], [tiny], 1.0, dims) == body
+    assert canonicalize([0.5], [-1.0], -tiny, dims) == body
+    assert chart_phi(1, body) == (0.5, tiny)
+    assert chart_phi_inv(1, chart_phi(1, body), dims) == body
+    pp = to_polar(body)
+    assert (pp.x, pp.theta, pp.t) == ((0.5,), (1.0,), tiny)
+    assert canonical_polar([0.5], [-1.0], -tiny) == pp
+    assert from_polar(pp, dims) == body
+    y, x = Var(0), Var(1)
+    squash = MapOfPairs(from_components(2, (y, x * tiny)), dims, dims)
+    assert polar_map(squash, canonical_polar([0.5], [1.0], 1.0)) == pp
+    plane = Body((tiny, 0.0), DIMS20)
+    assert rotate_blowup_point(0.0, plane) == plane
+    assert rotate_blowup_point(np.pi / 2, plane).x == (math.cos(np.pi / 2) * tiny + 0.0, tiny)
 
 
 def test_from_ambient_rejects_a_point_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint, match="ambient point lies on the center"):
-        from_ambient([0.5, 1e-15], PairDims(2, 1))
-    assert from_ambient([0.5, 1e-15, 1e-13], PairDims(3, 1)).x == (0.5, 0.0, 1e-13)
+        from_ambient([0.5, 1e-200 * 1e-200], PairDims(2, 1))
+    with pytest.raises(CenterPoint, match="ambient point lies on the center"):
+        from_ambient([0.5, -0.0, 0.0], PairDims(3, 1))
+    assert from_ambient([0.5, 0.0, 1e-300], PairDims(3, 1)).x == (0.5, 0.0, 1e-300)
 
 
 def test_canonicalize_rejects_an_orbit_that_rounds_onto_the_center():
+    # t != 0, but t*xi underflows to zero
     with pytest.raises(CenterPoint, match="orbit meets the center"):
-        canonicalize([0.5], [1e-15], 1.0, PairDims(2, 1))
-    assert canonicalize([0.5], [1e-15], 10.0, PairDims(2, 1)).x == (0.5, 1e-14)
+        canonicalize([0.5], [1e-200], 1e-200, PairDims(2, 1))
+    with pytest.raises(CenterPoint, match="orbit meets the center"):
+        canonicalize([0.5], [0.4, -0.4], 2.0**-1074, PairDims(3, 1))
+    assert canonicalize([0.5], [0.6, -0.4], 2.0**-1074, PairDims(3, 1)).x == (0.5, 2.0**-1074, 0.0)
 
 
-def test_chart_phi_inv_rejects_a_chart_point_that_rounds_onto_the_center():
-    with pytest.raises(CenterPoint, match="rounds onto the center"):
-        chart_phi_inv(1, [0.5, 1e-15], PairDims(2, 1))
-    assert chart_phi_inv(1, [0.5, 1e-14], PairDims(2, 1)).x == (0.5, 1e-14)
+def test_chart_phi_inv_never_lands_on_the_center():
+    # off the divisor the slot coordinate s_k != 0 is itself a coordinate
+    # of the x-block, so no chart point is refused
+    for w, dims in (([0.5, 1e-15], PairDims(2, 1)), ([0.5, 2.0**-1074], PairDims(2, 1)), ([0.5, 2.0**-60, 3.0], DIMS31)):
+        z = chart_phi_inv(1, w, dims)
+        assert isinstance(z, Body)
+        assert chart_phi(1, z) == tuple(w)
+    assert chart_phi_inv(1, [0.5, 1e-200, 1e-200], DIMS31).x == (0.5, 1e-200, 0.0)
 
 
 # Every other way of naming an orbit goes through canonicalize or
@@ -615,41 +664,53 @@ def test_chart_phi_inv_rejects_a_chart_point_that_rounds_onto_the_center():
 
 def test_from_polar_rejects_an_orbit_that_rounds_onto_the_center():
     with pytest.raises(CenterPoint):
-        from_polar(blowup.PolarPoint(np.array([0.5]), np.array([1.0]), 1e-15), PairDims(2, 1))
+        from_polar(blowup.PolarPoint(np.array([0.5]), np.array([1e-200]), 1e-200), PairDims(2, 1))
 
 
-def test_dnc_as_open_subset_rejects_an_orbit_that_rounds_onto_the_center():
-    with pytest.raises(CenterPoint):
-        dnc_as_open_subset(DncPoint.of([0.5], [1.0], 1e-15))
+def test_dnc_as_open_subset_never_lands_on_the_center():
+    # the x-block of the image is (t*xi, t), and t != 0 is in it
+    z = dnc_as_open_subset(DncPoint.of([0.5], [1.0], 1e-15))
+    assert z.x == (0.5, 1e-15, 1e-15)
+    assert chart_phi(2, z) == (0.5, 1.0, 1e-15)
+    assert dnc_as_open_subset(DncPoint.of([0.5], [1e-200], 1e-200)).x == (0.5, 0.0, 1e-200)
 
 
-def test_from_algebraic_rejects_a_point_that_rounds_onto_the_center():
-    with pytest.raises(CenterPoint):
-        from_algebraic(AlgebraicPoint(np.array([1e-15, 0.0]), np.array([1.0, 0.0])), DIMS20)
+def test_from_algebraic_never_lands_on_the_center():
+    # a nonzero x is a body point however small; x = 0 is the exceptional
+    # point on the given line
+    a = AlgebraicPoint((1e-15, 0.0), (1.0, 0.0))
+    z = from_algebraic(a, DIMS20)
+    assert z == Body((1e-15, 0.0), DIMS20)
+    assert to_algebraic(z) == a
+    z0 = from_algebraic(AlgebraicPoint((1e-200 * 1e-200, -0.0), (0.6, -0.8)), DIMS20)
+    assert z0 == Exceptional((), (0.6, -0.8), DIMS20)
 
 
 def test_canonical_polar_rejects_a_nonzero_t_that_rounds_to_zero():
     # the same orbit as in canonicalize above: off the divisor, but its
-    # t would round onto it
+    # block t*theta underflows onto the center
     with pytest.raises(CenterPoint, match="rounds onto the center"):
-        canonical_polar([0.5], [1.0], 1e-15)
+        canonical_polar([0.5], [1e-200], 1e-200)
     with pytest.raises(CenterPoint):
-        canonical_polar([0.5], [-3.0, 4.0], 1e-16)  # t = -5e-16 after the norm and the flip
+        canonical_polar([0.5], [-3e-200, 4e-200], 1e-200)
     with pytest.raises(CenterPoint):
-        canonicalize([0.5], [1.0], 1e-15, PairDims(2, 1))
-    assert canonical_polar([0.5], [1.0], 1e-14).t == 1e-14
+        canonicalize([0.5], [1e-200], 1e-200, PairDims(2, 1))
+    assert canonical_polar([0.5], [1.0], 1e-15).t == 1e-15
+    assert canonical_polar([0.5], [-3.0, 4.0], 1e-16).t == -5e-16
     assert canonical_polar([0.5], [-1.0], 0.0).t == 0.0
 
 
 def test_polar_and_quotient_models_refuse_the_same_orbit():
-    # each t*xi_i = 4e-15 rounds to 0, though t*|xi| = 5.7e-15 rounds up to 1e-14
+    # each t*xi_i = 0.4 * 2^-1074 rounds to 0, though t*|xi| rounds up to 2^-1074
+    tiny = 2.0**-1074
     with pytest.raises(CenterPoint):
-        canonicalize([0.5], [1.0, 1.0], 4e-15, PairDims(3, 1))
+        canonicalize([0.5], [0.4, 0.4], tiny, PairDims(3, 1))
     with pytest.raises(CenterPoint, match="rounds onto the center"):
-        canonical_polar([0.5], [1.0, 1.0], 4e-15)
-    # t*xi_i = 5.1e-15 rounds up, but the result's r*theta_i = 1e-14 * 0.5 rounds to 0
+        canonical_polar([0.5], [0.4, 0.4], tiny)
+    # each t*xi_i = 0.6 * 2^-1074 rounds up, but the result's
+    # r*theta_i = 2^-1074 * 0.5 rounds to 0: from_polar would refuse it
     with pytest.raises(CenterPoint):
-        canonical_polar([0.5], [1.0] * 4, 5.1e-15)
+        canonical_polar([0.5], [0.6] * 4, tiny)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -657,14 +718,16 @@ def test_every_polar_point_maps_back_through_from_polar(q):
     rng = np.random.default_rng(q)
     dims, refused = PairDims(q + 1, 1), 0
     for _ in range(2000):
-        xi = rng.integers(-3, 4, q).astype(float)
+        xi = rng.integers(-3, 4, q) / 4.0
         if not xi.any():
             continue
-        t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.5, -13.5))
+        t = float(rng.choice([-1.0, 1.0]) * rng.integers(1, 4)) * 2.0**-1074
         try:
             pp = canonical_polar([0.5], xi, t)
         except CenterPoint:
             refused += 1
+            with pytest.raises(CenterPoint):
+                canonicalize([0.5], xi, t, dims)
             continue
         assert pp.t != 0.0
         assert isinstance(from_polar(pp, dims), Body)
@@ -674,14 +737,17 @@ def test_every_polar_point_maps_back_through_from_polar(q):
 
 def test_polar_map_rejects_a_body_image_that_rounds_onto_the_divisor():
     y, x = Var(0), Var(1)
-    squash = MapOfPairs(from_components(2, (y, x * 1e-15)), PairDims(2, 1), PairDims(2, 1))
-    z = canonical_polar([0.5], [1.0], 0.5)
-    with pytest.raises(CenterPoint):
-        polar_map(squash, z)  # h2 = 5e-16 rounds to t = 0
-    assert polar_map(squash, canonical_polar([0.5], [1.0], 20.0)).t == 2e-14
+    squash = MapOfPairs(from_components(2, (y, x * 1e-200)), PairDims(2, 1), PairDims(2, 1))
+    z = canonical_polar([0.5], [1.0], 1e-200)
+    with pytest.raises(OutsideChart, match="image lies on the target submanifold"):
+        polar_map(squash, z)  # h2 = 1e-400 underflows to 0
+    assert polar_map(squash, canonical_polar([0.5], [1.0], 1e-15)).t == 1e-215
     assert polar_map(squash, canonical_polar([0.5], [1.0], 0.0)).t == 0.0
 
 
 def test_rotate_blowup_point_rejects_a_point_that_rounds_onto_the_center():
+    # a rotation keeps the norm, so its image is on the center only when
+    # the point's own x-block is: here a product that underflowed to 0
     with pytest.raises(CenterPoint):
-        rotate_blowup_point(0.3, Body(np.array([1e-15, 0.0]), DIMS20))
+        rotate_blowup_point(0.3, Body((1e-200 * 1e-200, 0.0), DIMS20))
+    assert rotate_blowup_point(0.3, Body((2.0**-1074, 0.0), DIMS20)).x == (2.0**-1074, 0.0)

@@ -7,7 +7,10 @@ vector-bundle chart used before it was routed through ``canonicalize``,
 ``from_ambient``, ``to_polar`` or ``chart_phi``, kept verbatim as the
 reference.  Off the center the new code must return the same points bit
 for bit (``tobytes()`` of every array), and raise the same exception
-type where the old code raised.
+type where the old code raised.  Representatives are no longer rounded,
+so each old formula is kept with its 14-decimal rounding replaced by
+``np_finite``, the representative rule that remains: a finiteness check,
+and -0.0 made +0.0.
 
 Each ``np_*`` function is a numpy point kernel as it was before the
 kernels moved to lists of Python floats, kept verbatim.  The kernels
@@ -17,7 +20,7 @@ for bit.  The kernels that take a norm now take it from ``math.hypot``,
 which is correctly rounded, where ``np.linalg.norm`` could be 1 ulp off.
 A polar arrow must equal, bit for bit, the old formula evaluated at a
 norm within 1 ulp of ``np.linalg.norm``'s; a direction must agree with
-the numpy kernel to within ``norm_gap_bound``.
+the numpy kernel to within 3 ulp per coordinate (``assert_close``).
 
 The rotation and the inverse stereographic charts once took their
 products from numpy's ``@``, whose bits depend on the BLAS kernel.  They
@@ -34,7 +37,6 @@ import pytest
 
 from conecut.blowup import (
     CHART_TOL,
-    ROUND_DECIMALS,
     AlgebraicPoint,
     Body,
     Exceptional,
@@ -75,23 +77,23 @@ def np_split(dims: PairDims, point):
 
 def old_from_polar(pp: PolarPoint, dims: PairDims):
     if pp.t == 0.0:
-        return Exceptional(np_round(pp.x), canonical_direction(pp.theta), dims)
-    return Body(np_round(np.concatenate([pp.x, pp.t * np.asarray(pp.theta)])), dims)
+        return Exceptional(np_finite(pp.x), canonical_direction(pp.theta), dims)
+    return Body(np_finite(np.concatenate([pp.x, pp.t * np.asarray(pp.theta)])), dims)
 
 
 def old_dnc_as_open_subset(z: DncPoint):
     dims = PairDims(z.dims.n + 1, z.dims.p)
     if z.t == 0.0:
         return Exceptional(
-            np_round(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
+            np_finite(z.y), canonical_direction(np.append(z.xi, 1.0)), dims
         )
-    return Body(np_round(np.concatenate([z.y, z.t * np.asarray(z.xi), [z.t]])), dims)
+    return Body(np_finite(np.concatenate([z.y, z.t * np.asarray(z.xi), [z.t]])), dims)
 
 
 def old_from_algebraic(a: AlgebraicPoint, dims: PairDims):
     if float(np.linalg.norm(a.x)) == 0.0:
         return Exceptional(np.zeros(0), canonical_direction(a.line), dims)
-    return Body(np_round(np.asarray(a.x, dtype=float)), dims)
+    return Body(np_finite(np.asarray(a.x, dtype=float)), dims)
 
 
 def exact_dot(a, b) -> float:
@@ -107,7 +109,7 @@ def old_rotate_blowup_point(angle: float, z):
     c, s = np.cos(angle), np.sin(angle)
     rot = [[c, -s], [s, c]]
     if isinstance(z, Body):
-        return Body(np_round(np.array([exact_dot(row, z.x) for row in rot])), z.dims)
+        return Body(np_finite(np.array([exact_dot(row, z.x) for row in rot])), z.dims)
     return Exceptional(z.y, canonical_direction(np.array([exact_dot(row, z.xi_dir) for row in rot])), z.dims)
 
 
@@ -221,32 +223,13 @@ def old_vb_chart(model, r: int, z) -> np.ndarray:
 # -- the numpy point kernels, verbatim ---------------------------------
 
 
-_SCALE = 10.0**ROUND_DECIMALS
-
-
-def np_round(a):
-    """Round a scalar or array to ROUND_DECIMALS; -0.0 becomes +0.0.
-
-    This computes what np.round(a, ROUND_DECIMALS) does (scale, round
-    half to even, unscale) without numpy's wrapper layers.  A coordinate
-    too large for the scaled value to be finite (above about 1.8e294)
-    has no digits below 10^-ROUND_DECIMALS and is kept as it is.  A
-    coordinate that is not finite raises DomainViolation."""
+def np_finite(a):
+    """A scalar or array as floats, -0.0 made +0.0; DomainViolation if a
+    coordinate is not finite."""
     a = np.asarray(a, dtype=float)
-    r = np.rint(a * _SCALE) / _SCALE + 0.0
-    if all(map(math.isfinite, r.ravel().tolist())):
-        return r
     if not np.isfinite(a).all():
         raise DomainViolation(f"representative has a non-finite coordinate: {a.tolist()}")
-    return np.where(np.isfinite(r), r, a)[()]
-
-
-def _leading_is_negative(u) -> bool:
-    """Whether the first component above 10^-ROUND_DECIMALS is negative."""
-    for v in u:
-        if abs(v) > 10.0**-ROUND_DECIMALS:
-            return v < 0
-    return False
+    return a + 0.0
 
 
 # Below this norm the sum of squares that np.linalg.norm takes the root
@@ -272,11 +255,11 @@ def np_unit(v: np.ndarray, zero_message: str):
 
 
 def np_canonical_direction(xi) -> np.ndarray:
-    """Unit vector with first nonzero component positive, rounded."""
+    """Unit vector with first nonzero component positive."""
     u, _ = np_unit(np.asarray(xi, dtype=float), "zero vector has no direction")
-    if _leading_is_negative(u):
+    if u[np.flatnonzero(u)[0]] < 0:
         u = -u
-    return np_round(u)
+    return np_finite(u)
 
 
 def np_canonicalize(y, xi, t, dims: PairDims):
@@ -287,15 +270,14 @@ def np_canonicalize(y, xi, t, dims: PairDims):
     if y.shape != (dims.p,) or xi.shape != (dims.q,):
         raise ArityMismatch("block shapes do not match the pair dimensions")
     if t == 0.0:
-        return Exceptional(np_round(y), np_canonical_direction(xi), dims)
+        return Exceptional(np_finite(y), np_canonical_direction(xi), dims)
     return np_body(np.concatenate([y, t * xi]), dims, "orbit meets the center: t != 0 with t*xi = 0")
 
 
 def np_body(x: np.ndarray, dims: PairDims, center_message: str) -> Body:
-    """The Body point at x, rounded; CenterPoint with ``center_message``
-    if the rounded x-block is zero, so a representative never lies on
-    the center."""
-    r = np_round(x)
+    """The Body point at x; CenterPoint with ``center_message`` if the
+    x-block is exactly zero."""
+    r = np_finite(x)
     if not any(r.tolist()[dims.p :]):
         raise CenterPoint(center_message)
     return Body(r, dims)
@@ -339,7 +321,7 @@ def np_chart_phi_inv(i: int, w, dims: PairDims):
         return np_canonicalize(y, xi, 0.0, dims)
     xb = s[k] * s
     xb[k] = s[k]
-    return np_body(np.concatenate([y, xb]), dims, "chart point rounds onto the center")
+    return np_body(np.concatenate([y, xb]), dims, "chart point lies on the center")
 
 
 def np_transition(i: int, j: int, w, dims: PairDims) -> np.ndarray:
@@ -381,17 +363,10 @@ def assert_same_as_old_arrow_at_a_nearby_norm(outcome, a: float, b: float):
     point (a, b) evaluated at np.linalg.norm's norm r or at one of the two
     doubles next to r.  np.linalg.norm can be 1 ulp from the correctly
     rounded norm that math.hypot returns; this admits that 1-ulp change of
-    the norm, carried through the 14-decimal rounding, and no other gap."""
+    the norm and no other gap."""
     r = float(np.linalg.norm([a, b]))
     near = [r, math.nextafter(r, -math.inf), math.nextafter(r, math.inf)]
     assert outcome in [_outcome(old_polar_of_pair_arrow_at, a, b, s) for s in near], (a, b)
-
-
-def norm_gap_bound(old: float) -> float:
-    """The largest gap allowed between a unit-vector coordinate computed
-    with the correctly rounded norm and the same coordinate computed with
-    np.linalg.norm: max(2 ulp, one step of the 10^-ROUND_DECIMALS grid)."""
-    return max(2 * math.ulp(old), 10.0**-ROUND_DECIMALS)
 
 
 def _coords(value):
@@ -407,7 +382,9 @@ def _coords(value):
 
 
 def assert_close(new_fn, old_fn, *args):
-    """The same kind of outcome, every coordinate within norm_gap_bound."""
+    """The same kind of outcome, every coordinate within 3 ulp.  A norm
+    1 ulp away moves a quotient by up to 2 ulp, and where np_unit first
+    divides by the largest entry, that adds one rounding more."""
     outcomes = []
     for fn in (new_fn, old_fn):
         try:
@@ -417,7 +394,7 @@ def assert_close(new_fn, old_fn, *args):
     (new_kind, new), (old_kind, old) = outcomes
     assert new_kind == old_kind, args
     for u, v in zip(new, old):
-        assert abs(u - v) <= norm_gap_bound(v), (args, u, v)
+        assert abs(u - v) <= 3 * math.ulp(v), (args, u, v)
 
 
 def _signed_zeros(v):
@@ -574,7 +551,7 @@ def test_vb_chart_matches_the_old_formula():
 
 def _chart_point(rng, n):
     """A point of R^n with coordinates of mixed sign and scale, some of
-    them signed zeros or small enough to round to zero."""
+    them signed zeros or tiny."""
     w = rng.normal(size=n) * 10.0 ** rng.integers(-16, 3, size=n)
     for k in range(n):
         if rng.random() < 0.15:

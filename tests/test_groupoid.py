@@ -109,6 +109,15 @@ def test_rotation_action_on_blowup():
     assert rep.blowdown_violation <= 1e-9
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_rotation_by_zero_and_blowdown_are_exact_on_the_blowup(seed):
+    # rotation by 0 returns each representative bit for bit, and the
+    # blow-down of a rotated point is the rotated blow-down
+    rep = saturated_action_blowup(seed=seed)
+    assert rep.identity_violation == 0.0
+    assert rep.blowdown_violation == 0.0
+
+
 def test_rotation_action_covers_blowdown():
     dims = PairDims(2, 0)
     z = Body(np.array([1.0, 2.0]), dims)
