@@ -34,6 +34,7 @@ stays importable from here, where the benchmark's span names it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import (
     ArityMismatch,
@@ -168,6 +169,15 @@ def _body(x: list, dims: PairDims, center_message: str) -> Body:
     return Body(r, dims)
 
 
+def _blocks(x: tuple, dims: PairDims) -> tuple:
+    """The blocks (y, x) of a representative's tuple of floats, sliced
+    without reading them again; ArityMismatch for the wrong length, as
+    ``PairDims.split`` raises."""
+    if len(x) != dims.n:
+        raise ArityMismatch(f"point of length {len(x)} for ambient dim {dims.n}")
+    return x[: dims.p], x[dims.p :]
+
+
 def blowdown(z) -> tuple:
     """Body points map to themselves, exceptional points down to the center."""
     if isinstance(z, Body):
@@ -188,7 +198,7 @@ def chart_phi(i: int, z) -> tuple:
         if abs(s[k]) <= CHART_TOL:
             raise OutsideChart(f"exceptional direction has component {i} ~ 0")
     elif isinstance(z, Body):
-        y, s = dims.split(z.x)
+        y, s = _blocks(z.x, dims)
         if s[k] == 0.0:
             raise OutsideChart(f"body point has x-component {i} = 0")
         slot = s[k]
@@ -289,7 +299,7 @@ def to_polar(z) -> PolarPoint:
     if isinstance(z, Exceptional):
         return canonical_polar(z.y, z.xi_dir, 0.0)
     if isinstance(z, Body):
-        y, x = z.dims.split(z.x)
+        y, x = _blocks(z.x, z.dims)
         theta, r = _unit(x, "body point lies on the center")
         return canonical_polar(y, theta, r)
     raise TypeError(f"not a blow-up point: {z!r}")
@@ -375,9 +385,21 @@ def _stereo(x, pole: float) -> tuple:
 
 
 def _stereo_inv(u, pole: float) -> tuple:
+    """The sphere point over the plane point u: floats, or Fractions where
+    a float of the point would overflow.  Where |u|^2 passes the float
+    range, 1 - 2/(1 + |u|^2) rounds to 1 and each 2 u_j/(1 + |u|^2) is
+    its exact value rounded once, a zero keeping its sign, so no
+    coordinate is inf/inf; DomainViolation for a point that is not finite."""
     r2 = dot(u, u)
-    d = 1.0 + r2
-    return (2 * u[0] / d, 2 * u[1] / d, (pole * r2 - pole) / d)
+    if r2 < math.inf:
+        d = 1.0 + r2
+        return (2 * u[0] / d, 2 * u[1] / d, (pole * r2 - pole) / d)
+    try:
+        exact = [Fraction(c) for c in u]
+    except (OverflowError, ValueError):
+        raise DomainViolation(f"plane point {u} is not finite") from None
+    d = 1 + exact[0] ** 2 + exact[1] ** 2
+    return (*[float(2 * e / d) if e else c for e, c in zip(exact, u)], pole)
 
 
 class SphereBody(Record, frozen=True):
@@ -410,7 +432,10 @@ def sphere_rp2_inv(a) -> "SphereBody | SphereExceptional":
     a = as_floats(a)
     if a[2] == 0.0:
         return SphereExceptional((a[0], a[1]))
-    return SphereBody(_stereo_inv([a[0] / a[2], a[1] / a[2]], 1.0))
+    u = [a[0] / a[2], a[1] / a[2]]
+    if all(map(math.isfinite, a)):  # a quotient past the float range is kept exact
+        u = [c if math.isfinite(c) else Fraction(v) / Fraction(a[2]) for c, v in zip(u, a)]
+    return SphereBody(_stereo_inv(u, 1.0))
 
 
 # The four chart presentations: (source chart map, local expression,
@@ -466,6 +491,8 @@ def sphere_chart_inv(which: int, w) -> "SphereBody | SphereExceptional":
         return SphereExceptional(tuple(s))
     u = [s[k] * c for c in s]
     u[k] = s[k]
+    if all(map(math.isfinite, s)):  # a product past the float range is kept exact
+        u = [c if math.isfinite(c) else Fraction(s[k]) * Fraction(v) for c, v in zip(u, s)]
     return SphereBody(_stereo_inv(u, pole))
 
 

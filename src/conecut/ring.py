@@ -28,7 +28,10 @@ and ``LaurentElement.from_terms`` validate through the same path.
 
 Evaluation reads the point once into integer numerators and
 denominators and accumulates each sum as an unreduced integer pair
-(num, den).  ``char_xs_pairs`` and ``char_yxi_pairs`` evaluate several
+(num, den).  Each term multiplies its coefficient by the powers of the
+coordinates whose exponent is not zero, the most common exponent, which
+the core tests first; a negative exponent multiplies by the reciprocal
+coordinate.  ``char_xs_pairs`` and ``char_yxi_pairs`` evaluate several
 elements at one point, one loop over each table, and return the pairs;
 ``char_xs``, ``char_yxi`` and ``MultiPoly.evaluate`` build a single
 Fraction from one.  A point that is not a flat sequence of numbers
@@ -216,13 +219,15 @@ def _eval_pairs(tables, nums, dens) -> list:
         for exps, n in terms:
             d = 1
             for vn, vd, e in zip(nums, dens, exps):
+                if not e:  # the most common exponent
+                    continue
                 if e == 1:
                     n *= vn
                     d *= vd
                 elif e > 0:
                     n *= vn**e
                     d *= vd**e
-                elif e:
+                else:
                     n *= vd**-e
                     d *= vn**-e
             if d == den:
@@ -570,7 +575,8 @@ def char_yxi_pairs(elements, y, xi) -> list:
         terms = []
         for item in a.nums.items():
             e = item[0]
-            if e[-1] >= 0 and sum(e[p:-1]) == e[-1]:
+            k = e[-1]
+            if k >= 0 and sum(e[p:-1]) == k:
                 terms.append(item)
         tables.append((terms, a.den))
     return _eval_pairs(tables, nums, dens)

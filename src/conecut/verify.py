@@ -523,29 +523,37 @@ def _ring_samples(rng, samples, p, q):
     """Yield ``samples`` draws (a, b, x, s, xi), each one bounded 64-bit
     ``integers`` draw read in mixed radix: xi in [-3, 3]^q, x in
     [-3, 3]^(p+q), s in {1/3, ..., 4/3}, and for each of a and b a term
-    count of 1 or 2 and two indices into ``_ring_terms``."""
+    count of 1 or 2 and two indices into ``_ring_terms``.
+
+    Each term is validated once, by ``from_terms``, on first use, and
+    kept for the rest of the call; a two-term draw is the sum of its two
+    terms, which re-asserts the filtration and merges like ``from_terms``."""
     terms = _ring_terms(p, q)
     n = len(terms)
     xs = list(product(range(-3, 4), repeat=p + q))
     xis = list(product(range(-3, 4), repeat=q))
+    ss = [Fraction(v, 3) for v in range(1, 5)]
     span = (2 * n * n) ** 2 * 4 * len(xs) * len(xis)
+    built: list = [None] * n  # term index -> its one-term element, once drawn
+
+    def term(index: int) -> rg.LaurentElement:
+        elem = built[index]
+        if elem is None:
+            key, c = terms[index]
+            elem = built[index] = rg.LaurentElement.from_terms(p, q, {key: c})
+        return elem
 
     def element(code: int) -> rg.LaurentElement:
         pair, two = divmod(code, 2)
         second, first = divmod(pair, n)
-        key, c = terms[first]
-        table = {key: c}
-        if two:
-            key, c = terms[second]
-            table[key] = table.get(key, 0) + c
-        return rg.LaurentElement.from_terms(p, q, table)
+        return term(first) + term(second) if two else term(first)
 
     for _ in range(samples):
         word, i = divmod(rng.integers(span), len(xis))
         word, j = divmod(word, len(xs))
         word, s = divmod(word, 4)
         b, a = divmod(word, 2 * n * n)
-        yield element(a), element(b), xs[j], Fraction(s + 1, 3), xis[i]
+        yield element(a), element(b), xs[j], ss[s], xis[i]
 
 
 def _respects(pairs) -> bool:

@@ -515,6 +515,36 @@ def test_sphere_local_expression_closed_forms():
     assert np.allclose(sphere_local_expression(4, [a, b]), [a * b, b])
 
 
+def _exact_stereo_inv(u, pole):
+    """The inverse stereographic chart at an exact plane point, each
+    coordinate its exact value rounded once."""
+    d = 1 + u[0] ** 2 + u[1] ** 2
+    return (float(2 * u[0] / d), float(2 * u[1] / d), float(pole * (d - 2) / d))
+
+
+def test_sphere_chart_inv_rounds_far_chart_points_instead_of_returning_nan():
+    """Where |u|^2 or a product of chart coordinates passes the float
+    range, each coordinate is its exact value rounded once.  The first
+    two points returned (0, 0, nan) and (0, nan, nan) before."""
+    assert sphere_chart_inv(1, [1e155, 1.0]).x == (1e-155, 1e-155, -1.0)
+    assert sphere_chart_inv(1, [1e200, 1e200]).x == (0.0, 0.0, -1.0)
+    for w in ([1e155, 1.0], [1e200, 1e200], [-3.0 * 2.0**600, 2.0**-80], [2.0**520, -1.5], [0.5, 2.0**700]):
+        a, b = map(Fraction, w)
+        for which, u, pole in ((1, (a, a * b), -1), (2, (a * b, b), -1), (3, (a, a * b), 1), (4, (a * b, b), 1)):
+            x = sphere_chart_inv(which, w).x
+            assert not any(map(math.isnan, x)), (which, w)
+            assert x == _exact_stereo_inv(u, pole), (which, w)
+    # a zero keeps its sign; a plane point past the float range in the
+    # projective chart too; a chart point that is not finite is refused
+    assert np.signbit(sphere_chart_inv(1, [1e200, -0.0]).x[1])
+    assert sphere_rp2_inv([0.6, -0.8, 2.0**-1070]).x == _exact_stereo_inv(
+        (Fraction(0.6) / Fraction(2.0**-1070), Fraction(-0.8) / Fraction(2.0**-1070)), 1
+    )
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]):
+        with pytest.raises(DomainViolation):
+            sphere_chart_inv(3, bad)
+
+
 def test_representatives_never_carry_negative_zero():
     # the sign bits of a given -0.0, of the 0.0 that the sign flip of a
     # direction negates, and of the t = 0 that the flip of theta negates

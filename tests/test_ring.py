@@ -776,6 +776,41 @@ def test_pair_cores_give_the_public_characters():
         assert Fraction(num, den) == char_yxi(a, y, xi) == _naive_yxi(a, y, xi)
 
 
+def test_pair_cores_evaluate_a_product_and_a_sum_with_their_factors():
+    """The suite's calls: both cores on (a, b, a*b, a+b) at one point, for
+    elements that include zero, t (k = -1) and monomials that a and b
+    share, so a + b merges or cancels them and a * b repeats them."""
+    rnd = random.Random(32)
+    zero = LaurentElement(P, Q, {})
+    t = LaurentElement.t_element(P, Q)
+    cases = 0
+    for i in range(300):
+        a = _seeded_element(rnd)
+        pick = i % 5
+        if pick == 0:
+            b = _seeded_element(rnd)
+        elif pick == 1:
+            b = a  # every monomial repeated
+        elif pick == 2:
+            b = a * LaurentElement.from_poly(MultiPoly.const(P, Q, -1)) + t  # a + b cancels to t
+        elif pick == 3:
+            b = zero
+        else:
+            a, b = t, a + t * _seeded_element(rnd)
+        x = [_seeded_rational(rnd) for _ in range(P + Q)]
+        if i % 3 == 0:
+            x[P] = 0  # a zero coordinate, whose zero power is 1
+        s = _seeded_rational(rnd) or Fraction(-4, 5)
+        y, xi = x[:P], [_seeded_rational(rnd) for _ in range(Q)]
+        elements = (a, b, a * b, a + b)
+        for e, pair in zip(elements, char_xs_pairs(elements, x, s), strict=True):
+            assert Fraction(*pair) == _naive_xs(e, x, s)
+        for e, pair in zip(elements, char_yxi_pairs(elements, y, xi), strict=True):
+            assert pair[1] > 0 and Fraction(*pair) == _naive_yxi(e, y, xi)
+        cases += any(k < 0 for e in elements for k in e.coeffs) and not (a + b).coeffs.keys() - {-1}
+    assert cases  # some sums cancel down to t alone
+
+
 def test_ring_suite_notices_a_character_that_is_wrong_on_products(monkeypatch):
     from conecut import ring, verify
 

@@ -6,7 +6,10 @@ lies in the old support, and the frequencies of the monomial count, of
 the keys k and of the coefficients agree within FREQUENCY_TOL.  The
 suite decodes each term through a table, which
 ``test_term_table_lists_each_column_draw_once`` checks against the
-per-column decoding of the suite's earlier block draws.
+per-column decoding of the suite's earlier block draws.  It validates
+each table entry once per run and adds two validated terms for a
+two-term draw; ``_old_ring_samples``, which built every draw through
+``from_terms``, is kept verbatim as the oracle for that.
 """
 
 import random
@@ -126,3 +129,66 @@ def test_term_table_lists_each_column_draw_once():
     rows = list(product(*(range(low, high + 1) for low, high in TERM_COLUMNS)))
     assert len(rows) == 1408
     assert vf._ring_terms(P, Q) == [_column_term(*row) for row in rows]
+
+
+def _old_ring_samples(rng, samples, p, q):
+    """The suite's former draw, which built every element from its terms
+    through ``from_terms``, kept verbatim as the oracle."""
+    terms = vf._ring_terms(p, q)
+    n = len(terms)
+    xs = list(product(range(-3, 4), repeat=p + q))
+    xis = list(product(range(-3, 4), repeat=q))
+    span = (2 * n * n) ** 2 * 4 * len(xs) * len(xis)
+
+    def element(code: int) -> rg.LaurentElement:
+        pair, two = divmod(code, 2)
+        second, first = divmod(pair, n)
+        key, c = terms[first]
+        table = {key: c}
+        if two:
+            key, c = terms[second]
+            table[key] = table.get(key, 0) + c
+        return rg.LaurentElement.from_terms(p, q, table)
+
+    for _ in range(samples):
+        word, i = divmod(rng.integers(span), len(xis))
+        word, j = divmod(word, len(xs))
+        word, s = divmod(word, 4)
+        b, a = divmod(word, 2 * n * n)
+        yield element(a), element(b), xs[j], Fraction(s + 1, 3), xis[i]
+
+
+def test_draws_equal_the_per_draw_construction_from_terms():
+    """Over the 20,000 seed-2021 elements, each element built from the
+    validated one-term elements equals, table order included, the
+    element ``from_terms`` built from the draw's merged terms; x, s and
+    xi are the same draws."""
+    old = _old_ring_samples(PCG64(2021), DRAWS // 2, P, Q)
+    new = vf._ring_samples(PCG64(2021), DRAWS // 2, P, Q)
+    cancelled = 0
+    for (a, b, *point), (a0, b0, *point0) in zip(new, old, strict=True):
+        assert point == point0
+        for e, e0 in ((a, a0), (b, b0)):
+            assert e == e0 and list(e.nums.items()) == list(e0.nums.items())
+            cancelled += not e.nums
+    assert cancelled  # some draws are zero, cancelled or with coefficient 0
+
+
+def test_ring_suite_validates_each_term_once(monkeypatch):
+    """A run of the ring suite calls ``from_terms`` at most once per entry
+    of the draw table, on that entry's one term, whatever the number of
+    samples; the suite makes no other call of it."""
+    calls = []
+    from_terms = rg.LaurentElement.from_terms.__func__
+
+    def counted(cls, p, q, terms):
+        calls.append(dict(terms))
+        return from_terms(cls, p, q, terms)
+
+    monkeypatch.setattr(rg.LaurentElement, "from_terms", classmethod(counted))
+    for seed in (1, 11):
+        calls.clear()
+        result = vf.SUITES["ring"](samples=10000, seed=seed)
+        assert result.ok
+        assert 0 < len(calls) <= len(vf._ring_terms(P, Q))
+        assert all(len(terms) == 1 for terms in calls)
